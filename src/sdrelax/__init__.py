@@ -3,7 +3,7 @@ disarrangement-relaxed interfacial energies.
 
 The package provides meshes of (rotated) unit squares and cubes, discrete
 SBV fields with exact jump calculus, the closed-form relaxed densities, an
-exact linear-programming solver for the relaxation cell problems, explicit
+exact chain solver for the relaxation cell problems, explicit
 infimizing competitor sequences, and structured-triple functionals.
 """
 

@@ -27,7 +27,6 @@ from .fields import SbvField, gauss_green_residual
 from .functionals import eval_left, eval_right, triple_from_json
 from .meshes import build_mesh
 from .solver import CellProblem, Kind, closed_form, solve
-from .utils import ordered_map
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -41,6 +40,8 @@ def _parse_vector(text: str | None, size: int, name: str) -> np.ndarray:
         raise InputError(f"--{name}: expected comma-separated numbers, got {text!r}") from exc
     if v.size != size:
         raise InputError(f"--{name}: expected {size} entries, got {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise InputError(f"--{name}: entries must be finite, got {text!r}")
     return v
 
 
@@ -207,8 +208,6 @@ def _suite_cell(args):
         np.array([1.0, -1.0]) / np.sqrt(2),
     ]
 
-    # draw all data up front so the report is seed-deterministic even when
-    # the solves run on the SD_RELAX_THREADS pool
     instances = [
         (i, rng.uniform(-5, 5, 3), directions[i % len(directions)])
         for i in range(args.samples)
@@ -228,7 +227,7 @@ def _suite_cell(args):
             "gap": gap,
         }
 
-    return ordered_map(one, instances)
+    return [one(inst) for inst in instances]
 
 
 def cmd_verify(args) -> int:

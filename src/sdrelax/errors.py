@@ -23,12 +23,16 @@ class ProblemError(SdRelaxError):
 
 class UnsupportedProblemError(SdRelaxError):
     """Problem combination outside the solvable class (e.g. custom surface
-    density in the linear-programming path, or a general bulk density paired
+    density in the chain-solver path, or a general bulk density paired
     with a per-cell mean field in 3D)."""
 
 
 class InfeasibleProblemError(SdRelaxError):
-    """Defensive: the linear program reported an infeasible constraint set."""
+    """A minimization found no feasible point.
+
+    The cell solver does not raise it: every cell program is an
+    unconstrained sum of absolute values over finite data, which always has
+    a minimizer.  Kept so that callers catching it keep working."""
 
 
 class InputError(SdRelaxError):

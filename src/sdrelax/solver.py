@@ -16,11 +16,17 @@ absolute values of affine expressions in the offsets:
   identity.
 
 The objective splits by normal direction into independent scalar programs
-(the normal form only sees the offset component along each edge normal), and
-those split further into small connected components, each solved exactly by
-the in-repo simplex.  Pure jump problems additionally re-solve each component
-lexicographically so that, among minimizers, one matching the boundary datum
-is returned.
+(the normal form only sees the offset component along each edge normal),
+and each of those into independent 1-D chains of cells along the axis: a
+chain's interior jumps cost ``h |p_{i+1} - p_i|`` and its boundary
+mismatches ``w |p_i + c|``.  This is L1 total variation on a path, which has
+the threshold property: some minimizer takes all its values among the unary
+breakpoints ``-c``.  A min-plus dynamic program down each chain over those
+candidates is therefore exact; it runs on all chains of an axis at once.
+Pure jump problems carry a second, energy-free objective through the same
+program (datum mismatches on every boundary face, whose breakpoints join
+the candidates) and compare (primary, secondary) pairs lexicographically,
+so that among minimizers one matching the boundary datum is returned.
 
 Problems whose surface integrand relaxes the out-of-plane normal component
 (the zero-boundary pinned-gradient problem and the step-datum problem with
@@ -41,10 +47,13 @@ from .energy import padded_normal, surface_energy
 from .errors import InputError, ProblemError, UnsupportedProblemError
 from .fields import AffineDatum, SbvField, StepDatum, boundary_trace_gap, zero_datum
 from .meshes import Mesh, build_mesh
-from .simplexlp import AbsTerm, minimize_weighted_abs
-from .utils import ordered_map
 
 UNIT_TOL = 1e-12
+# Tie-break tolerance of the chain solver, relative to a chain's data scale
+# (its total primary weight times its largest breakpoint): primaries closer
+# than this count as tied.  Sums along a chain of n cells err by about
+# n * 2.2e-16 of that scale, far below it.
+TIE_RTOL = 1e-10
 
 
 class Kind(str, Enum):
@@ -111,6 +120,10 @@ class CellProblem:
 
     def _validate(self):
         k = self.kind
+        for name in ("A", "B", "d", "lam", "orientation"):
+            v = getattr(self, name)
+            if v is not None and not np.all(np.isfinite(v)):
+                raise ProblemError(f"data slot '{name}' must be finite")
         need = {
             Kind.H_3D2D: ("lam", "orientation"),
             Kind.H_3D2DSD: ("lam", "orientation"),
@@ -254,37 +267,42 @@ def _datum_for(problem: CellProblem, mesh: Mesh):
 
 
 # ---------------------------------------------------------------------------
-# LP assembly for the normal-form surface density
+# term assembly for the normal-form surface density
 # ---------------------------------------------------------------------------
 
-def _assemble_axis_terms(problem: CellProblem, mesh: Mesh, pin: np.ndarray, datum, side_terms: bool):
-    """Per mesh axis: scalar absolute-value terms in the offset components
-    along that axis' (padded) world normal, plus the boundary-term index set
-    used for lexicographic tie-breaking.
+@dataclass
+class AxisTerms:
+    """Scalar program of one mesh axis in the offset component ``p`` along
+    the axis' (padded) world normal::
+
+        sum_e h[e] |p[plus[e]] - p[minus[e]]|  +  sum_t weight[t] |p[cell[t]] + const[t]|
+
+    Interior terms are the axis' mesh edges.  Unary terms with ``side`` set
+    carry no energy: they enter only the tie-break of pure jump problems.
+    """
+
+    plus: np.ndarray
+    minus: np.ndarray
+    h: np.ndarray
+    cell: np.ndarray
+    weight: np.ndarray
+    const: np.ndarray
+    side: np.ndarray
+
+
+def _assemble_axis_terms(mesh: Mesh, pin: np.ndarray, datum, side_terms: bool) -> list[AxisTerms]:
+    """Per mesh axis: the absolute-value terms of its scalar program.
 
     With ``side_terms`` (pure jump problems), boundary edges additionally
     emit energy-free datum-mismatch terms for the *other* axis directions;
-    these enter only the tie-breaking pass, steering the returned minimizer
-    to attain the boundary datum wherever the optimal face allows it.
+    these enter only the tie-break, steering the returned minimizer to attain
+    the boundary datum wherever the optimal face allows it.
     """
     from .fields import datum_values_on_piece, piece_measure, split_edge_at_midline
 
     dim = mesh.dim
-    terms_by_axis = [[] for _ in range(dim)]
-    boundary_sets: list[set[int]] = [set() for _ in range(dim)]
-    side_by_axis = [[] for _ in range(dim)]
+    unary: list[list[tuple]] = [[] for _ in range(dim)]  # (cell, weight, const, side)
     dirs3 = padded_normal(mesh.frame.T)  # row a = padded world direction of axis a
-
-    for e in range(len(mesh.int_axis)):
-        a = int(mesh.int_axis[e])
-        terms_by_axis[a].append(
-            AbsTerm(
-                weight=float(mesh.int_measure[e]),
-                idx=(int(mesh.int_plus[e]), int(mesh.int_minus[e])),
-                coef=(1.0, -1.0),
-                const=0.0,
-            )
-        )
 
     step = isinstance(datum, StepDatum)
     for e in range(len(mesh.bnd_axis)):
@@ -301,92 +319,165 @@ def _assemble_axis_terms(problem: CellProblem, mesh: Mesh, pin: np.ndarray, datu
             measure = piece_measure(piece, a)
             gvals = gall @ dirs3[a]
             if np.max(np.abs(gvals - gvals[0])) == 0.0:
-                boundary_sets[a].add(len(terms_by_axis[a]))
-                terms_by_axis[a].append(
-                    AbsTerm(weight=measure, idx=(cell,), coef=(1.0,), const=float(gvals[0]))
-                )
+                unary[a].append((cell, measure, float(gvals[0]), False))
             else:
                 share = measure / len(gvals)
-                for g in gvals:
-                    boundary_sets[a].add(len(terms_by_axis[a]))
-                    terms_by_axis[a].append(
-                        AbsTerm(weight=share, idx=(cell,), coef=(1.0,), const=float(g))
-                    )
+                unary[a].extend((cell, share, float(g), False) for g in gvals)
             if side_terms:
                 for b in range(dim):
                     if b == a:
                         continue
                     svals = gall @ dirs3[b]
                     if np.max(np.abs(svals - svals[0])) == 0.0:
-                        side_by_axis[b].append(
-                            AbsTerm(
-                                weight=measure, idx=(cell,), coef=(1.0,), const=float(svals[0])
-                            )
-                        )
-    return terms_by_axis, boundary_sets, side_by_axis
+                        unary[b].append((cell, measure, float(svals[0]), True))
 
-
-def _components(terms, nvars):
-    """Connected components of the unknown-coupling graph of the terms."""
-    parent = list(range(nvars))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for t in terms:
-        for j in t.idx[1:]:
-            union(t.idx[0], j)
-    comp_vars: dict[int, list[int]] = {}
-    for v in range(nvars):
-        comp_vars.setdefault(find(v), []).append(v)
-    comp_terms: dict[int, list[int]] = {r: [] for r in comp_vars}
-    for k, t in enumerate(terms):
-        comp_terms[find(t.idx[0])].append(k)
-    return comp_vars, comp_terms
-
-
-def _solve_axis(terms, nvars, boundary_set, side_terms, tie_break):
-    """Solve one scalar program, component by component."""
-    values = np.zeros(nvars)
-    total = 0.0
-    if not terms:
-        return 0.0, values
-    comp_vars, comp_terms = _components(terms, nvars)
-
-    def _remap(term, remap):
-        return AbsTerm(
-            weight=term.weight,
-            idx=tuple(remap[j] for j in term.idx),
-            coef=term.coef,
-            const=term.const,
+    out = []
+    for a in range(dim):
+        on = mesh.int_axis == a
+        cell, weight, const, side = zip(*unary[a])
+        out.append(
+            AxisTerms(
+                plus=mesh.int_plus[on],
+                minus=mesh.int_minus[on],
+                h=mesh.int_measure[on],
+                cell=np.asarray(cell, dtype=int),
+                weight=np.asarray(weight, dtype=float),
+                const=np.asarray(const, dtype=float),
+                side=np.asarray(side, dtype=bool),
+            )
         )
+    return out
 
-    for root, var_list in comp_vars.items():
-        term_ids = comp_terms[root]
-        if not term_ids:
-            continue
-        remap = {v: i for i, v in enumerate(var_list)}
-        local = [_remap(terms[k], remap) for k in term_ids]
-        secondary = None
-        extra = None
-        if tie_break:
-            secondary = {i for i, k in enumerate(term_ids) if k in boundary_set}
-            extra = [_remap(t, remap) for t in side_terms if t.idx[0] in remap]
-        val, x = minimize_weighted_abs(
-            local, len(var_list), secondary=secondary, secondary_terms=extra
+
+# ---------------------------------------------------------------------------
+# exact chain solver
+# ---------------------------------------------------------------------------
+
+def _chains(mesh: Mesh, axis: int) -> np.ndarray:
+    """Cell ids of the chains along ``axis``: one row per chain, cells in
+    axis order, rows in C order over the other axes."""
+    ids = np.arange(mesh.ncells).reshape(mesh.shape)
+    return np.moveaxis(ids, axis, -1).reshape(-1, mesh.shape[axis])
+
+
+def _rank_in_group(group: np.ndarray, ngroups: int) -> np.ndarray:
+    """Position of each entry within its group, for sorted group labels."""
+    return np.arange(len(group)) - np.searchsorted(group, np.arange(ngroups))[group]
+
+
+def _candidates(chain: np.ndarray, breaks: np.ndarray, nchains: int) -> np.ndarray:
+    """Sorted unique breakpoints of each chain, ``(nchains, k)``; a chain
+    with fewer than ``k`` repeats its largest one."""
+    order = np.lexsort((breaks, chain))
+    chain, breaks = chain[order], breaks[order]
+    new = np.ones(len(breaks), dtype=bool)
+    new[1:] = (chain[1:] != chain[:-1]) | (breaks[1:] != breaks[:-1])
+    chain, breaks = chain[new], breaks[new]
+    rank = _rank_in_group(chain, nchains)
+    cand = np.full((nchains, rank.max() + 1), np.nan)
+    cand[chain, rank] = breaks
+    return np.fmax.accumulate(cand, axis=1)
+
+
+def _lex_argmin(primary, secondary, tol, axis):
+    """Argmin of ``primary`` along ``axis``; with ``secondary``, the argmin
+    of ``secondary`` among entries whose primary is within ``tol`` of the
+    minimum (lexicographic order with tied primaries)."""
+    if secondary is None:
+        return primary.argmin(axis=axis)
+    tied = primary <= primary.min(axis=axis, keepdims=True) + tol
+    return np.where(tied, secondary, np.inf).argmin(axis=axis)
+
+
+def _chain_dp(cand, h, unary, secondary=None, tol=None) -> np.ndarray:
+    """Candidate indices ``(nchains, n)`` minimizing, per chain,
+    ``sum_i unary[i, x_i] + sum_i h[i] |cand[x_{i+1}] - cand[x_i]|``.
+
+    Min-plus recursion down the chain with backtracking:
+    ``f_i(v) = unary_i(v) + min_u f_{i-1}(u) + h_{i-1} |v - u|``.  With
+    ``secondary`` (unary only), it carries (primary, secondary) pairs and
+    compares them lexicographically, primaries within ``tol`` (one value per
+    chain) counting as tied.
+    """
+    nchains, n, k = unary.shape
+    jump = np.abs(cand[:, None, :] - cand[:, :, None])  # [c, u, v] = |cand v - cand u|
+    tol_step = None if tol is None else tol[:, None, None]
+    f = unary[:, 0]
+    g = None if secondary is None else secondary[:, 0]
+    back = np.empty((nchains, n - 1, k), dtype=np.min_scalar_type(k))
+    for i in range(1, n):
+        trans = f[:, :, None] + h[:, i - 1, None, None] * jump
+        arg = _lex_argmin(trans, None if g is None else g[:, :, None], tol_step, axis=1)
+        back[:, i - 1] = arg
+        f = np.take_along_axis(trans, arg[:, None, :], axis=1)[:, 0] + unary[:, i]
+        if g is not None:
+            g = np.take_along_axis(g, arg, axis=1) + secondary[:, i]
+    idx = np.empty((nchains, n), dtype=np.intp)
+    idx[:, -1] = _lex_argmin(f, g, None if tol is None else tol[:, None], axis=1)
+    rows = np.arange(nchains)
+    for i in range(n - 1, 0, -1):
+        idx[:, i - 1] = back[rows, i - 1, idx[:, i]]
+    return idx
+
+
+def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
+    """Exact minimum and minimizer (per cell) of one axis program.
+
+    The program splits into independent chains of cells along the axis.  By
+    the threshold property of L1 total variation, some minimizer takes all
+    its values in the chain's unary breakpoints ``-const``, so the DP over
+    those candidates is exact; with ``tie_break`` the candidates include the
+    side-term breakpoints, which keeps the lexicographic program exact too.
+    """
+    chains = _chains(mesh, axis)
+    nchains, n = chains.shape
+    chain_of = np.empty(mesh.ncells, dtype=np.intp)
+    pos_of = np.empty(mesh.ncells, dtype=np.intp)
+    chain_of[chains] = np.arange(nchains)[:, None]
+    pos_of[chains] = np.arange(n)[None, :]
+
+    h = np.zeros((nchains, n - 1))
+    h[chain_of[terms.minus], pos_of[terms.minus]] = terms.h
+
+    use = ~terms.side | tie_break
+    tc, tp = chain_of[terms.cell[use]], pos_of[terms.cell[use]]
+    weight, const, primary = terms.weight[use], terms.const[use], ~terms.side[use]
+    # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
+    cand = _candidates(tc, 0.0 - const, nchains)
+    cost = weight[:, None] * np.abs(cand[tc] + const[:, None])
+    unary = np.zeros((nchains, n, cand.shape[1]))
+    np.add.at(unary, (tc[primary], tp[primary]), cost[primary])
+    secondary = tol = None
+    if tie_break:
+        secondary = np.zeros_like(unary)
+        np.add.at(secondary, (tc, tp), cost)
+        total_weight = h.sum(axis=1) + np.bincount(
+            tc[primary], weights=weight[primary], minlength=nchains
         )
-        total += val
-        for v, i in remap.items():
-            values[v] = x[i]
-    return total, values
+        tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
+    x = np.take_along_axis(cand, _chain_dp(cand, h, unary, secondary, tol), axis=1)
+
+    values = np.empty(mesh.ncells)
+    values[chains] = x
+    value = _axis_objective(x, h, tc[primary], tp[primary], weight[primary], const[primary])
+    return value, values
+
+
+def _axis_objective(x, h, chain, pos, weight, const) -> float:
+    """Objective of an axis program at the chain values ``x``.
+
+    Summed in sequence, chain by chain: interior terms in chain order, then
+    unary terms in assembly order, so the value does not depend on the
+    order of the solver's internal arithmetic.
+    """
+    order = np.argsort(chain, kind="stable")
+    chain, pos, weight, const = chain[order], pos[order], weight[order], const[order]
+    rank = _rank_in_group(chain, len(x))
+    m = h.shape[1]
+    terms = np.zeros((len(x), m + rank.max() + 1))
+    terms[:, :m] = h * np.abs(x[:, 1:] - x[:, :-1])
+    terms[chain, m + rank] = weight * np.abs(x[chain, pos] + const)
+    return float(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +588,12 @@ def solve(problem: CellProblem) -> SolveResult:
     bulk_value, z, certified = _bulk_value(problem, mesh)
 
     tie_break = k in JUMP_KINDS
-    terms_by_axis, boundary_sets, side_by_axis = _assemble_axis_terms(
-        problem, mesh, pin, datum, side_terms=tie_break
-    )
+    axis_terms = _assemble_axis_terms(mesh, pin, datum, side_terms=tie_break)
     surf_value = 0.0
     offsets = np.zeros((mesh.ncells, 3))
     dirs3 = padded_normal(mesh.frame.T)
     for a in range(mesh.dim):
-        val, p = _solve_axis(
-            terms_by_axis[a], mesh.ncells, boundary_sets[a], side_by_axis[a], tie_break
-        )
+        val, p = _solve_axis(mesh, a, axis_terms[a], tie_break)
         surf_value += val
         offsets += p[:, None] * dirs3[a][None, :]
 
@@ -602,7 +689,7 @@ def refine_study(problem: CellProblem, n_list) -> list[RefineRow]:
         r = solve(p)
         return RefineRow(n=n, value=r.value, certified=r.lower_bound_certified)
 
-    return ordered_map(run, n_list)
+    return [run(n) for n in n_list]
 
 
 @dataclass

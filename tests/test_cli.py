@@ -36,6 +36,12 @@ def test_density_malformed_input(capsys):
     assert code == 2
 
 
+def test_density_non_finite_input(capsys):
+    for lam in ("nan,0,0", "1,inf,0", "1,0,-inf"):
+        code, out, err = run(capsys, "density", "--kind", "h3d2d", "--lambda", lam, "--eta", "1,0")
+        assert code == 2 and "finite" in err and out == ""
+
+
 def test_verify_suites_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "closed-forms", "--samples", "300", "--seed", "0")
     assert code == 0 and "path-equality-bulk,True" in out

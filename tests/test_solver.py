@@ -175,6 +175,42 @@ def test_two_d_trace_kind():
 
 
 # ---------------------------------------------------------------------------
+# scale robustness and the exact re-evaluation
+# ---------------------------------------------------------------------------
+
+def test_affine_solve_is_one_homogeneous_at_1e7():
+    rng = np.random.default_rng(2017)
+    A = rng.uniform(-5, 5, (3, 2))
+    B = rng.uniform(-5, 5, (3, 2))
+    base = solve(CellProblem(kind=Kind.W_3D2DSD, n=32, A=A, B=B)).value
+    scaled = solve(CellProblem(kind=Kind.W_3D2DSD, n=32, A=1e7 * A, B=1e7 * B)).value
+    want = 1e7 * base
+    assert abs(scaled - want) <= 1e-9 * (1 + abs(want))
+
+
+def test_step_solve_is_one_homogeneous_at_1e6():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        eta = rng.normal(size=2)
+        eta /= np.linalg.norm(eta)
+        lam = rng.uniform(-5, 5, 3)
+        base = solve(CellProblem(kind=Kind.H_3D2D, n=8, lam=lam, orientation=eta)).value
+        scaled = solve(CellProblem(kind=Kind.H_3D2D, n=8, lam=1e6 * lam, orientation=eta)).value
+        want = 1e6 * base
+        assert abs(scaled - want) <= 1e-9 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_value_exact_below_value_to_rounding(n):
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        A = rng.uniform(-5, 5, (3, 2))
+        B = rng.uniform(-5, 5, (3, 2))
+        r = solve(CellProblem(kind=Kind.W_3D2DSD, n=n, A=A, B=B))
+        assert r.value_exact <= r.value + 1e-12 * (1 + abs(r.value))
+
+
+# ---------------------------------------------------------------------------
 # psi1 kinds
 # ---------------------------------------------------------------------------
 
@@ -367,6 +403,18 @@ def test_problem_validation_errors():
         CellProblem(kind=Kind.W_3DSD, n=2, A=np.zeros((3, 2)), B=np.zeros((3, 2)))
     with pytest.raises(ProblemError):
         CellProblem(kind=Kind.H_3D2D, n=0, lam=np.ones(3), orientation=E1)
+
+
+def test_problem_rejects_non_finite_data():
+    nan = np.full((3, 2), np.nan)
+    with pytest.raises(ProblemError, match="finite"):
+        CellProblem(kind=Kind.W_3D2DSD, n=4, A=nan, B=np.zeros((3, 2)))
+    with pytest.raises(ProblemError, match="finite"):
+        CellProblem(kind=Kind.W_3D2D, n=2, A=np.zeros((3, 2)), d=np.array([0.0, np.inf, 0.0]))
+    with pytest.raises(ProblemError, match="finite"):
+        CellProblem(kind=Kind.H_3D2D, n=2, lam=np.array([1.0, np.nan, 0.0]), orientation=E1)
+    with pytest.raises(ProblemError, match="finite"):
+        CellProblem(kind=Kind.H_3D2D, n=2, lam=np.ones(3), orientation=np.array([np.nan, 1.0]))
 
 
 def test_problem_json_round_trip():
