@@ -13,7 +13,6 @@ from .constructions import (
     SequenceParams,
     build,
     decay_table,
-    energy,
 )
 from .densities import (
     DensityPair,
@@ -51,7 +50,7 @@ from .functionals import (
     triple_from_json,
     triple_to_json,
 )
-from .meshes import Mesh, build_mesh, rectilinear_mesh
+from .meshes import Mesh, build_mesh
 from .solver import (
     CellProblem,
     Kind,

@@ -33,7 +33,7 @@ import numpy as np
 from .energy import surface_energy
 from .errors import ProblemError
 from .fields import AffineDatum, SbvField, StepDatum, zero_datum
-from .meshes import frame_from_orientation, rectilinear_mesh
+from .meshes import Mesh, frame_from_orientation
 
 
 class SequenceKind(str, Enum):
@@ -61,7 +61,10 @@ class SequenceParams:
         for name in ("M", "lam", "eta", "A", "B"):
             v = getattr(self, name)
             if v is not None:
-                setattr(self, name, np.asarray(v, dtype=float))
+                v = np.asarray(v, dtype=float)
+                if not np.all(np.isfinite(v)):
+                    raise ProblemError(f"parameter '{name}' must be finite")
+                setattr(self, name, v)
         if self.kind is SequenceKind.FRAME_W1:
             if self.M is None or self.M.shape != (3, 2):
                 raise ProblemError("FRAME_W1 needs a 3x2 gradient matrix M")
@@ -121,7 +124,7 @@ def _build_gamma1_split(params: SequenceParams) -> SbvField:
     a = (n - 1) / (2 * n)
     b0 = _dedupe([-0.5, -a, 0.0, a, 0.5])
     b1 = _dedupe([-0.5, -a, a, 0.5])
-    mesh = rectilinear_mesh([b0, b1], frame=frame, n=n)
+    mesh = Mesh([b0, b1], frame=frame, n=n)
 
     offsets = np.zeros((mesh.ncells, 3))
     mids = 0.5 * (mesh.cell_lo + mesh.cell_hi)
@@ -149,7 +152,7 @@ def _build_frame_w1(params: SequenceParams) -> SbvField:
     lattice = [-0.5 + j / n for j in range(1, n)]
     b0 = _dedupe([-0.5, 0.5, a, -a] + rect_breaks + lattice)
     b1 = _dedupe([-0.5, 0.5, a, -a] + lattice)
-    mesh = rectilinear_mesh([b0, b1], n=n)
+    mesh = Mesh([b0, b1], n=n)
 
     grads = np.broadcast_to(M, (mesh.ncells, 3, 2)).copy()
     offsets = np.zeros((mesh.ncells, 3))
@@ -178,7 +181,7 @@ def _build_staircase_trace(params: SequenceParams) -> SbvField:
     n = params.n
     A, B = params.A, params.B
     breaks = np.linspace(-0.5, 0.5, n + 1)
-    mesh = rectilinear_mesh([breaks, breaks], n=n)
+    mesh = Mesh([breaks, breaks], n=n)
     centers = mesh.cell_centers_world()
     grads = np.broadcast_to(B, (mesh.ncells, 3, 2)).copy()
     offsets = centers @ (A - B).T
@@ -192,12 +195,6 @@ def datum_for(params: SequenceParams):
     if params.kind is SequenceKind.FRAME_W1:
         return zero_datum(2)
     return AffineDatum(params.A)
-
-
-def energy(field: SbvField, surface_density, datum=None) -> float:
-    """Exact edge-wise surface energy; with ``datum`` the boundary mismatch
-    is charged as a jump against the datum."""
-    return surface_energy(field, surface_density, datum=datum)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,7 @@ def decay_table(params: SequenceParams, density, n_list) -> list[DecayRow]:
     for n in n_list:
         p = params.with_n(n)
         field = build(p)
-        val = energy(field, density, datum=datum_for(p))
+        val = surface_energy(field, density, datum=datum_for(p))
         note = ""
         if p.kind is SequenceKind.FRAME_W1 and n < frame_threshold(p.M):
             note = "below-threshold"
@@ -270,7 +267,6 @@ __all__ = [
     "SequenceKind",
     "SequenceParams",
     "build",
-    "energy",
     "datum_for",
     "decay_table",
     "DecayRow",

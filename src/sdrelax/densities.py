@@ -26,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-
-UNIT_TOL = 1e-12
+from .meshes import UNIT_TOL
 
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:

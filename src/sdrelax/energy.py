@@ -12,7 +12,14 @@ densities integrate in closed form:
   because the integrand vanishes off a measure-zero set.
 
 General callable densities are exact on constant jumps (the common case for
-pinned-gradient fields) and fall back to a fixed Gauss rule on affine ones.
+pinned-gradient fields) and fall back to the 16-point Gauss rule on affine
+ones.
+
+Interior jumps come from the mesh's edge arrays and boundary mismatches from
+the boundary piece table (:func:`sdrelax.fields.boundary_pieces`), and the
+closed forms run over all pieces at once, including the sign-split integrals
+over 3D faces (vectorized polygon clipping); only custom densities are
+evaluated piece by piece.  Pieces are summed in sequence, in mesh order.
 """
 
 from __future__ import annotations
@@ -25,17 +32,15 @@ from .densities import (
     DensityPair,
 )
 from .fields import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     SbvField,
-    StepDatum,
     abs_affine_polygon_exact,
     abs_affine_segment_exact,
     abs_affine_segment_trapezoid,
-    datum_values_on_piece,
-    piece_measure,
-    split_edge_at_midline,
+    boundary_pieces,
+    gauss_face_mean,
 )
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def padded_normal(normal: np.ndarray) -> np.ndarray:
@@ -57,58 +62,65 @@ def _surface_callable(density):
     return density.surface if isinstance(density, DensityPair) else density
 
 
-def _piece_integral(values, normal3, measure, corners, form, func, overestimate):
-    """Integral of the surface density over one edge piece.
+def _integrals(values, normal3, measure, corners, form, func, overestimate) -> np.ndarray:
+    """Integrals of the surface density over edge pieces, one per row.
 
-    ``values`` are the jump (or mismatch) vectors at the piece corners.
+    ``values`` are the jump (or mismatch) vectors at the piece corners,
+    ``(E, corners, 3)``; ``normal3`` the padded unit normals, ``(E, 3)``.
     """
-    const = np.max(np.abs(values - values[0])) == 0.0
-    if form == SURFACE_NORMAL:
-        f = values @ normal3
-        if len(f) == 2:
-            if overestimate:
-                return float(abs_affine_segment_trapezoid(f[0], f[1], measure))
-            return float(abs_affine_segment_exact(f[0], f[1], measure))
-        if const:
-            return float(abs(f[0]) * measure)
-        if overestimate:
-            return float(measure * np.mean(np.abs(f)))
-        pts2 = _face_param_2d(corners)
-        return float(abs_affine_polygon_exact(pts2, f))
+    out = np.zeros(len(values))
     if form == SURFACE_PSI1:
-        third = values[:, 2]
-        if np.max(np.abs(third)) != 0.0:
-            return 0.0
-        return _piece_integral(values, normal3, measure, corners, SURFACE_NORMAL, None, overestimate)
+        # pieces whose third component vanishes identically pay the normal
+        # form; all others are free (the integrand vanishes a.e.)
+        paid = np.max(np.abs(values[:, :, 2]), axis=1) == 0.0
+        out[paid] = _integrals(
+            values[paid], normal3[paid], measure[paid], corners[paid], SURFACE_NORMAL, None, overestimate
+        )
+        return out
+    if form == SURFACE_NORMAL:
+        f = (values @ normal3[:, :, None])[..., 0]
+        if f.shape[1] == 2:
+            segment = abs_affine_segment_trapezoid if overestimate else abs_affine_segment_exact
+            return segment(f[:, 0], f[:, 1], measure)
+        const = _constant(values)
+        out[const] = np.abs(f[const, 0]) * measure[const]
+        if overestimate:
+            out[~const] = measure[~const] * np.mean(np.abs(f[~const]), axis=1)
+        else:
+            out[~const] = abs_affine_polygon_exact(_face_param_2d(corners[~const]), f[~const])
+        return out
     # custom density: exact on constant jumps, Gauss rule otherwise
-    nu = normal3 / np.linalg.norm(normal3)
-    if const:
-        return float(func(values[0], nu) * measure)
-    return _piece_gauss(values, nu, measure, func)
+    const = _constant(values)
+    for i in range(len(values)):
+        nu = normal3[i] / np.linalg.norm(normal3[i])
+        if const[i]:
+            out[i] = func(values[i, 0], nu) * measure[i]
+        else:
+            out[i] = _piece_gauss(values[i], nu, measure[i], func)
+    return out
+
+
+def _constant(values) -> np.ndarray:
+    """Rows whose corner values are all equal."""
+    return np.max(np.abs(values - values[:, :1]), axis=(1, 2)) == 0.0
 
 
 def _face_param_2d(corners):
-    """2D coordinates of face corners within their own plane."""
-    if corners.shape[1] == 2:
-        return corners
-    spread = corners.max(axis=0) - corners.min(axis=0)
-    axes = np.argsort(spread)[-2:]
-    return corners[:, sorted(axes)]
+    """2D coordinates of face corners within their own planes, ``(E, 4, 2)``."""
+    spread = corners.max(axis=1) - corners.min(axis=1)
+    axes = np.sort(np.argsort(spread, axis=1)[:, -2:], axis=1)
+    return np.take_along_axis(corners, axes[:, None, :], axis=2)
 
 
 def _piece_gauss(values, nu, measure, func):
-    s = 0.5 * (_GAUSS_NODES + 1.0)
-    w = 0.5 * _GAUSS_WEIGHTS
     if len(values) == 2:
-        vals = values[0][None, :] + s[:, None] * (values[1] - values[0])[None, :]
-        return float(measure * np.dot(w, [func(v, nu) for v in vals]))
-    v00, v10, v11 = values[0], values[1], values[3]
-    total = 0.0
-    for i, si in enumerate(s):
-        for j, sj in enumerate(s):
-            v = v00 + si * (v10 - v00) + sj * (v11 - v00)
-            total += w[i] * w[j] * func(v, nu)
-    return float(measure * total)
+        line = values[0] + GAUSS_NODES[:, None] * (values[1] - values[0])
+        return float(measure * np.dot(GAUSS_WEIGHTS, [func(v, nu) for v in line]))
+
+    def integrand(grid):
+        return np.asarray([[func(v, nu) for v in row] for row in grid])
+
+    return float(measure * gauss_face_mean(values[0], values[1], values[3], integrand))
 
 
 def surface_energy(
@@ -120,48 +132,22 @@ def surface_energy(
     """Surface energy of a field; with ``datum`` the boundary mismatch is
     charged as a jump against the datum.  ``overestimate=True`` switches the
     affine pieces of the normal form to the trapezoid / corner-average rule
-    (used by the solver to state certified objective values)."""
+    (used by the solver to state certified objective values).
+
+    Pieces are summed in sequence (interior edges, then boundary pieces, in
+    mesh order), skipping those without jump."""
     mesh = field.mesh
-    form = _surface_form(density)
-    func = _surface_callable(density)
-    total = 0.0
-
     minus, plus = field.interior_corner_values()
-    delta = plus - minus
-    normals3 = padded_normal(mesh.int_normals())
-    corners = mesh.int_corners
-    for e in range(len(mesh.int_axis)):
-        if np.max(np.abs(delta[e])) == 0.0:
-            continue
-        total += _piece_integral(
-            delta[e], normals3[e], float(mesh.int_measure[e]), corners[e], form, func, overestimate
-        )
-
+    parts = [(plus - minus, padded_normal(mesh.int_normals()), mesh.int_measure, mesh.int_corners)]
     if datum is not None:
-        if isinstance(datum, StepDatum):
-            datum.check_mesh(mesh)
-        bnormals3 = padded_normal(mesh.bnd_normals())
-        for e in range(len(mesh.bnd_axis)):
-            cell = mesh.bnd_cell[e]
-            axis = int(mesh.bnd_axis[e])
-            pieces = (
-                split_edge_at_midline(mesh, mesh.bnd_corners[e], axis)
-                if isinstance(datum, StepDatum)
-                else [mesh.bnd_corners[e]]
-            )
-            for piece in pieces:
-                pts = piece @ mesh.frame.T
-                uvals = pts @ field.gradients[cell].T + field.offsets[cell]
-                mism = uvals - datum_values_on_piece(datum, pts)
-                if np.max(np.abs(mism)) == 0.0:
-                    continue
-                total += _piece_integral(
-                    mism,
-                    bnormals3[e],
-                    piece_measure(piece, axis),
-                    piece,
-                    form,
-                    func,
-                    overestimate,
-                )
-    return float(total)
+        pieces = boundary_pieces(mesh, datum)
+        mism = pieces.field_values(field) - pieces.datum
+        parts.append((mism, padded_normal(pieces.normal), pieces.measure, pieces.corners))
+    form, func = _surface_form(density), _surface_callable(density)
+    terms = [np.zeros(1)]
+    for rows in parts:
+        jump = np.any(rows[0] != 0.0, axis=(1, 2))
+        if not jump.all():
+            rows = [a[jump] for a in rows]
+        terms.append(_integrals(*rows, form, func, overestimate))
+    return float(np.cumsum(np.concatenate(terms))[-1])

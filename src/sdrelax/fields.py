@@ -6,6 +6,13 @@ live on mesh edges and are affine along each edge, so every integral used
 here has an edge-wise closed form.  Absolute values of affine integrands are
 integrated exactly by splitting at the sign change; Euclidean norms of affine
 integrands have a closed form on segments.
+
+Boundary terms are charged against a datum piece by piece.
+:func:`boundary_pieces` builds one array table of those pieces from the
+mesh's boundary edges (a step datum splits the edges it jumps across), and
+the solver's term assembly, :func:`sdrelax.energy.surface_energy` and
+:func:`boundary_trace_gap` all read it.  This module also owns the single
+16-point Gauss rule used where no closed form applies.
 """
 
 from __future__ import annotations
@@ -16,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatumError, FieldError, InputError
-from .meshes import Mesh, build_mesh
+from .meshes import UNIT_TOL, Mesh, build_mesh
 
-UNIT_TOL = 1e-12
+# 16-point Gauss-Legendre rule on [0, 1]: nodes and weights (summing to 1).
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (GAUSS_NODES + 1.0), 0.5 * GAUSS_WEIGHTS
 
 
 # ---------------------------------------------------------------------------
@@ -45,53 +54,68 @@ def abs_affine_segment_trapezoid(f0, f1, length):
     return 0.5 * (np.abs(np.asarray(f0)) + np.abs(np.asarray(f1))) * np.asarray(length)
 
 
-def _polygon_area(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+def _fan_integral(pts, vals, count):
+    """Exact ``\\int f`` of an affine ``f`` over convex polygons, by fan
+    triangulation (the mean of the vertex values is exact per triangle).
 
-
-def _clip_by_sign(pts, vals, keep_nonneg):
-    """Clip a convex polygon (with per-vertex values of an affine function)
-    against the half ``f >= 0`` or ``f <= 0``; interpolation is exact."""
-    out_p, out_v = [], []
-    m = len(pts)
-    for i in range(m):
-        p0, v0 = pts[i], vals[i]
-        p1, v1 = pts[(i + 1) % m], vals[(i + 1) % m]
-        in0 = v0 >= 0 if keep_nonneg else v0 <= 0
-        in1 = v1 >= 0 if keep_nonneg else v1 <= 0
-        if in0:
-            out_p.append(p0)
-            out_v.append(v0)
-        if in0 != in1:
-            t = v0 / (v0 - v1)
-            out_p.append(p0 + t * (p1 - p0))
-            out_v.append(0.0)
-    return np.asarray(out_p), np.asarray(out_v)
-
-
-def _polygon_affine_integral(pts, vals):
-    """Exact ``\\int f`` of an affine ``f`` over a convex polygon, by fan
-    triangulation (the mean of the vertex values is exact per triangle)."""
-    total = 0.0
-    for i in range(1, len(pts) - 1):
-        tri = np.asarray([pts[0], pts[i], pts[i + 1]])
-        area = abs(_polygon_area(tri))
-        total += area * (vals[0] + vals[i] + vals[i + 1]) / 3.0
+    ``pts`` (P, K, 2) and ``vals`` (P, K) list each polygon's vertices in
+    order, padded to ``K``; ``count`` (P,) is its number of vertices.
+    """
+    x, y = pts[..., 0], pts[..., 1]
+    total = np.zeros(len(pts))
+    for i in range(1, pts.shape[1] - 1):
+        j = i + 1
+        area = np.abs(
+            0.5
+            * (
+                (x[:, 0] * y[:, i] - x[:, i] * y[:, 0])
+                + (x[:, i] * y[:, j] - x[:, j] * y[:, i])
+                + (x[:, j] * y[:, 0] - x[:, 0] * y[:, j])
+            )
+        )
+        total += np.where(j < count, area * (vals[:, 0] + vals[:, i] + vals[:, j]) / 3.0, 0.0)
     return total
 
 
+def _clip_by_sign(pts, vals, keep_nonneg):
+    """Clip convex polygons (with per-vertex values of an affine function)
+    against the half ``f >= 0`` or ``f <= 0``; interpolation is exact.
+
+    Returns vertices and values padded to twice the input count, and the
+    number of vertices of each clipped polygon.
+    """
+    npoly, m = vals.shape
+    inside = vals >= 0 if keep_nonneg else vals <= 0
+    nxt = np.roll(np.arange(m), -1)
+    cross = inside != inside[:, nxt]
+    t = vals / np.where(cross, vals - vals[:, nxt], 1.0)
+    cut = pts + t[..., None] * (pts[:, nxt] - pts)
+    # candidates per input edge: its first vertex if inside, then the crossing
+    cand_p = np.stack([pts, cut], axis=2).reshape(npoly, 2 * m, 2)
+    cand_v = np.stack([vals, np.zeros_like(vals)], axis=2).reshape(npoly, 2 * m)
+    keep = np.stack([inside, cross], axis=2).reshape(npoly, 2 * m)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    return (
+        np.take_along_axis(cand_p, order[..., None], axis=1),
+        np.take_along_axis(cand_v, order, axis=1),
+        keep.sum(axis=1),
+    )
+
+
 def abs_affine_polygon_exact(pts, vals):
-    """Exact ``\\int |f|`` over a convex polygon with vertex values ``vals``."""
+    """Exact ``\\int |f|`` over convex polygons ``pts`` (P, m, 2) with vertex
+    values ``vals`` (P, m) of an affine ``f``; one value per polygon.
+    Polygons where ``f`` changes sign are clipped into their two halves."""
     pts = np.asarray(pts, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    if np.all(vals >= 0) or np.all(vals <= 0):
-        return abs(_polygon_affine_integral(pts, vals))
-    total = 0.0
-    for keep in (True, False):
-        p, v = _clip_by_sign(pts, vals, keep)
-        if len(p) >= 3:
-            total += abs(_polygon_affine_integral(p, v))
+    npoly, m = vals.shape
+    total = np.abs(_fan_integral(pts, vals, np.full(npoly, m)))
+    mixed = ~(np.all(vals >= 0, axis=1) | np.all(vals <= 0, axis=1))
+    if mixed.any():
+        halves = np.zeros(int(mixed.sum()))
+        for keep in (True, False):
+            halves += np.abs(_fan_integral(*_clip_by_sign(pts[mixed], vals[mixed], keep)))
+        total[mixed] = halves
     return total
 
 
@@ -99,24 +123,34 @@ def norm_affine_segment_exact(v0, v1, length):
     """Exact ``\\int ||v||`` over a segment for the affine vector ``v``.
 
     Antiderivative of ``sqrt(a t^2 + b t + c)``; degenerate cases (constant
-    vector, vanishing discriminant) handled explicitly.
+    vector, vanishing discriminant) handled explicitly.  Vectorized over the
+    leading axes of ``v0``, ``v1`` (vectors on the last axis) and ``length``.
     """
     v0 = np.asarray(v0, dtype=float)
     w = np.asarray(v1, dtype=float) - v0
-    alpha = float(w @ w)
-    if alpha < 1e-30:
-        return float(np.linalg.norm(v0)) * length
-    h = float(v0 @ w) / alpha
-    disc = float(v0 @ v0) / alpha - h * h
-    disc = max(disc, 0.0)
+    alpha = np.vecdot(w, w)
+    const = alpha < 1e-30
+    alpha = np.where(const, 1.0, alpha)
+    h = np.vecdot(v0, w) / alpha
+    disc = np.maximum(np.vecdot(v0, v0) / alpha - h * h, 0.0)
+    flat = disc < 1e-30
+    root = np.sqrt(np.where(flat, 1.0, disc))
 
     def antiderivative(s):
-        if disc < 1e-30:
-            return 0.5 * s * abs(s)
         r = np.sqrt(s * s + disc)
-        return 0.5 * (s * r + disc * np.arcsinh(s / np.sqrt(disc)))
+        return np.where(flat, 0.5 * s * np.abs(s), 0.5 * (s * r + disc * np.arcsinh(s / root)))
 
-    return float(np.sqrt(alpha) * (antiderivative(1.0 + h) - antiderivative(h)) * length)
+    moving = np.sqrt(alpha) * (antiderivative(1.0 + h) - antiderivative(h)) * length
+    return np.where(const, np.sqrt(np.vecdot(v0, v0)) * length, moving)
+
+
+def gauss_face_mean(c00, c10, c11, values) -> float:
+    """Gauss mean of ``values`` over the parallelogram ``c00 + s (c10 - c00)
+    + t (c11 - c00)``, ``s, t`` in [0, 1]; ``values`` maps the (16, 16, k)
+    grid of points to a (16, 16) array of integrand values."""
+    s = GAUSS_NODES
+    grid = c00 + s[:, None, None] * (c10 - c00) + s[None, :, None] * (c11 - c00)
+    return float(GAUSS_WEIGHTS @ values(grid) @ GAUSS_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -154,65 +188,76 @@ def zero_datum(dim: int) -> AffineDatum:
     return AffineDatum(np.zeros((3, dim)))
 
 
-def _edge_box(corners_mesh: np.ndarray, axis: int):
-    """(fixed value, lo, hi over free axes) for an axis-aligned edge/face."""
-    dim = corners_mesh.shape[1]
-    value = corners_mesh[0, axis]
-    others = [a for a in range(dim) if a != axis]
-    lo = corners_mesh[:, others].min(axis=0)
-    hi = corners_mesh[:, others].max(axis=0)
-    return value, others, lo, hi
+@dataclass(frozen=True)
+class BoundaryPieces:
+    """The mesh boundary cut into pieces on which the datum is continuous.
 
-
-def split_edge_at_midline(mesh: Mesh, corners_mesh: np.ndarray, axis: int):
-    """Split an edge/face at the mesh-frame plane ``xi[0] == 0``.
-
-    Returns a list of corner arrays (same layout as the input).  Edges whose
-    normal is the orientation axis have constant ``xi[0]`` and never split.
+    One row per piece, in boundary-edge order.  A step datum splits every
+    edge straddling its discontinuity ``xi[0] == 0`` into a lower and an
+    upper piece, lower first; other edges are one piece each.  Arrays:
+    ``edge``, ``cell``, ``axis`` and ``measure`` are ``(P,)``, ``normal``
+    (outward, world) is ``(P, dim)``, ``corners`` (mesh frame) and
+    ``points`` (world) are ``(P, corners, dim)``, and ``datum`` holds the
+    datum values at the corners, ``(P, corners, 3)``.
     """
-    if axis == 0:
-        return [corners_mesh]
-    value, others, lo, hi = _edge_box(corners_mesh, axis)
-    j = others.index(0)
-    if not (lo[j] < 0.0 < hi[j]):
-        return [corners_mesh]
-    pieces = []
-    for a, b in ((lo[j], 0.0), (0.0, hi[j])):
-        lo2, hi2 = lo.copy(), hi.copy()
-        lo2[j], hi2[j] = a, b
-        pieces.append(_box_corners(mesh.dim, axis, value, others, lo2, hi2))
-    return pieces
+
+    edge: np.ndarray
+    cell: np.ndarray
+    axis: np.ndarray
+    normal: np.ndarray
+    measure: np.ndarray
+    corners: np.ndarray
+    points: np.ndarray
+    datum: np.ndarray
+
+    def field_values(self, field: SbvField) -> np.ndarray:
+        """Values of ``field`` at the piece corners, ``(P, corners, 3)``."""
+        grads = field.gradients[self.cell].transpose(0, 2, 1)
+        return self.points @ grads + field.offsets[self.cell][:, None, :]
 
 
-def _box_corners(dim, axis, value, others, lo, hi):
-    if dim == 2:
-        pts = np.empty((2, 2))
-        pts[:, axis] = value
-        pts[:, others[0]] = (lo[0], hi[0])
-        return pts
-    corners = np.empty((4, 3))
-    corners[:, axis] = value
-    corners[:, others[0]] = (lo[0], hi[0], hi[0], lo[0])
-    corners[:, others[1]] = (lo[1], lo[1], hi[1], hi[1])
-    return corners
+def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
+    """Boundary piece table of ``mesh`` against ``datum``.
 
-
-def piece_measure(corners_mesh: np.ndarray, axis: int) -> float:
-    _, _, lo, hi = _edge_box(corners_mesh, axis)
-    return float(np.prod(hi - lo))
-
-
-def datum_values_on_piece(datum, points_world: np.ndarray) -> np.ndarray:
-    """Datum values on an edge piece that does not straddle a discontinuity.
-
-    Step data are constant on each piece after the midline split, but their
-    pointwise rule misassigns the measure-zero corner lying exactly on the
-    discontinuity; evaluating at the piece centroid avoids that.
+    Step data are constant on each piece, but their pointwise rule
+    misassigns the measure-zero corners lying on the discontinuity, so they
+    are evaluated at the piece centroid.
     """
-    if isinstance(datum, StepDatum):
-        mid = points_world.mean(axis=0, keepdims=True)
-        return np.broadcast_to(datum.values(mid)[0], (len(points_world), 3))
-    return datum.values(points_world)
+    edge = np.arange(len(mesh.bnd_axis))
+    corners = mesh.bnd_corners
+    step = isinstance(datum, StepDatum)
+    if step:
+        datum.check_mesh(mesh)
+        xi0 = corners[:, :, 0]
+        split = (mesh.bnd_axis != 0) & (xi0.min(axis=1) < 0.0) & (0.0 < xi0.max(axis=1))
+        edge = np.repeat(edge, np.where(split, 2, 1))
+        corners = corners[edge]
+        upper = np.zeros(len(edge), dtype=bool)
+        upper[1:] = edge[1:] == edge[:-1]
+        lower = split[edge] & ~upper
+        # the halves clip xi[0] of the edge's corners to either side of 0
+        corners[lower, :, 0] = np.minimum(corners[lower, :, 0], 0.0)
+        corners[upper, :, 0] = np.maximum(corners[upper, :, 0], 0.0)
+    axis = mesh.bnd_axis[edge]
+    # measure: product of the extents along the free axes
+    spread = corners.max(axis=1) - corners.min(axis=1)
+    spread[np.arange(len(axis)), axis] = 1.0
+    points = corners @ mesh.frame.T
+    if step:
+        values = datum.values(points.mean(axis=1))[:, None, :]
+        values = np.broadcast_to(values, points.shape[:2] + (3,))
+    else:
+        values = datum.values(points)
+    return BoundaryPieces(
+        edge=edge,
+        cell=mesh.bnd_cell[edge],
+        axis=axis,
+        normal=mesh.bnd_normals()[edge],
+        measure=np.prod(spread, axis=1),
+        corners=corners,
+        points=points,
+        datum=values,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,52 +385,34 @@ def boundary_trace_gap(field: SbvField, datum) -> float:
 
     Step data split each edge at the datum discontinuity, so the mismatch is
     affine on every piece; segments use the closed-form norm integral.  On 3D
-    faces the affine-mismatch case falls back to a fixed high-order tensor
-    Gauss rule (constant mismatches, the only case asserted exactly by the
-    solver contracts, are integrated exactly).
+    faces the affine-mismatch case falls back to the 16-point tensor Gauss
+    rule (constant mismatches, the only case asserted exactly by the solver
+    contracts, are integrated exactly).
     """
     mesh = field.mesh
-    if isinstance(datum, StepDatum):
-        datum.check_mesh(mesh)
-    total = 0.0
-    for e in range(len(mesh.bnd_axis)):
-        cell = mesh.bnd_cell[e]
-        axis = int(mesh.bnd_axis[e])
-        pieces = (
-            split_edge_at_midline(mesh, mesh.bnd_corners[e], axis)
-            if isinstance(datum, StepDatum)
-            else [mesh.bnd_corners[e]]
-        )
-        for corners in pieces:
-            pts = corners @ mesh.frame.T
-            uvals = pts @ field.gradients[cell].T + field.offsets[cell]
-            mism = uvals - datum_values_on_piece(datum, pts)
-            measure = piece_measure(corners, axis)
-            if mesh.dim == 2:
-                total += norm_affine_segment_exact(mism[0], mism[1], measure)
-            elif np.max(np.abs(mism - mism[0])) < 1e-15:
-                total += float(np.linalg.norm(mism[0])) * measure
-            else:
-                total += _face_norm_gauss(field, cell, datum, corners, mesh, measure)
-    return float(total)
+    pieces = boundary_pieces(mesh, datum)
+    mism = pieces.field_values(field) - pieces.datum
+    if mesh.dim == 2:
+        terms = norm_affine_segment_exact(mism[:, 0], mism[:, 1], pieces.measure)
+    else:
+        first = mism[:, 0]
+        terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
+        for i in np.flatnonzero(np.max(np.abs(mism - mism[:, :1]), axis=(1, 2)) >= 1e-15):
+            terms[i] = pieces.measure[i] * _face_norm_mean(field, pieces, i, datum)
+    return float(np.cumsum(terms)[-1])
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+def _face_norm_mean(field, pieces, i, datum) -> float:
+    """Gauss mean of ``||u - datum||`` over the 3D piece ``i``."""
+    mesh, cell = field.mesh, pieces.cell[i]
+    c = pieces.corners[i]
 
+    def mismatch_norm(grid):
+        pts = grid.reshape(-1, mesh.dim) @ mesh.frame.T
+        mism = pts @ field.gradients[cell].T + field.offsets[cell] - datum.values(pts)
+        return np.linalg.norm(mism, axis=1).reshape(grid.shape[:2])
 
-def _face_norm_gauss(field, cell, datum, corners, mesh, measure):
-    s = 0.5 * (_GAUSS_NODES + 1.0)
-    w = 0.5 * _GAUSS_WEIGHTS
-    p00, p10, p11 = corners[0], corners[1], corners[3]
-    grid = (
-        p00[None, None, :]
-        + s[:, None, None] * (p10 - p00)[None, None, :]
-        + s[None, :, None] * (p11 - p00)[None, None, :]
-    )
-    pts = grid.reshape(-1, mesh.dim) @ mesh.frame.T
-    mism = pts @ field.gradients[cell].T + field.offsets[cell] - datum.values(pts)
-    vals = np.linalg.norm(mism, axis=1).reshape(len(s), len(s))
-    return float(measure * (w @ vals @ w))
+    return gauss_face_mean(c[0], c[1], c[3], mismatch_norm)
 
 
 # ---------------------------------------------------------------------------

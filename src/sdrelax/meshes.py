@@ -5,11 +5,18 @@ coordinates are obtained by applying the rotation ``frame``.  Column 0 of
 ``frame`` is the orientation vector, so the mesh coordinate ``xi[0]`` of a
 point equals its world dot product with the orientation.  Uniform meshes of
 the unit square / cube centered at the origin are produced by
-:func:`build_mesh`; the competitor generators build non-uniform ones through
-:func:`rectilinear_mesh`.
+:func:`build_mesh`; the competitor generators build non-uniform ones with
+:class:`Mesh` directly.
 
-Edges (2D) and faces (3D) are stored as flat numpy arrays so that field
-operations can run vectorized over the whole mesh.
+Edges (2D) and faces (3D) are stored as flat numpy arrays (``int_*`` for
+interior edges, ``bnd_*`` for boundary edges) so that field operations can
+run vectorized over the whole mesh.  They are built by index arithmetic on
+the cells' chains (:meth:`Mesh.chains`, the lines of cells along one axis):
+axis by axis, chain by chain, a chain's interior edges in axis order and
+then its low and its high boundary edge.  The same chains carry the
+solver's 1-D programs.  These arrays are the only description of edge
+geometry; :func:`sdrelax.fields.boundary_pieces` derives the boundary
+pieces from them.
 """
 
 from __future__ import annotations
@@ -45,6 +52,27 @@ def frame_from_orientation(orientation: np.ndarray) -> np.ndarray:
     raise MeshError(f"orientation must have 2 or 3 components, got shape {v.shape}")
 
 
+def _grid(axes) -> np.ndarray:
+    """Points of the tensor grid of ``axes``, one row each, in C order."""
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+# Bound (0: lo, 1: hi) taken on each free axis, corner by corner: segment
+# endpoints in 2D, rectangle corners in cyclic order in 3D.
+_CORNER_BOUNDS = {2: np.array([[0], [1]]), 3: np.array([[0, 0], [1, 0], [1, 1], [0, 1]])}
+
+
+def _face_corners(axis, value, lo, hi) -> np.ndarray:
+    """Mesh-frame corners ``(E, corners, dim)`` of the faces ``xi[axis] ==
+    value`` whose free axes, in increasing order, span ``[lo, hi]``."""
+    dim = lo.shape[1] + 1
+    free = np.where(_CORNER_BOUNDS[dim] == 1, hi[:, None, :], lo[:, None, :])
+    corners = np.empty(free.shape[:2] + (dim,))
+    corners[..., axis] = value[:, None]
+    corners[..., [a for a in range(dim) if a != axis]] = free
+    return corners
+
+
 class Mesh:
     """Product mesh with cells ``[breaks[a][i], breaks[a][i+1])`` per axis.
 
@@ -78,85 +106,50 @@ class Mesh:
     # -- construction ---------------------------------------------------
 
     def _build_cells(self):
-        los = np.meshgrid(*[b[:-1] for b in self.axis_breaks], indexing="ij")
-        his = np.meshgrid(*[b[1:] for b in self.axis_breaks], indexing="ij")
-        self.cell_lo = np.stack([a.reshape(-1) for a in los], axis=1)
-        self.cell_hi = np.stack([a.reshape(-1) for a in his], axis=1)
+        self.cell_lo = _grid([b[:-1] for b in self.axis_breaks])
+        self.cell_hi = _grid([b[1:] for b in self.axis_breaks])
         self.cell_measures = np.prod(self.cell_hi - self.cell_lo, axis=1)
 
-    def _cell_id(self, idx):
-        return int(np.ravel_multi_index(idx, self.shape))
-
-    def _edge_corners(self, axis, value, lo, hi):
-        """Corners (mesh frame) of a face at ``xi[axis] == value``.
-
-        ``lo``/``hi`` bound the remaining axes, in increasing axis order.
-        2D: 2 endpoints; 3D: 4 corners in a fixed cyclic order.
-        """
-        if self.dim == 2:
-            pts = np.empty((2, 2))
-            other = 1 - axis
-            pts[:, axis] = value
-            pts[:, other] = (lo[0], hi[0])
-            return pts
-        others = [a for a in range(3) if a != axis]
-        corners = np.empty((4, 3))
-        corners[:, axis] = value
-        corners[:, others[0]] = (lo[0], hi[0], hi[0], lo[0])
-        corners[:, others[1]] = (lo[1], lo[1], hi[1], hi[1])
-        return corners
+    def chains(self, axis: int) -> np.ndarray:
+        """Cell ids of the chains along ``axis``: one row per chain, cells in
+        axis order, rows in C order over the other axes."""
+        ids = np.arange(self.ncells).reshape(self.shape)
+        return np.moveaxis(ids, axis, -1).reshape(-1, self.shape[axis])
 
     def _build_edges(self):
-        dim, shape = self.dim, self.shape
-        int_axis, int_minus, int_plus, int_meas, int_corners = [], [], [], [], []
-        bnd_axis, bnd_side, bnd_cell, bnd_meas, bnd_corners = [], [], [], [], []
-        for axis in range(dim):
-            others = [a for a in range(dim) if a != axis]
-            ranges = [range(shape[a]) for a in others]
-            grids = np.meshgrid(*ranges, indexing="ij") if others else []
-            other_idx = np.stack([g.reshape(-1) for g in grids], axis=1)
-            for oi in other_idx:
-                lo = [self.axis_breaks[a][oi[j]] for j, a in enumerate(others)]
-                hi = [self.axis_breaks[a][oi[j] + 1] for j, a in enumerate(others)]
-                measure = float(np.prod(np.asarray(hi) - np.asarray(lo)))
+        """Edge arrays axis by axis, chain by chain: a chain's interior edges
+        in axis order, then its low and its high boundary edge."""
+        ints, bnds = [], []
+        for axis in range(self.dim):
+            chains = self.chains(axis)
+            nchains, m = chains.shape
+            breaks = self.axis_breaks[axis]
+            others = [self.axis_breaks[a] for a in range(self.dim) if a != axis]
+            lo, hi = _grid([b[:-1] for b in others]), _grid([b[1:] for b in others])
+            measure = np.prod(hi - lo, axis=1)
 
-                def cell_at(i):
-                    idx = [0] * dim
-                    idx[axis] = i
-                    for j, a in enumerate(others):
-                        idx[a] = oi[j]
-                    return self._cell_id(tuple(idx))
+            def faces(k, values):
+                # k faces per chain at the given axis values: axis, measure, corners
+                return (
+                    np.full(nchains * k, axis),
+                    np.repeat(measure, k),
+                    _face_corners(
+                        axis, np.tile(values, nchains), np.repeat(lo, k, 0), np.repeat(hi, k, 0)
+                    ),
+                )
 
-                for i in range(shape[axis] - 1):
-                    value = self.axis_breaks[axis][i + 1]
-                    int_axis.append(axis)
-                    int_minus.append(cell_at(i))
-                    int_plus.append(cell_at(i + 1))
-                    int_meas.append(measure)
-                    int_corners.append(self._edge_corners(axis, value, lo, hi))
-                for side, i, bidx in ((-1, 0, 0), (1, shape[axis] - 1, shape[axis])):
-                    bnd_axis.append(axis)
-                    bnd_side.append(side)
-                    bnd_cell.append(cell_at(i))
-                    bnd_meas.append(measure)
-                    bnd_corners.append(
-                        self._edge_corners(axis, self.axis_breaks[axis][bidx], lo, hi)
-                    )
-        ncorn = 2 if dim == 2 else 4
-        self.int_axis = np.asarray(int_axis, dtype=int)
-        self.int_minus = np.asarray(int_minus, dtype=int)
-        self.int_plus = np.asarray(int_plus, dtype=int)
-        self.int_measure = np.asarray(int_meas, dtype=float)
-        self.int_corners = (
-            np.asarray(int_corners, dtype=float).reshape(-1, ncorn, dim)
-            if int_corners
-            else np.zeros((0, ncorn, dim))
+            ints.append(
+                (chains[:, :-1].reshape(-1), chains[:, 1:].reshape(-1), *faces(m - 1, breaks[1:-1]))
+            )
+            bnds.append(
+                (chains[:, [0, -1]].reshape(-1), np.tile([-1, 1], nchains), *faces(2, breaks[[0, -1]]))
+            )
+        self.int_minus, self.int_plus, self.int_axis, self.int_measure, self.int_corners = (
+            np.concatenate(a) for a in zip(*ints)
         )
-        self.bnd_axis = np.asarray(bnd_axis, dtype=int)
-        self.bnd_side = np.asarray(bnd_side, dtype=int)
-        self.bnd_cell = np.asarray(bnd_cell, dtype=int)
-        self.bnd_measure = np.asarray(bnd_meas, dtype=float)
-        self.bnd_corners = np.asarray(bnd_corners, dtype=float).reshape(-1, ncorn, dim)
+        self.bnd_cell, self.bnd_side, self.bnd_axis, self.bnd_measure, self.bnd_corners = (
+            np.concatenate(a) for a in zip(*bnds)
+        )
 
     # -- geometry queries -----------------------------------------------
 
@@ -167,9 +160,7 @@ class Mesh:
     @cached_property
     def vertices(self) -> np.ndarray:
         """World coordinates of all grid vertices, C order."""
-        grids = np.meshgrid(*self.axis_breaks, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        return pts @ self.frame.T
+        return _grid(self.axis_breaks) @ self.frame.T
 
     def to_world(self, xi: np.ndarray) -> np.ndarray:
         return np.asarray(xi, dtype=float) @ self.frame.T
@@ -215,9 +206,3 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
     frame = frame_from_orientation(orientation)
     breaks = np.linspace(-0.5, 0.5, n + 1)
     return Mesh([breaks] * dimension, frame=frame, n=n)
-
-
-def rectilinear_mesh(axis_breaks, frame=None, n=None) -> Mesh:
-    """Mesh from explicit per-axis breakpoints (used by competitor builders
-    and for cross-section domains)."""
-    return Mesh(axis_breaks, frame=frame, n=n)

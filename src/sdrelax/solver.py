@@ -45,10 +45,16 @@ import numpy as np
 from . import densities as dens
 from .energy import padded_normal, surface_energy
 from .errors import InputError, ProblemError, UnsupportedProblemError
-from .fields import AffineDatum, SbvField, StepDatum, boundary_trace_gap, zero_datum
-from .meshes import Mesh, build_mesh
+from .fields import (
+    AffineDatum,
+    SbvField,
+    StepDatum,
+    boundary_pieces,
+    boundary_trace_gap,
+    zero_datum,
+)
+from .meshes import UNIT_TOL, Mesh, build_mesh
 
-UNIT_TOL = 1e-12
 # Tie-break tolerance of the chain solver, relative to a chain's data scale
 # (its total primary weight times its largest breakpoint): primaries closer
 # than this count as tied.  Sums along a chain of n cells err by about
@@ -293,57 +299,58 @@ class AxisTerms:
 def _assemble_axis_terms(mesh: Mesh, pin: np.ndarray, datum, side_terms: bool) -> list[AxisTerms]:
     """Per mesh axis: the absolute-value terms of its scalar program.
 
-    With ``side_terms`` (pure jump problems), boundary edges additionally
-    emit energy-free datum-mismatch terms for the *other* axis directions;
-    these enter only the tie-break, steering the returned minimizer to attain
-    the boundary datum wherever the optimal face allows it.
+    Each boundary piece of axis ``a`` emits one unary term for axis ``a``:
+    its measure times the constant mismatch, or, for affine mismatches, one
+    trapezoid share per corner.  With ``side_terms`` (pure jump problems), a
+    piece whose mismatch is constant along another axis direction ``b`` also
+    emits an energy-free term for axis ``b``; these enter only the
+    tie-break, steering the returned minimizer to attain the boundary datum
+    wherever the optimal face allows it.  Terms keep boundary-piece order.
     """
-    from .fields import datum_values_on_piece, piece_measure, split_edge_at_midline
-
     dim = mesh.dim
-    unary: list[list[tuple]] = [[] for _ in range(dim)]  # (cell, weight, const, side)
     dirs3 = padded_normal(mesh.frame.T)  # row a = padded world direction of axis a
-
-    step = isinstance(datum, StepDatum)
-    for e in range(len(mesh.bnd_axis)):
-        a = int(mesh.bnd_axis[e])
-        cell = int(mesh.bnd_cell[e])
-        pieces = (
-            split_edge_at_midline(mesh, mesh.bnd_corners[e], a)
-            if step
-            else [mesh.bnd_corners[e]]
-        )
-        for piece in pieces:
-            pts = piece @ mesh.frame.T
-            gall = pts @ pin.T - datum_values_on_piece(datum, pts)
-            measure = piece_measure(piece, a)
-            gvals = gall @ dirs3[a]
-            if np.max(np.abs(gvals - gvals[0])) == 0.0:
-                unary[a].append((cell, measure, float(gvals[0]), False))
+    pieces = boundary_pieces(mesh, datum)
+    gall = pieces.points @ pin.T - pieces.datum
+    unary = [[] for _ in range(dim)]  # per axis: (cell, weight, const, side) arrays
+    for a in range(dim):
+        on = pieces.axis == a
+        cell, measure, g = pieces.cell[on], pieces.measure[on], gall[on]
+        for b in range(dim):
+            if b != a and not side_terms:
+                continue
+            vals = g @ dirs3[b]
+            const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
+            emit = np.zeros(vals.shape, dtype=bool)
+            if b == a:
+                # constant mismatch: one term; affine: a trapezoid share per corner
+                emit[:, 0] = True
+                emit[~const] = True
+                weight = np.where(const, measure, measure / vals.shape[1])
             else:
-                share = measure / len(gvals)
-                unary[a].extend((cell, share, float(g), False) for g in gvals)
-            if side_terms:
-                for b in range(dim):
-                    if b == a:
-                        continue
-                    svals = gall @ dirs3[b]
-                    if np.max(np.abs(svals - svals[0])) == 0.0:
-                        unary[b].append((cell, measure, float(svals[0]), True))
+                emit[:, 0] = const
+                weight = measure
+            unary[b].append(
+                (
+                    np.broadcast_to(cell[:, None], vals.shape)[emit],
+                    np.broadcast_to(weight[:, None], vals.shape)[emit],
+                    vals[emit],
+                    np.full(int(emit.sum()), b != a),
+                )
+            )
 
     out = []
-    for a in range(dim):
-        on = mesh.int_axis == a
-        cell, weight, const, side = zip(*unary[a])
+    for b in range(dim):
+        cell, weight, const, side = (np.concatenate(t) for t in zip(*unary[b]))
+        on = mesh.int_axis == b
         out.append(
             AxisTerms(
                 plus=mesh.int_plus[on],
                 minus=mesh.int_minus[on],
                 h=mesh.int_measure[on],
-                cell=np.asarray(cell, dtype=int),
-                weight=np.asarray(weight, dtype=float),
-                const=np.asarray(const, dtype=float),
-                side=np.asarray(side, dtype=bool),
+                cell=cell,
+                weight=weight,
+                const=const,
+                side=side,
             )
         )
     return out
@@ -352,13 +359,6 @@ def _assemble_axis_terms(mesh: Mesh, pin: np.ndarray, datum, side_terms: bool) -
 # ---------------------------------------------------------------------------
 # exact chain solver
 # ---------------------------------------------------------------------------
-
-def _chains(mesh: Mesh, axis: int) -> np.ndarray:
-    """Cell ids of the chains along ``axis``: one row per chain, cells in
-    axis order, rows in C order over the other axes."""
-    ids = np.arange(mesh.ncells).reshape(mesh.shape)
-    return np.moveaxis(ids, axis, -1).reshape(-1, mesh.shape[axis])
-
 
 def _rank_in_group(group: np.ndarray, ngroups: int) -> np.ndarray:
     """Position of each entry within its group, for sorted group labels."""
@@ -429,7 +429,7 @@ def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
     those candidates is exact; with ``tie_break`` the candidates include the
     side-term breakpoints, which keeps the lexicographic program exact too.
     """
-    chains = _chains(mesh, axis)
+    chains = mesh.chains(axis)
     nchains, n = chains.shape
     chain_of = np.empty(mesh.ncells, dtype=np.intp)
     pos_of = np.empty(mesh.ncells, dtype=np.intp)
@@ -582,8 +582,6 @@ def solve(problem: CellProblem) -> SolveResult:
     mesh = _mesh_for(problem)
     pin = _pinned_gradient(problem)
     datum = _datum_for(problem, mesh)
-    if isinstance(datum, StepDatum):
-        datum.check_mesh(mesh)
 
     bulk_value, z, certified = _bulk_value(problem, mesh)
 

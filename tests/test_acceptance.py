@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sdrelax.constructions import SequenceParams, build, datum_for, decay_table
-from sdrelax.constructions import energy as construction_energy
 from sdrelax.densities import (
     DensityPair,
     check_hypotheses,
@@ -147,7 +146,7 @@ def test_criterion_6_decay_constructions():
         eta = np.array([1.0, 0.0])
         for n in range(2, 65):
             params = SequenceParams(kind="GAMMA1_SPLIT", n=n, lam=lam, eta=eta)
-            value = construction_energy(build(params), psi1, datum=datum_for(params))
+            value = surface_energy(build(params), psi1, datum=datum_for(params))
             assert value <= np.linalg.norm(lam) / n + 1e-13
         rng = np.random.default_rng(106)
         M = np.vstack([rng.uniform(-3, 3, (2, 2)), np.zeros((1, 2))])

@@ -7,10 +7,10 @@ from sdrelax.constructions import (
     build,
     datum_for,
     decay_table,
-    energy,
     frame_threshold,
 )
 from sdrelax.densities import interfacial_normal_pair, psi1_pair
+from sdrelax.energy import surface_energy
 from sdrelax.errors import ProblemError
 from sdrelax.fields import average_gradient, boundary_trace_gap, jumps, zero_datum
 from sdrelax.meshes import build_mesh
@@ -72,14 +72,14 @@ def test_gamma_split_energy_decay_exact():
     eta = np.array([1.0, 0.0])
     for n in (2, 4, 8, 16, 32, 64):
         p = gamma_params(lam, eta, n)
-        e = energy(build(p), PSI1, datum=datum_for(p))
+        e = surface_energy(build(p), PSI1, datum=datum_for(p))
         assert e == pytest.approx(abs(lam[:2] @ eta) / n, abs=1e-13)
         assert e <= np.linalg.norm(lam) / n + 1e-13
 
 
 def test_gamma_split_free_when_jump_has_out_of_plane_component():
     p = gamma_params([1.0, 0.5, 0.25], [1, 0], 4)
-    assert energy(build(p), PSI1, datum=datum_for(p)) == 0.0
+    assert surface_energy(build(p), PSI1, datum=datum_for(p)) == 0.0
 
 
 def test_gamma_split_trace_matches_datum():
@@ -92,8 +92,8 @@ def test_affine_field_energy_zero():
 
     mesh = build_mesh(2, 3, np.array([1.0, 0.0]))
     fld = SbvField.affine(mesh, np.arange(6.0).reshape(3, 2))
-    assert energy(fld, NORMAL) == 0.0
-    assert energy(fld, PSI1) == 0.0
+    assert surface_energy(fld, NORMAL) == 0.0
+    assert surface_energy(fld, PSI1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_frame_m_zero_offsets_alternate():
     assert np.max(np.abs(fld.gradients)) == 0.0
     inner = np.unique(np.round(fld.offsets[:, 2], 14))
     assert set(inner) == {-1.0 / 16, 0.0, 1.0 / 16}
-    assert energy(fld, PSI1, datum=zero_datum(2)) == 0.0
+    assert surface_energy(fld, PSI1, datum=zero_datum(2)) == 0.0
     assert boundary_trace_gap(fld, zero_datum(2)) == 0.0
 
 
@@ -170,7 +170,7 @@ def test_frame_dominates_solver_value():
     M = np.array([[1.5, -0.5], [0.25, 2.0], [0.0, 0.0]])
     for n in (4, 8):
         p = SequenceParams(kind="FRAME_W1", n=n, M=M)
-        comp = energy(build(p), PSI1, datum=datum_for(p))
+        comp = surface_energy(build(p), PSI1, datum=datum_for(p))
         r = solve(CellProblem(kind=Kind.W1, n=n, A=M))
         assert r.value <= comp + 1e-9
 
@@ -185,7 +185,7 @@ def test_staircase_energy_approaches_componentwise_trace():
     prev = None
     for n in (4, 8, 16, 32):
         p = SequenceParams(kind="STAIRCASE_TRACE", n=n, A=A, B=B)
-        e = energy(build(p), NORMAL, datum=datum_for(p))
+        e = surface_energy(build(p), NORMAL, datum=datum_for(p))
         assert e <= 2.0 + 2.0 / n + 1e-12
         if prev is not None:
             assert abs(e - 2.0) <= abs(prev - 2.0) + 1e-12
@@ -218,3 +218,24 @@ def test_sequence_params_validation():
     with pytest.raises(ProblemError):
         decay_table(gamma_params([1, 0, 0], [1, 0], 2), PSI1, [4, 2])
     assert SequenceKind("GAMMA1_SPLIT") is SequenceKind.GAMMA1_SPLIT
+
+
+def test_frame_params_reject_non_finite_data():
+    M = np.zeros((3, 2))
+    M[1, 0] = np.nan
+    with pytest.raises(ProblemError, match="'M'"):
+        SequenceParams(kind="FRAME_W1", n=4, M=M)
+
+
+def test_gamma_params_reject_non_finite_data():
+    with pytest.raises(ProblemError, match="'lam'"):
+        gamma_params([np.nan, 0, 0], [1, 0], 2)
+    with pytest.raises(ProblemError, match="'eta'"):
+        gamma_params([1, 0, 0], [np.inf, 0], 2)
+
+
+def test_staircase_params_reject_non_finite_data():
+    with pytest.raises(ProblemError, match="'A'"):
+        SequenceParams(kind="STAIRCASE_TRACE", n=2, A=np.full((3, 2), np.nan), B=np.zeros((3, 2)))
+    with pytest.raises(ProblemError, match="'B'"):
+        SequenceParams(kind="STAIRCASE_TRACE", n=2, A=np.zeros((2, 2)), B=[[0, -np.inf], [0, 0]])

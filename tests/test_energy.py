@@ -4,7 +4,7 @@ import pytest
 from sdrelax.densities import DensityPair, interfacial_normal_pair, psi1_pair
 from sdrelax.energy import surface_energy
 from sdrelax.fields import AffineDatum, SbvField
-from sdrelax.meshes import build_mesh
+from sdrelax.meshes import Mesh, build_mesh
 
 E1 = np.array([1.0, 0.0])
 
@@ -51,9 +51,7 @@ def test_exact_matches_dense_quadrature_normal_form():
 def test_psi1_rule_charges_only_planar_jumps():
     pair = psi1_pair()
     mesh = build_mesh(2, 1, E1)
-    from sdrelax.meshes import rectilinear_mesh
-
-    mesh = rectilinear_mesh([np.array([-0.5, 0.0, 0.5]), np.array([-0.5, 0.5])])
+    mesh = Mesh([np.array([-0.5, 0.0, 0.5]), np.array([-0.5, 0.5])])
     grads = np.zeros((2, 3, 2))
     # planar jump: paid
     offsets = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -73,10 +71,14 @@ def test_custom_density_constant_jumps_exact():
         return float(np.linalg.norm(lam) + abs(lam @ nu))
 
     pair = DensityPair(bulk=lambda M: 0.0, surface=surf, p=2.0)
-    from sdrelax.meshes import rectilinear_mesh
-
-    mesh = rectilinear_mesh([np.array([-0.5, 0.0, 0.5]), np.array([-0.5, 0.5])])
+    mesh = Mesh([np.array([-0.5, 0.0, 0.5]), np.array([-0.5, 0.5])])
     lam = np.array([1.0, 2.0, -1.0])
     fld = SbvField(mesh, np.zeros((2, 3, 2)), np.stack([np.zeros(3), lam]))
     nu3 = np.array([1.0, 0.0, 0.0])
     assert surface_energy(fld, pair) == pytest.approx(surf(lam, nu3) * 1.0, abs=1e-13)
+
+
+def test_energy_module_is_not_shadowed_by_a_package_attribute():
+    import sdrelax.energy as module
+
+    assert module.surface_energy is surface_energy

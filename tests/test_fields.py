@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdrelax.constructions import SequenceParams, build
 from sdrelax.errors import DatumError, FieldError, InputError
@@ -7,8 +9,10 @@ from sdrelax.fields import (
     AffineDatum,
     SbvField,
     StepDatum,
+    abs_affine_polygon_exact,
     abs_affine_segment_exact,
     average_gradient,
+    boundary_pieces,
     boundary_trace_gap,
     field_from_json,
     field_to_json,
@@ -16,7 +20,8 @@ from sdrelax.fields import (
     jumps,
     norm_affine_segment_exact,
 )
-from sdrelax.meshes import build_mesh
+from sdrelax.meshes import Mesh, build_mesh
+from strategies import rectilinear_meshes
 
 E1 = np.array([1.0, 0.0])
 RNG = np.random.default_rng(20240817)
@@ -62,6 +67,53 @@ def test_norm_affine_exact_against_quadrature():
     )
 
 
+def _reference_abs_polygon(pts, vals):
+    """One polygon at a time: clip at the sign change, fan-triangulate."""
+
+    def integral(p, v):
+        total = 0.0
+        for i in range(1, len(p) - 1):
+            (x0, y0), (x1, y1), (x2, y2) = p[0], p[i], p[i + 1]
+            area = abs(0.5 * ((x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) + (x2 * y0 - x0 * y2)))
+            total += area * (v[0] + v[i] + v[i + 1]) / 3.0
+        return total
+
+    if np.all(vals >= 0) or np.all(vals <= 0):
+        return abs(integral(pts, vals))
+    total = 0.0
+    for keep in (True, False):
+        p, v = [], []
+        for i in range(len(pts)):
+            j = (i + 1) % len(pts)
+            in0, in1 = (vals[i] >= 0, vals[j] >= 0) if keep else (vals[i] <= 0, vals[j] <= 0)
+            if in0:
+                p.append(pts[i])
+                v.append(vals[i])
+            if in0 != in1:
+                t = vals[i] / (vals[i] - vals[j])
+                p.append(pts[i] + t * (pts[j] - pts[i]))
+                v.append(0.0)
+        total += abs(integral(p, v))
+    return total
+
+
+def test_abs_affine_polygon_matches_per_polygon_reference():
+    rng = np.random.default_rng(4)
+    lo = rng.uniform(-1, 1, (3000, 2))
+    hi = lo + rng.uniform(1e-3, 1, (3000, 2))
+    pts = np.stack(
+        [lo, np.c_[hi[:, 0], lo[:, 1]], hi, np.c_[lo[:, 0], hi[:, 1]]], axis=1
+    )
+    vals = rng.normal(size=(3000, 4)) * 10.0 ** rng.integers(-6, 6, (3000, 1))
+    vals[rng.random(vals.shape) < 0.1] = 0.0
+    # affine vertex values (what the energy integrates) on every other face
+    grad, c = rng.normal(size=(3000, 2)), rng.normal(size=3000)
+    vals[::2] = (pts @ grad[:, :, None])[::2, :, 0] + c[::2, None]
+    got = abs_affine_polygon_exact(pts, vals)
+    want = [_reference_abs_polygon(p, v) for p, v in zip(pts, vals)]
+    assert got.tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # jumps
 # ---------------------------------------------------------------------------
@@ -75,9 +127,7 @@ def test_affine_field_has_no_jumps():
 def test_two_cell_constant_jump():
     mesh = build_mesh(2, 1, E1)
     # split manually: use a 2x1 mesh via rectilinear breaks
-    from sdrelax.meshes import rectilinear_mesh
-
-    mesh = rectilinear_mesh([np.array([-0.5, 0.0, 0.5]), np.array([-0.5, 0.5])])
+    mesh = Mesh([np.array([-0.5, 0.0, 0.5]), np.array([-0.5, 0.5])])
     lam = np.array([0.5, -1.0, 2.0])
     G = np.tile(np.arange(6.0).reshape(3, 2), (2, 1, 1))
     b = np.stack([np.zeros(3), lam])
@@ -156,19 +206,13 @@ def test_trace_gap_zero_for_matching_affine():
 def test_trace_gap_of_zero_field_against_step_datum():
     # oracle: the datum equals lam on the boundary part with x.eta >= 0,
     # whose measure is 2 (one full side plus two half sides), so the gap is
-    # 2 |lam|; cross-check the measure from the mesh's own boundary data
+    # 2 |lam|; cross-check the measure from the boundary piece table
     lam = np.array([3.0, -1.0, 2.0])
     for eta in (E1, np.array([0.0, 1.0]), np.array([1.0, 1.0]) / np.sqrt(2)):
         mesh = build_mesh(2, 4, eta)
         datum = StepDatum(lam, eta)
-        measure = 0.0
-        from sdrelax.fields import piece_measure, split_edge_at_midline
-
-        for e in range(len(mesh.bnd_axis)):
-            for piece in split_edge_at_midline(mesh, mesh.bnd_corners[e], int(mesh.bnd_axis[e])):
-                mid = (piece @ mesh.frame.T).mean(axis=0)
-                if mid @ eta >= 0:
-                    measure += piece_measure(piece, int(mesh.bnd_axis[e]))
+        pieces = boundary_pieces(mesh, datum)
+        measure = pieces.measure[pieces.points.mean(axis=1) @ eta >= 0].sum()
         assert measure == pytest.approx(2.0, abs=1e-12)
         fld = SbvField.affine(mesh, np.zeros((3, 2)))
         assert boundary_trace_gap(fld, datum) == pytest.approx(
@@ -184,6 +228,52 @@ def test_trace_gap_zero_for_cellwise_step_field():
     offsets = np.where(mids[:, None] >= 0, lam[None, :], 0.0)
     fld = SbvField(mesh, np.zeros((mesh.ncells, 3, 2)), offsets)
     assert boundary_trace_gap(fld, StepDatum(lam, eta)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.sampled_from((2, 3)),
+    n=st.integers(1, 9),
+    orientation=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda v: np.linalg.norm(v[:2]) > 0.1
+    ),
+)
+def test_boundary_pieces_partition_the_boundary(dim, n, orientation):
+    eta = np.asarray(orientation[:dim]) / np.linalg.norm(orientation[:dim])
+    mesh = build_mesh(dim, n, eta)
+    lam = np.array([1.0, -2.0, 0.5])
+    pieces = boundary_pieces(mesh, StepDatum(lam, eta))
+    # the pieces tile the boundary, in edge order, each edge at most halved
+    assert pieces.measure.sum() == pytest.approx(2.0 * dim, abs=1e-12)
+    assert np.all(np.diff(pieces.edge) >= 0)
+    assert np.all(np.bincount(pieces.edge) <= 2)
+    per_edge = np.bincount(pieces.edge, weights=pieces.measure)
+    assert np.allclose(per_edge, mesh.bnd_measure, rtol=0, atol=1e-15)
+    # no piece straddles the datum discontinuity; a halved edge lists its lower half first
+    xi0 = pieces.corners[:, :, 0]
+    assert np.all((xi0.max(axis=1) <= 0.0) | (xi0.min(axis=1) >= 0.0))
+    halved = np.flatnonzero(np.diff(pieces.edge) == 0)
+    assert np.all(xi0[halved].max(axis=1) <= 0.0) and np.all(xi0[halved + 1].min(axis=1) >= 0.0)
+    # the datum is constant per piece: lam on the x.eta >= 0 side, else 0
+    upper = pieces.points.mean(axis=1) @ eta >= 0
+    assert np.all(pieces.datum == np.where(upper[:, None, None], lam, 0.0))
+    if dim == 2:
+        assert pieces.measure[upper].sum() == pytest.approx(2.0, abs=1e-12)
+    # rows agree with the mesh's boundary edges
+    assert np.array_equal(pieces.cell, mesh.bnd_cell[pieces.edge])
+    assert np.array_equal(pieces.axis, mesh.bnd_axis[pieces.edge])
+    assert np.array_equal(pieces.normal, mesh.bnd_normals()[pieces.edge])
+    assert np.allclose(pieces.points, pieces.corners @ mesh.frame.T, rtol=0, atol=1e-15)
+
+
+def test_boundary_pieces_of_affine_datum_are_the_boundary_edges():
+    mesh = build_mesh(3, 3, np.array([0.0, 0.6, 0.8]))
+    A = RNG.uniform(-2, 2, (3, 3))
+    pieces = boundary_pieces(mesh, AffineDatum(A))
+    assert np.array_equal(pieces.edge, np.arange(len(mesh.bnd_axis)))
+    assert np.array_equal(pieces.corners, mesh.bnd_corners)
+    assert np.array_equal(pieces.measure, mesh.bnd_measure)
+    assert np.allclose(pieces.datum, pieces.points @ A.T, rtol=0, atol=1e-14)
 
 
 def test_step_datum_orientation_mismatch_raises():
@@ -227,6 +317,14 @@ def test_gauss_green_3d_random_fields():
         mesh = build_mesh(3, n, v)
         fld = random_field(mesh, rng)
         assert np.max(np.abs(gauss_green_residual(fld))) <= 1e-10 * (1.0 + fld.scale())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mesh=rectilinear_meshes(), seed=st.integers(0, 2**32 - 1))
+def test_gauss_green_on_random_rectilinear_meshes(mesh, seed):
+    fld = random_field(mesh, np.random.default_rng(seed))
+    res = np.max(np.abs(gauss_green_residual(fld)))
+    assert res <= 1e-10 * (1.0 + fld.scale())
 
 
 def test_gauss_green_step_field_on_rotated_square():

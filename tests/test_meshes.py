@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sdrelax.errors import MeshError
-from sdrelax.meshes import build_mesh, frame_from_orientation, rectilinear_mesh
+from sdrelax.meshes import Mesh, build_mesh, frame_from_orientation
+from strategies import rectilinear_meshes
 
 E1 = np.array([1.0, 0.0])
 DIAG = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -95,10 +97,102 @@ def test_rejects_bad_input():
     with pytest.raises(MeshError):
         build_mesh(4, 2, np.ones(4) / 2)
     with pytest.raises(MeshError):
-        rectilinear_mesh([np.array([0.0, 1.0]), np.array([1.0, 0.5])])
+        Mesh([np.array([0.0, 1.0]), np.array([1.0, 0.5])])
 
 
 def test_custom_breaks_total_measure():
-    mesh = rectilinear_mesh([np.array([-0.5, -0.1, 0.5]), np.array([-0.5, 0.25, 0.5])])
+    mesh = Mesh([np.array([-0.5, -0.1, 0.5]), np.array([-0.5, 0.25, 0.5])])
     assert mesh.total_measure == pytest.approx(1.0, abs=1e-12)
     assert mesh.ncells == 4
+
+
+# ---------------------------------------------------------------------------
+# edge arrays against a per-edge reference builder
+# ---------------------------------------------------------------------------
+
+def _reference_face_corners(dim, axis, value, lo, hi):
+    corners = np.empty((2, 2) if dim == 2 else (4, 3))
+    others = [a for a in range(dim) if a != axis]
+    corners[:, axis] = value
+    if dim == 2:
+        corners[:, others[0]] = (lo[0], hi[0])
+    else:
+        corners[:, others[0]] = (lo[0], hi[0], hi[0], lo[0])
+        corners[:, others[1]] = (lo[1], lo[1], hi[1], hi[1])
+    return corners
+
+
+def reference_edges(mesh):
+    """Edge arrays built edge by edge with nested loops: for each axis, each
+    chain of cells along it (C order over the other axes), its interior
+    edges in axis order, then its low and its high boundary edge."""
+    dim, shape, breaks = mesh.dim, mesh.shape, mesh.axis_breaks
+    out = {k: [] for k in ("int_axis", "int_minus", "int_plus", "int_measure", "int_corners",
+                           "bnd_axis", "bnd_side", "bnd_cell", "bnd_measure", "bnd_corners")}
+    for axis in range(dim):
+        others = [a for a in range(dim) if a != axis]
+        for oi in np.ndindex(*[shape[a] for a in others]):
+            lo = [breaks[a][oi[j]] for j, a in enumerate(others)]
+            hi = [breaks[a][oi[j] + 1] for j, a in enumerate(others)]
+            measure = float(np.prod(np.asarray(hi) - np.asarray(lo)))
+
+            def cell_at(i):
+                idx = [0] * dim
+                idx[axis] = i
+                for j, a in enumerate(others):
+                    idx[a] = oi[j]
+                return int(np.ravel_multi_index(tuple(idx), shape))
+
+            for i in range(shape[axis] - 1):
+                out["int_axis"].append(axis)
+                out["int_minus"].append(cell_at(i))
+                out["int_plus"].append(cell_at(i + 1))
+                out["int_measure"].append(measure)
+                out["int_corners"].append(
+                    _reference_face_corners(dim, axis, breaks[axis][i + 1], lo, hi)
+                )
+            for side, i, b in ((-1, 0, 0), (1, shape[axis] - 1, shape[axis])):
+                out["bnd_axis"].append(axis)
+                out["bnd_side"].append(side)
+                out["bnd_cell"].append(cell_at(i))
+                out["bnd_measure"].append(measure)
+                out["bnd_corners"].append(_reference_face_corners(dim, axis, breaks[axis][b], lo, hi))
+    ncorn = 2 ** (dim - 1)
+    for key, values in out.items():
+        dtype = float if key.endswith(("measure", "corners")) else int
+        arr = np.asarray(values, dtype=dtype)
+        out[key] = arr.reshape(-1, ncorn, dim) if key.endswith("corners") else arr
+    return out
+
+
+def assert_edges_match_reference(mesh):
+    for key, want in reference_edges(mesh).items():
+        got = getattr(mesh, key)
+        assert got.dtype == want.dtype and got.shape == want.shape, key
+        assert got.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_edge_arrays_match_reference_on_uniform_meshes(dim):
+    rng = np.random.default_rng(40 + dim)
+    for n in range(1, 9):
+        orientation = rng.normal(size=dim)
+        assert_edges_match_reference(build_mesh(dim, n, orientation / np.linalg.norm(orientation)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rectilinear_meshes())
+def test_edge_arrays_match_reference_on_rectilinear_meshes(mesh):
+    assert_edges_match_reference(mesh)
+
+
+def test_chains_follow_the_axis():
+    mesh = Mesh([np.linspace(0, 1, 4), np.linspace(0, 1, 3), np.linspace(0, 1, 5)])
+    for axis in range(3):
+        chains = mesh.chains(axis)
+        assert chains.shape == (mesh.ncells // mesh.shape[axis], mesh.shape[axis])
+        idx = np.stack(np.unravel_index(chains, mesh.shape), axis=-1)
+        step = np.diff(idx, axis=1)
+        assert np.all(step[..., axis] == 1)
+        assert np.all(np.delete(step, axis, axis=-1) == 0)
+        assert sorted(chains.reshape(-1)) == list(range(mesh.ncells))
