@@ -23,8 +23,8 @@ import numpy as np
 from . import densities as dens
 from .constructions import SequenceParams, decay_table
 from .errors import InputError, SdRelaxError
-from .fields import SbvField, gauss_green_residual
-from .functionals import eval_left, eval_right, triple_from_json
+from .fields import SbvField, _field_from_payload, gauss_green_residual
+from .functionals import _triple_from_payload, eval_F3dSD, eval_left, eval_right
 from .meshes import build_mesh
 from .solver import CellProblem, Kind, closed_form, solve
 
@@ -309,24 +309,21 @@ def cmd_functional(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from exc
     try:
-        dimension = json.loads(text).get("dimension")
+        payload = json.loads(text)
+        dimension = payload.get("dimension")
     except (json.JSONDecodeError, AttributeError) as exc:
         raise InputError(f"invalid JSON in {args.file}: {exc}") from exc
     if dimension == 3:
         # a cube field plus per-cell "G" blocks: evaluate the 3D functional
-        from .fields import field_from_json
-        from .functionals import eval_F3dSD
-
-        field = field_from_json(text)
-        cells = json.loads(text)["cells"]
+        field = _field_from_payload(payload)
         try:
-            G3 = np.asarray([c["G"] for c in cells], dtype=float)
+            G3 = np.asarray([c["G"] for c in payload["cells"]], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"3D functional file needs a 'G' block per cell: {exc}") from exc
         rows = [{"value": eval_F3dSD(field, G3), "passed": True}]
         _emit(rows, args, "functional-3d", True)
         return PASS
-    triple = triple_from_json(text)
+    triple = _triple_from_payload(payload)
     left, right = eval_left(triple), eval_right(triple)
     rows = [
         {

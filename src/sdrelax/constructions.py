@@ -20,6 +20,9 @@ discrete SBV field on a mesh fitted to its geometry:
 * ``STAIRCASE_TRACE`` -- gradient pinned to ``B`` with offsets ``(A - B)``
   times the cell center: a staircase whose trace tends to ``A x`` and whose
   jump energy tends to ``|A11 - B11| + |A22 - B22|`` as ``n`` grows.
+
+Builders set offsets with array masks over the cell midpoints, doing each
+cell's arithmetic as a cell-by-cell loop would (bit-identical fields).
 """
 
 from __future__ import annotations
@@ -97,12 +100,9 @@ def _to_3x2(M) -> np.ndarray:
 
 
 def _dedupe(values) -> np.ndarray:
+    """Sorted breakpoints without their rounding-level duplicates (gaps <= 1e-12)."""
     values = np.sort(np.asarray(values, dtype=float))
-    keep = [values[0]]
-    for v in values[1:]:
-        if v - keep[-1] > 1e-12:
-            keep.append(v)
-    return np.asarray(keep)
+    return values[np.concatenate([[True], np.diff(values) > 1e-12])]
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +126,17 @@ def _build_gamma1_split(params: SequenceParams) -> SbvField:
     b1 = _dedupe([-0.5, -a, a, 0.5])
     mesh = Mesh([b0, b1], frame=frame, n=n)
 
-    offsets = np.zeros((mesh.ncells, 3))
-    mids = 0.5 * (mesh.cell_lo + mesh.cell_hi)
-    for t in range(mesh.ncells):
-        xi1, xi2 = mids[t]
-        if xi1 >= 0:
-            offsets[t] = lam
-        if abs(xi1) < a and abs(xi2) < a:
-            offsets[t, 2] += (1.0 / n) if xi1 >= 0 else (-1.0 / n)
+    xi1, xi2 = (0.5 * (mesh.cell_lo + mesh.cell_hi)).T
+    right = xi1 >= 0
+    inner = (np.abs(xi1) < a) & (np.abs(xi2) < a)
+    offsets = np.where(right[:, None], lam, 0.0)
+    offsets[inner, 2] += np.where(right[inner], 1.0 / n, -1.0 / n)
     return SbvField(mesh, np.zeros((mesh.ncells, 3, 2)), offsets)
 
 
-def _frame_lattice(t: float, n: int) -> float:
-    """Center of the spacing-1/n lattice cell containing coordinate t."""
-    j = min(max(int(math.floor((t + 0.5) * n)), 0), n - 1)
+def _frame_lattice(t, n: int):
+    """Centers of the spacing-1/n lattice cells containing coordinates t."""
+    j = np.clip(np.floor((t + 0.5) * n), 0, n - 1)
     return (j + 0.5) / n - 0.5
 
 
@@ -154,26 +151,20 @@ def _build_frame_w1(params: SequenceParams) -> SbvField:
     b1 = _dedupe([-0.5, 0.5, a, -a] + lattice)
     mesh = Mesh([b0, b1], n=n)
 
+    cx, cy = (0.5 * (mesh.cell_lo + mesh.cell_hi)).T
+    inner = (np.abs(cx) < a) & (np.abs(cy) < a)
+    # anchors p: rectangle centers (c_k, 0) inside, lattice points on the frame sides
+    k = np.clip(np.floor((cx + a) / w), 0, n - 1)
+    side = (cx < -a) | (cx > a)
+    px = np.where(side, np.sign(cx) / 2, _frame_lattice(cx, n))
+    py = np.where(side, _frame_lattice(cy, n), np.where(cy < -a, -0.5, 0.5))
+    ck = np.stack([-a + (k + 0.5) * w, np.zeros_like(cx)], axis=1)
+    p = np.where(inner[:, None], ck, np.stack([px, py], axis=1))
+    # -M @ p as one small matmul per cell (a flat GEMM rounds differently)
+    offsets = (np.broadcast_to(-M, (mesh.ncells, 3, 2)) @ p[:, :, None])[..., 0]
+    shift = np.where(k % 2 == 0, 1.0, -1.0) / (n * n)
+    offsets[inner] += shift[inner, None] * np.array([0.0, 0.0, 1.0])
     grads = np.broadcast_to(M, (mesh.ncells, 3, 2)).copy()
-    offsets = np.zeros((mesh.ncells, 3))
-    mids = 0.5 * (mesh.cell_lo + mesh.cell_hi)
-    e3 = np.array([0.0, 0.0, 1.0])
-    for t in range(mesh.ncells):
-        cx, cy = mids[t]
-        if abs(cx) < a and abs(cy) < a:
-            k = min(max(int(math.floor((cx + a) / w)), 0), n - 1)
-            ck = np.array([-a + (k + 0.5) * w, 0.0])
-            offsets[t] = -M @ ck + ((-1.0) ** k / (n * n)) * e3
-        else:
-            if cx < -a:
-                p = np.array([-0.5, _frame_lattice(cy, n)])
-            elif cx > a:
-                p = np.array([0.5, _frame_lattice(cy, n)])
-            elif cy < -a:
-                p = np.array([_frame_lattice(cx, n), -0.5])
-            else:
-                p = np.array([_frame_lattice(cx, n), 0.5])
-            offsets[t] = -M @ p
     return SbvField(mesh, grads, offsets)
 
 

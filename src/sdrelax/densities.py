@@ -112,6 +112,9 @@ class DensityPair:
     surface_form: str = SURFACE_CUSTOM
 
     def __post_init__(self):
+        for name in ("p", "c_bulk", "c_surf"):
+            if not np.isfinite(getattr(self, name)):
+                raise InputError(f"'{name}' must be finite, got {getattr(self, name)!r}")
         if self.p <= 1:
             raise InputError(f"growth exponent must exceed 1, got {self.p}")
         if self.c_bulk <= 0 or self.c_surf <= 0:

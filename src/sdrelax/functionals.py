@@ -15,7 +15,6 @@ with the full normal in the surface term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .densities import interfacial_normal_pair
 from .energy import surface_energy
 from .errors import FieldError, InputError
-from .fields import SbvField, field_from_json
+from .fields import SbvField, _cells_to_json, _field_from_payload, _load_json
 from .meshes import Mesh, build_mesh
 
 _NORMAL_PAIR = interfacial_normal_pair()
@@ -140,44 +139,27 @@ def random_triple(rng: np.random.Generator, n: int = 4, scale: float = 10.0) -> 
 # ---------------------------------------------------------------------------
 
 def triple_to_json(triple: StructuredTriple) -> str:
-    mesh = triple.mesh
-    payload = {
-        "dimension": mesh.dim,
-        "n": int(mesh.n),
-        "orientation": mesh.orientation.tolist(),
-        "cells": [
-            {
-                "gradient": triple.g.gradients[t].tolist(),
-                "offset": triple.g.offsets[t].tolist(),
-                "G": triple.G[t].tolist(),
-                "d": triple.d[t].tolist(),
-            }
-            for t in range(mesh.ncells)
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    g = triple.g
+    return _cells_to_json(
+        triple.mesh, {"gradient": g.gradients, "offset": g.offsets, "G": triple.G, "d": triple.d}
+    )
 
 
 def triple_from_json(text: str) -> StructuredTriple:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON for triple file: {exc}") from exc
-    field = field_from_json(text)
+    return _triple_from_payload(_load_json(text, "triple"))
+
+
+def _triple_from_payload(payload) -> StructuredTriple:
+    """Triple of a parsed triple file."""
+    field = _field_from_payload(payload)
     cells = payload["cells"]
     try:
         G = np.asarray([c["G"] for c in cells], dtype=float)
         d = np.asarray([c["d"] for c in cells], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"triple file cell {_bad_cell(cells)} lacks G/d data: {exc}") from exc
+        bad = next((i for i, c in enumerate(cells) if "G" not in c or "d" not in c), -1)
+        raise InputError(f"triple file cell {bad} lacks G/d data: {exc}") from exc
     try:
         return StructuredTriple(g=field, G=G, d=d)
     except FieldError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _bad_cell(cells) -> int:
-    for i, c in enumerate(cells):
-        if "G" not in c or "d" not in c:
-            return i
-    return -1

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the mesh and field tests."""
+"""Hypothesis strategies shared by the mesh, field and functional tests."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,7 +15,7 @@ def _breaks(max_cells):
     ).map(sorted)
 
 
-def _unit(dim):
+def unit_vectors(dim):
     return (
         st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=dim, max_size=dim)
         .map(np.asarray)
@@ -30,4 +30,21 @@ def rectilinear_meshes(draw, max_cells=(5, 3)):
     ``max_cells`` bounds the cells per axis in 2D and in 3D."""
     dim = draw(st.sampled_from((2, 3)))
     breaks = [np.asarray(draw(_breaks(max_cells[dim - 2]))) for _ in range(dim)]
-    return Mesh(breaks, frame=frame_from_orientation(draw(_unit(dim))))
+    return Mesh(breaks, frame=frame_from_orientation(draw(unit_vectors(dim))))
+
+
+# floats that stress rounding and number formatting: signed zeros, integral
+# values, the switch to exponent notation, the smallest subnormal
+SPECIAL_FLOATS = (-0.0, 0.0, 1.0, -3.0, 1e16, -1e16, 5e-324, -5e-324, 1e-9, 1e12)
+
+
+@st.composite
+def scaled_values(draw, shape, specials=SPECIAL_FLOATS):
+    """Uniform data at a drawn scale in 1e-9..1e12, up to 8 entries replaced
+    by ``specials``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-5.0, 5.0, shape) * 10.0 ** draw(st.integers(-9, 12))
+    flat = values.reshape(-1)
+    picks = draw(st.lists(st.sampled_from(specials), max_size=min(8, flat.size)))
+    flat[rng.choice(flat.size, size=len(picks), replace=False)] = picks
+    return values

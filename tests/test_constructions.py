@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdrelax.constructions import (
     SequenceKind,
@@ -15,6 +19,7 @@ from sdrelax.errors import ProblemError
 from sdrelax.fields import average_gradient, boundary_trace_gap, jumps, zero_datum
 from sdrelax.meshes import build_mesh
 from sdrelax.solver import CellProblem, Kind, solve
+from strategies import scaled_values
 
 PSI1 = psi1_pair()
 NORMAL = interfacial_normal_pair()
@@ -239,3 +244,85 @@ def test_staircase_params_reject_non_finite_data():
         SequenceParams(kind="STAIRCASE_TRACE", n=2, A=np.full((3, 2), np.nan), B=np.zeros((3, 2)))
     with pytest.raises(ProblemError, match="'B'"):
         SequenceParams(kind="STAIRCASE_TRACE", n=2, A=np.zeros((2, 2)), B=[[0, -np.inf], [0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# vectorized builders against the per-cell loop builders they replaced
+# ---------------------------------------------------------------------------
+
+def _loop_gamma1_offsets(mesh, lam, n):
+    a = (n - 1) / (2 * n)
+    offsets = np.zeros((mesh.ncells, 3))
+    mids = 0.5 * (mesh.cell_lo + mesh.cell_hi)
+    for t in range(mesh.ncells):
+        xi1, xi2 = mids[t]
+        if xi1 >= 0:
+            offsets[t] = lam
+        if abs(xi1) < a and abs(xi2) < a:
+            offsets[t, 2] += (1.0 / n) if xi1 >= 0 else (-1.0 / n)
+    return offsets
+
+
+def _loop_frame_lattice(t, n):
+    j = min(max(int(math.floor((t + 0.5) * n)), 0), n - 1)
+    return (j + 0.5) / n - 0.5
+
+
+def _loop_frame_w1_offsets(mesh, M, n):
+    a = (n - 1) / (2 * n)
+    w = (n - 1) / (n * n)
+    offsets = np.zeros((mesh.ncells, 3))
+    mids = 0.5 * (mesh.cell_lo + mesh.cell_hi)
+    e3 = np.array([0.0, 0.0, 1.0])
+    for t in range(mesh.ncells):
+        cx, cy = mids[t]
+        if abs(cx) < a and abs(cy) < a:
+            k = min(max(int(math.floor((cx + a) / w)), 0), n - 1)
+            ck = np.array([-a + (k + 0.5) * w, 0.0])
+            offsets[t] = -M @ ck + ((-1.0) ** k / (n * n)) * e3
+        else:
+            if cx < -a:
+                p = np.array([-0.5, _loop_frame_lattice(cy, n)])
+            elif cx > a:
+                p = np.array([0.5, _loop_frame_lattice(cy, n)])
+            elif cy < -a:
+                p = np.array([_loop_frame_lattice(cx, n), -0.5])
+            else:
+                p = np.array([_loop_frame_lattice(cx, n), 0.5])
+            offsets[t] = -M @ p
+    return offsets
+
+
+@st.composite
+def frame_matrices(draw):
+    M = draw(scaled_values((3, 2)))
+    if draw(st.booleans()):
+        M[2, 0] = 0.0
+    return M
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(M=frame_matrices(), n=st.integers(2, 64))
+@example(M=np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 0.25]]), n=64)
+@example(M=np.array([[1.0, -2.0], [0.5, 3.0], [-0.0, 0.25]]), n=2)
+def test_frame_builder_matches_loop_reference_bit_for_bit(M, n):
+    field = build(SequenceParams(kind="FRAME_W1", n=n, M=M))
+    ref = _loop_frame_w1_offsets(field.mesh, M, n)
+    assert field.offsets.tobytes() == ref.tobytes()
+    assert field.gradients.tobytes() == np.broadcast_to(M, field.gradients.shape).tobytes()
+
+
+@st.composite
+def gamma_data(draw):
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    return draw(scaled_values(3)), np.array([math.cos(angle), math.sin(angle)])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=gamma_data(), n=st.integers(2, 64))
+@example(data=(np.array([1.5, -2.0, 0.0]), np.array([0.6, 0.8])), n=64)
+def test_gamma_builder_matches_loop_reference_bit_for_bit(data, n):
+    lam, eta = data
+    field = build(gamma_params(lam, eta, n))
+    ref = _loop_gamma1_offsets(field.mesh, lam, n)
+    assert field.offsets.tobytes() == ref.tobytes()

@@ -82,7 +82,8 @@ def test_psi1_bar_sampled_infimum_never_below_closed_form():
         eta = rng.normal(size=2)
         eta /= np.linalg.norm(eta)
         closed = psi1_bar(lam, eta)
-        sampled = min(abs(lam @ np.array([eta[0], eta[1], t])) for t in tgrid)
+        vectors = np.column_stack([np.broadcast_to(eta, (len(tgrid), 2)), tgrid])
+        sampled = np.min(np.abs(vectors @ lam))
         assert sampled >= closed - 1e-9
 
 
@@ -167,3 +168,10 @@ def test_density_registry():
         density_by_name("nope")
     with pytest.raises(InputError):
         DensityPair(bulk=lambda A: 0.0, surface=h_pure, p=1.0)
+
+
+@pytest.mark.parametrize("name", ["p", "c_bulk", "c_surf"])
+def test_density_pair_rejects_non_finite_constants(name):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match=name):
+            DensityPair(bulk=lambda A: 0.0, surface=h_pure, **{name: bad})

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,13 @@ from sdrelax.fields import (
     boundary_trace_gap,
     field_from_json,
     field_to_json,
+    gauss_face_mean,
     gauss_green_residual,
     jumps,
     norm_affine_segment_exact,
 )
 from sdrelax.meshes import Mesh, build_mesh
-from strategies import rectilinear_meshes
+from strategies import rectilinear_meshes, scaled_values, unit_vectors
 
 E1 = np.array([1.0, 0.0])
 RNG = np.random.default_rng(20240817)
@@ -363,9 +366,83 @@ def test_field_json_rejects_bad_payloads():
         )
 
 
+def _dumps_field_reference(field):
+    """The nested-list ``json.dumps`` writer the template writer replaced."""
+    mesh = field.mesh
+    payload = {
+        "dimension": mesh.dim,
+        "n": int(mesh.n),
+        "orientation": mesh.orientation.tolist(),
+        "cells": [
+            {"gradient": field.gradients[t].tolist(), "offset": field.offsets[t].tolist()}
+            for t in range(mesh.ncells)
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from((2, 3)), n=st.integers(1, 8), data=st.data())
+def test_field_json_is_byte_identical_to_json_dumps(dim, n, data):
+    mesh = build_mesh(dim, n, data.draw(unit_vectors(dim)))
+    field = SbvField(
+        mesh,
+        data.draw(scaled_values((mesh.ncells, 3, dim))),
+        data.draw(scaled_values((mesh.ncells, 3))),
+    )
+    text = field_to_json(field)
+    assert text == _dumps_field_reference(field)
+    back = field_from_json(text)
+    assert back.gradients.tobytes() == field.gradients.tobytes()
+    assert back.offsets.tobytes() == field.offsets.tobytes()
+
+
 def test_field_shape_validation():
     mesh = build_mesh(2, 2, E1)
     with pytest.raises(FieldError):
         SbvField(mesh, np.zeros((3, 3, 2)), np.zeros((4, 3)))
     with pytest.raises(FieldError):
         SbvField(mesh, np.full((4, 3, 2), np.nan), np.zeros((4, 3)))
+
+
+# ---------------------------------------------------------------------------
+# batched 3D trace-gap Gauss rule against the per-face loop it replaced
+# ---------------------------------------------------------------------------
+
+def _trace_gap_3d_reference(field, datum):
+    """Per-face Gauss loop over the world points of each affine-mismatch face."""
+    mesh = field.mesh
+    pieces = boundary_pieces(mesh, datum)
+    mism = pieces.field_values(field) - pieces.datum
+    first = mism[:, 0]
+    terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
+    for i in np.flatnonzero(np.max(np.abs(mism - mism[:, :1]), axis=(1, 2)) >= 1e-15):
+        cell, c = pieces.cell[i], pieces.corners[i]
+
+        def mismatch_norm(grid):
+            pts = grid.reshape(-1, 3) @ mesh.frame.T
+            m = pts @ field.gradients[cell].T + field.offsets[cell] - datum.values(pts)
+            return np.linalg.norm(m, axis=1).reshape(grid.shape[:2])
+
+        terms[i] = pieces.measure[i] * gauss_face_mean(c[0], c[1], c[3], mismatch_norm)
+    return float(np.cumsum(terms)[-1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    orientation=unit_vectors(3),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-9, 12),
+)
+def test_batched_face_gauss_matches_per_face_loop(n, orientation, seed, exponent):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    mesh = build_mesh(3, n, orientation)
+    field = random_field(mesh, rng, scale)
+    for datum in (
+        AffineDatum(rng.uniform(-scale, scale, (3, 3))),
+        StepDatum(rng.uniform(-scale, scale, 3), mesh.orientation),
+    ):
+        ref = _trace_gap_3d_reference(field, datum)
+        assert abs(boundary_trace_gap(field, datum) - ref) <= 1e-15 * ref

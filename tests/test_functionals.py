@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdrelax.errors import FieldError, InputError
 from sdrelax.fields import SbvField
@@ -14,6 +18,7 @@ from sdrelax.functionals import (
     triple_to_json,
 )
 from sdrelax.meshes import build_mesh
+from strategies import SPECIAL_FLOATS, scaled_values, unit_vectors
 
 E1 = np.array([1.0, 0.0])
 
@@ -126,13 +131,52 @@ def test_triple_json_round_trip_and_errors():
     with pytest.raises(InputError):
         triple_from_json("{]")
     # mismatched cell payload: G missing from one cell
-    import json
-
     payload = json.loads(text)
     del payload["cells"][1]["G"]
     with pytest.raises(InputError) as err:
         triple_from_json(json.dumps(payload))
     assert "cell 1" in str(err.value)
+
+
+def _dumps_triple_reference(triple):
+    """The nested-list ``json.dumps`` writer the template writer replaced."""
+    mesh = triple.mesh
+    payload = {
+        "dimension": mesh.dim,
+        "n": int(mesh.n),
+        "orientation": mesh.orientation.tolist(),
+        "cells": [
+            {
+                "gradient": triple.g.gradients[t].tolist(),
+                "offset": triple.g.offsets[t].tolist(),
+                "G": triple.G[t].tolist(),
+                "d": triple.d[t].tolist(),
+            }
+            for t in range(mesh.ncells)
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+# G and d are not checked for finiteness, so their files may hold NaN/Infinity
+_TRIPLE_SPECIALS = SPECIAL_FLOATS + (float("nan"), float("inf"), float("-inf"))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_triple_json_is_byte_identical_to_json_dumps(n, data):
+    mesh = build_mesh(2, n, data.draw(unit_vectors(2)))
+    g = SbvField(
+        mesh,
+        data.draw(scaled_values((mesh.ncells, 3, 2))),
+        data.draw(scaled_values((mesh.ncells, 3))),
+    )
+    triple = StructuredTriple(
+        g=g,
+        G=data.draw(scaled_values((mesh.ncells, 3, 2), _TRIPLE_SPECIALS)),
+        d=data.draw(scaled_values((mesh.ncells, 3), _TRIPLE_SPECIALS)),
+    )
+    assert triple_to_json(triple) == _dumps_triple_reference(triple)
 
 
 def test_triple_shape_validation():
