@@ -30,7 +30,7 @@ from .densities import (
 )
 from .fields import (
     AffineDatum,
-    JumpRecord,
+    JumpTable,
     SbvField,
     StepDatum,
     average_gradient,
@@ -38,7 +38,6 @@ from .fields import (
     field_from_json,
     field_to_json,
     gauss_green_residual,
-    jumps,
 )
 from .functionals import (
     PathEqualityReport,

@@ -15,11 +15,14 @@ General callable densities are exact on constant jumps (the common case for
 pinned-gradient fields) and fall back to the 16-point Gauss rule on affine
 ones.
 
-Interior jumps come from the mesh's edge arrays and boundary mismatches from
-the boundary piece table (:func:`sdrelax.fields.boundary_pieces`), and the
-closed forms run over all pieces at once, including the sign-split integrals
-over 3D faces (vectorized polygon clipping); only custom densities are
-evaluated piece by piece.  Pieces are summed in sequence, in mesh order.
+Interior jumps come from the field's jump table (built once per field and
+shared with the divergence-theorem residual): edges with equal gradients on
+both sides carry exactly constant jumps and take the closed form on that
+value.  Boundary mismatches come from the boundary piece table
+(:func:`sdrelax.fields.boundary_pieces`).  The closed forms run over all
+pieces at once, including the sign-split integrals over 3D faces
+(vectorized polygon clipping); only custom densities are evaluated piece by
+piece.  Pieces are summed in sequence, in mesh order.
 """
 
 from __future__ import annotations
@@ -62,47 +65,46 @@ def _surface_callable(density):
     return density.surface if isinstance(density, DensityPair) else density
 
 
-def _integrals(values, normal3, measure, corners, form, func, overestimate) -> np.ndarray:
-    """Integrals of the surface density over edge pieces, one per row.
+def _integrals(values, rows, normal3, measure, corners, form, func, overestimate) -> np.ndarray:
+    """Integrals of the surface density over the pieces ``rows`` of one
+    table (interior edges or boundary pieces), one per row.
 
-    ``values`` are the jump (or mismatch) vectors at the piece corners,
-    ``(E, corners, 3)``; ``normal3`` the padded unit normals, ``(E, 3)``.
+    ``values`` are the jump (or mismatch) vectors at the pieces' corners,
+    ``(R, corners, 3)``, with a single corner for constant rows; the padded
+    unit normals ``normal3``, ``measure`` and ``corners`` are the table's.
     """
-    out = np.zeros(len(values))
     if form == SURFACE_PSI1:
         # pieces whose third component vanishes identically pay the normal
         # form; all others are free (the integrand vanishes a.e.)
-        paid = np.max(np.abs(values[:, :, 2]), axis=1) == 0.0
+        out = np.zeros(len(rows))
+        paid = np.all(values[:, :, 2] == 0.0, axis=1)
         out[paid] = _integrals(
-            values[paid], normal3[paid], measure[paid], corners[paid], SURFACE_NORMAL, None, overestimate
+            values[paid], rows[paid], normal3, measure, corners, SURFACE_NORMAL, None, overestimate
         )
         return out
+    h = measure[rows]
     if form == SURFACE_NORMAL:
-        f = (values @ normal3[:, :, None])[..., 0]
+        f = (values @ normal3[rows][:, :, None])[..., 0]
+        if f.shape[1] == 1:
+            return np.abs(f[:, 0]) * h
         if f.shape[1] == 2:
             segment = abs_affine_segment_trapezoid if overestimate else abs_affine_segment_exact
-            return segment(f[:, 0], f[:, 1], measure)
-        const = _constant(values)
-        out[const] = np.abs(f[const, 0]) * measure[const]
+            return segment(f[:, 0], f[:, 1], h)
         if overestimate:
-            out[~const] = measure[~const] * np.mean(np.abs(f[~const]), axis=1)
-        else:
-            out[~const] = abs_affine_polygon_exact(_face_param_2d(corners[~const]), f[~const])
-        return out
+            return h * np.mean(np.abs(f), axis=1)
+        return abs_affine_polygon_exact(_face_param_2d(corners[rows]), f)
     # custom density: exact on constant jumps, Gauss rule otherwise
-    const = _constant(values)
-    for i in range(len(values)):
-        nu = normal3[i] / np.linalg.norm(normal3[i])
-        if const[i]:
-            out[i] = func(values[i, 0], nu) * measure[i]
-        else:
-            out[i] = _piece_gauss(values[i], nu, measure[i], func)
-    return out
+    nus = (normal3[r] / np.linalg.norm(normal3[r]) for r in rows)
+    return np.array([_piece_integral(v, nu, m, func) for v, nu, m in zip(values, nus, h)])
 
 
-def _constant(values) -> np.ndarray:
-    """Rows whose corner values are all equal."""
-    return np.max(np.abs(values - values[:, :1]), axis=(1, 2)) == 0.0
+def _jump_rows(rows, values):
+    """Rows with a jump, split into constant ones (collapsed to a single
+    corner) and the rest."""
+    jump = np.any(values != 0.0, axis=(1, 2))
+    rows, values = rows[jump], values[jump]
+    const = np.all(values == values[:, :1], axis=(1, 2))
+    return (rows[const], values[const, :1]), (rows[~const], values[~const])
 
 
 def _face_param_2d(corners):
@@ -112,7 +114,9 @@ def _face_param_2d(corners):
     return np.take_along_axis(corners, axes[:, None, :], axis=2)
 
 
-def _piece_gauss(values, nu, measure, func):
+def _piece_integral(values, nu, measure, func):
+    if len(values) == 1:
+        return func(values[0], nu) * measure
     if len(values) == 2:
         line = values[0] + GAUSS_NODES[:, None] * (values[1] - values[0])
         return float(measure * np.dot(GAUSS_WEIGHTS, [func(v, nu) for v in line]))
@@ -136,18 +140,21 @@ def surface_energy(
 
     Pieces are summed in sequence (interior edges, then boundary pieces, in
     mesh order), skipping those without jump."""
-    mesh = field.mesh
-    minus, plus = field.interior_corner_values()
-    parts = [(plus - minus, padded_normal(mesh.int_normals()), mesh.int_measure, mesh.int_corners)]
+    mesh, table = field.mesh, field.jump_table
+    # interior edges: nonzero constant jumps as single-corner rows, then affine
+    constant = np.any(table.offset != 0.0, axis=1)
+    constant[table.affine] = False
+    rows = np.flatnonzero(constant)
+    groups = [(rows, table.offset[rows][:, None, :]), *_jump_rows(table.affine, table.values)]
+    parts = [(groups, padded_normal(mesh.frame.T)[mesh.int_axis], mesh.int_measure, mesh.int_corners)]
     if datum is not None:
         pieces = boundary_pieces(mesh, datum)
-        mism = pieces.field_values(field) - pieces.datum
-        parts.append((mism, padded_normal(pieces.normal), pieces.measure, pieces.corners))
+        groups = _jump_rows(np.arange(len(pieces.edge)), pieces.field_values(field) - pieces.datum)
+        parts.append((groups, padded_normal(pieces.normal), pieces.measure, pieces.corners))
     form, func = _surface_form(density), _surface_callable(density)
     terms = [np.zeros(1)]
-    for rows in parts:
-        jump = np.any(rows[0] != 0.0, axis=(1, 2))
-        if not jump.all():
-            rows = [a[jump] for a in rows]
-        terms.append(_integrals(*rows, form, func, overestimate))
+    for groups, normal3, measure, corners in parts:
+        terms.append(np.zeros(len(measure)))
+        for rows, values in groups:
+            terms[-1][rows] = _integrals(values, rows, normal3, measure, corners, form, func, overestimate)
     return float(np.cumsum(np.concatenate(terms))[-1])

@@ -1,11 +1,12 @@
 """Discrete SBV fields: affine per cell with free offsets.
 
-A field stores one gradient matrix (3 x mesh-dim) and one offset vector per
-cell; on cell ``T`` it equals ``G_T x + b_T`` in world coordinates.  Jumps
-live on mesh edges and are affine along each edge, so every integral used
-here has an edge-wise closed form.  Absolute values of affine integrands are
-integrated exactly by splitting at the sign change; Euclidean norms of affine
-integrands have a closed form on segments.
+A field stores one read-only gradient matrix (3 x mesh-dim) and offset
+vector per cell; on cell ``T`` it equals ``G_T x + b_T`` in world
+coordinates.  Jumps live on mesh edges and are affine along each edge, so
+every integral used here has an edge-wise closed form; each field keeps one
+:class:`JumpTable` of them, built by differences on first use.  Absolute
+values of affine integrands are integrated exactly by splitting at the sign
+change; Euclidean norms of affine integrands have a closed form on segments.
 
 Boundary terms are charged against a datum piece by piece.
 :func:`boundary_pieces` builds one array table of those pieces from the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -265,14 +267,40 @@ def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
 # fields
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class JumpTable:
+    """Jumps ``u+ - u-`` of a field across its interior edges, in edge order,
+    computed by differences: ``(G+ - G-) x + (c+ - c-)``.
+
+    ``offset`` ``(E, 3)`` holds ``c+ - c-`` for every edge; where the two
+    gradients agree it is the whole jump, exactly constant along the edge.
+    ``affine`` ``(A,)`` lists the edges whose gradients differ, in
+    increasing order, and ``values`` ``(A, corners, 3)`` their jumps at the
+    edge corners.
+    """
+
+    offset: np.ndarray
+    affine: np.ndarray
+    values: np.ndarray
+
+    def corner_values(self) -> np.ndarray:
+        """Jumps at the corners of every edge, ``(E, corners, 3)``."""
+        out = np.repeat(self.offset[:, None, :], self.values.shape[1], axis=1)
+        out[self.affine] = self.values
+        return out
+
+
 class SbvField:
-    """Piecewise-affine field ``u(x) = G_T x + b_T`` with values in R^3."""
+    """Piecewise-affine field ``u(x) = G_T x + b_T`` with values in R^3.
 
-    target_dim = 3
+    The field owns read-only ``gradients`` and ``offsets``, so its
+    :attr:`jump_table` is built once and never goes stale.  They are copied
+    unless ``copy=False``, which adopts fresh arrays the caller hands over.
+    """
 
-    def __init__(self, mesh: Mesh, gradients, offsets):
-        gradients = np.asarray(gradients, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
+    def __init__(self, mesh: Mesh, gradients, offsets, copy: bool = True):
+        as_float = np.array if copy else np.asarray
+        gradients, offsets = as_float(gradients, dtype=float), as_float(offsets, dtype=float)
         if gradients.shape != (mesh.ncells, 3, mesh.dim):
             raise FieldError(
                 f"gradients must have shape {(mesh.ncells, 3, mesh.dim)}, got {gradients.shape}"
@@ -283,81 +311,41 @@ class SbvField:
             )
         if not (np.all(np.isfinite(gradients)) and np.all(np.isfinite(offsets))):
             raise FieldError("field data must be finite")
+        gradients.flags.writeable = offsets.flags.writeable = False
         self.mesh = mesh
-        self.gradients = gradients
-        self.offsets = offsets
+        self._gradients, self._offsets = gradients, offsets
+
+    gradients = property(lambda self: self._gradients, doc="``(ncells, 3, dim)``, read-only")
+    offsets = property(lambda self: self._offsets, doc="``(ncells, 3)``, read-only")
 
     @classmethod
     def affine(cls, mesh: Mesh, matrix, offset=None) -> "SbvField":
-        matrix = np.asarray(matrix, dtype=float)
-        offset = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
-        grads = np.broadcast_to(matrix, (mesh.ncells, 3, mesh.dim)).copy()
-        offs = np.broadcast_to(offset, (mesh.ncells, 3)).copy()
-        return cls(mesh, grads, offs)
+        matrix = np.array(matrix, dtype=float)
+        offset = np.zeros(3) if offset is None else np.array(offset, dtype=float)
+        grads = np.broadcast_to(matrix, (mesh.ncells, 3, mesh.dim))
+        return cls(mesh, grads, np.broadcast_to(offset, (mesh.ncells, 3)), copy=False)
 
     def scale(self) -> float:
         """Magnitude proxy used in residual tolerances."""
         return float(np.max(np.abs(self.gradients), initial=0.0) + np.max(np.abs(self.offsets), initial=0.0))
 
-    # -- traces and jumps -------------------------------------------------
-
-    def interior_corner_values(self):
-        """Traces of the two adjacent affine pieces at interior edge corners.
-
-        Returns ``(minus_vals, plus_vals)`` with shape (E, corners, 3).
-        """
-        mesh = self.mesh
-        pts = mesh.int_corners @ mesh.frame.T
-        minus = np.einsum("eij,ekj->eki", self.gradients[mesh.int_minus], pts) + self.offsets[
-            mesh.int_minus
-        ][:, None, :]
-        plus = np.einsum("eij,ekj->eki", self.gradients[mesh.int_plus], pts) + self.offsets[
-            mesh.int_plus
-        ][:, None, :]
-        return minus, plus
-
-    def boundary_corner_values(self):
-        mesh = self.mesh
-        pts = mesh.bnd_corners @ mesh.frame.T
-        return np.einsum("eij,ekj->eki", self.gradients[mesh.bnd_cell], pts) + self.offsets[
-            mesh.bnd_cell
-        ][:, None, :]
-
-
-@dataclass(frozen=True)
-class JumpRecord:
-    """Jump of a field across one interior edge: ``u_plus - u_minus`` at the
-    edge corners, the unit normal (minus -> plus), and the edge measure."""
-
-    edge_index: int
-    values: np.ndarray
-    normal: np.ndarray
-    measure: float
-    minus_cell: int
-    plus_cell: int
-
-
-def jumps(field: SbvField) -> list[JumpRecord]:
-    """One record per interior edge with a not-identically-zero jump."""
-    mesh = field.mesh
-    minus, plus = field.interior_corner_values()
-    delta = plus - minus
-    normals = mesh.int_normals()
-    records = []
-    for e in range(len(mesh.int_axis)):
-        if np.max(np.abs(delta[e])) == 0.0:
-            continue
-        records.append(
-            JumpRecord(
-                edge_index=e,
-                values=delta[e].copy(),
-                normal=normals[e].copy(),
-                measure=float(mesh.int_measure[e]),
-                minus_cell=int(mesh.int_minus[e]),
-                plus_cell=int(mesh.int_plus[e]),
-            )
-        )
-    return records
+    @cached_property
+    def jump_table(self) -> JumpTable:
+        """The jumps across interior edges, built on first use.  Corner
+        points are mapped to world coordinates only on edges whose two
+        gradients differ."""
+        mesh, grads = self.mesh, self.gradients
+        minus, plus = mesh.int_minus, mesh.int_plus
+        offset = self.offsets[plus] - self.offsets[minus]
+        # only edges next to a cell whose gradient differs from cell 0's can be affine
+        odd = np.any(grads != grads[0], axis=(1, 2))
+        candidates = np.flatnonzero(odd[plus] | odd[minus])
+        affine = candidates[np.any(grads[plus[candidates]] != grads[minus[candidates]], axis=(1, 2))]
+        slope = grads[plus[affine]] - grads[minus[affine]]
+        points = mesh.int_corners[affine] @ mesh.frame.T
+        values = points @ slope.transpose(0, 2, 1) + offset[affine][:, None, :]
+        offset.flags.writeable = affine.flags.writeable = values.flags.writeable = False
+        return JumpTable(offset, affine, values)
 
 
 def average_gradient(field: SbvField) -> np.ndarray:
@@ -372,12 +360,14 @@ def gauss_green_residual(field: SbvField) -> np.ndarray:
     affine-per-cell class; zero for every valid field up to rounding."""
     mesh = field.mesh
     w = np.ones(mesh.dim)
-    minus, plus = field.interior_corner_values()
-    delta_mean = (plus - minus).mean(axis=1)
+    table = field.jump_table
+    delta_mean = table.offset.copy()
+    delta_mean[table.affine] = table.values.mean(axis=1)
     jump_term = ((mesh.int_normals() @ w) * mesh.int_measure) @ delta_mean
     bulk_term = np.einsum("t,tij,j->i", mesh.cell_measures, field.gradients, w)
-    bnd_mean = field.boundary_corner_values().mean(axis=1)
-    bnd_term = ((mesh.bnd_normals() @ w) * mesh.bnd_measure) @ bnd_mean
+    pieces = boundary_pieces(mesh, zero_datum(mesh.dim))
+    bnd_mean = pieces.field_values(field).mean(axis=1)
+    bnd_term = ((pieces.normal @ w) * pieces.measure) @ bnd_mean
     return jump_term + bulk_term - bnd_term
 
 
@@ -478,4 +468,4 @@ def _field_from_payload(payload) -> SbvField:
         )
     grads = np.asarray([c["gradient"] for c in cells], dtype=float)
     offs = np.asarray([c["offset"] for c in cells], dtype=float)
-    return SbvField(mesh, grads, offs)
+    return SbvField(mesh, grads, offs, copy=False)

@@ -602,7 +602,8 @@ def solve(problem: CellProblem) -> SolveResult:
         mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
         offsets[:, 2] += np.where(mids >= 0, lam3, 0.0)
 
-    minimizer = SbvField(mesh, np.broadcast_to(pin, (mesh.ncells, 3, mesh.dim)).copy(), offsets)
+    grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
+    minimizer = SbvField(mesh, grads, offsets, copy=False)
     value = surf_value + bulk_value
     value_exact = surface_energy(minimizer, problem.density, datum=datum) + bulk_value
     return SolveResult(
@@ -638,7 +639,8 @@ def _solve_psi1(problem: CellProblem) -> SolveResult:
         stagger = 2.0 * float(np.linalg.norm(problem.A)) + 1.0
     offsets[:, 2] += stagger * (1.0 + np.arange(mesh.ncells))
 
-    minimizer = SbvField(mesh, np.broadcast_to(pin, (mesh.ncells, 3, mesh.dim)).copy(), offsets)
+    grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
+    minimizer = SbvField(mesh, grads, offsets, copy=False)
     value = surface_energy(minimizer, problem.density, datum=datum)
     return SolveResult(
         kind=problem.kind,

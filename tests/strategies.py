@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the mesh, field and functional tests."""
+"""Hypothesis strategies and helpers shared by the mesh, field, construction
+and functional tests."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -48,3 +49,10 @@ def scaled_values(draw, shape, specials=SPECIAL_FLOATS):
     picks = draw(st.lists(st.sampled_from(specials), max_size=min(8, flat.size)))
     flat[rng.choice(flat.size, size=len(picks), replace=False)] = picks
     return values
+
+
+def nonzero_jumps(field):
+    """``(edge, corner values)`` of each interior edge whose jump is not
+    identically zero, in edge order, read from the field's jump table."""
+    values = field.jump_table.corner_values()
+    return [(e, values[e]) for e in np.flatnonzero(np.any(values != 0.0, axis=(1, 2)))]

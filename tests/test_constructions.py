@@ -16,10 +16,10 @@ from sdrelax.constructions import (
 from sdrelax.densities import interfacial_normal_pair, psi1_pair
 from sdrelax.energy import surface_energy
 from sdrelax.errors import ProblemError
-from sdrelax.fields import average_gradient, boundary_trace_gap, jumps, zero_datum
+from sdrelax.fields import average_gradient, boundary_trace_gap, zero_datum
 from sdrelax.meshes import build_mesh
 from sdrelax.solver import CellProblem, Kind, solve
-from strategies import scaled_values
+from strategies import nonzero_jumps, scaled_values
 
 PSI1 = psi1_pair()
 NORMAL = interfacial_normal_pair()
@@ -39,8 +39,8 @@ def test_gamma_split_n2_jump_locations():
     fld = build(params)
     mesh = fld.mesh
     inner = (2 - 1) / (2 * 2)  # half-width of the shrunken square
-    for rec in jumps(fld):
-        corners = mesh.int_corners[rec.edge_index]
+    for e, _ in nonzero_jumps(fld):
+        corners = mesh.int_corners[e]
         on_midline = np.max(np.abs(corners[:, 0])) <= inner + 1e-12 and np.all(
             np.abs(corners[:, 0]) <= 1e-12
         ) or np.all(corners[:, 0] == 0.0)
@@ -64,9 +64,9 @@ def test_gamma_split_paid_set_matches_midline_segment():
         fld = build(gamma_params(lam, [1, 0], n))
         mesh = fld.mesh
         a = (n - 1) / (2 * n)
-        for rec in jumps(fld):
-            corners = mesh.int_corners[rec.edge_index]
-            third_zero = np.max(np.abs(rec.values[:, 2])) == 0.0
+        for e, values in nonzero_jumps(fld):
+            corners = mesh.int_corners[e]
+            third_zero = np.max(np.abs(values[:, 2])) == 0.0
             mid = corners.mean(axis=0)
             on_outer_midline = np.all(corners[:, 0] == 0.0) and abs(mid[1]) >= a - 1e-12
             assert third_zero == on_outer_midline
@@ -126,18 +126,18 @@ def test_frame_inter_rectangle_jumps_planar_m():
     a = (n - 1) / (2 * n)
     w = (n - 1) / n**2
     found = 0
-    for rec in jumps(fld):
-        corners = mesh.int_corners[rec.edge_index]
+    for e, values in nonzero_jumps(fld):
+        corners = mesh.int_corners[e]
         if np.max(np.abs(corners)) >= a - 1e-12:
             continue  # not strictly inside the shrunken square
-        if int(mesh.int_axis[rec.edge_index]) != 0:
+        if int(mesh.int_axis[e]) != 0:
             continue
         mid = corners.mean(axis=0)
         k = (mid[0] + a) / w
         if abs(k - round(k)) > 1e-9:
             continue  # interior grid line of a single rectangle
         found += 1
-        assert np.all(np.abs(np.abs(rec.values[:, 2]) - 2.0 / n**2) <= 1e-15)
+        assert np.all(np.abs(np.abs(values[:, 2]) - 2.0 / n**2) <= 1e-15)
     assert found > 0
 
 

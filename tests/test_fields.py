@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdrelax import fields
 from sdrelax.constructions import SequenceParams, build
+from sdrelax.densities import interfacial_normal_pair, psi1_pair
+from sdrelax.energy import surface_energy
 from sdrelax.errors import DatumError, FieldError, InputError
 from sdrelax.fields import (
     AffineDatum,
@@ -20,11 +23,11 @@ from sdrelax.fields import (
     field_to_json,
     gauss_face_mean,
     gauss_green_residual,
-    jumps,
     norm_affine_segment_exact,
 )
+from sdrelax.functionals import StructuredTriple, eval_left, eval_right
 from sdrelax.meshes import Mesh, build_mesh
-from strategies import rectilinear_meshes, scaled_values, unit_vectors
+from strategies import nonzero_jumps, rectilinear_meshes, scaled_values, unit_vectors
 
 E1 = np.array([1.0, 0.0])
 RNG = np.random.default_rng(20240817)
@@ -124,7 +127,7 @@ def test_abs_affine_polygon_matches_per_polygon_reference():
 def test_affine_field_has_no_jumps():
     mesh = build_mesh(2, 4, E1)
     fld = SbvField.affine(mesh, RNG.uniform(-2, 2, (3, 2)), RNG.uniform(-2, 2, 3))
-    assert jumps(fld) == []
+    assert nonzero_jumps(fld) == []
 
 
 def test_two_cell_constant_jump():
@@ -135,11 +138,11 @@ def test_two_cell_constant_jump():
     G = np.tile(np.arange(6.0).reshape(3, 2), (2, 1, 1))
     b = np.stack([np.zeros(3), lam])
     fld = SbvField(mesh, G, b)
-    recs = jumps(fld)
+    recs = nonzero_jumps(fld)
     assert len(recs) == 1
-    rec = recs[0]
-    assert np.allclose(rec.values, lam[None, :], atol=0)
-    assert rec.measure == pytest.approx(1.0, abs=1e-12)
+    e, values = recs[0]
+    assert np.allclose(values, lam[None, :], atol=0)
+    assert mesh.int_measure[e] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gamma_split_jumps_verified_pointwise():
@@ -147,18 +150,112 @@ def test_gamma_split_jumps_verified_pointwise():
     params = SequenceParams(kind="GAMMA1_SPLIT", n=2, lam=np.array([1.0, 0, 0]), eta=np.array([0.0, 1.0]))
     fld = build(params)
     mesh = fld.mesh
-    for rec in jumps(fld):
-        e = rec.edge_index
+    for e, values in nonzero_jumps(fld):
         pts = mesh.int_corners[e] @ mesh.frame.T
         minus_cell, plus_cell = mesh.int_minus[e], mesh.int_plus[e]
         u_minus = pts @ fld.gradients[minus_cell].T + fld.offsets[minus_cell]
         u_plus = pts @ fld.gradients[plus_cell].T + fld.offsets[plus_cell]
-        assert np.max(np.abs(rec.values - (u_plus - u_minus))) <= 1e-12
+        assert np.max(np.abs(values - (u_plus - u_minus))) <= 1e-12
         # third components off the midline are +-1/2 at n=2
-        if abs(rec.values[0][2]) > 0:
-            assert abs(abs(rec.values[0][2]) - 0.5) <= 1e-12 or abs(
-                abs(rec.values[0][2]) - 1.0
+        if abs(values[0][2]) > 0:
+            assert abs(abs(values[0][2]) - 0.5) <= 1e-12 or abs(
+                abs(values[0][2]) - 1.0
             ) <= 1e-12  # midline inside: shifts add up to 2/n
+
+
+def _sum_of_traces(field):
+    """Reference jumps ``(G+ x + c+) - (G- x + c-)`` at every interior edge
+    corner, each trace evaluated on its own (the form the table replaced),
+    and a bound on the magnitude of the traces' terms per edge."""
+    mesh = field.mesh
+    pts = mesh.int_corners @ mesh.frame.T
+    traces, magnitude = [], 0.0
+    for cells in (mesh.int_minus, mesh.int_plus):
+        G, c = field.gradients[cells], field.offsets[cells][:, None, :]
+        traces.append(np.einsum("eij,ekj->eki", G, pts) + c)
+        terms = np.einsum("eij,ekj->eki", np.abs(G), np.abs(pts)) + np.abs(c)
+        magnitude = np.maximum(magnitude, terms.max(axis=(1, 2)))
+    return traces[1] - traces[0], magnitude
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mesh=rectilinear_meshes(max_cells=(6, 3)), data=st.data())
+def test_jump_table_matches_sum_of_traces(mesh, data):
+    field = SbvField(
+        mesh,
+        data.draw(scaled_values((mesh.ncells, 3, mesh.dim))),
+        data.draw(scaled_values((mesh.ncells, 3))),
+    )
+    ref, magnitude = _sum_of_traces(field)
+    got = field.jump_table.corner_values()
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref).max(axis=(1, 2), initial=0.0) <= 1e-15 * magnitude)
+
+
+def test_jump_table_rows_with_equal_gradients_are_exactly_constant():
+    # one shared gradient: every row is the offset difference, no corner values
+    mesh = build_mesh(3, 4, np.array([0.0, 0.6, 0.8]))
+    rng = np.random.default_rng(9)
+    grads = np.broadcast_to(rng.uniform(-5, 5, (3, 3)), (mesh.ncells, 3, 3))
+    field = SbvField(mesh, grads, rng.uniform(-5, 5, (mesh.ncells, 3)))
+    table = field.jump_table
+    assert len(table.affine) == 0 and table.values.shape == (0, 4, 3)
+    assert np.array_equal(table.offset, field.offsets[mesh.int_plus] - field.offsets[mesh.int_minus])
+    # the sum of traces rounds many of these constant jumps into affine ones
+    ref, _ = _sum_of_traces(field)
+    assert np.any(ref != ref[:, :1])
+    # one cell with its own gradient makes exactly its interior edges affine
+    grads = grads.copy()
+    grads[5] += 1.0
+    table = SbvField(mesh, grads, field.offsets).jump_table
+    touching = np.flatnonzero((mesh.int_minus == 5) | (mesh.int_plus == 5))
+    assert np.array_equal(table.affine, touching)
+
+
+def test_field_arrays_are_read_only():
+    mesh = build_mesh(2, 3, E1)
+    grads, offs = RNG.uniform(-2, 2, (mesh.ncells, 3, 2)), RNG.uniform(-2, 2, (mesh.ncells, 3))
+    field = SbvField(mesh, grads, offs)
+    with pytest.raises(ValueError):
+        field.gradients[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        field.offsets[:, 2] = 0.0
+    with pytest.raises(AttributeError):
+        field.offsets = offs
+    # the default copies, so the caller's arrays stay theirs and writable
+    grads[0, 0, 0] += 1.0
+    assert field.gradients[0, 0, 0] != grads[0, 0, 0]
+    # copy=False adopts the arrays handed over and freezes them
+    adopted = SbvField(mesh, grads, offs, copy=False)
+    assert adopted.offsets is offs
+    with pytest.raises(ValueError):
+        offs[0, 0] = 1.0
+    table = adopted.jump_table
+    for a in (table.offset, table.affine, table.values):
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_jump_table_is_built_once_per_field(monkeypatch):
+    built = []
+
+    class CountingTable(fields.JumpTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(fields, "JumpTable", CountingTable)
+    rng = np.random.default_rng(12)
+    mesh = build_mesh(2, 4, np.array([0.6, 0.8]))
+    field = random_field(mesh, rng)
+    for density in (interfacial_normal_pair(), psi1_pair()):
+        for datum in (None, AffineDatum(rng.uniform(-2, 2, (3, 2)))):
+            for over in (False, True):
+                surface_energy(field, density, datum=datum, overestimate=over)
+    gauss_green_residual(field)
+    triple = StructuredTriple(g=field, G=rng.uniform(-2, 2, (16, 3, 2)), d=np.zeros((16, 3)))
+    assert eval_left(triple) == eval_right(triple)
+    assert len(built) == 1 and field.jump_table is built[0]
 
 
 # ---------------------------------------------------------------------------

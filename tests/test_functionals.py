@@ -82,8 +82,9 @@ def test_director_and_out_of_plane_invariance():
     G2[:, 1, 0] = rng.uniform(-9, 9, base.G.shape[0])
     assert eval_left(StructuredTriple(g=base.g, G=G2, d=base.d)) == left
     # ... nor the third-component offsets of the deformation (jump [g3])
-    g2 = SbvField(base.mesh, base.g.gradients.copy(), base.g.offsets.copy())
-    g2.offsets[:, 2] = rng.uniform(-9, 9, base.mesh.ncells)
+    offsets = base.g.offsets.copy()
+    offsets[:, 2] = rng.uniform(-9, 9, base.mesh.ncells)
+    g2 = SbvField(base.mesh, base.g.gradients, offsets)
     assert eval_left(StructuredTriple(g=g2, G=base.G, d=base.d)) == left
 
 

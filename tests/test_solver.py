@@ -438,3 +438,29 @@ def test_problem_json_errors():
         problem_from_json('{"kind": "NOPE", "n": 2}')
     with pytest.raises(InputError):
         problem_from_json('{"kind": "H_3D2D", "n": 2}')
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(k, 4) for k in Kind if k not in (Kind.W1, Kind.GAMMA1)] + [("W_3DSD", 16), ("W_3D2DSD", 64)],
+)
+def test_minimizer_jumps_are_all_constant(kind, n):
+    # one pinned gradient in every cell: each interior jump is the offset
+    # difference alone, so no row of the jump table has corner values
+    rng = np.random.default_rng(31)
+    dim = 3 if kind in ("W_3DSD", "H_3DSD") else 2
+    eta = rng.normal(size=dim)
+    problem = CellProblem(
+        kind=kind,
+        n=n,
+        A=rng.uniform(-5, 5, (3, dim)),
+        B=rng.uniform(-5, 5, (3, 2)),
+        d=rng.uniform(-5, 5, 3),
+        lam=rng.uniform(-5, 5, 3),
+        orientation=eta / np.linalg.norm(eta),
+    )
+    field = solve(problem).minimizer
+    table = field.jump_table
+    assert len(table.affine) == 0
+    mesh = field.mesh
+    assert np.array_equal(table.offset, field.offsets[mesh.int_plus] - field.offsets[mesh.int_minus])
