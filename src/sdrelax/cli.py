@@ -191,7 +191,6 @@ def _suite_gauss_green(args):
             mesh,
             rng.uniform(-10, 10, (mesh.ncells, 3, 2)),
             rng.uniform(-10, 10, (mesh.ncells, 3)),
-            copy=False,
         )
         res = float(np.max(np.abs(gauss_green_residual(fld))))
         tol = 1e-10 * (1.0 + fld.scale())

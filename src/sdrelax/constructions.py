@@ -131,7 +131,7 @@ def _build_gamma1_split(params: SequenceParams) -> SbvField:
     inner = (np.abs(xi1) < a) & (np.abs(xi2) < a)
     offsets = np.where(right[:, None], lam, 0.0)
     offsets[inner, 2] += np.where(right[inner], 1.0 / n, -1.0 / n)
-    return SbvField(mesh, np.zeros((mesh.ncells, 3, 2)), offsets, copy=False)
+    return SbvField(mesh, np.zeros((mesh.ncells, 3, 2)), offsets)
 
 
 def _frame_lattice(t, n: int):
@@ -165,7 +165,7 @@ def _build_frame_w1(params: SequenceParams) -> SbvField:
     shift = np.where(k % 2 == 0, 1.0, -1.0) / (n * n)
     offsets[inner] += shift[inner, None] * np.array([0.0, 0.0, 1.0])
     grads = np.broadcast_to(M, (mesh.ncells, 3, 2)).copy()
-    return SbvField(mesh, grads, offsets, copy=False)
+    return SbvField(mesh, grads, offsets)
 
 
 def _build_staircase_trace(params: SequenceParams) -> SbvField:
@@ -176,7 +176,7 @@ def _build_staircase_trace(params: SequenceParams) -> SbvField:
     centers = mesh.cell_centers_world()
     grads = np.broadcast_to(B, (mesh.ncells, 3, 2)).copy()
     offsets = centers @ (A - B).T
-    return SbvField(mesh, grads, offsets, copy=False)
+    return SbvField(mesh, grads, offsets)
 
 
 def datum_for(params: SequenceParams):

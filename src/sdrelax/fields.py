@@ -283,24 +283,17 @@ class JumpTable:
     affine: np.ndarray
     values: np.ndarray
 
-    def corner_values(self) -> np.ndarray:
-        """Jumps at the corners of every edge, ``(E, corners, 3)``."""
-        out = np.repeat(self.offset[:, None, :], self.values.shape[1], axis=1)
-        out[self.affine] = self.values
-        return out
-
 
 class SbvField:
     """Piecewise-affine field ``u(x) = G_T x + b_T`` with values in R^3.
 
-    The field owns read-only ``gradients`` and ``offsets``, so its
-    :attr:`jump_table` is built once and never goes stale.  They are copied
-    unless ``copy=False``, which adopts fresh arrays the caller hands over.
+    The field takes ownership of its ``gradients`` and ``offsets``: float
+    arrays are kept without a copy and marked read-only, so its
+    :attr:`jump_table` is built once and never goes stale.
     """
 
-    def __init__(self, mesh: Mesh, gradients, offsets, copy: bool = True):
-        as_float = np.array if copy else np.asarray
-        gradients, offsets = as_float(gradients, dtype=float), as_float(offsets, dtype=float)
+    def __init__(self, mesh: Mesh, gradients, offsets):
+        gradients, offsets = np.asarray(gradients, dtype=float), np.asarray(offsets, dtype=float)
         if gradients.shape != (mesh.ncells, 3, mesh.dim):
             raise FieldError(
                 f"gradients must have shape {(mesh.ncells, 3, mesh.dim)}, got {gradients.shape}"
@@ -323,7 +316,7 @@ class SbvField:
         matrix = np.array(matrix, dtype=float)
         offset = np.zeros(3) if offset is None else np.array(offset, dtype=float)
         grads = np.broadcast_to(matrix, (mesh.ncells, 3, mesh.dim))
-        return cls(mesh, grads, np.broadcast_to(offset, (mesh.ncells, 3)), copy=False)
+        return cls(mesh, grads, np.broadcast_to(offset, (mesh.ncells, 3)))
 
     def scale(self) -> float:
         """Magnitude proxy used in residual tolerances."""
@@ -468,4 +461,4 @@ def _field_from_payload(payload) -> SbvField:
         )
     grads = np.asarray([c["gradient"] for c in cells], dtype=float)
     offs = np.asarray([c["offset"] for c in cells], dtype=float)
-    return SbvField(mesh, grads, offs, copy=False)
+    return SbvField(mesh, grads, offs)

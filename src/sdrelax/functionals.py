@@ -128,7 +128,6 @@ def random_triple(rng: np.random.Generator, n: int = 4, scale: float = 10.0) -> 
         mesh,
         rng.uniform(-scale, scale, size=(mesh.ncells, 3, 2)),
         rng.uniform(-scale, scale, size=(mesh.ncells, 3)),
-        copy=False,
     )
     G = rng.uniform(-scale, scale, size=(mesh.ncells, 3, 2))
     d = rng.uniform(-scale, scale, size=(mesh.ncells, 3))

@@ -603,7 +603,7 @@ def solve(problem: CellProblem) -> SolveResult:
         offsets[:, 2] += np.where(mids >= 0, lam3, 0.0)
 
     grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
-    minimizer = SbvField(mesh, grads, offsets, copy=False)
+    minimizer = SbvField(mesh, grads, offsets)
     value = surf_value + bulk_value
     value_exact = surface_energy(minimizer, problem.density, datum=datum) + bulk_value
     return SolveResult(
@@ -640,7 +640,7 @@ def _solve_psi1(problem: CellProblem) -> SolveResult:
     offsets[:, 2] += stagger * (1.0 + np.arange(mesh.ncells))
 
     grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
-    minimizer = SbvField(mesh, grads, offsets, copy=False)
+    minimizer = SbvField(mesh, grads, offsets)
     value = surface_energy(minimizer, problem.density, datum=datum)
     return SolveResult(
         kind=problem.kind,

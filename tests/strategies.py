@@ -51,8 +51,17 @@ def scaled_values(draw, shape, specials=SPECIAL_FLOATS):
     return values
 
 
+def jump_corner_values(field):
+    """The field's jump table expanded to the jumps at the corners of every
+    interior edge, ``(E, corners, 3)``."""
+    table = field.jump_table
+    values = np.repeat(table.offset[:, None, :], table.values.shape[1], axis=1)
+    values[table.affine] = table.values
+    return values
+
+
 def nonzero_jumps(field):
     """``(edge, corner values)`` of each interior edge whose jump is not
     identically zero, in edge order, read from the field's jump table."""
-    values = field.jump_table.corner_values()
+    values = jump_corner_values(field)
     return [(e, values[e]) for e in np.flatnonzero(np.any(values != 0.0, axis=(1, 2)))]

@@ -82,3 +82,47 @@ def test_energy_module_is_not_shadowed_by_a_package_attribute():
     import sdrelax.energy as module
 
     assert module.surface_energy is surface_energy
+
+
+def _exact_edge_terms(field):
+    """Normal-form integral over every interior edge in exact rational
+    arithmetic, from the two traces ``G x + c`` at the edge corners, each
+    rounded once to the nearest float."""
+    from fractions import Fraction
+
+    mesh = field.mesh
+    pts = mesh.int_corners @ mesh.frame.T
+    normals, measures = mesh.int_normals(), mesh.int_measure
+    G, c = field.gradients, field.offsets
+    terms = []
+    for e, (lo, hi) in enumerate(zip(mesh.int_minus, mesh.int_plus)):
+        f = []
+        for x in pts[e]:
+            x = [Fraction(v) for v in x]
+            jump = [
+                sum(Fraction(G[hi, i, j]) * x[j] - Fraction(G[lo, i, j]) * x[j] for j in range(2))
+                + Fraction(c[hi, i]) - Fraction(c[lo, i])
+                for i in range(2)
+            ]
+            f.append(sum(jump[i] * Fraction(normals[e, i]) for i in range(2)))
+        if f[0] * f[1] >= 0:
+            integral = (abs(f[0]) + abs(f[1])) / 2
+        else:  # split at the sign change
+            integral = (f[0] ** 2 + f[1] ** 2) / (2 * (abs(f[0]) + abs(f[1])))
+        terms.append(float(integral * Fraction(measures[e])))
+    return np.array(terms)
+
+
+@pytest.mark.parametrize("n, seed", [(16, 3), (32, 2), (64, 4)])
+def test_staircase_energy_is_in_order_sum_of_exactly_rounded_edge_terms(n, seed):
+    # the staircase has one gradient, so every jump is exactly c+ - c-; on the
+    # axis-aligned dyadic mesh the energy then rounds each edge term once,
+    # while two traces of size O(1) would carry errors far above the O(1/n)
+    # jumps
+    from sdrelax.constructions import SequenceParams, build
+
+    rng = np.random.default_rng(seed)
+    A, B = rng.uniform(-3, 3, (3, 2)), rng.uniform(-3, 3, (3, 2))
+    field = build(SequenceParams(kind="STAIRCASE_TRACE", n=n, A=A, B=B))
+    terms = _exact_edge_terms(field)
+    assert surface_energy(field, interfacial_normal_pair()) == np.cumsum(terms)[-1]

@@ -3,9 +3,9 @@
     python tools/solve_ladder.py --before PARENT_CHECKOUT --after . --out BENCH_solve.json
 
 For each rung (W_3D2DSD n = 8..1024 and W_3DSD n = 2..64) and each tree,
-one fresh single-threaded process per repeat imports ``sdrelax`` from the
-tree's ``src/`` and solves one problem with data drawn from
-``numpy.random.default_rng(seed)``.  The trees alternate within each
+one fresh single-threaded process per repeat (``REPEAT`` of them) imports
+``sdrelax`` from the tree's ``src/`` and solves one problem with data drawn
+from ``numpy.random.default_rng(seed)``.  The trees alternate within each
 repeat.  The child times the stages by wrapping the solver's own steps:
 mesh (``_mesh_for``), term assembly (``_assemble_axis_terms``), the chain
 DP (``_solve_axis``) and the exact re-evaluation (``surface_energy``).
@@ -27,6 +27,7 @@ import time
 
 LADDER = [("W_3D2DSD", n) for n in (8, 16, 32, 64, 128, 256, 512, 1024)]
 LADDER += [("W_3DSD", n) for n in (2, 4, 8, 16, 32, 64)]
+REPEAT = 3
 STAGES = {
     "_mesh_for": "mesh_s",
     "_assemble_axis_terms": "assembly_s",
@@ -97,11 +98,11 @@ def environment() -> dict:
     }
 
 
-def ladder(before: str, after: str, repeat: int, seed: int) -> list[dict]:
+def ladder(before: str, after: str, seed: int) -> list[dict]:
     rows = []
     for kind, n in LADDER:
         runs = {"before": [], "after": []}
-        for r in range(repeat):
+        for r in range(REPEAT):
             sides = ("before", "after") if r % 2 == 0 else ("after", "before")
             for side in sides:
                 runs[side].append(run_child(before if side == "before" else after, kind, n, seed))
@@ -120,7 +121,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--before", help="checkout of the parent commit")
     p.add_argument("--after", help="checkout of the change")
-    p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--note", default="", help="what the change does")
     p.add_argument("--out", help="JSON file whose 'runs' list gets this run")
@@ -134,11 +134,11 @@ def main(argv=None) -> int:
     run = {
         "note": args.note,
         "seed": args.seed,
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "env": environment(),
         "before": revision(args.before),
         "after": revision(args.after),
-        "rows": ladder(args.before, args.after, args.repeat, args.seed),
+        "rows": ladder(args.before, args.after, args.seed),
     }
     if args.out:
         doc = {"runs": []}
