@@ -28,14 +28,14 @@ cell's arithmetic as a cell-by-cell loop would (bit-identical fields).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .energy import surface_energy
 from .errors import ProblemError
-from .fields import AffineDatum, SbvField, StepDatum, zero_datum
+from .fields import AffineDatum, SbvField, StepDatum, embed_planar, zero_datum
 from .meshes import Mesh, frame_from_orientation
 
 
@@ -81,22 +81,11 @@ class SequenceParams:
         else:
             if self.A is None or self.B is None:
                 raise ProblemError("STAIRCASE_TRACE needs matrices A and B")
-            self.A = _to_3x2(self.A)
-            self.B = _to_3x2(self.B)
+            self.A = embed_planar(self.A, "trace")
+            self.B = embed_planar(self.B, "trace")
 
     def with_n(self, n: int) -> "SequenceParams":
-        return SequenceParams(
-            kind=self.kind, n=int(n), M=self.M, lam=self.lam, eta=self.eta, A=self.A, B=self.B
-        )
-
-
-def _to_3x2(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape == (2, 2):
-        return np.vstack([M, np.zeros((1, 2))])
-    if M.shape == (3, 2):
-        return M
-    raise ProblemError(f"trace data must be 2x2 or 3x2, got {M.shape}")
+        return replace(self, n=int(n))
 
 
 def _dedupe(values) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DatumError, FieldError, InputError
+from .errors import DatumError, FieldError, InputError, ProblemError
 from .meshes import UNIT_TOL, Mesh, build_mesh
 
 # 16-point Gauss-Legendre rule on [0, 1]: nodes and weights (summing to 1).
@@ -189,6 +189,17 @@ class StepDatum:
 
 def zero_datum(dim: int) -> AffineDatum:
     return AffineDatum(np.zeros((3, dim)))
+
+
+def embed_planar(M, what: str) -> np.ndarray:
+    """A 3x2 matrix, or a 2x2 one with a zero third row appended; ``what``
+    names the data in the error message."""
+    M = np.asarray(M, dtype=float)
+    if M.shape == (2, 2):
+        return np.vstack([M, np.zeros((1, 2))])
+    if M.shape == (3, 2):
+        return M
+    raise ProblemError(f"{what} data must be 2x2 or 3x2, got {M.shape}")
 
 
 @dataclass(frozen=True)

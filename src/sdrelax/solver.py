@@ -32,13 +32,19 @@ Problems whose surface integrand relaxes the out-of-plane normal component
 (the zero-boundary pinned-gradient problem and the step-datum problem with
 that integrand) admit exact zero-cost discrete minimizers obtained by
 staggering the out-of-plane offsets, and are solved in closed form.
+
+Each problem kind is one ``KindSpec`` row of ``KINDS``: its data slots and
+their checked shapes, dimension, pinned gradient, datum, closed form and
+bulk rules.  Validation, geometry, bulk handling and ``solve`` read the row;
+no function tests kind membership.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +57,7 @@ from .fields import (
     StepDatum,
     boundary_pieces,
     boundary_trace_gap,
+    embed_planar,
     zero_datum,
 )
 from .meshes import UNIT_TOL, Mesh, build_mesh
@@ -76,10 +83,95 @@ class Kind(str, Enum):
     TWO_D_TRACE = "TWO_D_TRACE"
 
 
-JUMP_KINDS = {Kind.H_3D2D, Kind.H_3D2DSD, Kind.H_3DSD, Kind.H_3DSD2D}
-PSI1_KINDS = {Kind.W1, Kind.GAMMA1}
-Z_KINDS = {Kind.W_3D2D, Kind.W_3DSD2D}
-THREE_D_KINDS = {Kind.W_3DSD, Kind.H_3DSD}
+@dataclass(frozen=True)
+class KindSpec:
+    """How one problem kind is validated, posed and solved.
+
+    ``slots`` are the required data slots in checking order; ``shapes`` holds
+    ``(slot, shape, message)`` checks of set slots (``{kind}`` in a message
+    is the kind's name); ``planar`` embeds 2x2 ``A`` and ``B`` as 3x2.
+    ``pin`` and ``datum`` give a problem's pinned gradient and datum;
+    ``pin=None`` marks a step problem: zero gradient, step datum, a mesh
+    aligned with ``orientation``, and the tie-break.  ``closed`` is the
+    continuum value for the normal-form surface density with zero bulk;
+    ``zero_bulk`` the bulk term under zero bulk (``None``: 0);
+    ``custom_bulk(problem, mesh)`` the uncertified ``(value, z)`` under a
+    custom bulk (``None``: the kind has no bulk term).  ``psi1`` kinds use the
+    out-of-plane-relaxed integrand and are solved in closed form.
+    """
+
+    slots: tuple[str, ...]
+    dim: int = 2
+    shapes: tuple[tuple[str, tuple[int, ...], str], ...] = ()
+    planar: bool = False
+    pin: Callable | None = None
+    datum: Callable = lambda p: AffineDatum(p.A)
+    closed: Callable | None = None
+    zero_bulk: Callable | None = None
+    custom_bulk: Callable | None = None
+    psi1: bool = False
+
+
+def _w_3d2dsd(p) -> float:
+    return dens.w_3d2dsd(p.A, p.B)
+
+
+def _once_relaxed_bulk(p, mesh):
+    raise UnsupportedProblemError(
+        f"kind {p.kind.value} integrates a once-relaxed bulk density, which has "
+        "no closed form for custom initial densities"
+    )
+
+
+_STEP_2D = KindSpec(("lam", "orientation"), closed=lambda p: dens.h_3d2d(p.lam, p.orientation))
+_MATRICES_3X2 = (
+    ("A", (3, 2), "kind {kind} needs a 3x2 matrix A"),
+    ("B", (3, 2), "kind {kind} needs a 3x2 matrix B"),
+)
+
+KINDS: dict[Kind, KindSpec] = {
+    Kind.H_3D2D: _STEP_2D,
+    Kind.W_3D2D: KindSpec(
+        ("A", "d"), shapes=_MATRICES_3X2, pin=lambda p: p.A, closed=lambda p: 0.0,
+        custom_bulk=lambda p, mesh: _minimize_mean_constrained_bulk(
+            p.density.bulk, p.A, p.d, mesh.ncells
+        ),
+    ),
+    Kind.W_3D2DSD: KindSpec(
+        ("A", "B"), shapes=_MATRICES_3X2, pin=lambda p: p.B, closed=_w_3d2dsd,
+        custom_bulk=_once_relaxed_bulk,
+    ),
+    Kind.H_3D2DSD: _STEP_2D,
+    Kind.W_3DSD: KindSpec(
+        ("A", "B"), dim=3,
+        shapes=(
+            ("A", (3, 3), "W_3DSD needs a 3x3 boundary matrix A"),
+            ("B", (3, 2), "W_3DSD needs a 3x2 average constraint B"),
+        ),
+        pin=lambda p: np.column_stack([p.B, p.A[:, 2]]),
+        closed=lambda p: dens.w_3dsd(p.A, p.B),
+        custom_bulk=lambda p, mesh: (
+            float(p.density.bulk(_pinned_gradient(p))) * mesh.total_measure, None
+        ),
+    ),
+    Kind.H_3DSD: KindSpec(
+        ("lam", "orientation"), dim=3, closed=lambda p: dens.h_pure(p.lam, p.orientation)
+    ),
+    Kind.W_3DSD2D: KindSpec(
+        ("A", "B", "d"), shapes=_MATRICES_3X2, pin=lambda p: p.A, closed=_w_3d2dsd,
+        # inner bulk density at the pinned gradient; the per-cell mean field
+        # cancels inside the trace, hence no z dependence at all
+        zero_bulk=lambda p: float(dens.w_3d2dsd(p.A, p.B)),
+        custom_bulk=_once_relaxed_bulk,
+    ),
+    Kind.H_3DSD2D: _STEP_2D,
+    Kind.W1: KindSpec(
+        ("A",), shapes=_MATRICES_3X2, pin=lambda p: p.A, datum=lambda p: zero_datum(p.dim),
+        psi1=True,
+    ),
+    Kind.GAMMA1: KindSpec(("lam", "orientation"), psi1=True),
+    Kind.TWO_D_TRACE: KindSpec(("A", "B"), planar=True, pin=lambda p: p.B, closed=_w_3d2dsd),
+}
 
 
 @dataclass
@@ -120,68 +212,40 @@ class CellProblem:
             v = getattr(self, name)
             if v is not None:
                 setattr(self, name, np.asarray(v, dtype=float))
-        if self.kind in PSI1_KINDS and self.density.surface_form == dens.SURFACE_NORMAL:
+        if KINDS[self.kind].psi1 and self.density.surface_form == dens.SURFACE_NORMAL:
             self.density = dens.psi1_pair()
         self._validate()
 
     def _validate(self):
-        k = self.kind
+        k, spec = self.kind, KINDS[self.kind]
         for name in ("A", "B", "d", "lam", "orientation"):
             v = getattr(self, name)
             if v is not None and not np.all(np.isfinite(v)):
                 raise ProblemError(f"data slot '{name}' must be finite")
-        need = {
-            Kind.H_3D2D: ("lam", "orientation"),
-            Kind.H_3D2DSD: ("lam", "orientation"),
-            Kind.H_3DSD: ("lam", "orientation"),
-            Kind.H_3DSD2D: ("lam", "orientation"),
-            Kind.GAMMA1: ("lam", "orientation"),
-            Kind.W_3D2D: ("A", "d"),
-            Kind.W_3D2DSD: ("A", "B"),
-            Kind.W_3DSD: ("A", "B"),
-            Kind.W_3DSD2D: ("A", "B", "d"),
-            Kind.W1: ("A",),
-            Kind.TWO_D_TRACE: ("A", "B"),
-        }[k]
-        for name in need:
+        for name in spec.slots:
             if getattr(self, name) is None:
                 raise ProblemError(f"kind {k.value} requires data slot '{name}'")
         if self.orientation is not None:
-            want = 3 if k in THREE_D_KINDS else 2
-            if self.orientation.shape != (want,):
+            if self.orientation.shape != (spec.dim,):
                 raise ProblemError(
-                    f"kind {k.value} needs a {want}-vector orientation, got {self.orientation.shape}"
+                    f"kind {k.value} needs a {spec.dim}-vector orientation, "
+                    f"got {self.orientation.shape}"
                 )
             if abs(np.linalg.norm(self.orientation) - 1.0) > UNIT_TOL:
                 raise ProblemError("orientation must be a unit vector")
         if self.lam is not None and self.lam.shape != (3,):
             raise ProblemError("lam must be a 3-vector")
-        if k is Kind.TWO_D_TRACE:
-            self.A = _embed_planar(self.A)
-            self.B = _embed_planar(self.B)
-        if k is Kind.W_3DSD:
-            if self.A.shape != (3, 3):
-                raise ProblemError("W_3DSD needs a 3x3 boundary matrix A")
-            if self.B.shape != (3, 2):
-                raise ProblemError("W_3DSD needs a 3x2 average constraint B")
-        elif k in (Kind.W_3D2D, Kind.W_3D2DSD, Kind.W_3DSD2D, Kind.W1):
-            if self.A is not None and self.A.shape != (3, 2):
-                raise ProblemError(f"kind {k.value} needs a 3x2 matrix A")
-            if self.B is not None and self.B.shape != (3, 2):
-                raise ProblemError(f"kind {k.value} needs a 3x2 matrix B")
+        if spec.planar:
+            self.A = embed_planar(self.A, "planar trace")
+            self.B = embed_planar(self.B, "planar trace")
+        for name, shape, message in spec.shapes:
+            v = getattr(self, name)
+            if v is not None and v.shape != shape:
+                raise ProblemError(message.format(kind=k.value))
 
     @property
     def dim(self) -> int:
-        return 3 if self.kind in THREE_D_KINDS else 2
-
-
-def _embed_planar(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape == (3, 2):
-        return M
-    if M.shape == (2, 2):
-        return np.vstack([M, np.zeros((1, 2))])
-    raise ProblemError(f"planar trace data must be 2x2 or 3x2, got {M.shape}")
+        return KINDS[self.kind].dim
 
 
 @dataclass
@@ -214,24 +278,12 @@ class SolveResult:
 def closed_form(problem: CellProblem) -> float | None:
     """Continuum value of the cell formula for the built-in density pair,
     where one exists; ``None`` for custom densities."""
-    k, A, B = problem.kind, problem.A, problem.B
-    if problem.density.surface_form == dens.SURFACE_PSI1 and k in PSI1_KINDS:
+    spec, density = KINDS[problem.kind], problem.density
+    if density.surface_form == dens.SURFACE_PSI1 and spec.psi1:
         return 0.0
-    if problem.density.surface_form != dens.SURFACE_NORMAL:
+    if density.surface_form != dens.SURFACE_NORMAL or density.bulk_form != dens.BULK_ZERO:
         return None
-    if problem.density.bulk_form != dens.BULK_ZERO:
-        return None
-    if k in (Kind.H_3D2D, Kind.H_3D2DSD, Kind.H_3DSD2D):
-        return dens.h_3d2d(problem.lam, problem.orientation)
-    if k is Kind.H_3DSD:
-        return dens.h_pure(problem.lam, problem.orientation)
-    if k is Kind.W_3D2D:
-        return 0.0
-    if k in (Kind.W_3D2DSD, Kind.W_3DSD2D, Kind.TWO_D_TRACE):
-        return dens.w_3d2dsd(A, B)
-    if k is Kind.W_3DSD:
-        return dens.w_3dsd(A, B)
-    return None
+    return None if spec.closed is None else spec.closed(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +291,7 @@ def closed_form(problem: CellProblem) -> float | None:
 # ---------------------------------------------------------------------------
 
 def _mesh_for(problem: CellProblem) -> Mesh:
-    if problem.kind in JUMP_KINDS or problem.kind is Kind.GAMMA1:
+    if KINDS[problem.kind].pin is None:
         return build_mesh(problem.dim, problem.n, problem.orientation)
     axis1 = np.zeros(problem.dim)
     axis1[0] = 1.0
@@ -247,29 +299,15 @@ def _mesh_for(problem: CellProblem) -> Mesh:
 
 
 def _pinned_gradient(problem: CellProblem) -> np.ndarray:
-    k = problem.kind
-    if k in JUMP_KINDS or k is Kind.GAMMA1:
-        return np.zeros((3, problem.dim))
-    if k is Kind.W_3D2DSD:
-        return problem.B
-    if k is Kind.W_3DSD:
-        return np.column_stack([problem.B, problem.A[:, 2]])
-    if k in (Kind.W_3D2D, Kind.W_3DSD2D):
-        return problem.A
-    if k is Kind.W1:
-        return problem.A
-    if k is Kind.TWO_D_TRACE:
-        return problem.B
-    raise ProblemError(f"no pinned gradient for kind {k}")
+    pin = KINDS[problem.kind].pin
+    return np.zeros((3, problem.dim)) if pin is None else pin(problem)
 
 
 def _datum_for(problem: CellProblem, mesh: Mesh):
-    k = problem.kind
-    if k in JUMP_KINDS or k is Kind.GAMMA1:
+    spec = KINDS[problem.kind]
+    if spec.pin is None:
         return StepDatum(problem.lam, mesh.orientation)
-    if k is Kind.W1:
-        return zero_datum(problem.dim)
-    return AffineDatum(problem.A)
+    return spec.datum(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -486,35 +524,13 @@ def _axis_objective(x, h, chain, pos, weight, const) -> float:
 
 def _bulk_value(problem: CellProblem, mesh: Mesh):
     """(bulk contribution to the objective, z field or None, certified)."""
-    k = problem.kind
-    density = problem.density
-    ncells = mesh.ncells
-    z = np.tile(problem.d, (ncells, 1)) if k in Z_KINDS else None
-
-    if k in JUMP_KINDS or k in PSI1_KINDS or k is Kind.TWO_D_TRACE:
-        return 0.0, z, True
-    if density.bulk_form == dens.BULK_ZERO:
-        if k is Kind.W_3DSD2D:
-            # inner bulk density at the pinned gradient; the per-cell mean
-            # field cancels inside the trace, hence no z dependence at all
-            return float(dens.w_3d2dsd(problem.A, problem.B)), z, True
-        return 0.0, z, True
-
+    spec = KINDS[problem.kind]
+    z = np.tile(problem.d, (mesh.ncells, 1)) if "d" in spec.slots else None
+    if spec.custom_bulk is None or problem.density.bulk_form == dens.BULK_ZERO:
+        return (0.0 if spec.zero_bulk is None else spec.zero_bulk(problem)), z, True
     # custom bulk densities: exploratory, never certified
-    if k in (Kind.W_3D2DSD, Kind.W_3DSD2D):
-        raise UnsupportedProblemError(
-            f"kind {k.value} integrates a once-relaxed bulk density, which has "
-            "no closed form for custom initial densities"
-        )
-    if k is Kind.W_3DSD:
-        pin = _pinned_gradient(problem)
-        return float(density.bulk(pin)) * mesh.total_measure, None, False
-    if k is Kind.W_3D2D:
-        value, zopt = _minimize_mean_constrained_bulk(
-            density.bulk, problem.A, problem.d, ncells
-        )
-        return value, zopt, False
-    raise UnsupportedProblemError(f"unsupported bulk combination for kind {k.value}")
+    value, z = spec.custom_bulk(problem, mesh)
+    return value, z, False
 
 
 def _minimize_mean_constrained_bulk(bulk, A, d, ncells):
@@ -564,16 +580,14 @@ def _minimize_mean_constrained_bulk(bulk, A, d, ncells):
 
 def solve(problem: CellProblem) -> SolveResult:
     """Minimize the cell formula over the discrete class; see module docs."""
-    k = problem.kind
+    spec = KINDS[problem.kind]
     surface_form = problem.density.surface_form
-    if k in PSI1_KINDS:
-        if surface_form != dens.SURFACE_PSI1:
-            raise UnsupportedProblemError(
-                f"kind {k.value} is defined with the out-of-plane-relaxed "
-                "surface integrand"
-            )
-        return _solve_psi1(problem)
-    if surface_form != dens.SURFACE_NORMAL:
+    if spec.psi1 and surface_form != dens.SURFACE_PSI1:
+        raise UnsupportedProblemError(
+            f"kind {problem.kind.value} is defined with the out-of-plane-relaxed "
+            "surface integrand"
+        )
+    if not spec.psi1 and surface_form != dens.SURFACE_NORMAL:
         raise UnsupportedProblemError(
             "only the normal-form surface density is linear-programmable; "
             f"got surface_form={surface_form!r}"
@@ -585,7 +599,30 @@ def solve(problem: CellProblem) -> SolveResult:
 
     bulk_value, z, certified = _bulk_value(problem, mesh)
 
-    tie_break = k in JUMP_KINDS
+    if spec.psi1:
+        surf_value, offsets = None, _staggered_offsets(problem, mesh)
+    else:
+        surf_value, offsets = _chain_offsets(problem, mesh, pin, datum)
+
+    grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
+    minimizer = SbvField(mesh, grads, offsets)
+    value_exact = surface_energy(minimizer, problem.density, datum=datum) + bulk_value
+    value = value_exact if surf_value is None else surf_value + bulk_value
+    return SolveResult(
+        kind=problem.kind,
+        value=float(value),
+        value_exact=float(value_exact),
+        minimizer=minimizer,
+        n=problem.n,
+        lower_bound_certified=certified,
+        z=z,
+        bulk_value=float(bulk_value),
+    )
+
+
+def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, datum):
+    """(surface objective, offsets) of the chain programs, one per axis."""
+    tie_break = KINDS[problem.kind].pin is None
     axis_terms = _assemble_axis_terms(mesh, pin, datum, side_terms=tie_break)
     surf_value = 0.0
     offsets = np.zeros((mesh.ncells, 3))
@@ -601,36 +638,18 @@ def solve(problem: CellProblem) -> SolveResult:
         lam3 = float(problem.lam[2])
         mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
         offsets[:, 2] += np.where(mids >= 0, lam3, 0.0)
-
-    grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
-    minimizer = SbvField(mesh, grads, offsets)
-    value = surf_value + bulk_value
-    value_exact = surface_energy(minimizer, problem.density, datum=datum) + bulk_value
-    return SolveResult(
-        kind=k,
-        value=float(value),
-        value_exact=float(value_exact),
-        minimizer=minimizer,
-        n=problem.n,
-        lower_bound_certified=certified,
-        z=z,
-        bulk_value=float(bulk_value),
-    )
+    return surf_value, offsets
 
 
-def _solve_psi1(problem: CellProblem) -> SolveResult:
-    """Closed-form minimizers for the out-of-plane-relaxed integrand.
+def _staggered_offsets(problem: CellProblem, mesh: Mesh) -> np.ndarray:
+    """Closed-form minimizer offsets for the out-of-plane-relaxed integrand.
 
     Staggering the out-of-plane offsets makes every interior jump and every
     boundary mismatch carry a nonzero (or a.e. nonzero) third component,
     which the integrand does not charge; the discrete minimum is exactly 0.
     """
-    mesh = _mesh_for(problem)
-    pin = _pinned_gradient(problem)
-    datum = _datum_for(problem, mesh)
-
     offsets = np.zeros((mesh.ncells, 3))
-    if problem.kind is Kind.GAMMA1:
+    if KINDS[problem.kind].pin is None:
         lam = problem.lam
         mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
         offsets[mids >= 0] = lam
@@ -638,20 +657,7 @@ def _solve_psi1(problem: CellProblem) -> SolveResult:
     else:
         stagger = 2.0 * float(np.linalg.norm(problem.A)) + 1.0
     offsets[:, 2] += stagger * (1.0 + np.arange(mesh.ncells))
-
-    grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
-    minimizer = SbvField(mesh, grads, offsets)
-    value = surface_energy(minimizer, problem.density, datum=datum)
-    return SolveResult(
-        kind=problem.kind,
-        value=float(value),
-        value_exact=float(value),
-        minimizer=minimizer,
-        n=problem.n,
-        lower_bound_certified=True,
-        z=None,
-        bulk_value=0.0,
-    )
+    return offsets
 
 
 # ---------------------------------------------------------------------------
@@ -676,17 +682,7 @@ def refine_study(problem: CellProblem, n_list) -> list[RefineRow]:
         raise ProblemError("each refinement must divide the next (nested meshes)")
 
     def run(n):
-        p = CellProblem(
-            kind=problem.kind,
-            n=n,
-            A=problem.A,
-            B=problem.B,
-            d=problem.d,
-            lam=problem.lam,
-            orientation=problem.orientation,
-            density=problem.density,
-        )
-        r = solve(p)
+        r = solve(replace(problem, n=n))
         return RefineRow(n=n, value=r.value, certified=r.lower_bound_certified)
 
     return [run(n) for n in n_list]
@@ -741,8 +737,6 @@ def problem_from_json(text: str) -> CellProblem:
     except ValueError:
         raise InputError(f"unknown problem kind {payload['kind']!r}") from None
     density = dens.density_by_name(payload.get("density", "interfacial-normal"))
-    if kind in PSI1_KINDS:
-        density = dens.psi1_pair()
 
     def grab(key):
         return np.asarray(payload[key], dtype=float) if key in payload else None
@@ -777,6 +771,8 @@ def result_to_json(result: SolveResult, minimizer_file: str | None = None) -> st
 
 __all__ = [
     "Kind",
+    "KindSpec",
+    "KINDS",
     "CellProblem",
     "SolveResult",
     "solve",

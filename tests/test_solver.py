@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sdrelax.energy import surface_energy
 from sdrelax.errors import ProblemError, UnsupportedProblemError
 from sdrelax.fields import StepDatum, average_gradient, boundary_trace_gap
 from sdrelax.solver import (
+    KINDS,
     CellProblem,
     Kind,
     closed_form,
@@ -417,6 +420,126 @@ def test_problem_rejects_non_finite_data():
         CellProblem(kind=Kind.H_3D2D, n=2, lam=np.ones(3), orientation=np.array([np.nan, 1.0]))
 
 
+# Valid data per kind: exactly the required slots, in the order they are checked.
+VALID_DATA = {
+    Kind.H_3D2D: {"lam": np.ones(3), "orientation": E1},
+    Kind.H_3D2DSD: {"lam": np.ones(3), "orientation": E1},
+    Kind.H_3DSD: {"lam": np.ones(3), "orientation": np.array([0.0, 0.0, 1.0])},
+    Kind.H_3DSD2D: {"lam": np.ones(3), "orientation": E1},
+    Kind.GAMMA1: {"lam": np.ones(3), "orientation": E1},
+    Kind.W_3D2D: {"A": np.zeros((3, 2)), "d": np.zeros(3)},
+    Kind.W_3D2DSD: {"A": np.zeros((3, 2)), "B": np.zeros((3, 2))},
+    Kind.W_3DSD: {"A": np.zeros((3, 3)), "B": np.zeros((3, 2))},
+    Kind.W_3DSD2D: {"A": np.zeros((3, 2)), "B": np.zeros((3, 2)), "d": np.zeros(3)},
+    Kind.W1: {"A": np.zeros((3, 2))},
+    Kind.TWO_D_TRACE: {"A": np.zeros((2, 2)), "B": np.zeros((3, 2))},
+}
+THREE_D = (Kind.H_3DSD, Kind.W_3DSD)
+MATRIX_3X2 = (Kind.W_3D2D, Kind.W_3D2DSD, Kind.W_3DSD2D, Kind.W1)
+
+
+def _validation_cases():
+    for k, data in VALID_DATA.items():
+        dim = 3 if k in THREE_D else 2
+        for slot in data:
+            drop = {s: v for s, v in data.items() if s != slot}
+            yield f"{k.value}-drop-{slot}", k, drop, f"kind {k.value} requires data slot '{slot}'"
+            nan = dict(data, **{slot: np.full(np.shape(data[slot]), np.nan)})
+            yield f"{k.value}-nan-{slot}", k, nan, f"data slot '{slot}' must be finite"
+        yield (
+            f"{k.value}-orientation-shape", k, dict(data, orientation=np.full(4, 0.5)),
+            f"kind {k.value} needs a {dim}-vector orientation, got (4,)",
+        )
+        yield (
+            f"{k.value}-orientation-norm", k, dict(data, orientation=np.full(dim, 1.0)),
+            "orientation must be a unit vector",
+        )
+        yield f"{k.value}-lam-shape", k, dict(data, lam=np.ones(2)), "lam must be a 3-vector"
+        for slot in ("A", "B"):
+            bad = dict(data, **{slot: np.zeros((2, 3))})
+            if k is Kind.W_3DSD:
+                message = {
+                    "A": "W_3DSD needs a 3x3 boundary matrix A",
+                    "B": "W_3DSD needs a 3x2 average constraint B",
+                }[slot]
+            elif k in MATRIX_3X2:
+                message = f"kind {k.value} needs a 3x2 matrix {slot}"
+            elif k is Kind.TWO_D_TRACE:
+                message = "planar trace data must be 2x2 or 3x2, got (2, 3)"
+            else:
+                message = None  # unused matrix slots of jump problems are not checked
+            yield f"{k.value}-shape-{slot}", k, bad, message
+
+
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [pytest.param(*case[1:], id=case[0]) for case in _validation_cases()],
+)
+def test_problem_validation_messages(kind, data, message):
+    if message is None:
+        CellProblem(kind=kind, n=2, **data)
+        return
+    with pytest.raises(ProblemError) as exc:
+        CellProblem(kind=kind, n=2, **data)
+    assert str(exc.value) == message
+
+
+def test_problem_refinement_message():
+    with pytest.raises(ProblemError) as exc:
+        CellProblem(kind=Kind.H_3D2D, n=0, **VALID_DATA[Kind.H_3D2D])
+    assert str(exc.value) == "refinement must be a positive integer, got 0"
+
+
+def _unsupported_cases():
+    custom_surface = DensityPair(bulk=lambda M: 0.0, surface=h_pure, bulk_form="zero")
+    for k in Kind:
+        if k in (Kind.W1, Kind.GAMMA1):
+            message = f"kind {k.value} is defined with the out-of-plane-relaxed surface integrand"
+            yield f"{k.value}-custom-surface", k, custom_surface, message
+            continue
+        for name, density in (("psi1", psi1_pair()), ("custom", custom_surface)):
+            message = (
+                "only the normal-form surface density is linear-programmable; "
+                f"got surface_form='{name}'"
+            )
+            yield f"{k.value}-{name}-surface", k, density, message
+        if k in (Kind.W_3D2DSD, Kind.W_3DSD2D):
+            message = (
+                f"kind {k.value} integrates a once-relaxed bulk density, which has "
+                "no closed form for custom initial densities"
+            )
+            yield f"{k.value}-custom-bulk", k, quadratic_bulk_pair(), message
+
+
+@pytest.mark.parametrize(
+    "kind, density, message",
+    [pytest.param(*case[1:], id=case[0]) for case in _unsupported_cases()],
+)
+def test_solve_unsupported_messages(kind, density, message):
+    problem = CellProblem(kind=kind, n=2, density=density, **VALID_DATA[kind])
+    with pytest.raises(UnsupportedProblemError) as exc:
+        solve(problem)
+    assert str(exc.value) == message
+
+
+def test_kinds_table_has_one_row_per_kind():
+    assert list(KINDS) == list(Kind)
+
+
+def test_cell_problem_docstring_lists_each_rows_slots():
+    listed = {}
+    for line in CellProblem.__doc__.splitlines():
+        name, _, rest = line.strip().partition(" ")
+        if name in Kind.__members__:
+            slots = re.findall(r"\b(A|B|d|lam|orientation)\b", rest.split(";")[0])
+            listed[Kind(name)] = tuple(slots)
+    assert listed == {k: spec.slots for k, spec in KINDS.items()}
+
+
+def test_step_2d_kinds_share_one_row():
+    assert KINDS[Kind.H_3D2D] == KINDS[Kind.H_3D2DSD] == KINDS[Kind.H_3DSD2D]
+
+
 def test_problem_json_round_trip():
     text = """
     {"kind": "H_3D2D", "lambda": [1, 0, 0], "eta": [1, 0], "n": 4,
@@ -427,6 +550,16 @@ def test_problem_json_round_trip():
     assert r.value == pytest.approx(1.0, abs=1e-9)
     out = result_to_json(r, minimizer_file="min.json")
     assert '"kind": "H_3D2D"' in out and '"minimizer_file": "min.json"' in out
+
+
+@pytest.mark.parametrize("density", ["interfacial-normal", "zero-bulk", None])
+def test_problem_json_psi1_kinds_take_psi1_density(density):
+    spec = '"kind": "W1", "n": 2, "A": [[1, 0], [0, 1], [0, 0]]'
+    if density is not None:
+        spec += f', "density": "{density}"'
+    p = problem_from_json("{" + spec + "}")
+    assert p.density.surface_form == psi1_pair().surface_form
+    assert solve(p).value == 0.0
 
 
 def test_problem_json_errors():
