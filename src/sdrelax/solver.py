@@ -93,9 +93,9 @@ class KindSpec:
     ``pin`` and ``datum`` give a problem's pinned gradient and datum;
     ``pin=None`` marks a step problem: zero gradient, step datum, a mesh
     aligned with ``orientation``, and the tie-break.  ``closed`` is the
-    continuum value for the normal-form surface density with zero bulk;
-    ``zero_bulk`` the bulk term under zero bulk (``None``: 0);
-    ``custom_bulk(problem, mesh)`` the uncertified ``(value, z)`` under a
+    continuum value for the normal-form surface density with zero bulk
+    (``None``: none); ``zero_bulk`` the bulk term under zero bulk (``None``:
+    0); ``custom_bulk(problem, mesh)`` the uncertified ``(value, z)`` under a
     custom bulk (``None``: the kind has no bulk term).  ``psi1`` kinds use the
     out-of-plane-relaxed integrand and are solved in closed form.
     """
