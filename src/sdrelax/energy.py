@@ -18,11 +18,14 @@ ones.
 Interior jumps come from the field's jump table (built once per field and
 shared with the divergence-theorem residual): edges with equal gradients on
 both sides carry exactly constant jumps and take the closed form on that
-value.  Boundary mismatches come from the boundary piece table
-(:func:`sdrelax.fields.boundary_pieces`).  The closed forms run over all
-pieces at once, including the sign-split integrals over 3D faces
-(vectorized polygon clipping); only custom densities are evaluated piece by
-piece.  Pieces are summed in sequence, in mesh order.
+value, axis by axis, with the axis' normal as a broadcast view rather than
+one copy per edge.  Boundary mismatches come from the boundary piece table
+(:func:`sdrelax.fields.boundary_pieces`); :func:`surface_energy` builds it
+from the datum, and :func:`surface_energy_from_pieces` takes a table the
+caller already holds (the solver builds one per solve).  The closed forms
+run over all pieces at once, including the sign-split integrals over 3D
+faces (vectorized polygon clipping); only custom densities are evaluated
+piece by piece.  Pieces are summed in sequence, in mesh order.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .densities import (
 from .fields import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
+    BoundaryPieces,
     SbvField,
     abs_affine_polygon_exact,
     abs_affine_segment_exact,
@@ -70,21 +74,25 @@ def _integrals(values, rows, normal3, measure, corners, form, func, overestimate
     table (interior edges or boundary pieces), one per row.
 
     ``values`` are the jump (or mismatch) vectors at the pieces' corners,
-    ``(R, corners, 3)``, with a single corner for constant rows; the padded
-    unit normals ``normal3``, ``measure`` and ``corners`` are the table's.
+    ``(R, corners, 3)``, with a single corner for constant rows, and
+    ``normal3`` their padded unit normals, ``(R, 3)`` (a broadcast view
+    where the rows share one); ``measure`` and ``corners`` are the table's.
     """
+    if len(rows) == 0:
+        return np.zeros(0)
     if form == SURFACE_PSI1:
         # pieces whose third component vanishes identically pay the normal
         # form; all others are free (the integrand vanishes a.e.)
         out = np.zeros(len(rows))
         paid = np.all(values[:, :, 2] == 0.0, axis=1)
         out[paid] = _integrals(
-            values[paid], rows[paid], normal3, measure, corners, SURFACE_NORMAL, None, overestimate
+            values[paid], rows[paid], normal3[paid], measure, corners, SURFACE_NORMAL, None,
+            overestimate,
         )
         return out
     h = measure[rows]
     if form == SURFACE_NORMAL:
-        f = (values @ normal3[rows][:, :, None])[..., 0]
+        f = (values @ normal3[:, :, None])[..., 0]
         if f.shape[1] == 1:
             return np.abs(f[:, 0]) * h
         if f.shape[1] == 2:
@@ -94,7 +102,7 @@ def _integrals(values, rows, normal3, measure, corners, form, func, overestimate
             return h * np.mean(np.abs(f), axis=1)
         return abs_affine_polygon_exact(_face_param_2d(corners[rows]), f)
     # custom density: exact on constant jumps, Gauss rule otherwise
-    nus = (normal3[r] / np.linalg.norm(normal3[r]) for r in rows)
+    nus = (nu / np.linalg.norm(nu) for nu in normal3)
     return np.array([_piece_integral(v, nu, m, func) for v, nu, m in zip(values, nus, h)])
 
 
@@ -136,25 +144,53 @@ def surface_energy(
     """Surface energy of a field; with ``datum`` the boundary mismatch is
     charged as a jump against the datum.  ``overestimate=True`` switches the
     affine pieces of the normal form to the trapezoid / corner-average rule
-    (used by the solver to state certified objective values).
+    (used by the solver to state certified objective values).  Evaluated by
+    :func:`surface_energy_from_pieces` on the datum's piece table."""
+    pieces = None if datum is None else boundary_pieces(field.mesh, datum)
+    return surface_energy_from_pieces(field, density, pieces, overestimate)
+
+
+def surface_energy_from_pieces(
+    field: SbvField,
+    density,
+    pieces: BoundaryPieces | None,
+    overestimate: bool = False,
+) -> float:
+    """:func:`surface_energy` against a datum given by its boundary piece
+    table (``None``: no boundary term), so that a caller holding the table
+    does not build it again.
 
     Pieces are summed in sequence (interior edges, then boundary pieces, in
     mesh order), skipping those without jump."""
     mesh, table = field.mesh, field.jump_table
-    # interior edges: nonzero constant jumps as single-corner rows, then affine
+    form, func = _surface_form(density), _surface_callable(density)
+    dirs3 = padded_normal(mesh.frame.T)  # row a: padded world normal of axis a
+    interior = np.zeros(len(mesh.int_axis))
+    # nonzero constant jumps as single-corner rows, one axis at a time: edges
+    # come axis by axis, so an axis' rows are one slice sharing one normal
     constant = np.any(table.offset != 0.0, axis=1)
     constant[table.affine] = False
     rows = np.flatnonzero(constant)
-    groups = [(rows, table.offset[rows][:, None, :]), *_jump_rows(table.affine, table.values)]
-    parts = [(groups, padded_normal(mesh.frame.T)[mesh.int_axis], mesh.int_measure, mesh.int_corners)]
-    if datum is not None:
-        pieces = boundary_pieces(mesh, datum)
-        groups = _jump_rows(np.arange(len(pieces.edge)), pieces.field_values(field) - pieces.datum)
-        parts.append((groups, padded_normal(pieces.normal), pieces.measure, pieces.corners))
-    form, func = _surface_form(density), _surface_callable(density)
-    terms = [np.zeros(1)]
-    for groups, normal3, measure, corners in parts:
-        terms.append(np.zeros(len(measure)))
-        for rows, values in groups:
-            terms[-1][rows] = _integrals(values, rows, normal3, measure, corners, form, func, overestimate)
+    cut = np.searchsorted(rows, np.searchsorted(mesh.int_axis, np.arange(mesh.dim + 1)))
+    for a in range(mesh.dim):
+        on = rows[cut[a] : cut[a + 1]]
+        interior[on] = _integrals(
+            table.offset[on][:, None, :], on, np.broadcast_to(dirs3[a], (len(on), 3)),
+            mesh.int_measure, mesh.int_corners, form, func, overestimate,
+        )
+    for rows, values in _jump_rows(table.affine, table.values):
+        interior[rows] = _integrals(
+            values, rows, dirs3[mesh.int_axis[rows]], mesh.int_measure, mesh.int_corners, form,
+            func, overestimate,
+        )
+    terms = [np.zeros(1), interior]
+    if pieces is not None:
+        terms.append(np.zeros(len(pieces.edge)))
+        normal3 = padded_normal(pieces.normal)
+        mismatch = pieces.field_values(field) - pieces.datum
+        for rows, values in _jump_rows(np.arange(len(pieces.edge)), mismatch):
+            terms[-1][rows] = _integrals(
+                values, rows, normal3[rows], pieces.measure, pieces.corners, form, func,
+                overestimate,
+            )
     return float(np.cumsum(np.concatenate(terms))[-1])

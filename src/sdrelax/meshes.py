@@ -17,17 +17,27 @@ then its low and its high boundary edge.  The same chains carry the
 solver's 1-D programs.  These arrays are the only description of edge
 geometry; :func:`sdrelax.fields.boundary_pieces` derives the boundary
 pieces from them.
+
+Every array of a mesh is read-only.  The cell and edge tables live in the
+mesh frame, so they do not depend on ``frame``: :func:`build_mesh` keeps the
+last ``GRID_CACHE_SIZE`` uniform grids, one per ``(dimension, n)``, and each
+mesh it returns shares the grid's tables and holds its own frame and
+world-coordinate data.  ``build_mesh.cache_clear()`` frees the kept grids.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import MeshError
 
 UNIT_TOL = 1e-12
+
+# Uniform grids kept by build_mesh, keyed by (dimension, n).  An entry holds
+# about as much as one solve's mesh: ~170 MB for a 2D grid at n = 1024.
+GRID_CACHE_SIZE = 8
 
 
 def frame_from_orientation(orientation: np.ndarray) -> np.ndarray:
@@ -73,35 +83,56 @@ def _face_corners(axis, value, lo, hi) -> np.ndarray:
     return corners
 
 
+def _checked_frame(frame, dim: int) -> np.ndarray:
+    """A read-only copy of ``frame`` (the identity if ``None``), checked to
+    be an orthogonal ``dim x dim`` matrix."""
+    frame = np.eye(dim) if frame is None else np.array(frame, dtype=float)
+    if frame.shape != (dim, dim) or np.max(np.abs(frame.T @ frame - np.eye(dim))) > 1e-10:
+        raise MeshError("frame must be an orthogonal matrix of the mesh dimension")
+    frame.flags.writeable = False
+    return frame
+
+
+# Mesh attributes in world coordinates: each mesh object holds its own.
+_WORLD = ("frame", "vertices")
+
+
 class Mesh:
     """Product mesh with cells ``[breaks[a][i], breaks[a][i+1])`` per axis.
 
     Cells are indexed in C order over the per-axis indices, i.e. the last
     axis varies fastest; this is also the order used in field files.
-    Immutable after construction and safe to share across threads.
+    Immutable after construction (every array is read-only) and safe to
+    share across threads.
     """
 
     def __init__(self, axis_breaks, frame=None, n=None):
-        breaks = tuple(np.asarray(b, dtype=float) for b in axis_breaks)
+        breaks = tuple(np.array(b, dtype=float) for b in axis_breaks)
         dim = len(breaks)
         if dim not in (2, 3):
             raise MeshError(f"dimension must be 2 or 3, got {dim}")
         for b in breaks:
             if b.ndim != 1 or b.size < 2 or np.any(np.diff(b) <= 0):
                 raise MeshError("axis breakpoints must be strictly increasing with >= 2 entries")
-        if frame is None:
-            frame = np.eye(dim)
-        frame = np.asarray(frame, dtype=float)
-        if frame.shape != (dim, dim) or np.max(np.abs(frame.T @ frame - np.eye(dim))) > 1e-10:
-            raise MeshError("frame must be an orthogonal matrix of the mesh dimension")
+        self.frame = _checked_frame(frame, dim)
         self.dim = dim
         self.axis_breaks = breaks
-        self.frame = frame
         self.shape = tuple(b.size - 1 for b in breaks)
         self.ncells = int(np.prod(self.shape))
         self.n = n if n is not None else max(self.shape)
         self._build_cells()
         self._build_edges()
+        for value in (*breaks, *vars(self).values()):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def _reframed(self, frame) -> "Mesh":
+        """This mesh's grid in another ``frame``: a new mesh that shares
+        every cell and edge array and holds its own world-coordinate data."""
+        mesh = object.__new__(Mesh)
+        vars(mesh).update((k, v) for k, v in vars(self).items() if k not in _WORLD)
+        mesh.frame = _checked_frame(frame, self.dim)
+        return mesh
 
     # -- construction ---------------------------------------------------
 
@@ -159,8 +190,10 @@ class Mesh:
 
     @cached_property
     def vertices(self) -> np.ndarray:
-        """World coordinates of all grid vertices, C order."""
-        return _grid(self.axis_breaks) @ self.frame.T
+        """World coordinates of all grid vertices, C order; read-only."""
+        vertices = _grid(self.axis_breaks) @ self.frame.T
+        vertices.flags.writeable = False
+        return vertices
 
     def to_world(self, xi: np.ndarray) -> np.ndarray:
         return np.asarray(xi, dtype=float) @ self.frame.T
@@ -191,9 +224,19 @@ class Mesh:
         return corners
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _uniform_grid(dimension: int, n: int) -> Mesh:
+    """The axis-aligned uniform mesh that :func:`build_mesh` reframes."""
+    return Mesh([np.linspace(-0.5, 0.5, n + 1)] * dimension, n=n)
+
+
 def build_mesh(dimension: int, n: int, orientation) -> Mesh:
     """Uniform ``n x n`` (or ``n^3``) mesh of the unit square/cube centered at
-    the origin, rotated so two sides are perpendicular to ``orientation``."""
+    the origin, rotated so two sides are perpendicular to ``orientation``.
+
+    Each call returns a new mesh; its cell and edge arrays are shared with
+    every other mesh of the same ``(dimension, n)`` while the grid is kept
+    (see the module docstring)."""
     if dimension not in (2, 3):
         raise MeshError(f"dimension must be 2 or 3, got {dimension}")
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -204,5 +247,7 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
             f"orientation shape {orientation.shape} does not match dimension {dimension}"
         )
     frame = frame_from_orientation(orientation)
-    breaks = np.linspace(-0.5, 0.5, n + 1)
-    return Mesh([breaks] * dimension, frame=frame, n=n)
+    return _uniform_grid(dimension, int(n))._reframed(frame)
+
+
+build_mesh.cache_clear = _uniform_grid.cache_clear

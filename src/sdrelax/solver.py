@@ -49,10 +49,11 @@ from typing import Callable
 import numpy as np
 
 from . import densities as dens
-from .energy import padded_normal, surface_energy
+from .energy import padded_normal, surface_energy, surface_energy_from_pieces
 from .errors import InputError, ProblemError, UnsupportedProblemError
 from .fields import (
     AffineDatum,
+    BoundaryPieces,
     SbvField,
     StepDatum,
     boundary_pieces,
@@ -128,11 +129,12 @@ _MATRICES_3X2 = (
     ("A", (3, 2), "kind {kind} needs a 3x2 matrix A"),
     ("B", (3, 2), "kind {kind} needs a 3x2 matrix B"),
 )
+_WITH_D = _MATRICES_3X2 + (("d", (3,), "kind {kind} needs a 3-vector d"),)
 
 KINDS: dict[Kind, KindSpec] = {
     Kind.H_3D2D: _STEP_2D,
     Kind.W_3D2D: KindSpec(
-        ("A", "d"), shapes=_MATRICES_3X2, pin=lambda p: p.A, closed=lambda p: 0.0,
+        ("A", "d"), shapes=_WITH_D, pin=lambda p: p.A, closed=lambda p: 0.0,
         custom_bulk=lambda p, mesh: _minimize_mean_constrained_bulk(
             p.density.bulk, p.A, p.d, mesh.ncells
         ),
@@ -158,7 +160,7 @@ KINDS: dict[Kind, KindSpec] = {
         ("lam", "orientation"), dim=3, closed=lambda p: dens.h_pure(p.lam, p.orientation)
     ),
     Kind.W_3DSD2D: KindSpec(
-        ("A", "B", "d"), shapes=_MATRICES_3X2, pin=lambda p: p.A, closed=_w_3d2dsd,
+        ("A", "B", "d"), shapes=_WITH_D, pin=lambda p: p.A, closed=_w_3d2dsd,
         # inner bulk density at the pinned gradient; the per-cell mean field
         # cancels inside the trace, hence no z dependence at all
         zero_bulk=lambda p: float(dens.w_3d2dsd(p.A, p.B)),
@@ -334,7 +336,9 @@ class AxisTerms:
     side: np.ndarray
 
 
-def _assemble_axis_terms(mesh: Mesh, pin: np.ndarray, datum, side_terms: bool) -> list[AxisTerms]:
+def _assemble_axis_terms(
+    mesh: Mesh, pin: np.ndarray, pieces: BoundaryPieces, side_terms: bool
+) -> list[AxisTerms]:
     """Per mesh axis: the absolute-value terms of its scalar program.
 
     Each boundary piece of axis ``a`` emits one unary term for axis ``a``:
@@ -347,7 +351,6 @@ def _assemble_axis_terms(mesh: Mesh, pin: np.ndarray, datum, side_terms: bool) -
     """
     dim = mesh.dim
     dirs3 = padded_normal(mesh.frame.T)  # row a = padded world direction of axis a
-    pieces = boundary_pieces(mesh, datum)
     gall = pieces.points @ pin.T - pieces.datum
     unary = [[] for _ in range(dim)]  # per axis: (cell, weight, const, side) arrays
     for a in range(dim):
@@ -598,15 +601,17 @@ def solve(problem: CellProblem) -> SolveResult:
     datum = _datum_for(problem, mesh)
 
     bulk_value, z, certified = _bulk_value(problem, mesh)
+    # one piece table for term assembly and the exact re-evaluation
+    pieces = boundary_pieces(mesh, datum)
 
     if spec.psi1:
         surf_value, offsets = None, _staggered_offsets(problem, mesh)
     else:
-        surf_value, offsets = _chain_offsets(problem, mesh, pin, datum)
+        surf_value, offsets = _chain_offsets(problem, mesh, pin, pieces)
 
     grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
     minimizer = SbvField(mesh, grads, offsets)
-    value_exact = surface_energy(minimizer, problem.density, datum=datum) + bulk_value
+    value_exact = surface_energy_from_pieces(minimizer, problem.density, pieces) + bulk_value
     value = value_exact if surf_value is None else surf_value + bulk_value
     return SolveResult(
         kind=problem.kind,
@@ -620,10 +625,10 @@ def solve(problem: CellProblem) -> SolveResult:
     )
 
 
-def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, datum):
+def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces):
     """(surface objective, offsets) of the chain programs, one per axis."""
     tie_break = KINDS[problem.kind].pin is None
-    axis_terms = _assemble_axis_terms(mesh, pin, datum, side_terms=tie_break)
+    axis_terms = _assemble_axis_terms(mesh, pin, pieces, side_terms=tie_break)
     surf_value = 0.0
     offsets = np.zeros((mesh.ncells, 3))
     dirs3 = padded_normal(mesh.frame.T)

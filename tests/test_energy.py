@@ -126,3 +126,28 @@ def test_staircase_energy_is_in_order_sum_of_exactly_rounded_edge_terms(n, seed)
     field = build(SequenceParams(kind="STAIRCASE_TRACE", n=n, A=A, B=B))
     terms = _exact_edge_terms(field)
     assert surface_energy(field, interfacial_normal_pair()) == np.cumsum(terms)[-1]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 5), (3, 3)])
+def test_surface_energy_reads_the_datum_piece_table(dim, n):
+    from sdrelax.energy import surface_energy_from_pieces
+    from sdrelax.fields import StepDatum, boundary_pieces
+
+    rng = np.random.default_rng(60 + dim)
+    eta = rng.normal(size=dim)
+    mesh = build_mesh(dim, n, eta / np.linalg.norm(eta))
+    grads = rng.uniform(-3, 3, (mesh.ncells, 3, dim))
+    grads[::2] = grads[0]  # constant and affine jumps on every axis
+    fld = SbvField(mesh, grads, rng.uniform(-3, 3, (mesh.ncells, 3)))
+    custom = DensityPair(bulk=lambda M: 0.0, surface=lambda v, nu: float(np.abs(v @ nu)))
+    for pair in (interfacial_normal_pair(), psi1_pair(), custom):
+        for over in (False, True):
+            assert surface_energy_from_pieces(fld, pair, None, over) == surface_energy(
+                fld, pair, overestimate=over
+            )
+            for datum in (AffineDatum(rng.uniform(-3, 3, (3, dim))),
+                          StepDatum(rng.uniform(-3, 3, 3), mesh.orientation)):
+                pieces = boundary_pieces(mesh, datum)
+                assert surface_energy_from_pieces(fld, pair, pieces, over) == surface_energy(
+                    fld, pair, datum=datum, overestimate=over
+                )

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdrelax.errors import MeshError
 from sdrelax.meshes import Mesh, build_mesh, frame_from_orientation
-from strategies import rectilinear_meshes
+from strategies import rectilinear_meshes, unit_vectors
 
 E1 = np.array([1.0, 0.0])
 DIAG = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -196,3 +197,66 @@ def test_chains_follow_the_axis():
         assert np.all(step[..., axis] == 1)
         assert np.all(np.delete(step, axis, axis=-1) == 0)
         assert sorted(chains.reshape(-1)) == list(range(mesh.ncells))
+
+
+# ---------------------------------------------------------------------------
+# uniform grids shared across orientations
+# ---------------------------------------------------------------------------
+
+def mesh_arrays(mesh):
+    """Every array a mesh holds, by name, with its world vertices."""
+    arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+    arrays["vertices"] = mesh.vertices
+    arrays.update((f"axis_breaks[{a}]", b) for a, b in enumerate(mesh.axis_breaks))
+    return arrays
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_build_mesh_equals_a_fresh_mesh(dim, n, data):
+    orientation = data.draw(unit_vectors(dim))
+    mesh = build_mesh(dim, n, orientation)
+    fresh = Mesh([np.linspace(-0.5, 0.5, n + 1)] * dim, frame_from_orientation(orientation), n=n)
+    got, want = mesh_arrays(mesh), mesh_arrays(fresh)
+    assert got.keys() == want.keys() and len(got) == 15 + dim
+    for key, value in want.items():
+        assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
+        assert got[key].tobytes() == value.tobytes(), key
+    assert (mesh.dim, mesh.shape, mesh.ncells, mesh.n) == (fresh.dim, fresh.shape, fresh.ncells, n)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.tuples(st.just(2), st.integers(1, 6)), st.tuples(st.just(3), st.integers(1, 3)))
+       .flatmap(lambda dn: st.tuples(st.just(dn[0]), st.just(dn[1]), unit_vectors(dn[0]))))
+def test_mesh_arrays_are_read_only(case):
+    dim, n, orientation = case
+    breaks = [np.linspace(0.0, 1.0, n + 2)] * dim
+    for mesh in (build_mesh(dim, n, orientation), Mesh(breaks, frame_from_orientation(orientation))):
+        for key, value in mesh_arrays(mesh).items():
+            assert not value.flags.writeable, key
+            with pytest.raises(ValueError):
+                value[...] = 0.0
+    assert breaks[0].flags.writeable  # the caller's breakpoints are copied, not frozen
+
+
+@pytest.mark.parametrize("dim, n", [(2, 1), (2, 5), (3, 3)])
+def test_orientations_share_the_grid_but_not_the_frame(dim, n):
+    rng = np.random.default_rng(dim + n)
+    a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)))
+    ma, mb = build_mesh(dim, n, a), build_mesh(dim, n, b)
+    assert ma is not mb
+    for key in ("cell_lo", "cell_hi", "cell_measures", "int_minus", "int_plus", "int_axis",
+                "int_measure", "int_corners", "bnd_cell", "bnd_side", "bnd_axis", "bnd_measure",
+                "bnd_corners"):
+        assert getattr(ma, key) is getattr(mb, key), key
+    assert all(x is y for x, y in zip(ma.axis_breaks, mb.axis_breaks))
+    assert np.shares_memory(ma.bnd_corners, mb.bnd_corners)
+    for key in ("frame", "vertices"):
+        assert not np.shares_memory(getattr(ma, key), getattr(mb, key)), key
+    assert np.array_equal(ma.orientation, a) and np.array_equal(mb.orientation, b)
+    build_mesh.cache_clear()
+    mc = build_mesh(dim, n, a)
+    assert not np.shares_memory(mc.bnd_corners, ma.bnd_corners)
+    assert mc.bnd_corners.tobytes() == ma.bnd_corners.tobytes()

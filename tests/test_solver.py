@@ -469,6 +469,11 @@ def _validation_cases():
             else:
                 message = None  # unused matrix slots of jump problems are not checked
             yield f"{k.value}-shape-{slot}", k, bad, message
+        for shape in ((2,), (4,), (3, 1)):
+            # the d slot is checked only where the kind uses it
+            message = f"kind {k.value} needs a 3-vector d" if "d" in data else None
+            shape_id = "x".join(map(str, shape))
+            yield f"{k.value}-shape-d-{shape_id}", k, dict(data, d=np.zeros(shape)), message
 
 
 @pytest.mark.parametrize(
@@ -573,6 +578,25 @@ def test_problem_json_errors():
         problem_from_json('{"kind": "H_3D2D", "n": 2}')
 
 
+@pytest.mark.parametrize("kind", ["W_3D2D", "W_3DSD2D"])
+def test_problem_json_rejects_a_d_of_the_wrong_shape(kind):
+    from sdrelax.errors import InputError
+
+    spec = f'"kind": "{kind}", "n": 2, "A": [[1, 0], [0, 1], [0, 0]], "B": [[0, 0], [0, 0], [1, 0]]'
+    with pytest.raises(InputError) as exc:
+        problem_from_json("{" + spec + ', "d": [1, 2]}')
+    assert str(exc.value) == f"kind {kind} needs a 3-vector d"
+
+
+def test_custom_bulk_problem_rejects_a_d_of_the_wrong_shape():
+    # used to reach the bulk minimization and fail there with numpy's ValueError
+    with pytest.raises(ProblemError) as exc:
+        CellProblem(
+            kind=Kind.W_3D2D, n=2, A=np.zeros((3, 2)), d=np.ones(2), density=quadratic_bulk_pair()
+        )
+    assert str(exc.value) == "kind W_3D2D needs a 3-vector d"
+
+
 @pytest.mark.parametrize(
     "kind, n",
     [(k, 4) for k in Kind if k not in (Kind.W1, Kind.GAMMA1)] + [("W_3DSD", 16), ("W_3D2DSD", 64)],
@@ -597,3 +621,68 @@ def test_minimizer_jumps_are_all_constant(kind, n):
     assert len(table.affine) == 0
     mesh = field.mesh
     assert np.array_equal(table.offset, field.offsets[mesh.int_plus] - field.offsets[mesh.int_minus])
+
+
+# ---------------------------------------------------------------------------
+# shared uniform grids and the one piece table per solve
+# ---------------------------------------------------------------------------
+
+def _problems_of_every_kind(n, seed):
+    rng = np.random.default_rng(seed)
+    for kind in Kind:
+        dim = 3 if kind in THREE_D else 2
+        eta = rng.normal(size=dim)
+        yield CellProblem(
+            kind=kind,
+            n=n,
+            A=rng.uniform(-5, 5, (3, 3 if kind is Kind.W_3DSD else 2)),
+            B=rng.uniform(-5, 5, (3, 2)),
+            d=rng.uniform(-5, 5, 3),
+            lam=rng.uniform(-5, 5, 3),
+            orientation=eta / np.linalg.norm(eta),
+        )
+
+
+def _result_bytes(result):
+    field = result.minimizer
+    return (
+        result.value.hex(),
+        result.value_exact.hex(),
+        field.offsets.tobytes(),
+        field.gradients.tobytes(),
+        field.mesh.frame.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_grid_cache_miss_and_hit_solve_alike(n):
+    from sdrelax.meshes import build_mesh
+
+    for problem in _problems_of_every_kind(n, seed=70 + n):
+        build_mesh.cache_clear()
+        miss = solve(problem)
+        hit = solve(problem)
+        assert np.shares_memory(miss.minimizer.mesh.bnd_cell, hit.minimizer.mesh.bnd_cell)
+        assert _result_bytes(hit) == _result_bytes(miss), problem.kind
+
+
+def test_one_solve_builds_one_piece_table(monkeypatch):
+    import sys
+
+    import sdrelax.fields
+
+    original = sdrelax.fields.boundary_pieces
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # patch every namespace that holds the builder, wherever solve looks it up
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sdrelax") and getattr(module, "boundary_pieces", None) is original:
+            monkeypatch.setattr(module, "boundary_pieces", counted)
+    for problem in _problems_of_every_kind(3, seed=77):
+        calls.clear()
+        solve(problem)
+        assert len(calls) == 1, problem.kind

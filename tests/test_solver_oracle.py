@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from sdrelax.densities import h_3d2d, interfacial_normal_pair, w_3d2dsd
 from sdrelax.energy import surface_energy
-from sdrelax.fields import SbvField, StepDatum, AffineDatum
+from sdrelax.fields import SbvField, StepDatum, AffineDatum, boundary_pieces
 from sdrelax.meshes import Mesh, build_mesh
 from sdrelax.solver import (
     AxisTerms,
@@ -63,9 +63,9 @@ def abs_sum_lp_value(nvars, pairs, unary):
 def monolithic_lp_value(problem):
     mesh = _mesh_for(problem)
     pin = _pinned_gradient(problem)
-    datum = _datum_for(problem, mesh)
+    pieces = boundary_pieces(mesh, _datum_for(problem, mesh))
     pairs, unary = [], []
-    for a, terms in enumerate(_assemble_axis_terms(mesh, pin, datum, side_terms=False)):
+    for a, terms in enumerate(_assemble_axis_terms(mesh, pin, pieces, side_terms=False)):
         offset = a * mesh.ncells
         pairs += zip(offset + terms.plus, offset + terms.minus, terms.h)
         unary += zip(offset + terms.cell, terms.weight, terms.const)

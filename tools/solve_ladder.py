@@ -6,11 +6,18 @@ For each rung (W_3D2DSD n = 8..1024 and W_3DSD n = 2..64) and each tree,
 one fresh single-threaded process per repeat (``REPEAT`` of them) imports
 ``sdrelax`` from the tree's ``src/`` and solves one problem with data drawn
 from ``numpy.random.default_rng(seed)``.  The trees alternate within each
-repeat.  The child times the stages by wrapping the solver's own steps:
-mesh (``_mesh_for``), term assembly (``_assemble_axis_terms``), the chain
-DP (``_solve_axis``) and the exact re-evaluation (``surface_energy``).
-A row keeps the minimum of each time over the repeats and the largest peak
-RSS (``ru_maxrss`` of the child).  ``--out`` appends one run, with the
+repeat.  The child times the stages by wrapping the functions that
+``solve`` looks up in ``sdrelax.solver`` (``STAGES``): mesh
+(``_mesh_for``), boundary piece table (``boundary_pieces``), term assembly
+(``_assemble_axis_terms``), the chain DP (``_solve_axis``) and the exact
+re-evaluation (``surface_energy_from_pieces`` where it exists, else
+``surface_energy``).  Stage times are exclusive: a wrapped call nested in
+another counts only in its own stage, so a piece table built inside term
+assembly counts in ``pieces_s``, while one built inside ``surface_energy``
+(not looked up in ``sdrelax.solver``) counts in ``reevaluate_s``.  A stage
+none of whose functions exist in a tree is reported as ``null``.  A row
+keeps the minimum of each time over the repeats and the largest peak RSS
+(``ru_maxrss`` of the child).  ``--out`` appends one run, with the
 environment and both trees' git revisions, to the file's ``runs`` list.
 """
 
@@ -28,11 +35,13 @@ import time
 LADDER = [("W_3D2DSD", n) for n in (8, 16, 32, 64, 128, 256, 512, 1024)]
 LADDER += [("W_3DSD", n) for n in (2, 4, 8, 16, 32, 64)]
 REPEAT = 3
+# stage -> the sdrelax.solver functions timed as that stage
 STAGES = {
-    "_mesh_for": "mesh_s",
-    "_assemble_axis_terms": "assembly_s",
-    "_solve_axis": "chain_dp_s",
-    "surface_energy": "reevaluate_s",
+    "mesh_s": ("_mesh_for",),
+    "pieces_s": ("boundary_pieces",),
+    "assembly_s": ("_assemble_axis_terms",),
+    "chain_dp_s": ("_solve_axis",),
+    "reevaluate_s": ("surface_energy_from_pieces", "surface_energy"),
 }
 
 
@@ -42,20 +51,28 @@ def child(kind: str, n: int, seed: int) -> dict:
 
     import sdrelax.solver as solver
 
-    times = dict.fromkeys(STAGES.values(), 0.0)
+    times = {}
+    nested = []  # per active wrapped call: time spent in wrapped calls inside it
 
-    def timed(name, fn):
+    def timed(stage, fn):
         def wrapper(*args, **kwargs):
+            nested.append(0.0)
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                times[STAGES[name]] += time.perf_counter() - t0
+                elapsed = time.perf_counter() - t0
+                times[stage] += elapsed - nested.pop()
+                if nested:
+                    nested[-1] += elapsed
 
         return wrapper
 
-    for name in STAGES:
-        setattr(solver, name, timed(name, getattr(solver, name)))
+    for stage, names in STAGES.items():
+        present = [name for name in names if hasattr(solver, name)]
+        times[stage] = 0.0 if present else None
+        for name in present:
+            setattr(solver, name, timed(stage, getattr(solver, name)))
     rng = np.random.default_rng(seed)
     A = rng.uniform(-5, 5, (3, 3 if kind == "W_3DSD" else 2))
     B = rng.uniform(-5, 5, (3, 2))
@@ -98,6 +115,12 @@ def environment() -> dict:
     }
 
 
+def _least(values):
+    """Minimum of a stage's times, or ``None`` where the stage is missing."""
+    values = list(values)
+    return None if None in values else min(values)
+
+
 def ladder(before: str, after: str, seed: int) -> list[dict]:
     rows = []
     for kind, n in LADDER:
@@ -108,7 +131,7 @@ def ladder(before: str, after: str, seed: int) -> list[dict]:
                 runs[side].append(run_child(before if side == "before" else after, kind, n, seed))
         row = {"kind": kind, "n": n, "cells": n ** (3 if kind == "W_3DSD" else 2)}
         for side, samples in runs.items():
-            best = {k: min(s[k] for s in samples) for k in (*STAGES.values(), "total_s")}
+            best = {k: _least(s[k] for s in samples) for k in (*STAGES, "total_s")}
             best["peak_rss_mb"] = max(s["peak_rss_mb"] for s in samples)
             best["value"], best["value_exact"] = samples[0]["value"], samples[0]["value_exact"]
             row[side] = best
