@@ -36,7 +36,7 @@ from .errors import MeshError
 UNIT_TOL = 1e-12
 
 # Uniform grids kept by build_mesh, keyed by (dimension, n).  An entry holds
-# about as much as one solve's mesh: ~170 MB for a 2D grid at n = 1024.
+# about as much as one solve's mesh: ~175 MB for a 2D grid at n = 1024.
 GRID_CACHE_SIZE = 8
 
 
