@@ -21,8 +21,8 @@ both sides carry exactly constant jumps and take the closed form on that
 value, axis by axis, with the axis' normal as a broadcast view rather than
 one copy per edge.  Boundary mismatches come from the boundary piece table
 (:func:`sdrelax.fields.boundary_pieces`); :func:`surface_energy` builds it
-from the datum, and :func:`surface_energy_from_pieces` takes a table the
-caller already holds (the solver builds one per solve).  The closed forms
+from the datum unless the caller passes the table it already holds (the
+solver builds one per solve).  The closed forms
 run over all pieces at once, including the sign-split integrals over 3D
 faces (vectorized polygon clipping); only custom densities are evaluated
 piece by piece.  Pieces are summed in sequence, in mesh order.
@@ -140,28 +140,19 @@ def surface_energy(
     density,
     datum=None,
     overestimate: bool = False,
+    pieces: BoundaryPieces | None = None,
 ) -> float:
     """Surface energy of a field; with ``datum`` the boundary mismatch is
     charged as a jump against the datum.  ``overestimate=True`` switches the
     affine pieces of the normal form to the trapezoid / corner-average rule
-    (used by the solver to state certified objective values).  Evaluated by
-    :func:`surface_energy_from_pieces` on the datum's piece table."""
-    pieces = None if datum is None else boundary_pieces(field.mesh, datum)
-    return surface_energy_from_pieces(field, density, pieces, overestimate)
-
-
-def surface_energy_from_pieces(
-    field: SbvField,
-    density,
-    pieces: BoundaryPieces | None,
-    overestimate: bool = False,
-) -> float:
-    """:func:`surface_energy` against a datum given by its boundary piece
-    table (``None``: no boundary term), so that a caller holding the table
-    does not build it again.
+    (used by the solver to state certified objective values).  A caller that
+    already holds the datum's table ``boundary_pieces(field.mesh, datum)``
+    passes it as ``pieces``, and it is not built again.
 
     Pieces are summed in sequence (interior edges, then boundary pieces, in
     mesh order), skipping those without jump."""
+    if pieces is None and datum is not None:
+        pieces = boundary_pieces(field.mesh, datum)
     mesh, table = field.mesh, field.jump_table
     form, func = _surface_form(density), _surface_callable(density)
     dirs3 = padded_normal(mesh.frame.T)  # row a: padded world normal of axis a

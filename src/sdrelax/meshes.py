@@ -18,11 +18,14 @@ solver's 1-D programs.  These arrays are the only description of edge
 geometry; :func:`sdrelax.fields.boundary_pieces` derives the boundary
 pieces from them.
 
-Every array of a mesh is read-only.  The cell and edge tables live in the
-mesh frame, so they do not depend on ``frame``: :func:`build_mesh` keeps the
-last ``GRID_CACHE_SIZE`` uniform grids, one per ``(dimension, n)``, and each
-mesh it returns shares the grid's tables and holds its own frame and
-world-coordinate data.  ``build_mesh.cache_clear()`` frees the kept grids.
+Every array of a mesh is read-only.  The breakpoints, cell and edge tables
+live in the mesh frame, so they form a frame-free grid; a :class:`Mesh` is
+such a grid plus its own ``frame`` and world-coordinate data.
+:func:`build_mesh` keeps the last ``GRID_CACHE_SIZE`` uniform grids of at
+most ``GRID_CACHE_MAX_CELLS`` cells, one per ``(dimension, n)``, and each
+mesh it returns shares the kept grid's tables; larger grids are built per
+call.  A kept grid holds at most about 3 MB in 2D and 7 MB in 3D;
+``build_mesh.cache_clear()`` frees them.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ from .errors import MeshError
 
 UNIT_TOL = 1e-12
 
-# Uniform grids kept by build_mesh, keyed by (dimension, n).  An entry holds
-# about as much as one solve's mesh: ~175 MB for a 2D grid at n = 1024.
-GRID_CACHE_SIZE = 8
+# Uniform grids kept by build_mesh, keyed by (dimension, n): at most
+# GRID_CACHE_SIZE of them (the CLI gauss-green suite cycles through 5 sizes),
+# each of at most GRID_CACHE_MAX_CELLS cells (2D n <= 128, 3D n <= 25).
+GRID_CACHE_SIZE = 5
+GRID_CACHE_MAX_CELLS = 2**14
 
 
 def frame_from_orientation(orientation: np.ndarray) -> np.ndarray:
@@ -93,20 +98,16 @@ def _checked_frame(frame, dim: int) -> np.ndarray:
     return frame
 
 
-# Mesh attributes in world coordinates: each mesh object holds its own.
-_WORLD = ("frame", "vertices")
+def _chains(shape, axis: int) -> np.ndarray:
+    ids = np.arange(int(np.prod(shape))).reshape(shape)
+    return np.moveaxis(ids, axis, -1).reshape(-1, shape[axis])
 
 
-class Mesh:
-    """Product mesh with cells ``[breaks[a][i], breaks[a][i+1])`` per axis.
+class _Grid:
+    """The frame-free part of a mesh: breakpoints, cell and edge tables, all
+    read-only.  A :class:`Mesh` copies these attributes and adds its frame."""
 
-    Cells are indexed in C order over the per-axis indices, i.e. the last
-    axis varies fastest; this is also the order used in field files.
-    Immutable after construction (every array is read-only) and safe to
-    share across threads.
-    """
-
-    def __init__(self, axis_breaks, frame=None, n=None):
+    def __init__(self, axis_breaks, n=None):
         breaks = tuple(np.array(b, dtype=float) for b in axis_breaks)
         dim = len(breaks)
         if dim not in (2, 3):
@@ -114,7 +115,6 @@ class Mesh:
         for b in breaks:
             if b.ndim != 1 or b.size < 2 or np.any(np.diff(b) <= 0):
                 raise MeshError("axis breakpoints must be strictly increasing with >= 2 entries")
-        self.frame = _checked_frame(frame, dim)
         self.dim = dim
         self.axis_breaks = breaks
         self.shape = tuple(b.size - 1 for b in breaks)
@@ -126,33 +126,17 @@ class Mesh:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def _reframed(self, frame) -> "Mesh":
-        """This mesh's grid in another ``frame``: a new mesh that shares
-        every cell and edge array and holds its own world-coordinate data."""
-        mesh = object.__new__(Mesh)
-        vars(mesh).update((k, v) for k, v in vars(self).items() if k not in _WORLD)
-        mesh.frame = _checked_frame(frame, self.dim)
-        return mesh
-
-    # -- construction ---------------------------------------------------
-
     def _build_cells(self):
         self.cell_lo = _grid([b[:-1] for b in self.axis_breaks])
         self.cell_hi = _grid([b[1:] for b in self.axis_breaks])
         self.cell_measures = np.prod(self.cell_hi - self.cell_lo, axis=1)
-
-    def chains(self, axis: int) -> np.ndarray:
-        """Cell ids of the chains along ``axis``: one row per chain, cells in
-        axis order, rows in C order over the other axes."""
-        ids = np.arange(self.ncells).reshape(self.shape)
-        return np.moveaxis(ids, axis, -1).reshape(-1, self.shape[axis])
 
     def _build_edges(self):
         """Edge arrays axis by axis, chain by chain: a chain's interior edges
         in axis order, then its low and its high boundary edge."""
         ints, bnds = [], []
         for axis in range(self.dim):
-            chains = self.chains(axis)
+            chains = _chains(self.shape, axis)
             nchains, m = chains.shape
             breaks = self.axis_breaks[axis]
             others = [self.axis_breaks[a] for a in range(self.dim) if a != axis]
@@ -181,6 +165,27 @@ class Mesh:
         self.bnd_cell, self.bnd_side, self.bnd_axis, self.bnd_measure, self.bnd_corners = (
             np.concatenate(a) for a in zip(*bnds)
         )
+
+
+class Mesh:
+    """Product mesh with cells ``[breaks[a][i], breaks[a][i+1])`` per axis.
+
+    Cells are indexed in C order over the per-axis indices, i.e. the last
+    axis varies fastest; this is also the order used in field files.
+    Immutable after construction (every array is read-only) and safe to
+    share across threads.  ``axis_breaks`` may also be a kept uniform grid
+    (from :func:`build_mesh`), whose tables the mesh then shares.
+    """
+
+    def __init__(self, axis_breaks, frame=None, n=None):
+        grid = axis_breaks if isinstance(axis_breaks, _Grid) else _Grid(axis_breaks, n)
+        vars(self).update(vars(grid))
+        self.frame = _checked_frame(frame, self.dim)
+
+    def chains(self, axis: int) -> np.ndarray:
+        """Cell ids of the chains along ``axis``: one row per chain, cells in
+        axis order, rows in C order over the other axes."""
+        return _chains(self.shape, axis)
 
     # -- geometry queries -----------------------------------------------
 
@@ -225,9 +230,9 @@ class Mesh:
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _uniform_grid(dimension: int, n: int) -> Mesh:
-    """The axis-aligned uniform mesh that :func:`build_mesh` reframes."""
-    return Mesh([np.linspace(-0.5, 0.5, n + 1)] * dimension, n=n)
+def _uniform_grid(dimension: int, n: int) -> _Grid:
+    """The uniform grid of the unit square/cube centered at the origin."""
+    return _Grid([np.linspace(-0.5, 0.5, n + 1)] * dimension, n=n)
 
 
 def build_mesh(dimension: int, n: int, orientation) -> Mesh:
@@ -247,7 +252,9 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
             f"orientation shape {orientation.shape} does not match dimension {dimension}"
         )
     frame = frame_from_orientation(orientation)
-    return _uniform_grid(dimension, int(n))._reframed(frame)
+    n = int(n)
+    kept = n**dimension <= GRID_CACHE_MAX_CELLS
+    return Mesh((_uniform_grid if kept else _uniform_grid.__wrapped__)(dimension, n), frame)
 
 
 build_mesh.cache_clear = _uniform_grid.cache_clear

@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import densities as dens
-from .energy import padded_normal, surface_energy, surface_energy_from_pieces
+from .energy import padded_normal, surface_energy
 from .errors import InputError, ProblemError, UnsupportedProblemError
 from .fields import (
     AffineDatum,
@@ -611,7 +611,7 @@ def solve(problem: CellProblem) -> SolveResult:
 
     grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
     minimizer = SbvField(mesh, grads, offsets)
-    value_exact = surface_energy_from_pieces(minimizer, problem.density, pieces) + bulk_value
+    value_exact = surface_energy(minimizer, problem.density, datum, pieces=pieces) + bulk_value
     value = value_exact if surf_value is None else surf_value + bulk_value
     return SolveResult(
         kind=problem.kind,

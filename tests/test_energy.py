@@ -129,9 +129,12 @@ def test_staircase_energy_is_in_order_sum_of_exactly_rounded_edge_terms(n, seed)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 5), (3, 3)])
-def test_surface_energy_reads_the_datum_piece_table(dim, n):
-    from sdrelax.energy import surface_energy_from_pieces
+def test_surface_energy_reads_the_datum_piece_table(dim, n, monkeypatch):
+    import sdrelax.energy
     from sdrelax.fields import StepDatum, boundary_pieces
+
+    def unbuilt(*args):
+        raise AssertionError("a given piece table is built again")
 
     rng = np.random.default_rng(60 + dim)
     eta = rng.normal(size=dim)
@@ -142,12 +145,10 @@ def test_surface_energy_reads_the_datum_piece_table(dim, n):
     custom = DensityPair(bulk=lambda M: 0.0, surface=lambda v, nu: float(np.abs(v @ nu)))
     for pair in (interfacial_normal_pair(), psi1_pair(), custom):
         for over in (False, True):
-            assert surface_energy_from_pieces(fld, pair, None, over) == surface_energy(
-                fld, pair, overestimate=over
-            )
             for datum in (AffineDatum(rng.uniform(-3, 3, (3, dim))),
                           StepDatum(rng.uniform(-3, 3, 3), mesh.orientation)):
+                want = surface_energy(fld, pair, datum=datum, overestimate=over)
                 pieces = boundary_pieces(mesh, datum)
-                assert surface_energy_from_pieces(fld, pair, pieces, over) == surface_energy(
-                    fld, pair, datum=datum, overestimate=over
-                )
+                with monkeypatch.context() as m:
+                    m.setattr(sdrelax.energy, "boundary_pieces", unbuilt)
+                    assert surface_energy(fld, pair, datum, over, pieces=pieces) == want

@@ -260,3 +260,33 @@ def test_orientations_share_the_grid_but_not_the_frame(dim, n):
     mc = build_mesh(dim, n, a)
     assert not np.shares_memory(mc.bnd_corners, ma.bnd_corners)
     assert mc.bnd_corners.tobytes() == ma.bnd_corners.tobytes()
+
+
+def test_grids_above_the_cell_bound_are_not_kept(monkeypatch):
+    import sdrelax.meshes as meshes
+
+    monkeypatch.setattr(meshes, "GRID_CACHE_MAX_CELLS", 8)
+    build_mesh.cache_clear()
+    small = [build_mesh(2, 2, E1) for _ in range(2)]
+    large = [build_mesh(2, 3, E1) for _ in range(2)]
+    assert np.shares_memory(small[0].int_corners, small[1].int_corners)
+    assert not np.shares_memory(large[0].int_corners, large[1].int_corners)
+    fresh = Mesh([np.linspace(-0.5, 0.5, 4)] * 2, frame_from_orientation(E1), n=3)
+    for key, value in mesh_arrays(fresh).items():
+        assert mesh_arrays(large[0])[key].tobytes() == value.tobytes(), key
+        assert not mesh_arrays(large[0])[key].flags.writeable, key
+    assert meshes._uniform_grid.cache_info().currsize == 1
+
+
+def test_every_built_mesh_is_initialised(monkeypatch):
+    # a kept grid still passes through Mesh.__init__, so the frame is checked
+    # and per-mesh work counters see every mesh
+    original, built = Mesh.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mesh, "__init__", counted)
+    meshes = [build_mesh(2, 4, E1) for _ in range(3)]
+    assert built == meshes

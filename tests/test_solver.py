@@ -670,6 +670,7 @@ def test_one_solve_builds_one_piece_table(monkeypatch):
     import sys
 
     import sdrelax.fields
+    import sdrelax.solver
 
     original = sdrelax.fields.boundary_pieces
     calls = []
@@ -682,7 +683,18 @@ def test_one_solve_builds_one_piece_table(monkeypatch):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("sdrelax") and getattr(module, "boundary_pieces", None) is original:
             monkeypatch.setattr(module, "boundary_pieces", counted)
+    # the exact re-evaluation goes through the public surface_energy
+    energies = []
+    surface_energy = sdrelax.solver.surface_energy
+
+    def evaluated(field, *args, **kwargs):
+        energies.append(field)
+        return surface_energy(field, *args, **kwargs)
+
+    monkeypatch.setattr(sdrelax.solver, "surface_energy", evaluated)
     for problem in _problems_of_every_kind(3, seed=77):
         calls.clear()
-        solve(problem)
+        energies.clear()
+        result = solve(problem)
         assert len(calls) == 1, problem.kind
+        assert energies == [result.minimizer], problem.kind

@@ -10,11 +10,11 @@ repeat.  The child times the stages by wrapping the functions that
 ``solve`` looks up in ``sdrelax.solver`` (``STAGES``): mesh
 (``_mesh_for``), boundary piece table (``boundary_pieces``), term assembly
 (``_assemble_axis_terms``), the chain DP (``_solve_axis``) and the exact
-re-evaluation (``surface_energy_from_pieces`` where it exists, else
-``surface_energy``).  Stage times are exclusive: a wrapped call nested in
-another counts only in its own stage, so a piece table built inside term
-assembly counts in ``pieces_s``, while one built inside ``surface_energy``
-(not looked up in ``sdrelax.solver``) counts in ``reevaluate_s``.  A stage
+re-evaluation (``surface_energy``).  Stage times are exclusive: a wrapped
+call nested in another counts only in its own stage, so a piece table built
+inside term assembly counts in ``pieces_s``, while one built inside
+``surface_energy`` (not looked up in ``sdrelax.solver``) counts in
+``reevaluate_s``.  A stage
 none of whose functions exist in a tree is reported as ``null``.  A row
 keeps the minimum of each time over the repeats and the largest peak RSS
 (``ru_maxrss`` of the child).  ``--out`` appends one run, with the
@@ -41,7 +41,7 @@ STAGES = {
     "pieces_s": ("boundary_pieces",),
     "assembly_s": ("_assemble_axis_terms",),
     "chain_dp_s": ("_solve_axis",),
-    "reevaluate_s": ("surface_energy_from_pieces", "surface_energy"),
+    "reevaluate_s": ("surface_energy",),
 }
 
 
