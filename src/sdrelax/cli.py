@@ -23,7 +23,7 @@ import numpy as np
 from . import densities as dens
 from .constructions import SequenceParams, decay_table
 from .errors import InputError, SdRelaxError
-from .fields import SbvField, _field_from_payload, gauss_green_residual
+from .fields import SbvField, _cell_blocks, _field_from_payload, gauss_green_residual
 from .functionals import _triple_from_payload, eval_F3dSD, eval_left, eval_right
 from .meshes import build_mesh
 from .solver import CellProblem, Kind, closed_form, solve
@@ -316,10 +316,7 @@ def cmd_functional(args) -> int:
     if dimension == 3:
         # a cube field plus per-cell "G" blocks: evaluate the 3D functional
         field = _field_from_payload(payload)
-        try:
-            G3 = np.asarray([c["G"] for c in payload["cells"]], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"3D functional file needs a 'G' block per cell: {exc}") from exc
+        G3 = _cell_blocks(payload["cells"], "G", "3D functional")
         rows = [{"value": eval_F3dSD(field, G3), "passed": True}]
         _emit(rows, args, "functional-3d", True)
         return PASS

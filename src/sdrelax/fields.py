@@ -465,11 +465,36 @@ def _field_from_payload(payload) -> SbvField:
         cells = payload["cells"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"field file is missing or has malformed keys: {exc}") from exc
+    if not isinstance(cells, list):
+        raise InputError(f"field file 'cells' must be a list, got {type(cells).__name__}")
     mesh = build_mesh(dim, n, orientation)
     if len(cells) != mesh.ncells:
         raise InputError(
             f"field file lists {len(cells)} cells but the mesh has {mesh.ncells}"
         )
-    grads = np.asarray([c["gradient"] for c in cells], dtype=float)
-    offs = np.asarray([c["offset"] for c in cells], dtype=float)
+    grads = _cell_blocks(cells, "gradient", "field")
+    offs = _cell_blocks(cells, "offset", "field")
     return SbvField(mesh, grads, offs)
+
+
+def _cell_blocks(cells: list, key: str, what: str) -> np.ndarray:
+    """The ``key`` entries of a file's cell objects, stacked as floats.
+
+    A cell that is not an object, lacks ``key``, or whose entry is not a
+    number array of the first cell's shape raises an ``InputError`` that
+    names the first such cell.
+    """
+    try:
+        return np.asarray([c[key] for c in cells], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        pass
+    shape = None
+    for i, c in enumerate(cells):
+        try:
+            block = np.asarray(c[key], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            block = None
+        if block is None or (shape is not None and block.shape != shape):
+            raise InputError(f"{what} file cell {i} has a missing or malformed '{key}'")
+        shape = block.shape
+    raise InputError(f"{what} file has malformed '{key}' entries")

@@ -22,7 +22,7 @@ import numpy as np
 from .densities import interfacial_normal_pair
 from .energy import surface_energy
 from .errors import FieldError, InputError
-from .fields import SbvField, _cells_to_json, _field_from_payload, _load_json
+from .fields import SbvField, _cell_blocks, _cells_to_json, _field_from_payload, _load_json
 from .meshes import Mesh, build_mesh
 
 _NORMAL_PAIR = interfacial_normal_pair()
@@ -152,13 +152,8 @@ def triple_from_json(text: str) -> StructuredTriple:
 def _triple_from_payload(payload) -> StructuredTriple:
     """Triple of a parsed triple file."""
     field = _field_from_payload(payload)
-    cells = payload["cells"]
-    try:
-        G = np.asarray([c["G"] for c in cells], dtype=float)
-        d = np.asarray([c["d"] for c in cells], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        bad = next((i for i, c in enumerate(cells) if "G" not in c or "d" not in c), -1)
-        raise InputError(f"triple file cell {bad} lacks G/d data: {exc}") from exc
+    G = _cell_blocks(payload["cells"], "G", "triple")
+    d = _cell_blocks(payload["cells"], "d", "triple")
     try:
         return StructuredTriple(g=field, G=G, d=d)
     except FieldError as exc:

@@ -23,6 +23,13 @@ mismatches ``w |p_i + c|``.  This is L1 total variation on a path, which has
 the threshold property: some minimizer takes all its values among the unary
 breakpoints ``-c``.  A min-plus dynamic program down each chain over those
 candidates is therefore exact; it runs on all chains of an axis at once.
+Before it runs, each chain is contracted in series to its kept cells (the
+cells with a unary term, and both ends): a run of unary-free cells between
+two kept cells is a bare total-variation path, whose cheapest way from
+value ``u`` to value ``v`` is one jump ``min h |v - u|`` on its cheapest
+edge.  So the DP sees one edge per run, and the returned minimizer jumps at
+most once per run, at the run's last cheapest edge.  Affine problems charge
+only boundary faces, so their chains shrink to their two ends.
 Pure jump problems carry a second, energy-free objective through the same
 program (datum mismatches on every boundary face, whose breakpoints join
 the candidates) and compare (primary, secondary) pairs lexicographically,
@@ -446,19 +453,56 @@ def _chain_dp(cand, h, unary, secondary=None, tol=None) -> np.ndarray:
     f = unary[:, 0]
     g = None if secondary is None else secondary[:, 0]
     back = np.empty((nchains, n - 1, k), dtype=np.min_scalar_type(k))
+    chain = np.arange(nchains)
+    rows, cols = chain[:, None], np.arange(k)  # [rows, arg, cols] picks trans[c, arg[c, v], v]
     for i in range(1, n):
         trans = f[:, :, None] + h[:, i - 1, None, None] * jump
         arg = _lex_argmin(trans, None if g is None else g[:, :, None], tol_step, axis=1)
         back[:, i - 1] = arg
-        f = np.take_along_axis(trans, arg[:, None, :], axis=1)[:, 0] + unary[:, i]
+        f = trans[rows, arg, cols] + unary[:, i]
         if g is not None:
-            g = np.take_along_axis(g, arg, axis=1) + secondary[:, i]
+            g = g[rows, arg] + secondary[:, i]
     idx = np.empty((nchains, n), dtype=np.intp)
     idx[:, -1] = _lex_argmin(f, g, None if tol is None else tol[:, None], axis=1)
-    rows = np.arange(nchains)
     for i in range(n - 1, 0, -1):
-        idx[:, i - 1] = back[rows, i - 1, idx[:, i]]
+        idx[:, i - 1] = back[chain, i - 1, idx[:, i]]
     return idx
+
+
+def _contract(h: np.ndarray, kept: np.ndarray):
+    """Series contraction of chains ``(nchains, n)`` to their ``kept`` cells.
+
+    Between two kept cells lies a run of cells without unary terms: a bare
+    total-variation path, along which going from value ``u`` to value ``v``
+    costs at least ``min h |v - u|``, attained by one jump at a cheapest
+    edge.  Returns ``hc`` ``(nchains, L - 1)``, one edge of the run's least
+    ``h`` between consecutive kept cells (chains with fewer than ``L`` kept
+    cells are padded with ``h = 0``), and ``pos`` ``(nchains, n)``, the
+    contracted position whose value each cell takes: a run's cells up to its
+    last cheapest edge take the value of the kept cell before it, the rest
+    that of the kept cell after it.  Each chain's first and last cell must
+    be kept.
+    """
+    nchains, n = kept.shape
+    # edge slot j joins cells j and j + 1; each chain's last slot is +inf,
+    # so the run of a chain's last cell never reaches the next chain
+    slots = np.full((nchains, n), np.inf)
+    slots[:, :-1] = h
+    slots, kept = slots.ravel(), kept.ravel()
+    start = np.flatnonzero(kept)  # run r spans slots start[r] .. start[r + 1] - 1
+    hmin = np.minimum.reduceat(slots, start)
+    run = np.cumsum(kept) - 1
+    cheapest = np.where(slots == hmin[run], np.arange(len(slots)), -1)
+    last = np.maximum.reduceat(cheapest, start)
+    inner = start % n != n - 1  # runs that end at a kept cell of the same chain
+    begins = np.zeros(len(slots), dtype=np.intp)
+    begins[::n] = 1
+    begins[last[inner] + 1] = 1
+    group = np.cumsum(begins).reshape(nchains, n)
+    pos = group - group[:, :1]
+    hc = np.zeros((nchains, int(pos[:, -1].max())))
+    hc[start[inner] // n, pos.reshape(-1)[start[inner]]] = hmin[inner]
+    return hc, pos
 
 
 def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
@@ -469,6 +513,8 @@ def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
     its values in the chain's unary breakpoints ``-const``, so the DP over
     those candidates is exact; with ``tie_break`` the candidates include the
     side-term breakpoints, which keeps the lexicographic program exact too.
+    The DP runs on the chains contracted to their cells with unary terms
+    (``_contract``); the objective is summed over the expanded chains.
     """
     chains = mesh.chains(axis)
     nchains, n = chains.shape
@@ -483,20 +529,26 @@ def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
     use = ~terms.side | tie_break
     tc, tp = chain_of[terms.cell[use]], pos_of[terms.cell[use]]
     weight, const, primary = terms.weight[use], terms.const[use], ~terms.side[use]
+    kept = np.zeros((nchains, n), dtype=bool)
+    kept[:, [0, -1]] = True
+    kept[tc, tp] = True
+    hc, pos = _contract(h, kept)
+    tk = pos[tc, tp]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
     cand = _candidates(tc, 0.0 - const, nchains)
     cost = weight[:, None] * np.abs(cand[tc] + const[:, None])
-    unary = np.zeros((nchains, n, cand.shape[1]))
-    np.add.at(unary, (tc[primary], tp[primary]), cost[primary])
+    unary = np.zeros((nchains, hc.shape[1] + 1, cand.shape[1]))
+    np.add.at(unary, (tc[primary], tk[primary]), cost[primary])
     secondary = tol = None
     if tie_break:
         secondary = np.zeros_like(unary)
-        np.add.at(secondary, (tc, tp), cost)
+        np.add.at(secondary, (tc, tk), cost)
         total_weight = h.sum(axis=1) + np.bincount(
             tc[primary], weights=weight[primary], minlength=nchains
         )
         tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
-    x = np.take_along_axis(cand, _chain_dp(cand, h, unary, secondary, tol), axis=1)
+    xk = np.take_along_axis(cand, _chain_dp(cand, hc, unary, secondary, tol), axis=1)
+    x = np.take_along_axis(xk, pos, axis=1)
 
     values = np.empty(mesh.ncells)
     values[chains] = x

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 
 from sdrelax.cli import main
@@ -172,6 +173,69 @@ def test_functional_malformed_file(tmp_path, capsys):
     assert "cells" in err or "cell" in err
     code, _, err = run(capsys, "functional", "--file", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def _malformed_cells(cells):
+    del cells[2]["offset"]
+
+
+def _ragged_gradient(cells):
+    cells[1]["gradient"][2] = [0.0]
+
+
+def _short_gradient(cells):
+    cells[3]["gradient"] = cells[3]["gradient"][:2]
+
+
+def _number_cell(cells):
+    cells[2] = 7
+
+
+def _string_cell(cells):
+    cells[1] = "cell"
+
+
+def _bad_G(cells):
+    cells[3]["G"] = "oops"
+
+
+def _short_d(cells):
+    cells[2]["d"] = [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_malformed_cells, "field file cell 2 has a missing or malformed 'offset'"),
+        (_ragged_gradient, "field file cell 1 has a missing or malformed 'gradient'"),
+        (_short_gradient, "field file cell 3 has a missing or malformed 'gradient'"),
+        (_number_cell, "field file cell 2 has a missing or malformed 'gradient'"),
+        (_string_cell, "field file cell 1 has a missing or malformed 'gradient'"),
+        (_bad_G, "triple file cell 3 has a missing or malformed 'G'"),
+        (_short_d, "triple file cell 2 has a missing or malformed 'd'"),
+    ],
+)
+def test_functional_names_the_first_malformed_cell(tmp_path, capsys, edit, message):
+    mesh = build_mesh(2, 2, np.array([1.0, 0.0]))
+    A = np.arange(6.0).reshape(3, 2)
+    triple = StructuredTriple(
+        g=SbvField.affine(mesh, A), G=np.tile(A, (mesh.ncells, 1, 1)), d=np.zeros((mesh.ncells, 3))
+    )
+    payload = json.loads(triple_to_json(triple))
+    edit(payload["cells"])
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "functional", "--file", str(f))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("cells, name", [({"0": {}}, "dict"), ("cells", "str"), (4, "int")])
+def test_functional_rejects_cells_that_are_not_a_list(tmp_path, capsys, cells, name):
+    payload = {"dimension": 2, "n": 2, "orientation": [1.0, 0.0], "cells": cells}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "functional", "--file", str(f))
+    assert (code, out, err) == (2, "", f"error: field file 'cells' must be a list, got {name}\n")
 
 
 def test_functional_3d_field_file(tmp_path, capsys):

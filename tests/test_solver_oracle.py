@@ -7,12 +7,16 @@ solver's value.  The chain solver is also checked on its own against scipy,
 on random chains with arbitrary weights.  The certificate check evaluates
 the objective at arbitrary (non-optimal) feasible fields and verifies it
 never falls below the closed form, which is the content of the lower-bound
-flag.
+flag.  The series contraction of the chains is checked against the same
+DP run on the uncontracted chains.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
+
+import sdrelax.solver
 
 from sdrelax.densities import h_3d2d, interfacial_normal_pair, w_3d2dsd
 from sdrelax.energy import surface_energy
@@ -242,6 +246,82 @@ def test_chain_of_one_cell_without_interior_terms():
     value, x = _solve_axis(mesh, 0, terms, tie_break=False)
     assert value == 0.0
     assert x[0] == -5.0
+
+
+def uncontracted_solve_axis(mesh, axis, terms, tie_break):
+    """``_solve_axis`` with every cell kept: the DP walks every cell."""
+    contract = sdrelax.solver._contract
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdrelax.solver, "_contract", lambda h, kept: contract(h, np.ones_like(kept)))
+        return _solve_axis(mesh, axis, terms, tie_break)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    nchains=st.integers(1, 4),
+    density=st.floats(0.0, 1.0),
+    tie_break=st.booleans(),
+    exponent=st.integers(-9, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contracted_chains_match_the_uncontracted_dp(n, nchains, density, tie_break, exponent, seed):
+    rng = np.random.default_rng(seed)
+    mesh = chain_mesh(n, nchains)
+    # every chain carries a unary term; each cell carries one with the drawn density
+    cell = np.concatenate([
+        rng.integers(0, n, nchains) * nchains + np.arange(nchains),
+        np.flatnonzero(rng.random(mesh.ncells) < density),
+    ])
+    side = rng.random(len(cell)) < 0.3
+    side[:nchains] = False
+    terms = chain_terms(
+        mesh,
+        h=rng.uniform(0.05, 3, (mesh.int_axis == 0).sum()),
+        cell=cell,
+        weight=rng.uniform(0.05, 3, len(cell)),
+        const=rng.uniform(-3, 3, len(cell)) * 10.0**exponent,
+        side=side,
+    )
+    value, x = _solve_axis(mesh, 0, terms, tie_break)
+    ref, _ = uncontracted_solve_axis(mesh, 0, terms, tie_break)
+    assert abs(value - ref) <= 1e-12 * (1 + abs(ref))
+    # the expanded minimizer attains the contracted minimum
+    energy = ~terms.side
+    attained = float(
+        np.sum(terms.h * np.abs(x[terms.plus] - x[terms.minus]))
+        + np.sum(terms.weight[energy] * np.abs(x[terms.cell[energy]] + terms.const[energy]))
+    )
+    assert abs(attained - value) <= 1e-12 * (1 + abs(ref))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(h=st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=1, max_size=10))
+def test_a_unary_free_run_jumps_at_its_last_cheapest_edge(h):
+    # heavy end terms pin x = 0 at the first cell and x = 1 at the last; the
+    # cells between carry no unary term, so the path jumps exactly once
+    n = len(h) + 1
+    mesh = chain_mesh(n)
+    terms = chain_terms(mesh, h=h, cell=[0, n - 1], weight=[10.0, 10.0], const=[0.0, -1.0])
+    value, x = _solve_axis(mesh, 0, terms, tie_break=False)
+    last = len(h) - 1 - int(np.argmin(h[::-1]))
+    assert value == min(h)
+    assert np.array_equal(x, (np.arange(n) > last).astype(float))
+
+
+@pytest.mark.parametrize("kind, n, A", [("W_3D2DSD", 32, (3, 2)), ("W_3DSD", 8, (3, 3))])
+def test_affine_solves_run_the_dp_on_chains_of_two_cells(monkeypatch, kind, n, A):
+    chain_dp = sdrelax.solver._chain_dp
+    lengths = []
+
+    def counted(cand, h, unary, *args):
+        lengths.append(unary.shape[1])
+        return chain_dp(cand, h, unary, *args)
+
+    monkeypatch.setattr(sdrelax.solver, "_chain_dp", counted)
+    rng = np.random.default_rng(5)
+    solve(CellProblem(kind=kind, n=n, A=rng.uniform(-5, 5, A), B=rng.uniform(-5, 5, (3, 2))))
+    assert lengths and max(lengths) <= 2
 
 
 def test_objective_of_arbitrary_feasible_fields_certifies_floor():

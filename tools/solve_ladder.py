@@ -2,23 +2,26 @@
 
     python tools/solve_ladder.py --before PARENT_CHECKOUT --after . --out BENCH_solve.json
 
-For each rung (W_3D2DSD n = 8..1024 and W_3DSD n = 2..64) and each tree,
-one fresh single-threaded process per repeat (``REPEAT`` of them) imports
-``sdrelax`` from the tree's ``src/`` and solves one problem with data drawn
-from ``numpy.random.default_rng(seed)``.  The trees alternate within each
-repeat.  The child times the stages by wrapping the functions that
-``solve`` looks up in ``sdrelax.solver`` (``STAGES``): mesh
-(``_mesh_for``), boundary piece table (``boundary_pieces``), term assembly
-(``_assemble_axis_terms``), the chain DP (``_solve_axis``) and the exact
-re-evaluation (``surface_energy``).  Stage times are exclusive: a wrapped
-call nested in another counts only in its own stage, so a piece table built
-inside term assembly counts in ``pieces_s``, while one built inside
-``surface_energy`` (not looked up in ``sdrelax.solver``) counts in
-``reevaluate_s``.  A stage
-none of whose functions exist in a tree is reported as ``null``.  A row
-keeps the minimum of each time over the repeats and the largest peak RSS
-(``ru_maxrss`` of the child).  ``--out`` appends one run, with the
-environment and both trees' git revisions, to the file's ``runs`` list.
+For each rung (W_3D2DSD and H_3D2D n = 8..1024, W_3DSD and H_3DSD
+n = 2..64) and each tree, one fresh single-threaded process per repeat
+(``REPEAT`` of them) imports ``sdrelax`` from the tree's ``src/`` and solves
+one problem with data drawn from ``numpy.random.default_rng(seed)``.  The
+trees alternate within each repeat, and the tree that goes first alternates
+between repeats.  The child times the stages by wrapping the functions that
+``solve`` looks up in ``sdrelax.solver`` (``STAGES``): mesh (``_mesh_for``),
+boundary piece table (``boundary_pieces``), term assembly
+(``_assemble_axis_terms``), the chains of each axis outside the DP
+(``_solve_axis``: chain tables, contraction, objective), the min-plus DP
+itself (``_chain_dp``) and the exact re-evaluation (``surface_energy``).
+Stage times are exclusive: a wrapped call nested in another counts only in
+its own stage, so the DP counts in ``chain_dp_s`` and not in ``chains_s``,
+a piece table built inside term assembly counts in ``pieces_s``, and one
+built inside ``surface_energy`` (not looked up in ``sdrelax.solver``)
+counts in ``reevaluate_s``.  A stage none of whose functions exist in a
+tree is reported as ``null``.  A row gives each time as the median and
+quartiles over the repeats, and the largest peak RSS (``ru_maxrss`` of the
+child).  ``--out`` appends one run, with the environment and both trees'
+git revisions, to the file's ``runs`` list.
 """
 
 from __future__ import annotations
@@ -28,19 +31,25 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
 
-LADDER = [("W_3D2DSD", n) for n in (8, 16, 32, 64, 128, 256, 512, 1024)]
-LADDER += [("W_3DSD", n) for n in (2, 4, 8, 16, 32, 64)]
-REPEAT = 3
+THREE_D = ("W_3DSD", "H_3DSD")
+LADDER = [
+    (kind, n)
+    for kind in ("W_3D2DSD", "W_3DSD", "H_3D2D", "H_3DSD")
+    for n in ((2, 4, 8, 16, 32, 64) if kind in THREE_D else (8, 16, 32, 64, 128, 256, 512, 1024))
+]
+REPEAT = 5
 # stage -> the sdrelax.solver functions timed as that stage
 STAGES = {
     "mesh_s": ("_mesh_for",),
     "pieces_s": ("boundary_pieces",),
     "assembly_s": ("_assemble_axis_terms",),
-    "chain_dp_s": ("_solve_axis",),
+    "chains_s": ("_solve_axis",),
+    "chain_dp_s": ("_chain_dp",),
     "reevaluate_s": ("surface_energy",),
 }
 
@@ -74,9 +83,14 @@ def child(kind: str, n: int, seed: int) -> dict:
         for name in present:
             setattr(solver, name, timed(stage, getattr(solver, name)))
     rng = np.random.default_rng(seed)
-    A = rng.uniform(-5, 5, (3, 3 if kind == "W_3DSD" else 2))
-    B = rng.uniform(-5, 5, (3, 2))
-    problem = solver.CellProblem(kind=kind, n=n, A=A, B=B)
+    if kind.startswith("H_"):
+        eta = rng.normal(size=3 if kind in THREE_D else 2)
+        lam = rng.uniform(-5, 5, 3)
+        problem = solver.CellProblem(kind=kind, n=n, lam=lam, orientation=eta / np.linalg.norm(eta))
+    else:
+        A = rng.uniform(-5, 5, (3, 3 if kind == "W_3DSD" else 2))
+        B = rng.uniform(-5, 5, (3, 2))
+        problem = solver.CellProblem(kind=kind, n=n, A=A, B=B)
     t0 = time.perf_counter()
     result = solver.solve(problem)
     times["total_s"] = time.perf_counter() - t0
@@ -115,10 +129,14 @@ def environment() -> dict:
     }
 
 
-def _least(values):
-    """Minimum of a stage's times, or ``None`` where the stage is missing."""
+def _spread(values):
+    """Median and quartiles of a stage's times, or ``None`` where the stage
+    is missing."""
     values = list(values)
-    return None if None in values else min(values)
+    if None in values:
+        return None
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def ladder(before: str, after: str, seed: int) -> list[dict]:
@@ -129,12 +147,12 @@ def ladder(before: str, after: str, seed: int) -> list[dict]:
             sides = ("before", "after") if r % 2 == 0 else ("after", "before")
             for side in sides:
                 runs[side].append(run_child(before if side == "before" else after, kind, n, seed))
-        row = {"kind": kind, "n": n, "cells": n ** (3 if kind == "W_3DSD" else 2)}
+        row = {"kind": kind, "n": n, "cells": n ** (3 if kind in THREE_D else 2)}
         for side, samples in runs.items():
-            best = {k: _least(s[k] for s in samples) for k in (*STAGES, "total_s")}
-            best["peak_rss_mb"] = max(s["peak_rss_mb"] for s in samples)
-            best["value"], best["value_exact"] = samples[0]["value"], samples[0]["value_exact"]
-            row[side] = best
+            stats = {k: _spread(s[k] for s in samples) for k in (*STAGES, "total_s")}
+            stats["peak_rss_mb"] = max(s["peak_rss_mb"] for s in samples)
+            stats["value"], stats["value_exact"] = samples[0]["value"], samples[0]["value_exact"]
+            row[side] = stats
         print(json.dumps(row), flush=True)
         rows.append(row)
     return rows
