@@ -470,39 +470,43 @@ def _chain_dp(cand, h, unary, secondary=None, tol=None) -> np.ndarray:
 
 
 def _contract(h: np.ndarray, kept: np.ndarray):
-    """Series contraction of chains ``(nchains, n)`` to their ``kept`` cells.
+    """Series contraction of chains to their kept cells.
 
-    Between two kept cells lies a run of cells without unary terms: a bare
-    total-variation path, along which going from value ``u`` to value ``v``
-    costs at least ``min h |v - u|``, attained by one jump at a cheapest
-    edge.  Returns ``hc`` ``(nchains, L - 1)``, one edge of the run's least
-    ``h`` between consecutive kept cells (chains with fewer than ``L`` kept
-    cells are padded with ``h = 0``), and ``pos`` ``(nchains, n)``, the
-    contracted position whose value each cell takes: a run's cells up to its
-    last cheapest edge take the value of the kept cell before it, the rest
-    that of the kept cell after it.  Each chain's first and last cell must
-    be kept.
+    ``h`` ``(nchains, n - 1)`` holds each chain's edge weights, and ``kept``
+    ``(nchains, n)`` marks the kept cells, every chain's first and last cell
+    among them.  Between two kept cells of a chain lies a run of cells
+    without unary terms: a bare total-variation path, along which going from
+    value ``u`` to value ``v`` costs at least ``min h |v - u|``, attained by
+    one jump at a cheapest edge.
+
+    Returns ``hc`` ``(nchains, L - 1)``, one edge of the run's least ``h``
+    between consecutive kept cells (chains with fewer than ``L`` kept cells
+    are padded with ``h = 0``); ``keep``, the kept cells' flat (row-major)
+    indices; ``rank``, each kept cell's position in its contracted chain;
+    and ``span``, how many consecutive cells (in flat order) take each kept
+    cell's value: a run's cells up to its last cheapest edge take the value
+    of the kept cell before it, the rest that of the kept cell after it.
     """
-    nchains, n = kept.shape
-    # edge slot j joins cells j and j + 1; each chain's last slot is +inf,
-    # so the run of a chain's last cell never reaches the next chain
-    slots = np.full((nchains, n), np.inf)
-    slots[:, :-1] = h
-    slots, kept = slots.ravel(), kept.ravel()
-    start = np.flatnonzero(kept)  # run r spans slots start[r] .. start[r + 1] - 1
-    hmin = np.minimum.reduceat(slots, start)
-    run = np.cumsum(kept) - 1
-    cheapest = np.where(slots == hmin[run], np.arange(len(slots)), -1)
-    last = np.maximum.reduceat(cheapest, start)
-    inner = start % n != n - 1  # runs that end at a kept cell of the same chain
-    begins = np.zeros(len(slots), dtype=np.intp)
-    begins[::n] = 1
-    begins[last[inner] + 1] = 1
-    group = np.cumsum(begins).reshape(nchains, n)
-    pos = group - group[:, :1]
-    hc = np.zeros((nchains, int(pos[:, -1].max())))
-    hc[start[inner] // n, pos.reshape(-1)[start[inner]]] = hmin[inner]
-    return hc, pos
+    nchains, m = h.shape
+    keep = np.flatnonzero(kept)
+    chain, pos = np.divmod(keep, m + 1)
+    # each kept cell but a chain's last starts a run of edges that ends at
+    # the next kept cell; in h's flat order the runs tile every chain
+    inner = pos != m
+    edge0 = (keep - chain)[inner]
+    hflat = h.reshape(-1)
+    length = np.diff(edge0, append=hflat.size)
+    hmin = np.minimum.reduceat(hflat, edge0)
+    cheapest = np.flatnonzero(hflat == np.repeat(hmin, length))
+    jump = cheapest[np.searchsorted(cheapest, edge0 + length) - 1]  # last cheapest edge of each run
+    begin = keep.copy()  # first cell, in flat order, that takes each kept cell's value
+    begin[1:][inner[:-1]] = jump + chain[inner] + 1
+    span = np.diff(begin, append=nchains * (m + 1))
+    first = np.flatnonzero(pos == 0)
+    rank = np.arange(len(keep)) - np.repeat(first, np.diff(first, append=len(keep)))
+    hc = np.zeros((nchains, rank.max()))
+    hc[chain[inner], rank[inner]] = hmin
+    return hc, keep, rank, span
 
 
 def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
@@ -532,8 +536,8 @@ def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
     kept = np.zeros((nchains, n), dtype=bool)
     kept[:, [0, -1]] = True
     kept[tc, tp] = True
-    hc, pos = _contract(h, kept)
-    tk = pos[tc, tp]
+    hc, keep, rank, span = _contract(h, kept)
+    tk = rank[np.searchsorted(keep, tc * n + tp)]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
     cand = _candidates(tc, 0.0 - const, nchains)
     cost = weight[:, None] * np.abs(cand[tc] + const[:, None])
@@ -548,7 +552,7 @@ def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
         )
         tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
     xk = np.take_along_axis(cand, _chain_dp(cand, hc, unary, secondary, tol), axis=1)
-    x = np.take_along_axis(xk, pos, axis=1)
+    x = np.repeat(xk[keep // n, rank], span).reshape(nchains, n)
 
     values = np.empty(mesh.ncells)
     values[chains] = x
