@@ -490,23 +490,22 @@ def _contract(h: np.ndarray, kept: np.ndarray):
     nchains, m = h.shape
     keep = np.flatnonzero(kept)
     chain, pos = np.divmod(keep, m + 1)
-    # each kept cell but a chain's last starts a run of edges that ends at
-    # the next kept cell; in h's flat order the runs tile every chain
-    inner = pos != m
-    edge0 = (keep - chain)[inner]
+    # kept cell j (not its chain's last) starts the run of edges up to kept
+    # cell j + 1; in h's flat order the runs tile every chain
+    inner = (pos != m)[:-1]
+    edge = keep - chain  # flat index in h of the edge after each kept cell
+    start, stop = edge[:-1][inner], edge[1:][inner]
     hflat = h.reshape(-1)
-    length = np.diff(edge0, append=hflat.size)
-    hmin = np.minimum.reduceat(hflat, edge0)
-    cheapest = np.flatnonzero(hflat == np.repeat(hmin, length))
-    jump = cheapest[np.searchsorted(cheapest, edge0 + length) - 1]  # last cheapest edge of each run
-    begin = keep.copy()  # first cell, in flat order, that takes each kept cell's value
-    begin[1:][inner[:-1]] = jump + chain[inner] + 1
-    span = np.diff(begin, append=nchains * (m + 1))
-    first = np.flatnonzero(pos == 0)
-    rank = np.arange(len(keep)) - np.repeat(first, np.diff(first, append=len(keep)))
+    hmin = np.minimum.reduceat(hflat, start)
+    cheapest = np.flatnonzero(hflat == np.repeat(hmin, stop - start))
+    jump = cheapest[cheapest.searchsorted(stop) - 1]  # last cheapest edge of each run
+    # first cell, in flat order, that takes each kept cell's value; then the end
+    begin = np.concatenate((keep, [kept.size]))
+    begin[1:-1][inner] = jump + chain[:-1][inner] + 1
+    rank = np.arange(len(keep)) - keep.searchsorted(chain * (m + 1))
     hc = np.zeros((nchains, rank.max()))
-    hc[chain[inner], rank[inner]] = hmin
-    return hc, keep, rank, span
+    hc[chain[:-1][inner], rank[:-1][inner]] = hmin
+    return hc, keep, rank, begin[1:] - begin[:-1]
 
 
 def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
@@ -534,10 +533,10 @@ def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
     tc, tp = chain_of[terms.cell[use]], pos_of[terms.cell[use]]
     weight, const, primary = terms.weight[use], terms.const[use], ~terms.side[use]
     kept = np.zeros((nchains, n), dtype=bool)
-    kept[:, [0, -1]] = True
+    kept[:, 0] = kept[:, -1] = True
     kept[tc, tp] = True
     hc, keep, rank, span = _contract(h, kept)
-    tk = rank[np.searchsorted(keep, tc * n + tp)]
+    tk = rank[keep.searchsorted(tc * n + tp)]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
     cand = _candidates(tc, 0.0 - const, nchains)
     cost = weight[:, None] * np.abs(cand[tc] + const[:, None])
@@ -551,8 +550,9 @@ def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
             tc[primary], weights=weight[primary], minlength=nchains
         )
         tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
-    xk = np.take_along_axis(cand, _chain_dp(cand, hc, unary, secondary, tol), axis=1)
-    x = np.repeat(xk[keep // n, rank], span).reshape(nchains, n)
+    idx = _chain_dp(cand, hc, unary, secondary, tol)
+    kc = keep // n
+    x = np.repeat(cand[kc, idx[kc, rank]], span).reshape(nchains, n)
 
     values = np.empty(mesh.ncells)
     values[chains] = x
