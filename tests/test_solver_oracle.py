@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import sdrelax.solver
-
 from sdrelax.densities import h_3d2d, interfacial_normal_pair, w_3d2dsd
 from sdrelax.energy import surface_energy
 from sdrelax.fields import SbvField, StepDatum, AffineDatum, boundary_pieces
