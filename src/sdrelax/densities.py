@@ -167,7 +167,7 @@ BUILTIN_DENSITIES = {
 def density_by_name(name: str) -> DensityPair:
     try:
         return BUILTIN_DENSITIES[name]()
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise InputError(
             f"unknown density '{name}'; built-ins: {sorted(BUILTIN_DENSITIES)}"
         ) from None

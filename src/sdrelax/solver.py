@@ -22,14 +22,16 @@ chain's interior jumps cost ``h |p_{i+1} - p_i|`` and its boundary
 mismatches ``w |p_i + c|``.  This is L1 total variation on a path, which has
 the threshold property: some minimizer takes all its values among the unary
 breakpoints ``-c``.  A min-plus dynamic program down each chain over those
-candidates is therefore exact; it runs on all chains of an axis at once.
-Before it runs, each chain is contracted in series to its kept cells (the
-cells with a unary term, and both ends): a run of unary-free cells between
-two kept cells is a bare total-variation path, whose cheapest way from
-value ``u`` to value ``v`` is one jump ``min h |v - u|`` on its cheapest
-edge.  So the DP sees one edge per run, and the returned minimizer jumps at
-most once per run, at the run's last cheapest edge.  Affine problems charge
-only boundary faces, so their chains shrink to their two ends.
+candidates is therefore exact; it runs once per solve, vectorized across
+the chains of all axes, longest first, so that each step works only on the
+chains still running.  Before it runs, each chain is contracted in series
+to its kept cells (the cells with a unary term, and both ends): a run of
+unary-free cells between two kept cells is a bare total-variation path,
+whose cheapest way from value ``u`` to value ``v`` is one jump ``min h |v -
+u|`` on its cheapest edge.  So the DP sees one edge per run, and the
+returned minimizer jumps at most once per run, at the run's last cheapest
+edge.  Affine problems charge only boundary faces, so their chains shrink to
+their two ends.
 Pure jump problems carry a second, energy-free objective through the same
 program (datum mismatches on every boundary face, whose breakpoints join
 the candidates) and compare (primary, secondary) pairs lexicographically,
@@ -215,12 +217,12 @@ class CellProblem:
 
     def __post_init__(self):
         self.kind = Kind(self.kind)
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ProblemError(f"refinement must be a positive integer, got {self.n!r}")
         for name in ("A", "B", "d", "lam", "orientation"):
             v = getattr(self, name)
             if v is not None:
-                setattr(self, name, np.asarray(v, dtype=float))
+                setattr(self, name, _real_array(name, v))
         if KINDS[self.kind].psi1 and self.density.surface_form == dens.SURFACE_NORMAL:
             self.density = dens.psi1_pair()
         self._validate()
@@ -255,6 +257,17 @@ class CellProblem:
     @property
     def dim(self) -> int:
         return KINDS[self.kind].dim
+
+
+def _real_array(slot: str, value) -> np.ndarray:
+    """``value`` as a float array; strings, complex and ragged data raise."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "biufO":
+            return np.asarray(array, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ProblemError(f"data slot '{slot}' must be an array of real numbers")
 
 
 @dataclass
@@ -320,88 +333,68 @@ def _datum_for(problem: CellProblem, mesh: Mesh):
 
 
 # ---------------------------------------------------------------------------
-# term assembly for the normal-form surface density
+# the chain program for the normal-form surface density
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AxisTerms:
-    """Scalar program of one mesh axis in the offset component ``p`` along
-    the axis' (padded) world normal::
+class ChainTable:
+    """Program over independent chains of ``n`` cells, in the values ``x``
+    ``(nchains, n)``::
 
-        sum_e h[e] |p[plus[e]] - p[minus[e]]|  +  sum_t weight[t] |p[cell[t]] + const[t]|
+        sum_c sum_i h[c, i] |x[c, i + 1] - x[c, i]|
+          + sum_t weight[t] |x[chain[t], pos[t]] + const[t]|
 
-    Interior terms are the axis' mesh edges.  Unary terms with ``side`` set
-    carry no energy: they enter only the tie-break of pure jump problems.
+    ``h`` is ``(nchains, n - 1)``; the unary terms are ``(T,)`` arrays, and
+    every chain needs at least one.  Unary terms with ``side`` set carry no
+    energy: they enter only the tie-break of pure jump problems.
     """
 
-    plus: np.ndarray
-    minus: np.ndarray
     h: np.ndarray
-    cell: np.ndarray
+    chain: np.ndarray
+    pos: np.ndarray
     weight: np.ndarray
     const: np.ndarray
     side: np.ndarray
 
 
-def _assemble_axis_terms(
-    mesh: Mesh, pin: np.ndarray, pieces: BoundaryPieces, side_terms: bool
-) -> list[AxisTerms]:
-    """Per mesh axis: the absolute-value terms of its scalar program.
+def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> ChainTable:
+    """The chain program of every axis of a uniform mesh.
 
-    Each boundary piece of axis ``a`` emits one unary term for axis ``a``:
-    its measure times the constant mismatch, or, for affine mismatches, one
-    trapezoid share per corner.  With ``side_terms`` (pure jump problems), a
-    piece whose mismatch is constant along another axis direction ``b`` also
-    emits an energy-free term for axis ``b``; these enter only the
-    tie-break, steering the returned minimizer to attain the boundary datum
-    wherever the optimal face allows it.  Terms keep boundary-piece order.
+    Axis ``b``'s program is in the offset component along the axis' (padded)
+    world normal, over its chains ``mesh.chains(b)``, numbered ``b *
+    nchains + row``; the mesh stores interior edges axis by axis, chain by
+    chain, so ``h`` is a reshape of their measures.  Each boundary piece of
+    axis ``a`` emits one unary term for axis ``a``: its measure times the
+    constant mismatch, or, for affine mismatches, one trapezoid share per
+    corner.  With ``side_terms`` (pure jump problems), a piece whose mismatch
+    is constant along another axis direction ``b`` also emits an energy-free
+    term for axis ``b``; these enter only the tie-break, steering the
+    returned minimizer to attain the boundary datum wherever the optimal face
+    allows it.  Terms come axis by axis, in boundary-piece order.
     """
-    dim = mesh.dim
-    dirs3 = padded_normal(mesh.frame.T)  # row a = padded world direction of axis a
+    dim, n = mesh.dim, mesh.shape[0]
+    nchains = mesh.ncells // n
+    dirs3 = padded_normal(mesh.frame.T)  # row b = padded world direction of axis b
     gall = pieces.points @ pin.T - pieces.datum
-    unary = [[] for _ in range(dim)]  # per axis: (cell, weight, const, side) arrays
-    for a in range(dim):
-        on = pieces.axis == a
-        cell, measure, g = pieces.cell[on], pieces.measure[on], gall[on]
-        for b in range(dim):
-            if b != a and not side_terms:
-                continue
-            vals = g @ dirs3[b]
-            const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
-            emit = np.zeros(vals.shape, dtype=bool)
-            if b == a:
-                # constant mismatch: one term; affine: a trapezoid share per corner
-                emit[:, 0] = True
-                emit[~const] = True
-                weight = np.where(const, measure, measure / vals.shape[1])
-            else:
-                emit[:, 0] = const
-                weight = measure
-            unary[b].append(
-                (
-                    np.broadcast_to(cell[:, None], vals.shape)[emit],
-                    np.broadcast_to(weight[:, None], vals.shape)[emit],
-                    vals[emit],
-                    np.full(int(emit.sum()), b != a),
-                )
-            )
-
-    out = []
+    columns = []
     for b in range(dim):
-        cell, weight, const, side = (np.concatenate(t) for t in zip(*unary[b]))
-        on = mesh.int_axis == b
-        out.append(
-            AxisTerms(
-                plus=mesh.int_plus[on],
-                minus=mesh.int_minus[on],
-                h=mesh.int_measure[on],
-                cell=cell,
-                weight=weight,
-                const=const,
-                side=side,
-            )
-        )
-    return out
+        vals = gall @ dirs3[b]
+        const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
+        own = pieces.axis == b
+        share = own & ~const  # affine mismatch: a trapezoid share per corner
+        emit = np.zeros(vals.shape, dtype=bool)
+        emit[:, 0] = own | (const & side_terms)
+        emit[share] = True
+        weight = np.where(share, pieces.measure / vals.shape[1], pieces.measure)
+        count = emit.sum(axis=1)  # terms of each piece, in row-major order
+        cell = np.repeat(pieces.cell, count)
+        # cell -> (row, position) in the chains along axis b (meshes._chains)
+        stride = n ** (dim - 1 - b)
+        chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
+        columns.append((chain, pos, np.repeat(weight, count), vals[emit], np.repeat(~own, count)))
+    chain, pos, weight, const, side = (np.concatenate(c) for c in zip(*columns))
+    h = mesh.int_measure.reshape(dim * nchains, n - 1)
+    return ChainTable(h, chain, pos, weight, const, side)
 
 
 # ---------------------------------------------------------------------------
@@ -427,45 +420,48 @@ def _candidates(chain: np.ndarray, breaks: np.ndarray, nchains: int) -> np.ndarr
     return np.fmax.accumulate(cand, axis=1)
 
 
-def _lex_argmin(primary, secondary, tol, axis):
-    """Argmin of ``primary`` along ``axis``; with ``secondary``, the argmin
-    of ``secondary`` among entries whose primary is within ``tol`` of the
-    minimum (lexicographic order with tied primaries)."""
-    if secondary is None:
-        return primary.argmin(axis=axis)
-    tied = primary <= primary.min(axis=axis, keepdims=True) + tol
-    return np.where(tied, secondary, np.inf).argmin(axis=axis)
+def _lex_argmin(primary, secondary, tol):
+    """Argmin along axis 1 of ``secondary`` among the entries whose
+    ``primary`` is within ``tol`` of the minimum: lexicographic order with
+    tied primaries; with ``secondary`` and ``tol`` zero, argmin of ``primary``."""
+    tied = primary <= primary.min(axis=1, keepdims=True) + tol
+    return np.where(tied, secondary, np.inf).argmin(axis=1)
 
 
-def _chain_dp(cand, h, unary, secondary=None, tol=None) -> np.ndarray:
-    """Candidate indices ``(nchains, n)`` minimizing, per chain,
-    ``sum_i unary[i, x_i] + sum_i h[i] |cand[x_{i+1}] - cand[x_i]|``.
+def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
+    """Candidate index of every row minimizing, per chain and
+    lexicographically in (``unary``, ``secondary``) with primaries within
+    ``tol`` (one per chain) tied, ``sum_j unary[r_j, x_j] + h[r_j]
+    |cand[x_j] - cand[x_{j-1}]|`` over the chain's rows ``r_j``.
 
-    Min-plus recursion down the chain with backtracking:
-    ``f_i(v) = unary_i(v) + min_u f_{i-1}(u) + h_{i-1} |v - u|``.  With
-    ``secondary`` (unary only), it carries (primary, secondary) pairs and
-    compares them lexicographically, primaries within ``tol`` (one value per
-    chain) counting as tied.
+    Chains are laid out longest first and ragged: position ``j`` of the
+    ``active[j]`` chains that reach it is rows ``start[j] ... start[j] +
+    active[j]`` (``start`` the running sum of ``active``), in the order of
+    the rows of ``cand``; ``h`` at a row weighs the edge into it.  Min-plus
+    recursion ``f_j(v) = unary_j(v) + min_u f_{j-1}(u) + h_j |v - u|`` with
+    backtracking, each step on a prefix of the chains; a chain that has
+    ended keeps its last ``f``.
     """
-    nchains, n, k = unary.shape
+    nchains, k = cand.shape
+    start = np.concatenate(([0], np.cumsum(active)))
     jump = np.abs(cand[:, None, :] - cand[:, :, None])  # [c, u, v] = |cand v - cand u|
-    tol_step = None if tol is None else tol[:, None, None]
-    f = unary[:, 0]
-    g = None if secondary is None else secondary[:, 0]
-    back = np.empty((nchains, n - 1, k), dtype=np.min_scalar_type(k))
-    chain = np.arange(nchains)
-    rows, cols = chain[:, None], np.arange(k)  # [rows, arg, cols] picks trans[c, arg[c, v], v]
-    for i in range(1, n):
-        trans = f[:, :, None] + h[:, i - 1, None, None] * jump
-        arg = _lex_argmin(trans, None if g is None else g[:, :, None], tol_step, axis=1)
-        back[:, i - 1] = arg
-        f = trans[rows, arg, cols] + unary[:, i]
-        if g is not None:
-            g = g[rows, arg] + secondary[:, i]
-    idx = np.empty((nchains, n), dtype=np.intp)
-    idx[:, -1] = _lex_argmin(f, g, None if tol is None else tol[:, None], axis=1)
-    for i in range(n - 1, 0, -1):
-        idx[:, i - 1] = back[chain, i - 1, idx[:, i]]
+    f, g = unary[:nchains].copy(), secondary[:nchains].copy()
+    back = np.empty(unary.shape, dtype=np.min_scalar_type(k))  # rows of step 0 unused
+    chains, cols = np.arange(nchains)[:, None], np.arange(k)
+    for j in range(1, len(active)):
+        a, rows = active[j], slice(start[j], start[j + 1])
+        trans = f[:a, :, None] + h[rows, None, None] * jump[:a]
+        back[rows] = arg = _lex_argmin(trans, g[:a, :, None], tol[:a, None, None])
+        # [chain, arg, cols] picks trans[c, arg[c, v], v]
+        f[:a] = trans[chains[:a], arg, cols] + unary[rows]
+        g[:a] = g[chains[:a], arg] + secondary[rows]
+    idx = np.empty(len(unary), dtype=np.intp)
+    last = _lex_argmin(f, g, tol[:, None])
+    for j in range(len(active) - 1, 0, -1):
+        a, rows = active[j], slice(start[j], start[j + 1])
+        idx[rows] = last[:a]
+        last[:a] = back[rows][chains[:a, 0], last[:a]]
+    idx[:nchains] = last
     return idx
 
 
@@ -479,15 +475,14 @@ def _contract(h: np.ndarray, kept: np.ndarray):
     value ``u`` to value ``v`` costs at least ``min h |v - u|``, attained by
     one jump at a cheapest edge.
 
-    Returns ``hc`` ``(nchains, L - 1)``, one edge of the run's least ``h``
-    between consecutive kept cells (chains with fewer than ``L`` kept cells
-    are padded with ``h = 0``); ``keep``, the kept cells' flat (row-major)
-    indices; ``rank``, each kept cell's position in its contracted chain;
-    and ``span``, how many consecutive cells (in flat order) take each kept
-    cell's value: a run's cells up to its last cheapest edge take the value
-    of the kept cell before it, the rest that of the kept cell after it.
+    Returns ``keep``, the kept cells' flat (row-major) indices; ``hin``, the
+    least ``h`` of the run that ends at each kept cell (0 at a chain's first
+    cell); and ``span``, how many consecutive cells (in flat order) take each
+    kept cell's value: a run's cells up to its last cheapest edge take the
+    value of the kept cell before it, the rest that of the kept cell after
+    it.
     """
-    nchains, m = h.shape
+    m = h.shape[1]
     keep = np.flatnonzero(kept)
     chain, pos = np.divmod(keep, m + 1)
     # kept cell j (not its chain's last) starts the run of edges up to kept
@@ -502,70 +497,68 @@ def _contract(h: np.ndarray, kept: np.ndarray):
     # first cell, in flat order, that takes each kept cell's value; then the end
     begin = np.concatenate((keep, [kept.size]))
     begin[1:-1][inner] = jump + chain[:-1][inner] + 1
-    rank = np.arange(len(keep)) - keep.searchsorted(chain * (m + 1))
-    hc = np.zeros((nchains, rank.max()))
-    hc[chain[:-1][inner], rank[:-1][inner]] = hmin
-    return hc, keep, rank, begin[1:] - begin[:-1]
+    hin = np.zeros(len(keep))
+    hin[1:][inner] = hmin
+    return keep, hin, begin[1:] - begin[:-1]
 
 
-def _solve_axis(mesh: Mesh, axis: int, terms: AxisTerms, tie_break: bool):
-    """Exact minimum and minimizer (per cell) of one axis program.
+def _solve_chains(table: ChainTable, tie_break: bool):
+    """Exact minimizer ``x`` ``(nchains, n)`` of a chain program, and each
+    chain's objective at it.
 
-    The program splits into independent chains of cells along the axis.  By
-    the threshold property of L1 total variation, some minimizer takes all
-    its values in the chain's unary breakpoints ``-const``, so the DP over
-    those candidates is exact; with ``tie_break`` the candidates include the
-    side-term breakpoints, which keeps the lexicographic program exact too.
-    The DP runs on the chains contracted to their cells with unary terms
-    (``_contract``); the objective is summed over the expanded chains.
+    By the threshold property of L1 total variation, some minimizer takes
+    all its values in its chain's unary breakpoints ``-const``, so the DP
+    over those candidates is exact; with ``tie_break`` the candidates
+    include the side-term breakpoints, which keeps the lexicographic program
+    exact too.  The DP runs once, on all chains contracted to their cells
+    with unary terms (``_contract``), longest first (``_chain_dp``); the
+    objective is summed over the expanded chains.
     """
-    chains = mesh.chains(axis)
-    nchains, n = chains.shape
-    chain_of = np.empty(mesh.ncells, dtype=np.intp)
-    pos_of = np.empty(mesh.ncells, dtype=np.intp)
-    chain_of[chains] = np.arange(nchains)[:, None]
-    pos_of[chains] = np.arange(n)[None, :]
-
-    h = np.zeros((nchains, n - 1))
-    h[chain_of[terms.minus], pos_of[terms.minus]] = terms.h
-
-    use = ~terms.side | tie_break
-    tc, tp = chain_of[terms.cell[use]], pos_of[terms.cell[use]]
-    weight, const, primary = terms.weight[use], terms.const[use], ~terms.side[use]
+    h = table.h
+    nchains, n = h.shape[0], h.shape[1] + 1
+    use = ~table.side | tie_break
+    tc, tp = table.chain[use], table.pos[use]
+    weight, const, primary = table.weight[use], table.const[use], ~table.side[use]
     kept = np.zeros((nchains, n), dtype=bool)
     kept[:, 0] = kept[:, -1] = True
     kept[tc, tp] = True
-    hc, keep, rank, span = _contract(h, kept)
-    tk = rank[keep.searchsorted(tc * n + tp)]
+    keep, hin, span = _contract(h, kept)
+    kc = keep // n
+    # longest-first ragged layout: chain c is candidate row slot[c], and its
+    # j-th kept cell is row start[j] + slot[c]
+    length = np.bincount(kc, minlength=nchains)
+    order = np.argsort(-length, kind="stable")
+    slot = np.argsort(order)
+    active = nchains - np.cumsum(np.bincount(length))[:-1]
+    start = np.concatenate(([0], np.cumsum(active)))
+    row = start[np.arange(len(keep)) - keep.searchsorted(kc * n)] + slot[kc]
+    hc = np.empty(len(keep))
+    hc[row] = hin
+    trow = row[keep.searchsorted(tc * n + tp)]
+    ts = slot[tc]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
-    cand = _candidates(tc, 0.0 - const, nchains)
-    cost = weight[:, None] * np.abs(cand[tc] + const[:, None])
-    unary = np.zeros((nchains, hc.shape[1] + 1, cand.shape[1]))
-    np.add.at(unary, (tc[primary], tk[primary]), cost[primary])
-    secondary = tol = None
+    cand = _candidates(ts, 0.0 - const, nchains)
+    cost = weight[:, None] * np.abs(cand[ts] + const[:, None])
+    unary = np.zeros((len(keep), cand.shape[1]))
+    secondary, tol = np.zeros_like(unary), np.zeros(nchains)
+    np.add.at(unary, trow[primary], cost[primary])
     if tie_break:
-        secondary = np.zeros_like(unary)
-        np.add.at(secondary, (tc, tk), cost)
+        np.add.at(secondary, trow, cost)
         total_weight = h.sum(axis=1) + np.bincount(
             tc[primary], weights=weight[primary], minlength=nchains
         )
-        tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
-    idx = _chain_dp(cand, hc, unary, secondary, tol)
-    kc = keep // n
-    x = np.repeat(cand[kc, idx[kc, rank]], span).reshape(nchains, n)
-
-    values = np.empty(mesh.ncells)
-    values[chains] = x
-    value = _axis_objective(x, h, tc[primary], tp[primary], weight[primary], const[primary])
-    return value, values
+        tol = TIE_RTOL * total_weight[order] * np.abs(cand).max(axis=1)
+    idx = _chain_dp(active, cand, hc, unary, secondary, tol)
+    x = np.repeat(cand[slot[kc], idx[row]], span).reshape(nchains, n)
+    return x, _chain_objective(x, h, tc[primary], tp[primary], weight[primary], const[primary])
 
 
-def _axis_objective(x, h, chain, pos, weight, const) -> float:
-    """Objective of an axis program at the chain values ``x``.
+def _chain_objective(x, h, chain, pos, weight, const) -> np.ndarray:
+    """Objective of each chain at the values ``x``.
 
-    Summed in sequence, chain by chain: interior terms in chain order, then
-    unary terms in assembly order, so the value does not depend on the
-    order of the solver's internal arithmetic.
+    Summed in sequence: interior terms in chain order, then unary terms in
+    table order, so the value does not depend on the order of the solver's
+    internal arithmetic.
     """
     order = np.argsort(chain, kind="stable")
     chain, pos, weight, const = chain[order], pos[order], weight[order], const[order]
@@ -574,7 +567,7 @@ def _axis_objective(x, h, chain, pos, weight, const) -> float:
     terms = np.zeros((len(x), m + rank.max() + 1))
     terms[:, :m] = h * np.abs(x[:, 1:] - x[:, :-1])
     terms[chain, m + rank] = weight * np.abs(x[chain, pos] + const)
-    return float(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +675,18 @@ def solve(problem: CellProblem) -> SolveResult:
 
 
 def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces):
-    """(surface objective, offsets) of the chain programs, one per axis."""
+    """(surface objective, offsets) of the chain program of all axes."""
     tie_break = KINDS[problem.kind].pin is None
-    axis_terms = _assemble_axis_terms(mesh, pin, pieces, side_terms=tie_break)
-    surf_value = 0.0
+    dim, n = mesh.dim, mesh.shape[0]
+    x, chain_value = _solve_chains(_chain_table(mesh, pin, pieces, tie_break), tie_break)
+    # summed axis by axis, chain by chain
+    surf_value = np.cumsum(np.cumsum(chain_value.reshape(dim, -1), axis=1)[:, -1])[-1]
     offsets = np.zeros((mesh.ncells, 3))
+    grid = offsets.reshape((n,) * dim + (3,))
     dirs3 = padded_normal(mesh.frame.T)
-    for a in range(mesh.dim):
-        val, p = _solve_axis(mesh, a, axis_terms[a], tie_break)
-        surf_value += val
-        offsets += p[:, None] * dirs3[a][None, :]
+    for a, xa in enumerate(np.split(x, dim)):
+        # axis a's chains run along grid axis a, rows in C order over the others
+        grid += np.moveaxis(xa.reshape((n,) * dim), -1, a)[..., None] * dirs3[a]
 
     if tie_break and mesh.dim == 2:
         # the out-of-plane offset component is costless under the normal
@@ -798,14 +793,16 @@ def problem_from_json(text: str) -> CellProblem:
     except ValueError:
         raise InputError(f"unknown problem kind {payload['kind']!r}") from None
     density = dens.density_by_name(payload.get("density", "interfacial-normal"))
-
-    def grab(key):
-        return np.asarray(payload[key], dtype=float) if key in payload else None
-
+    n = payload["n"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)  # JSON 4.0 means 4
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"problem file 'n' must be a positive integer, got {payload['n']!r}")
+    grab = payload.get  # CellProblem converts and checks each data slot
     try:
         return CellProblem(
             kind=kind,
-            n=int(payload["n"]),
+            n=n,
             A=grab("A"),
             B=grab("B"),
             d=grab("d"),

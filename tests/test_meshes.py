@@ -199,6 +199,30 @@ def test_chains_follow_the_axis():
         assert sorted(chains.reshape(-1)) == list(range(mesh.ncells))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_interior_edges_are_the_chains_consecutive_pairs(dim, n, data):
+    # the solver reads the interior edge measures as one (dim * nchains, n - 1)
+    # table of the chains' edge weights, axis by axis
+    mesh = build_mesh(dim, n, data.draw(unit_vectors(dim)))
+    nchains = mesh.ncells // n
+    assert np.array_equal(mesh.int_axis, np.repeat(np.arange(dim), nchains * (n - 1)))
+    minus = mesh.int_minus.reshape(dim * nchains, n - 1)
+    plus = mesh.int_plus.reshape(dim * nchains, n - 1)
+    for a in range(dim):
+        chains = mesh.chains(a)
+        rows = slice(a * nchains, (a + 1) * nchains)
+        assert np.array_equal(minus[rows], chains[:, :-1])
+        assert np.array_equal(plus[rows], chains[:, 1:])
+    # each edge's measure is that of the face its two cells share
+    for a in range(dim):
+        on = mesh.int_axis == a
+        face = np.prod(np.delete(mesh.cell_hi - mesh.cell_lo, a, axis=1), axis=1)[mesh.int_minus[on]]
+        assert mesh.int_measure[on] == pytest.approx(face, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # uniform grids shared across orientations
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -576,6 +577,70 @@ def test_problem_json_errors():
         problem_from_json('{"kind": "NOPE", "n": 2}')
     with pytest.raises(InputError):
         problem_from_json('{"kind": "H_3D2D", "n": 2}')
+
+
+STEP_FILE = '{"kind": "H_3D2D", "n": %s, "lambda": %s, "eta": [1, 0]}'
+
+
+@pytest.mark.parametrize("n", ['"abc"', "[4]", "null", "4.7", "true", "0", "-2"])
+def test_problem_json_rejects_a_malformed_n(n):
+    from sdrelax.errors import InputError
+
+    with pytest.raises(InputError) as exc:
+        problem_from_json(STEP_FILE % (n, "[1, 0, 0]"))
+    assert str(exc.value) == f"problem file 'n' must be a positive integer, got {json.loads(n)!r}"
+
+
+def test_problem_json_reads_an_integral_float_n():
+    p = problem_from_json(STEP_FILE % ("4.0", "[1, 0, 0]"))
+    assert p.n == 4 and type(p.n) is int
+
+
+@pytest.mark.parametrize(
+    "slot, key, value",
+    [
+        ("lam", "lambda", '"abc"'),
+        ("lam", "lambda", '{"a": 1}'),
+        ("lam", "lambda", "[1, [0], 0]"),
+        ("lam", "lambda", '["1", "0", "0"]'),
+        ("orientation", "eta", '"x"'),
+        ("A", "A", "[[1, 0], [0]]"),
+        ("d", "d", "[1, 0, true, {}]"),
+    ],
+)
+def test_problem_json_rejects_data_that_are_not_real_arrays(slot, key, value):
+    from sdrelax.errors import InputError
+
+    payload = {"kind": "W_3D2D" if slot in ("A", "d") else "H_3D2D", "n": 2}
+    payload.update(A=[[1, 0], [0, 1], [0, 0]], d=[0, 0, 1], **{"lambda": [1, 0, 0], "eta": [1, 0]})
+    text = json.dumps(payload)[:-1] + f', "{key}": {value}' + "}"  # the last entry wins
+    with pytest.raises(InputError) as exc:
+        problem_from_json(text)
+    assert str(exc.value) == f"data slot '{slot}' must be an array of real numbers"
+
+
+def test_problem_json_rejects_an_unhashable_density():
+    from sdrelax.errors import InputError
+
+    with pytest.raises(InputError, match="unknown density"):
+        problem_from_json('{"kind": "H_3D2D", "n": 2, "density": ["x"], "lambda": [1, 0, 0], "eta": [1, 0]}')
+
+
+@pytest.mark.parametrize("n", [True, np.True_, 2.0])
+def test_problem_rejects_a_refinement_that_is_not_an_integer(n):
+    with pytest.raises(ProblemError) as exc:
+        CellProblem(kind=Kind.H_3D2D, n=n, **VALID_DATA[Kind.H_3D2D])
+    assert str(exc.value) == f"refinement must be a positive integer, got {n!r}"
+
+
+@pytest.mark.parametrize(
+    "lam", ["abc", "1.5", [1j, 0, 0], np.array([1j, 0, 0]), [1, [0], 0], {"a": 1}],
+    ids=["string", "numeric-string", "complex-list", "complex-array", "ragged", "dict"],
+)
+def test_problem_rejects_data_that_are_not_real_arrays(lam):
+    with pytest.raises(ProblemError) as exc:
+        CellProblem(kind=Kind.H_3D2D, n=2, lam=lam, orientation=E1)
+    assert str(exc.value) == "data slot 'lam' must be an array of real numbers"
 
 
 @pytest.mark.parametrize("kind", ["W_3D2D", "W_3DSD2D"])

@@ -8,7 +8,8 @@ on random chains with arbitrary weights.  The certificate check evaluates
 the objective at arbitrary (non-optimal) feasible fields and verifies it
 never falls below the closed form, which is the content of the lower-bound
 flag.  The series contraction of the chains is checked against the same
-DP run on the uncontracted chains.
+DP run on the uncontracted chains, and the longest-first ragged DP against
+the padded DP it replaced (``padded_chain_dp``), kept here as a reference.
 """
 
 import numpy as np
@@ -20,16 +21,18 @@ import sdrelax.solver
 from sdrelax.densities import h_3d2d, interfacial_normal_pair, w_3d2dsd
 from sdrelax.energy import surface_energy
 from sdrelax.fields import SbvField, StepDatum, AffineDatum, boundary_pieces
-from sdrelax.meshes import Mesh, build_mesh
+from sdrelax.meshes import build_mesh
 from sdrelax.solver import (
-    AxisTerms,
+    TIE_RTOL,
+    ChainTable,
     CellProblem,
     Kind,
-    _assemble_axis_terms,
+    _chain_dp,
+    _chain_table,
     _datum_for,
     _mesh_for,
     _pinned_gradient,
-    _solve_axis,
+    _solve_chains,
     closed_form,
     solve,
 )
@@ -67,12 +70,8 @@ def monolithic_lp_value(problem):
     mesh = _mesh_for(problem)
     pin = _pinned_gradient(problem)
     pieces = boundary_pieces(mesh, _datum_for(problem, mesh))
-    pairs, unary = [], []
-    for a, terms in enumerate(_assemble_axis_terms(mesh, pin, pieces, side_terms=False)):
-        offset = a * mesh.ncells
-        pairs += zip(offset + terms.plus, offset + terms.minus, terms.h)
-        unary += zip(offset + terms.cell, terms.weight, terms.const)
-    return abs_sum_lp_value(mesh.dim * mesh.ncells, pairs, unary)
+    table = _chain_table(mesh, pin, pieces, side_terms=False)
+    return abs_sum_lp_value(mesh.dim * mesh.ncells, *chain_lp_terms(table))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -156,68 +155,81 @@ def test_every_lp_kind_matches_monolithic_lp_across_scales(kind, scale):
 # the chain solver on its own
 # ---------------------------------------------------------------------------
 
-def chain_mesh(n, nchains=1):
-    """Mesh whose axis-0 chains are ``nchains`` rows of ``n`` cells; cell
-    ``i * nchains + c`` sits at position ``i`` of chain ``c``."""
-    return Mesh([np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0, nchains + 1)])
-
-
-def chain_terms(mesh, h, cell, weight, const, side=None):
-    on = mesh.int_axis == 0
-    return AxisTerms(
-        plus=mesh.int_plus[on],
-        minus=mesh.int_minus[on],
+def chain_table(h, chain, pos, weight, const, side=None):
+    """Chain table of ``len(h)`` chains; ``h`` is ``(nchains, n - 1)``."""
+    chain = np.asarray(chain, dtype=int)
+    return ChainTable(
         h=np.asarray(h, dtype=float),
-        cell=np.asarray(cell, dtype=int),
+        chain=chain,
+        pos=np.asarray(pos, dtype=int),
         weight=np.asarray(weight, dtype=float),
         const=np.asarray(const, dtype=float),
-        side=np.zeros(len(cell), dtype=bool) if side is None else np.asarray(side),
+        side=np.zeros(len(chain), dtype=bool) if side is None else np.asarray(side),
     )
 
 
-def chain_objective(terms, x):
+def chain_lp_terms(table):
+    """``abs_sum_lp_value`` pairs and unary rows of a chain table's energy;
+    cell ``i`` of chain ``c`` is variable ``c * n + i``."""
+    nchains, m = table.h.shape
+    var = np.arange(nchains * (m + 1)).reshape(nchains, m + 1)
+    energy = ~table.side
+    pairs = list(zip(var[:, 1:].reshape(-1), var[:, :-1].reshape(-1), table.h.reshape(-1)))
+    cell = var[table.chain, table.pos]
+    unary = list(zip(cell[energy], table.weight[energy], table.const[energy]))
+    return pairs, unary
+
+
+def chain_objective(table, x):
+    energy = ~table.side
     return float(
-        np.sum(terms.h * np.abs(x[terms.plus] - x[terms.minus]))
-        + np.sum(terms.weight * np.abs(x[terms.cell] + terms.const))
+        np.sum(table.h * np.abs(x[:, 1:] - x[:, :-1]))
+        + np.sum(
+            table.weight[energy]
+            * np.abs(x[table.chain[energy], table.pos[energy]] + table.const[energy])
+        )
     )
+
+
+def solve_chain_table(table, tie_break):
+    """Total objective and minimizer ``(nchains, n)`` of a chain table."""
+    x, chain_value = _solve_chains(table, tie_break)
+    return float(np.cumsum(chain_value)[-1]), x
 
 
 def test_chain_solver_matches_scipy_on_random_chains():
     rng = np.random.default_rng(0)
     for _ in range(150):
         n, nchains = int(rng.integers(1, 7)), int(rng.integers(1, 4))
-        mesh = chain_mesh(n, nchains)
         nunary = int(rng.integers(1, 10))
-        # every chain needs a unary term; the rest land anywhere
+        # cell i * nchains + c is cell i of chain c; every chain needs a
+        # unary term, the rest land anywhere
         cell = np.concatenate([rng.integers(0, n, nchains) * nchains + np.arange(nchains),
-                               rng.integers(0, mesh.ncells, nunary)])
-        terms = chain_terms(
-            mesh,
-            h=rng.uniform(0.05, 3, (mesh.int_axis == 0).sum()),
-            cell=cell,
+                               rng.integers(0, n * nchains, nunary)])
+        table = chain_table(
+            h=rng.uniform(0.05, 3, (nchains, n - 1)),
+            chain=cell % nchains,
+            pos=cell // nchains,
             weight=rng.uniform(0.05, 3, len(cell)),
             const=rng.uniform(-3, 3, len(cell)),
         )
-        value, x = _solve_axis(mesh, 0, terms, tie_break=False)
-        ref = abs_sum_lp_value(
-            mesh.ncells,
-            list(zip(terms.plus, terms.minus, terms.h)),
-            list(zip(terms.cell, terms.weight, terms.const)),
-        )
+        value, x = solve_chain_table(table, tie_break=False)
+        ref = abs_sum_lp_value(n * nchains, *chain_lp_terms(table))
         assert value == pytest.approx(ref, rel=0, abs=1e-8 * (1 + abs(ref)))
         # the returned point attains the reported value
-        assert chain_objective(terms, x) == pytest.approx(value, rel=0, abs=1e-12 * (1 + value))
+        assert chain_objective(table, x) == pytest.approx(value, rel=0, abs=1e-12 * (1 + value))
 
 
 def test_chain_tie_break_picks_the_boundary_matching_minimizer():
     # |x0| + |x1 - x0| + |x2 - x1| + |x2 - 1| is minimal (= 1) for every
     # monotone x from 0 to 1; the tie-break re-weighs the boundary terms and
     # returns a minimizer that matches both ends
-    mesh = chain_mesh(3)
-    terms = chain_terms(mesh, h=[1.0, 1.0], cell=[0, 2], weight=[1.0, 1.0], const=[0.0, -1.0])
-    value, x = _solve_axis(mesh, 0, terms, tie_break=True)
+    table = chain_table(
+        h=[[1.0, 1.0]], chain=[0, 0], pos=[0, 2], weight=[1.0, 1.0], const=[0.0, -1.0]
+    )
+    value, x = solve_chain_table(table, tie_break=True)
     assert value == 1.0
-    assert x[0] == 0.0 and x[2] == 1.0
+    assert x[0, 0] == 0.0 and x[0, 2] == 1.0
 
 
 def test_chain_tie_break_side_terms_carry_no_energy():
@@ -225,34 +237,34 @@ def test_chain_tie_break_side_terms_carry_no_energy():
     # x1 in [1, 2]; the boundary term alone would tie-break to x1 = 1, the
     # heavier energy-free side term 3|x1 - 2| moves it to x1 = 2 without
     # changing the value
-    mesh = chain_mesh(2)
-    terms = chain_terms(
-        mesh, h=[1.0], cell=[0, 1, 1], weight=[2.0, 1.0, 3.0], const=[-2.0, -1.0, -2.0],
+    table = chain_table(
+        h=[[1.0]], chain=[0, 0, 0], pos=[0, 1, 1], weight=[2.0, 1.0, 3.0], const=[-2.0, -1.0, -2.0],
         side=[False, False, True],
     )
-    value, x = _solve_axis(mesh, 0, terms, tie_break=True)
+    value, x = solve_chain_table(table, tie_break=True)
     assert value == 1.0
-    assert x[0] == 2.0 and x[1] == 2.0
-    no_side = chain_terms(mesh, h=[1.0], cell=[0, 1], weight=[2.0, 1.0], const=[-2.0, -1.0])
-    value, x = _solve_axis(mesh, 0, no_side, tie_break=True)
+    assert x[0, 0] == 2.0 and x[0, 1] == 2.0
+    no_side = chain_table(
+        h=[[1.0]], chain=[0, 0], pos=[0, 1], weight=[2.0, 1.0], const=[-2.0, -1.0]
+    )
+    value, x = solve_chain_table(no_side, tie_break=True)
     assert value == 1.0
-    assert x[0] == 2.0 and x[1] == 1.0
+    assert x[0, 0] == 2.0 and x[0, 1] == 1.0
 
 
 def test_chain_of_one_cell_without_interior_terms():
-    mesh = chain_mesh(1)
-    terms = chain_terms(mesh, h=[], cell=[0], weight=[2.0], const=[5.0])
-    value, x = _solve_axis(mesh, 0, terms, tie_break=False)
+    table = chain_table(h=np.zeros((1, 0)), chain=[0], pos=[0], weight=[2.0], const=[5.0])
+    value, x = solve_chain_table(table, tie_break=False)
     assert value == 0.0
-    assert x[0] == -5.0
+    assert x[0, 0] == -5.0
 
 
-def uncontracted_solve_axis(mesh, axis, terms, tie_break):
-    """``_solve_axis`` with every cell kept: the DP walks every cell."""
+def uncontracted_solve_chains(table, tie_break):
+    """``solve_chain_table`` with every cell kept: the DP walks every cell."""
     contract = sdrelax.solver._contract
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sdrelax.solver, "_contract", lambda h, kept: contract(h, np.ones_like(kept)))
-        return _solve_axis(mesh, axis, terms, tie_break)
+        return solve_chain_table(table, tie_break)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -266,31 +278,26 @@ def uncontracted_solve_axis(mesh, axis, terms, tie_break):
 )
 def test_contracted_chains_match_the_uncontracted_dp(n, nchains, density, tie_break, exponent, seed):
     rng = np.random.default_rng(seed)
-    mesh = chain_mesh(n, nchains)
     # every chain carries a unary term; each cell carries one with the drawn density
     cell = np.concatenate([
         rng.integers(0, n, nchains) * nchains + np.arange(nchains),
-        np.flatnonzero(rng.random(mesh.ncells) < density),
+        np.flatnonzero(rng.random(n * nchains) < density),
     ])
     side = rng.random(len(cell)) < 0.3
     side[:nchains] = False
-    terms = chain_terms(
-        mesh,
-        h=rng.uniform(0.05, 3, (mesh.int_axis == 0).sum()),
-        cell=cell,
+    table = chain_table(
+        h=rng.uniform(0.05, 3, (nchains, n - 1)),
+        chain=cell % nchains,
+        pos=cell // nchains,
         weight=rng.uniform(0.05, 3, len(cell)),
         const=rng.uniform(-3, 3, len(cell)) * 10.0**exponent,
         side=side,
     )
-    value, x = _solve_axis(mesh, 0, terms, tie_break)
-    ref, _ = uncontracted_solve_axis(mesh, 0, terms, tie_break)
+    value, x = solve_chain_table(table, tie_break)
+    ref, _ = uncontracted_solve_chains(table, tie_break)
     assert abs(value - ref) <= 1e-12 * (1 + abs(ref))
     # the expanded minimizer attains the contracted minimum
-    energy = ~terms.side
-    attained = float(
-        np.sum(terms.h * np.abs(x[terms.plus] - x[terms.minus]))
-        + np.sum(terms.weight[energy] * np.abs(x[terms.cell[energy]] + terms.const[energy]))
-    )
+    attained = chain_objective(table, x)
     assert abs(attained - value) <= 1e-12 * (1 + abs(ref))
 
 
@@ -300,27 +307,162 @@ def test_a_unary_free_run_jumps_at_its_last_cheapest_edge(h):
     # heavy end terms pin x = 0 at the first cell and x = 1 at the last; the
     # cells between carry no unary term, so the path jumps exactly once
     n = len(h) + 1
-    mesh = chain_mesh(n)
-    terms = chain_terms(mesh, h=h, cell=[0, n - 1], weight=[10.0, 10.0], const=[0.0, -1.0])
-    value, x = _solve_axis(mesh, 0, terms, tie_break=False)
+    table = chain_table(h=[h], chain=[0, 0], pos=[0, n - 1], weight=[10.0, 10.0], const=[0.0, -1.0])
+    value, x = solve_chain_table(table, tie_break=False)
     last = len(h) - 1 - int(np.argmin(h[::-1]))
     assert value == min(h)
-    assert np.array_equal(x, (np.arange(n) > last).astype(float))
+    assert np.array_equal(x[0], (np.arange(n) > last).astype(float))
+
+
+def count_chain_dp(monkeypatch):
+    """Record ``(rows, steps)`` of every ``_chain_dp`` call."""
+    chain_dp = sdrelax.solver._chain_dp
+    calls = []
+
+    def counted(active, cand, h, unary, *args):
+        calls.append((len(unary), len(active) - 1))
+        return chain_dp(active, cand, h, unary, *args)
+
+    monkeypatch.setattr(sdrelax.solver, "_chain_dp", counted)
+    return calls
 
 
 @pytest.mark.parametrize("kind, n, A", [("W_3D2DSD", 32, (3, 2)), ("W_3DSD", 8, (3, 3))])
 def test_affine_solves_run_the_dp_on_chains_of_two_cells(monkeypatch, kind, n, A):
-    chain_dp = sdrelax.solver._chain_dp
-    lengths = []
-
-    def counted(cand, h, unary, *args):
-        lengths.append(unary.shape[1])
-        return chain_dp(cand, h, unary, *args)
-
-    monkeypatch.setattr(sdrelax.solver, "_chain_dp", counted)
+    calls = count_chain_dp(monkeypatch)
     rng = np.random.default_rng(5)
     solve(CellProblem(kind=kind, n=n, A=rng.uniform(-5, 5, A), B=rng.uniform(-5, 5, (3, 2))))
-    assert lengths and max(lengths) <= 2
+    assert calls and max(steps + 1 for _, steps in calls) <= 2
+    # one DP step, over both ends of every chain of every axis
+    dim = A[1]  # the columns of A: the mesh dimension
+    assert calls == [(dim * n ** (dim - 1) * 2, 1)]
+
+
+def test_step_solve_runs_the_dp_over_the_kept_cells_only(monkeypatch):
+    # only the two boundary chains of each axis keep every cell (they carry
+    # the side terms); all other chains keep their two ends
+    calls = count_chain_dp(monkeypatch)
+    rng = np.random.default_rng(6)
+    n, eta = 64, rng.normal(size=2)
+    eta /= np.linalg.norm(eta)
+    solve(CellProblem(kind=Kind.H_3D2D, n=n, lam=rng.uniform(-5, 5, 3), orientation=eta))
+    assert len(calls) == 1
+    rows, steps = calls[0]
+    assert rows <= 4 * n + 2 * 2 * n
+    assert steps == n - 1
+
+
+# ---------------------------------------------------------------------------
+# the longest-first ragged DP against the padded DP it replaced
+# ---------------------------------------------------------------------------
+
+def lex_argmin(primary, secondary, tol, axis):
+    """Argmin of ``primary`` along ``axis``; with ``secondary``, the argmin
+    of ``secondary`` among entries whose primary is within ``tol`` of the
+    minimum (lexicographic order with tied primaries)."""
+    if secondary is None:
+        return primary.argmin(axis=axis)
+    tied = primary <= primary.min(axis=axis, keepdims=True) + tol
+    return np.where(tied, secondary, np.inf).argmin(axis=axis)
+
+
+def padded_chain_dp(cand, h, unary, secondary=None, tol=None) -> np.ndarray:
+    """Candidate indices ``(nchains, n)`` minimizing, per chain,
+    ``sum_i unary[i, x_i] + sum_i h[i] |cand[x_{i+1}] - cand[x_i]|``, on
+    chains padded to one length ``n`` (``h = 0`` and zero unary costs past a
+    chain's end): the chain DP before the ragged layout, kept as a reference.
+    """
+    nchains, n, k = unary.shape
+    jump = np.abs(cand[:, None, :] - cand[:, :, None])  # [c, u, v] = |cand v - cand u|
+    tol_step = None if tol is None else tol[:, None, None]
+    f = unary[:, 0]
+    g = None if secondary is None else secondary[:, 0]
+    back = np.empty((nchains, n - 1, k), dtype=np.min_scalar_type(k))
+    chain = np.arange(nchains)
+    rows, cols = chain[:, None], np.arange(k)  # [rows, arg, cols] picks trans[c, arg[c, v], v]
+    for i in range(1, n):
+        trans = f[:, :, None] + h[:, i - 1, None, None] * jump
+        arg = lex_argmin(trans, None if g is None else g[:, :, None], tol_step, axis=1)
+        back[:, i - 1] = arg
+        f = trans[rows, arg, cols] + unary[:, i]
+        if g is not None:
+            g = g[rows, arg] + secondary[:, i]
+    idx = np.empty((nchains, n), dtype=np.intp)
+    idx[:, -1] = lex_argmin(f, g, None if tol is None else tol[:, None], axis=1)
+    for i in range(n - 1, 0, -1):
+        idx[:, i - 1] = back[chain, i - 1, idx[:, i]]
+    return idx
+
+
+def path_cost(cand, h, unary, idx):
+    """Objective of one chain at candidate indices ``idx``, in sequence."""
+    total = unary[0, idx[0]]
+    for j in range(1, len(idx)):
+        total += h[j - 1] * abs(cand[idx[j]] - cand[idx[j - 1]]) + unary[j, idx[j]]
+    return total
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    lengths=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    tie_break=st.booleans(),
+    exponent=st.integers(-9, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ragged_dp_matches_the_padded_dp(lengths, tie_break, exponent, seed):
+    rng = np.random.default_rng(seed)
+    length = np.array(lengths)
+    nchains, longest = len(length), int(length.max())
+    # one or two unary terms per cell, on a coarse grid of breakpoints and
+    # weights so that costs tie, exactly or (decimal breakpoints) to rounding;
+    # side terms enter only the secondary cost
+    cell = [
+        (c, j) for c in range(nchains) for j in range(length[c]) for _ in range(rng.integers(1, 3))
+    ]
+    chain, pos = np.array(cell).T
+    weight = rng.choice([0.5, 1.0, 2.0], len(chain))
+    const = rng.integers(-30, 31, len(chain)) / 10 * 10.0**exponent
+    side = rng.random(len(chain)) < 0.3
+    h = rng.choice([0.5, 1.0, 2.0], (nchains, max(longest - 1, 0)))
+    h[np.arange(longest - 1) >= length[:, None] - 1] = 0.0
+    breaks = [np.unique(0.0 - const[chain == c]) for c in range(nchains)]
+    k = max(len(b) for b in breaks)
+    cand = np.array([np.concatenate((b, np.full(k - len(b), b[-1]))) for b in breaks])
+    cost = weight[:, None] * np.abs(cand[chain] + const[:, None])
+    unary = np.zeros((nchains, longest, k))
+    secondary = np.zeros_like(unary)
+    np.add.at(unary, (chain[~side], pos[~side]), cost[~side])
+    np.add.at(secondary, (chain, pos), cost)
+    total_weight = h.sum(axis=1) + np.bincount(chain[~side], weight[~side], nchains)
+    tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
+    if not tie_break:
+        secondary = tol = None
+    ref = padded_chain_dp(cand, h, unary, secondary, tol)
+
+    # longest first: row start[j] + slot[c] is position j of chain c
+    order = np.argsort(-length, kind="stable")
+    slot = np.argsort(order)
+    active = np.array([np.sum(length > j) for j in range(longest)])
+    start = np.concatenate(([0], np.cumsum(active)))
+    c, j = np.nonzero(np.arange(longest) < length[:, None])
+    row = start[j] + slot[c]
+    flat = np.empty((len(row), k))
+    flat[row] = unary[c, j]
+    hflat = np.zeros(len(row))
+    hflat[row[j > 0]] = h[c[j > 0], j[j > 0] - 1]
+    # without the tie-break the ragged DP takes zero secondaries and tolerances
+    sflat, rtol = np.zeros_like(flat), np.zeros(nchains)
+    if tie_break:
+        sflat[row], rtol = secondary[c, j], tol[order]
+    idx = _chain_dp(active, cand[order], hflat, flat, sflat, rtol)
+
+    assert np.array_equal(idx[row], ref[c, j])
+    for ch in range(nchains):
+        L = length[ch]
+        mine = idx[row[c == ch]]
+        assert path_cost(cand[ch], h[ch], unary[ch, :L], mine) == path_cost(
+            cand[ch], h[ch], unary[ch, :L], ref[ch, :L]
+        )
 
 
 def test_objective_of_arbitrary_feasible_fields_certifies_floor():

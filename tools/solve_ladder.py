@@ -9,16 +9,17 @@ one problem with data drawn from ``numpy.random.default_rng(seed)``.  The
 trees alternate within each repeat, and the tree that goes first alternates
 between repeats.  The child times the stages by wrapping the functions that
 ``solve`` looks up in ``sdrelax.solver`` (``STAGES``): mesh (``_mesh_for``),
-boundary piece table (``boundary_pieces``), term assembly
-(``_assemble_axis_terms``), the chains of each axis outside the DP
-(``_solve_axis``: chain tables, contraction, objective), the min-plus DP
-itself (``_chain_dp``) and the exact re-evaluation (``surface_energy``).
-Stage times are exclusive: a wrapped call nested in another counts only in
-its own stage, so the DP counts in ``chain_dp_s`` and not in ``chains_s``,
-a piece table built inside term assembly counts in ``pieces_s``, and one
-built inside ``surface_energy`` (not looked up in ``sdrelax.solver``)
-counts in ``reevaluate_s``.  A stage none of whose functions exist in a
-tree is reported as ``null``.  A row gives each time as the median and
+boundary piece table (``boundary_pieces``), term assembly (the chain table
+of all axes, ``_chain_table``; per axis, ``_assemble_axis_terms``, in
+trees before it), the chain program outside the DP (``_solve_chains``:
+contraction, candidates, objective; per axis, ``_solve_axis``), the
+min-plus DP itself (``_chain_dp``) and the exact re-evaluation
+(``surface_energy``).  Stage times are exclusive: a wrapped call nested in
+another counts only in its own stage, so the DP counts in ``chain_dp_s``
+and not in ``chains_s``, a piece table built inside term assembly counts in
+``pieces_s``, and one built inside ``surface_energy`` (not looked up in
+``sdrelax.solver``) counts in ``reevaluate_s``.  A stage none of whose
+functions exist in a tree is reported as ``null``.  A row gives each time as the median and
 quartiles over the repeats, and the largest peak RSS (``ru_maxrss`` of the
 child).  ``--out`` appends one run, with the environment and both trees'
 git revisions, to the file's ``runs`` list.
@@ -47,8 +48,8 @@ REPEAT = 5
 STAGES = {
     "mesh_s": ("_mesh_for",),
     "pieces_s": ("boundary_pieces",),
-    "assembly_s": ("_assemble_axis_terms",),
-    "chains_s": ("_solve_axis",),
+    "assembly_s": ("_assemble_axis_terms", "_chain_table"),
+    "chains_s": ("_solve_axis", "_solve_chains"),
     "chain_dp_s": ("_chain_dp",),
     "reevaluate_s": ("surface_energy",),
 }
