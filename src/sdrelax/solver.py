@@ -444,13 +444,15 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
     """
     nchains, k = cand.shape
     start = np.concatenate(([0], np.cumsum(active)))
-    jump = np.abs(cand[:, None, :] - cand[:, :, None])  # [c, u, v] = |cand v - cand u|
     f, g = unary[:nchains].copy(), secondary[:nchains].copy()
     back = np.empty(unary.shape, dtype=np.min_scalar_type(k))  # rows of step 0 unused
     chains, cols = np.arange(nchains)[:, None], np.arange(k)
     for j in range(1, len(active)):
         a, rows = active[j], slice(start[j], start[j + 1])
-        trans = f[:a, :, None] + h[rows, None, None] * jump[:a]
+        # trans[c, u, v] = f[c, u] + h |cand v - cand u|, built in place
+        trans = np.abs(cand[:a, None, :] - cand[:a, :, None])
+        trans *= h[rows, None, None]
+        trans += f[:a, :, None]
         back[rows] = arg = _lex_argmin(trans, g[:a, :, None], tol[:a, None, None])
         # [chain, arg, cols] picks trans[c, arg[c, v], v]
         f[:a] = trans[chains[:a], arg, cols] + unary[rows]
@@ -528,7 +530,7 @@ def _solve_chains(table: ChainTable, tie_break: bool):
     # j-th kept cell is row start[j] + slot[c]
     length = np.bincount(kc, minlength=nchains)
     order = np.argsort(-length, kind="stable")
-    slot = np.argsort(order)
+    slot = np.argsort(order, kind="stable")
     active = nchains - np.cumsum(np.bincount(length))[:-1]
     start = np.concatenate(([0], np.cumsum(active)))
     row = start[np.arange(len(keep)) - keep.searchsorted(kc * n)] + slot[kc]
