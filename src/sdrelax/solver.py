@@ -262,9 +262,8 @@ class CellProblem:
 def _real_array(slot: str, value) -> np.ndarray:
     """``value`` as a float array; strings, complex and ragged data raise."""
     try:
-        array = np.asarray(value)
-        if array.dtype.kind in "biufO":
-            return np.asarray(array, dtype=float)
+        if np.asarray(value).dtype.kind in "biufO":
+            return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         pass
     raise ProblemError(f"data slot '{slot}' must be an array of real numbers")
@@ -378,23 +377,21 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
     gall = pieces.points @ pin.T - pieces.datum
     columns = []
     for b in range(dim):
-        vals = gall @ dirs3[b]
+        on = slice(None) if side_terms else pieces.axis == b  # the pieces that emit for axis b
+        vals = gall[on] @ dirs3[b]
         const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
-        own = pieces.axis == b
-        share = own & ~const  # affine mismatch: a trapezoid share per corner
-        emit = np.zeros(vals.shape, dtype=bool)
-        emit[:, 0] = own | (const & side_terms)
-        emit[share] = True
-        weight = np.where(share, pieces.measure / vals.shape[1], pieces.measure)
+        own = pieces.axis[on] == b
+        share = own & ~const  # affine: a trapezoid share per corner, else one term at corner 0
+        emit = share[:, None] | (np.arange(vals.shape[1]) == 0) & (own | const)[:, None]
+        weight = np.where(share, pieces.measure[on] / vals.shape[1], pieces.measure[on])
         count = emit.sum(axis=1)  # terms of each piece, in row-major order
-        cell = np.repeat(pieces.cell, count)
+        cell = np.repeat(pieces.cell[on], count)
         # cell -> (row, position) in the chains along axis b (meshes._chains)
         stride = n ** (dim - 1 - b)
         chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
         columns.append((chain, pos, np.repeat(weight, count), vals[emit], np.repeat(~own, count)))
-    chain, pos, weight, const, side = (np.concatenate(c) for c in zip(*columns))
     h = mesh.int_measure.reshape(dim * nchains, n - 1)
-    return ChainTable(h, chain, pos, weight, const, side)
+    return ChainTable(h, *(np.concatenate(c) for c in zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +418,33 @@ def _candidates(chain: np.ndarray, breaks: np.ndarray, nchains: int) -> np.ndarr
 
 
 def _lex_argmin(primary, secondary, tol):
-    """Argmin along axis 1 of ``secondary`` among the entries whose
-    ``primary`` is within ``tol`` of the minimum: lexicographic order with
-    tied primaries; with ``secondary`` and ``tol`` zero, argmin of ``primary``."""
+    """Argmin of ``primary`` along axis 1; with ``secondary``, the argmin of
+    ``secondary`` among entries whose primary is within ``tol`` of the
+    minimum (lexicographic order with tied primaries)."""
+    if secondary is None:
+        return primary.argmin(axis=1)
     tied = primary <= primary.min(axis=1, keepdims=True) + tol
     return np.where(tied, secondary, np.inf).argmin(axis=1)
 
 
 def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
-    """Candidate index of every row minimizing, per chain and
-    lexicographically in (``unary``, ``secondary``) with primaries within
-    ``tol`` (one per chain) tied, ``sum_j unary[r_j, x_j] + h[r_j]
-    |cand[x_j] - cand[x_{j-1}]|`` over the chain's rows ``r_j``.
+    """Candidate index of every row minimizing, per chain, ``sum_j unary[r_j,
+    x_j] + h[r_j] |cand[x_j] - cand[x_{j-1}]|`` over the chain's rows ``r_j``;
+    with ``secondary``, lexicographically in (``unary``, ``secondary``),
+    primaries within ``tol`` (one per chain) counting as tied.
 
     Chains are laid out longest first and ragged: position ``j`` of the
-    ``active[j]`` chains that reach it is rows ``start[j] ... start[j] +
-    active[j]`` (``start`` the running sum of ``active``), in the order of
-    the rows of ``cand``; ``h`` at a row weighs the edge into it.  Min-plus
+    ``active[j]`` chains that reach it is rows ``start[j] ... start[j + 1]``
+    (``start`` the running sum of ``active``), in the order of the rows of
+    ``cand``; ``h`` at a row weighs the edge into it.  Min-plus
     recursion ``f_j(v) = unary_j(v) + min_u f_{j-1}(u) + h_j |v - u|`` with
-    backtracking, each step on a prefix of the chains; a chain that has
-    ended keeps its last ``f``.
+    backtracking, each step on a prefix of the chains: a chain that has ended
+    keeps its last ``f``.
     """
     nchains, k = cand.shape
     start = np.concatenate(([0], np.cumsum(active)))
-    f, g = unary[:nchains].copy(), secondary[:nchains].copy()
+    f = unary[:nchains].copy()
+    g = None if secondary is None else secondary[:nchains].copy()
     back = np.empty(unary.shape, dtype=np.min_scalar_type(k))  # rows of step 0 unused
     chains, cols = np.arange(nchains)[:, None], np.arange(k)
     for j in range(1, len(active)):
@@ -453,10 +453,12 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
         trans = np.abs(cand[:a, None, :] - cand[:a, :, None])
         trans *= h[rows, None, None]
         trans += f[:a, :, None]
-        back[rows] = arg = _lex_argmin(trans, g[:a, :, None], tol[:a, None, None])
+        arg = _lex_argmin(trans, g if g is None else g[:a, :, None], tol[:a, None, None])
+        back[rows] = arg
         # [chain, arg, cols] picks trans[c, arg[c, v], v]
         f[:a] = trans[chains[:a], arg, cols] + unary[rows]
-        g[:a] = g[chains[:a], arg] + secondary[rows]
+        if g is not None:
+            g[:a] = g[chains[:a], arg] + secondary[rows]
     idx = np.empty(len(unary), dtype=np.intp)
     last = _lex_argmin(f, g, tol[:, None])
     for j in range(len(active) - 1, 0, -1):
@@ -542,13 +544,12 @@ def _solve_chains(table: ChainTable, tie_break: bool):
     cand = _candidates(ts, 0.0 - const, nchains)
     cost = weight[:, None] * np.abs(cand[ts] + const[:, None])
     unary = np.zeros((len(keep), cand.shape[1]))
-    secondary, tol = np.zeros_like(unary), np.zeros(nchains)
+    secondary, tol = None, np.zeros(nchains)
     np.add.at(unary, trow[primary], cost[primary])
     if tie_break:
+        secondary = np.zeros_like(unary)
         np.add.at(secondary, trow, cost)
-        total_weight = h.sum(axis=1) + np.bincount(
-            tc[primary], weights=weight[primary], minlength=nchains
-        )
+        total_weight = h.sum(axis=1) + np.bincount(tc[primary], weight[primary], nchains)
         tol = TIE_RTOL * total_weight[order] * np.abs(cand).max(axis=1)
     idx = _chain_dp(active, cand, hc, unary, secondary, tol)
     x = np.repeat(cand[slot[kc], idx[row]], span).reshape(nchains, n)
@@ -800,16 +801,15 @@ def problem_from_json(text: str) -> CellProblem:
         n = int(n)  # JSON 4.0 means 4
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"problem file 'n' must be a positive integer, got {payload['n']!r}")
-    grab = payload.get  # CellProblem converts and checks each data slot
-    try:
+    try:  # CellProblem converts and checks each data slot
         return CellProblem(
             kind=kind,
             n=n,
-            A=grab("A"),
-            B=grab("B"),
-            d=grab("d"),
-            lam=grab("lambda"),
-            orientation=grab("eta") if "eta" in payload else grab("nu"),
+            A=payload.get("A"),
+            B=payload.get("B"),
+            d=payload.get("d"),
+            lam=payload.get("lambda"),
+            orientation=payload.get("eta" if "eta" in payload else "nu"),
             density=density,
         )
     except ProblemError as exc:

@@ -450,10 +450,11 @@ def test_ragged_dp_matches_the_padded_dp(lengths, tie_break, exponent, seed):
     flat[row] = unary[c, j]
     hflat = np.zeros(len(row))
     hflat[row[j > 0]] = h[c[j > 0], j[j > 0] - 1]
-    # without the tie-break the ragged DP takes zero secondaries and tolerances
-    sflat, rtol = np.zeros_like(flat), np.zeros(nchains)
+    # without the tie-break the ragged DP takes no secondary, as in the solver
+    sflat, rtol = None, np.zeros(nchains)
     if tie_break:
-        sflat[row], rtol = secondary[c, j], tol[order]
+        sflat, rtol = np.empty_like(flat), tol[order]
+        sflat[row] = secondary[c, j]
     idx = _chain_dp(active, cand[order], hflat, flat, sflat, rtol)
 
     assert np.array_equal(idx[row], ref[c, j])
