@@ -623,7 +623,7 @@ def test_problem_json_rejects_an_unhashable_density():
     from sdrelax.errors import InputError
 
     with pytest.raises(InputError, match="unknown density"):
-        problem_from_json('{"kind": "H_3D2D", "n": 2, "density": ["x"], "lambda": [1, 0, 0], "eta": [1, 0]}')
+        problem_from_json(STEP_FILE[:-1] % (2, "[1, 0, 0]") + ', "density": ["x"]}')
 
 
 @pytest.mark.parametrize("n", [True, np.True_, 2.0])
