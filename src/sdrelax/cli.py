@@ -61,13 +61,7 @@ def _unit(v: np.ndarray, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _plain(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+    return value.item() if isinstance(value, (np.bool_, np.floating, np.integer)) else value
 
 
 def _emit(rows, args, command: str, passed: bool) -> None:
@@ -200,7 +194,7 @@ def _suite_gauss_green(args):
 
 def _suite_cell(args):
     rng = np.random.default_rng(args.seed)
-    n = args.n or 8
+    n = 8 if args.n is None else args.n
     directions = [
         np.array([1.0, 0.0]),
         np.array([0.0, 1.0]),
@@ -238,6 +232,10 @@ def cmd_verify(args) -> int:
     }
     if args.suite not in suites:
         raise InputError(f"unknown suite {args.suite!r}; choose from {sorted(suites)}")
+    if args.samples < 1:
+        raise InputError("samples must be >= 1")
+    if args.n is not None and args.n < 1:
+        raise InputError(f"refinement --n must be >= 1, got {args.n}")
     rows = suites[args.suite](args)
     passed = all(r["passed"] for r in rows)
     _emit(rows, args, f"verify:{args.suite}", passed)

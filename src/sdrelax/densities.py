@@ -205,10 +205,6 @@ class HypothesisReport:
         """True iff the surface hypotheses the solver relies on hold."""
         return all(e.passed for e in self.entries if e.name in REQUIRED_HYPOTHESES)
 
-    @property
-    def all_ok(self) -> bool:
-        return all(e.passed for e in self.entries)
-
 
 def _random_unit(rng, dim):
     while True:

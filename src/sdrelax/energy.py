@@ -15,11 +15,12 @@ General callable densities are exact on constant jumps (the common case for
 pinned-gradient fields) and fall back to the 16-point Gauss rule on affine
 ones.
 
-Interior jumps come from the field's jump table (built once per field and
-shared with the divergence-theorem residual): edges with equal gradients on
-both sides carry exactly constant jumps and take the closed form on that
-value, axis by axis, with the axis' normal as a broadcast view rather than
-one copy per edge.  Boundary mismatches come from the boundary piece table
+Interior jumps come from the field's jump table (built once per field by
+per-axis differences and shared with the divergence-theorem residual):
+edges with equal gradients on both sides carry exactly constant jumps and
+take the closed form on that value, axis by axis, with the axis' normal as
+a broadcast view rather than one copy per edge; only affine rows carry
+corners.  Boundary mismatches come from the boundary piece table
 (:func:`sdrelax.fields.boundary_pieces`); :func:`surface_energy` builds it
 from the datum unless the caller passes the table it already holds (the
 solver builds one per solve).  The closed forms
@@ -69,14 +70,14 @@ def _surface_callable(density):
     return density.surface if isinstance(density, DensityPair) else density
 
 
-def _integrals(values, rows, normal3, measure, corners, form, func, overestimate) -> np.ndarray:
+def _integrals(values, rows, normal3, measure, corners, axis, form, func, overestimate) -> np.ndarray:
     """Integrals of the surface density over the pieces ``rows`` of one
     table (interior edges or boundary pieces), one per row.
 
     ``values`` are the jump (or mismatch) vectors at the pieces' corners,
     ``(R, corners, 3)``, with a single corner for constant rows, and
     ``normal3`` their padded unit normals, ``(R, 3)`` (a broadcast view
-    where the rows share one); ``measure`` and ``corners`` are the table's.
+    where the rows share one); ``measure``, ``corners`` and ``axis`` are the table's.
     """
     if len(rows) == 0:
         return np.zeros(0)
@@ -86,21 +87,23 @@ def _integrals(values, rows, normal3, measure, corners, form, func, overestimate
         out = np.zeros(len(rows))
         paid = np.all(values[:, :, 2] == 0.0, axis=1)
         out[paid] = _integrals(
-            values[paid], rows[paid], normal3[paid], measure, corners, SURFACE_NORMAL, None,
-            overestimate,
+            values[paid], rows[paid], normal3[paid], measure, corners, axis, SURFACE_NORMAL,
+            None, overestimate,
         )
         return out
     h = measure[rows]
     if form == SURFACE_NORMAL:
         f = (values @ normal3[:, :, None])[..., 0]
-        if f.shape[1] == 1:
-            return np.abs(f[:, 0]) * h
+        if f.shape[1] == 1:  # in place: at large n these rows are most of the mesh
+            out = np.abs(f[:, 0])
+            out *= h
+            return out
         if f.shape[1] == 2:
             segment = abs_affine_segment_trapezoid if overestimate else abs_affine_segment_exact
             return segment(f[:, 0], f[:, 1], h)
         if overestimate:
             return h * np.mean(np.abs(f), axis=1)
-        return abs_affine_polygon_exact(_face_param_2d(corners[rows]), f)
+        return abs_affine_polygon_exact(_face_param_2d(corners[rows], axis[rows]), f)
     # custom density: exact on constant jumps, Gauss rule otherwise
     nus = (nu / np.linalg.norm(nu) for nu in normal3)
     return np.array([_piece_integral(v, nu, m, func) for v, nu, m in zip(values, nus, h)])
@@ -115,11 +118,12 @@ def _jump_rows(rows, values):
     return (rows[const], values[const, :1]), (rows[~const], values[~const])
 
 
-def _face_param_2d(corners):
+_FREE_AXES = np.array([[1, 2], [0, 2], [0, 1]])  # of a 3D face, by its own axis
+
+
+def _face_param_2d(corners, axis):
     """2D coordinates of face corners within their own planes, ``(E, 4, 2)``."""
-    spread = corners.max(axis=1) - corners.min(axis=1)
-    axes = np.sort(np.argsort(spread, axis=1)[:, -2:], axis=1)
-    return np.take_along_axis(corners, axes[:, None, :], axis=2)
+    return np.take_along_axis(corners, _FREE_AXES[axis][:, None, :], axis=2)
 
 
 def _piece_integral(values, nu, measure, func):
@@ -156,22 +160,23 @@ def surface_energy(
     mesh, table = field.mesh, field.jump_table
     form, func = _surface_form(density), _surface_callable(density)
     dirs3 = padded_normal(mesh.frame.T)  # row a: padded world normal of axis a
-    interior = np.zeros(len(mesh.int_axis))
+    measure = mesh.int_measure()
+    interior = np.zeros(len(measure))
     # nonzero constant jumps as single-corner rows, one axis at a time: edges
     # come axis by axis, so an axis' rows are one slice sharing one normal
     constant = np.any(table.offset != 0.0, axis=1)
     constant[table.affine] = False
-    rows = np.flatnonzero(constant)
-    cut = np.searchsorted(rows, np.searchsorted(mesh.int_axis, np.arange(mesh.dim + 1)))
+    starts = np.cumsum((0,) + mesh.int_counts)  # first edge of each axis
     for a in range(mesh.dim):
-        on = rows[cut[a] : cut[a + 1]]
+        on = np.flatnonzero(constant[starts[a] : starts[a + 1]]) + starts[a]
         interior[on] = _integrals(
-            table.offset[on][:, None, :], on, np.broadcast_to(dirs3[a], (len(on), 3)),
-            mesh.int_measure, mesh.int_corners, form, func, overestimate,
+            table.offset[on][:, None, :], on, np.broadcast_to(dirs3[a], (len(on), 3)), measure,
+            None, None, form, func, overestimate,
         )
-    for rows, values in _jump_rows(table.affine, table.values):
-        interior[rows] = _integrals(
-            values, rows, dirs3[mesh.int_axis[rows]], mesh.int_measure, mesh.int_corners, form,
+    axis = np.searchsorted(starts, table.affine, side="right") - 1
+    for rows, values in _jump_rows(np.arange(len(axis)), table.values):
+        interior[table.affine[rows]] = _integrals(
+            values, rows, dirs3[axis[rows]], measure[table.affine], table.corners, axis, form,
             func, overestimate,
         )
     terms = [np.zeros(1), interior]
@@ -181,7 +186,7 @@ def surface_energy(
         mismatch = pieces.field_values(field) - pieces.datum
         for rows, values in _jump_rows(np.arange(len(pieces.edge)), mismatch):
             terms[-1][rows] = _integrals(
-                values, rows, normal3[rows], pieces.measure, pieces.corners, form, func,
-                overestimate,
+                values, rows, normal3[rows], pieces.measure, pieces.corners, pieces.axis, form,
+                func, overestimate,
             )
     return float(np.cumsum(np.concatenate(terms))[-1])

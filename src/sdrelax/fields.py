@@ -4,9 +4,10 @@ A field stores one read-only gradient matrix (3 x mesh-dim) and offset
 vector per cell; on cell ``T`` it equals ``G_T x + b_T`` in world
 coordinates.  Jumps live on mesh edges and are affine along each edge, so
 every integral used here has an edge-wise closed form; each field keeps one
-:class:`JumpTable` of them, built by differences on first use.  Absolute
-values of affine integrands are integrated exactly by splitting at the sign
-change; Euclidean norms of affine integrands have a closed form on segments.
+:class:`JumpTable` of them, built on first use by per-axis differences of
+the cell data on the mesh's ``shape`` grid.  Absolute values of affine
+integrands are integrated exactly by splitting at the sign change;
+Euclidean norms of affine integrands have a closed form on segments.
 
 Boundary terms are charged against a datum piece by piece.
 :func:`boundary_pieces` builds one array table of those pieces from the
@@ -286,13 +287,29 @@ class JumpTable:
     ``offset`` ``(E, 3)`` holds ``c+ - c-`` for every edge; where the two
     gradients agree it is the whole jump, exactly constant along the edge.
     ``affine`` ``(A,)`` lists the edges whose gradients differ, in
-    increasing order, and ``values`` ``(A, corners, 3)`` their jumps at the
-    edge corners.
+    increasing order, ``corners`` ``(A, corners, dim)`` their mesh-frame
+    corners and ``values`` ``(A, corners, 3)`` their jumps at those corners.
     """
 
     offset: np.ndarray
     affine: np.ndarray
+    corners: np.ndarray
     values: np.ndarray
+
+
+def _edge_differences(mesh: Mesh, cells: np.ndarray) -> np.ndarray:
+    """``cells[plus] - cells[minus]`` of per-cell data on every interior edge:
+    per axis, one subtraction of neighbouring slices of the ``shape`` grid."""
+    tail, dim, start = cells.shape[1:], mesh.dim, 0
+    out, block = np.empty((sum(mesh.int_counts),) + tail), cells.reshape(mesh.shape + tail)
+    for a, count in enumerate(mesh.int_counts):
+        layout = mesh.shape[:a] + mesh.shape[a + 1 :] + (mesh.shape[a] - 1,) + tail
+        order = (*range(a), dim - 1, *range(a, dim - 1), *range(dim, dim + len(tail)))
+        edges = out[start : start + count].reshape(layout).transpose(order)  # grid axis order
+        every = (slice(None),) * a
+        np.subtract(block[every + (slice(1, None),)], block[every + (slice(-1),)], out=edges)
+        start += count
+    return out
 
 
 class SbvField:
@@ -335,21 +352,22 @@ class SbvField:
 
     @cached_property
     def jump_table(self) -> JumpTable:
-        """The jumps across interior edges, built on first use.  Corner
-        points are mapped to world coordinates only on edges whose two
+        """The jumps across interior edges, built on first use.  Corners are
+        computed and mapped to world coordinates only on edges whose two
         gradients differ."""
         mesh, grads = self.mesh, self.gradients
-        minus, plus = mesh.int_minus, mesh.int_plus
-        offset = self.offsets[plus] - self.offsets[minus]
-        # only edges next to a cell whose gradient differs from cell 0's can be affine
-        odd = np.any(grads != grads[0], axis=(1, 2))
-        candidates = np.flatnonzero(odd[plus] | odd[minus])
-        affine = candidates[np.any(grads[plus[candidates]] != grads[minus[candidates]], axis=(1, 2))]
-        slope = grads[plus[affine]] - grads[minus[affine]]
-        points = mesh.int_corners[affine] @ mesh.frame.T
-        values = points @ slope.transpose(0, 2, 1) + offset[affine][:, None, :]
-        offset.flags.writeable = affine.flags.writeable = values.flags.writeable = False
-        return JumpTable(offset, affine, values)
+        offset = _edge_differences(mesh, self.offsets)
+        if np.all(grads == grads[0]):  # one gradient: every jump is constant
+            slope, affine = np.zeros((0, 3, mesh.dim)), np.zeros(0, dtype=np.intp)
+            corners = np.zeros((0, 2 ** (mesh.dim - 1), mesh.dim))
+        else:
+            slope = _edge_differences(mesh, grads)
+            affine = np.flatnonzero(np.any(slope != 0.0, axis=(1, 2)))
+            slope, corners = slope[affine], mesh.int_corners(affine)
+        values = (corners @ mesh.frame.T) @ slope.transpose(0, 2, 1) + offset[affine][:, None, :]
+        for a in (offset, affine, corners, values):
+            a.flags.writeable = False
+        return JumpTable(offset, affine, corners, values)
 
 
 def average_gradient(field: SbvField) -> np.ndarray:
@@ -367,7 +385,7 @@ def gauss_green_residual(field: SbvField) -> np.ndarray:
     table = field.jump_table
     delta_mean = table.offset.copy()
     delta_mean[table.affine] = table.values.mean(axis=1)
-    jump_term = ((mesh.int_normals() @ w) * mesh.int_measure) @ delta_mean
+    jump_term = (np.repeat(mesh.frame.T @ w, mesh.int_counts) * mesh.int_measure()) @ delta_mean
     bulk_term = np.einsum("t,tij,j->i", mesh.cell_measures, field.gradients, w)
     pieces = boundary_pieces(mesh, zero_datum(mesh.dim))
     bnd_mean = pieces.field_values(field).mean(axis=1)

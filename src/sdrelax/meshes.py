@@ -8,29 +8,29 @@ the unit square / cube centered at the origin are produced by
 :func:`build_mesh`; the competitor generators build non-uniform ones with
 :class:`Mesh` directly.
 
-Edges (2D) and faces (3D) are stored as flat numpy arrays (``int_*`` for
-interior edges, ``bnd_*`` for boundary edges) so that field operations can
-run vectorized over the whole mesh.  They are built by index arithmetic on
-the cells' chains (:meth:`Mesh.chains`, the lines of cells along one axis):
-axis by axis, chain by chain, a chain's interior edges in axis order and
-then its low and its high boundary edge.  The same chains carry the
-solver's 1-D programs.  These arrays are the only description of edge
-geometry; :func:`sdrelax.fields.boundary_pieces` derives the boundary
-pieces from them.
+Edges (2D) and faces (3D) follow the cells' chains (:meth:`Mesh.chains`,
+the lines of cells along one axis that also carry the solver's programs):
+axis by axis, chain by chain, in axis order.  Boundary edges, a chain's low
+and then its high one, are flat ``bnd_*`` arrays, which
+:func:`sdrelax.fields.boundary_pieces` cuts into pieces.
+Interior edges are implicit in the breakpoints and ``shape``: ``int_counts``
+holds their number per axis, :meth:`Mesh.int_edges` the axis and two cells
+of any rows, and ``int_axis``, :meth:`Mesh.int_measure` and
+:meth:`Mesh.int_corners` (of the rows asked for) are computed on each call.
 
-Every array of a mesh is read-only.  The breakpoints, cell and edge tables
-live in the mesh frame, so they form a frame-free grid; a :class:`Mesh` is
-such a grid plus its own ``frame`` and world-coordinate data.
-:func:`build_mesh` keeps the last ``GRID_CACHE_SIZE`` uniform grids of at
-most ``GRID_CACHE_MAX_CELLS`` cells, one per ``(dimension, n)``, and each
-mesh it returns shares the kept grid's tables; larger grids are built per
-call.  A kept grid holds at most about 3 MB in 2D and 7 MB in 3D;
+Every array of a mesh is read-only.  The breakpoints, cell and boundary
+tables live in the mesh frame, so they form a frame-free grid; a
+:class:`Mesh` is such a grid plus its own ``frame``.  :func:`build_mesh`
+keeps the last ``GRID_CACHE_SIZE`` uniform grids of at most
+``GRID_CACHE_MAX_CELLS`` cells, one per ``(dimension, n)``, and each mesh it
+returns shares the kept grid's tables; larger grids are built per call.  A
+kept grid holds at most about 0.7 MB in 2D and 1.4 MB in 3D;
 ``build_mesh.cache_clear()`` frees them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -77,15 +77,18 @@ def _grid(axes) -> np.ndarray:
 _CORNER_BOUNDS = {2: np.array([[0], [1]]), 3: np.array([[0, 0], [1, 0], [1, 1], [0, 1]])}
 
 
-def _face_corners(axis, value, lo, hi) -> np.ndarray:
-    """Mesh-frame corners ``(E, corners, dim)`` of the faces ``xi[axis] ==
-    value`` whose free axes, in increasing order, span ``[lo, hi]``."""
-    dim = lo.shape[1] + 1
-    free = np.where(_CORNER_BOUNDS[dim] == 1, hi[:, None, :], lo[:, None, :])
-    corners = np.empty(free.shape[:2] + (dim,))
-    corners[..., axis] = value[:, None]
-    corners[..., [a for a in range(dim) if a != axis]] = free
-    return corners
+def _face_corners(breaks, cells, axis, upper) -> np.ndarray:
+    """Mesh-frame corners ``(R, corners, dim)`` of the faces of ``cells``
+    normal to ``axis``, on their upper side where ``upper`` is 1 and on
+    their lower one where it is 0, the free axes in increasing order."""
+    dim, bounds = len(breaks), _CORNER_BOUNDS[len(breaks)]
+    step = np.zeros((dim, 2, len(bounds), dim), dtype=np.intp)  # [axis, upper]: corners' break steps
+    for a in range(dim):
+        step[a][..., [b for b in range(dim) if b != a]] = bounds
+        step[a, 1, :, a] = 1
+    index = np.stack(np.unravel_index(cells, tuple(b.size - 1 for b in breaks)), axis=-1)
+    index = index[:, None, :] + step[axis, upper]
+    return np.stack([values[index[..., b]] for b, values in enumerate(breaks)], axis=-1)
 
 
 def _checked_frame(frame, dim: int) -> np.ndarray:
@@ -104,8 +107,8 @@ def _chains(shape, axis: int) -> np.ndarray:
 
 
 class _Grid:
-    """The frame-free part of a mesh: breakpoints, cell and edge tables, all
-    read-only.  A :class:`Mesh` copies these attributes and adds its frame."""
+    """The frame-free part of a mesh: breakpoints, cell and boundary tables,
+    all read-only; a :class:`Mesh` copies them and adds its frame."""
 
     def __init__(self, axis_breaks, n=None):
         breaks = tuple(np.array(b, dtype=float) for b in axis_breaks)
@@ -120,51 +123,23 @@ class _Grid:
         self.shape = tuple(b.size - 1 for b in breaks)
         self.ncells = int(np.prod(self.shape))
         self.n = n if n is not None else max(self.shape)
-        self._build_cells()
-        self._build_edges()
+        self.int_counts = tuple(self.ncells // m * (m - 1) for m in self.shape)
+        self.cell_lo = _grid([b[:-1] for b in breaks])
+        self.cell_hi = _grid([b[1:] for b in breaks])
+        self.cell_measures = np.prod(self.cell_hi - self.cell_lo, axis=1)
+        # boundary edges: a chain's low and then its high edge, each with the
+        # chain's face measure, the product of the other axes' break differences
+        axes = range(dim)
+        self.bnd_cell = np.concatenate([_chains(self.shape, a)[:, [0, -1]].reshape(-1) for a in axes])
+        self.bnd_side = np.tile([-1, 1], len(self.bnd_cell) // 2)
+        self.bnd_axis = np.repeat(axes, [2 * self.ncells // m for m in self.shape])
+        sides = [np.diff(b) for b in breaks]
+        faces = (reduce(np.multiply.outer, sides[:a] + sides[a + 1 :]).reshape(-1) for a in axes)
+        self.bnd_measure = np.concatenate([np.repeat(f, 2) for f in faces])
+        self.bnd_corners = _face_corners(breaks, self.bnd_cell, self.bnd_axis, self.bnd_side.clip(0))
         for value in (*breaks, *vars(self).values()):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-    def _build_cells(self):
-        self.cell_lo = _grid([b[:-1] for b in self.axis_breaks])
-        self.cell_hi = _grid([b[1:] for b in self.axis_breaks])
-        self.cell_measures = np.prod(self.cell_hi - self.cell_lo, axis=1)
-
-    def _build_edges(self):
-        """Edge arrays axis by axis, chain by chain: a chain's interior edges
-        in axis order, then its low and its high boundary edge."""
-        ints, bnds = [], []
-        for axis in range(self.dim):
-            chains = _chains(self.shape, axis)
-            nchains, m = chains.shape
-            breaks = self.axis_breaks[axis]
-            others = [self.axis_breaks[a] for a in range(self.dim) if a != axis]
-            lo, hi = _grid([b[:-1] for b in others]), _grid([b[1:] for b in others])
-            measure = np.prod(hi - lo, axis=1)
-
-            def faces(k, values):
-                # k faces per chain at the given axis values: axis, measure, corners
-                return (
-                    np.full(nchains * k, axis),
-                    np.repeat(measure, k),
-                    _face_corners(
-                        axis, np.tile(values, nchains), np.repeat(lo, k, 0), np.repeat(hi, k, 0)
-                    ),
-                )
-
-            ints.append(
-                (chains[:, :-1].reshape(-1), chains[:, 1:].reshape(-1), *faces(m - 1, breaks[1:-1]))
-            )
-            bnds.append(
-                (chains[:, [0, -1]].reshape(-1), np.tile([-1, 1], nchains), *faces(2, breaks[[0, -1]]))
-            )
-        self.int_minus, self.int_plus, self.int_axis, self.int_measure, self.int_corners = (
-            np.concatenate(a) for a in zip(*ints)
-        )
-        self.bnd_cell, self.bnd_side, self.bnd_axis, self.bnd_measure, self.bnd_corners = (
-            np.concatenate(a) for a in zip(*bnds)
-        )
 
 
 class Mesh:
@@ -187,46 +162,52 @@ class Mesh:
         axis order, rows in C order over the other axes."""
         return _chains(self.shape, axis)
 
+    @property
+    def int_axis(self) -> np.ndarray:
+        """Axis of every interior edge, ``(E,)``."""
+        return np.repeat(np.arange(self.dim), self.int_counts)
+
+    def int_measure(self) -> np.ndarray:
+        """Measure of every interior edge, ``(E,)``: its chain's face measure,
+        which the chain's two boundary edges carry too."""
+        edges = np.repeat(np.subtract(self.shape, 1), [self.ncells // m for m in self.shape])
+        return np.repeat(self.bnd_measure[::2], edges)
+
+    def int_edges(self, rows):
+        """Axis, minus cell and plus cell of the interior edges ``rows``: the
+        one derivation of interior edges.  Edge ``pos`` of the ``chain``-th
+        row of ``chains(axis)`` joins its cells ``pos`` and ``pos + 1``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = np.cumsum((0,) + self.int_counts)
+        axis = np.searchsorted(starts, rows, side="right") - 1
+        m = np.asarray(self.shape)[axis]
+        stride = np.cumprod((1,) + self.shape[:0:-1])[::-1][axis]  # cell id step along axis
+        chain, pos = np.divmod(rows - starts[axis], m - 1)
+        minus = chain // stride * stride * m + pos * stride + chain % stride
+        return axis, minus, minus + stride
+
+    def int_corners(self, rows) -> np.ndarray:
+        """Mesh-frame corners ``(R, corners, dim)`` of the interior edges
+        ``rows``: the upper faces of their minus cells."""
+        axis, minus, _ = self.int_edges(rows)
+        return _face_corners(self.axis_breaks, minus, axis, 1)
+
     # -- geometry queries -----------------------------------------------
 
     @property
     def orientation(self) -> np.ndarray:
         return self.frame[:, 0].copy()
 
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        """World coordinates of all grid vertices, C order; read-only."""
-        vertices = _grid(self.axis_breaks) @ self.frame.T
-        vertices.flags.writeable = False
-        return vertices
-
-    def to_world(self, xi: np.ndarray) -> np.ndarray:
-        return np.asarray(xi, dtype=float) @ self.frame.T
-
-    def int_normals(self) -> np.ndarray:
-        """World unit normals of interior edges, pointing minus -> plus."""
-        return self.frame.T[self.int_axis]
-
     def bnd_normals(self) -> np.ndarray:
         """Outward world unit normals of boundary edges."""
         return self.frame.T[self.bnd_axis] * self.bnd_side[:, None]
 
     def cell_centers_world(self) -> np.ndarray:
-        return self.to_world(0.5 * (self.cell_lo + self.cell_hi))
+        return (0.5 * (self.cell_lo + self.cell_hi)) @ self.frame.T
 
     @property
     def total_measure(self) -> float:
         return float(self.cell_measures.sum())
-
-    def cell_vertex_indices(self, cell: int) -> list[int]:
-        """Indices into :attr:`vertices` of the cell's corners (C order)."""
-        idx = np.unravel_index(cell, self.shape)
-        vshape = tuple(b.size for b in self.axis_breaks)
-        corners = []
-        for offset in np.ndindex(*(2,) * self.dim):
-            corner = tuple(i + o for i, o in zip(idx, offset))
-            corners.append(int(np.ravel_multi_index(corner, vshape)))
-        return corners
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -239,9 +220,9 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
     """Uniform ``n x n`` (or ``n^3``) mesh of the unit square/cube centered at
     the origin, rotated so two sides are perpendicular to ``orientation``.
 
-    Each call returns a new mesh; its cell and edge arrays are shared with
-    every other mesh of the same ``(dimension, n)`` while the grid is kept
-    (see the module docstring)."""
+    Each call returns a new mesh; its cell and boundary arrays are shared
+    with every other mesh of the same ``(dimension, n)`` while the grid is
+    kept (see the module docstring)."""
     if dimension not in (2, 3):
         raise MeshError(f"dimension must be 2 or 3, got {dimension}")
     if not isinstance(n, (int, np.integer)) or n < 1:

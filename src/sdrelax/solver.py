@@ -361,8 +361,8 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
 
     Axis ``b``'s program is in the offset component along the axis' (padded)
     world normal, over its chains ``mesh.chains(b)``, numbered ``b *
-    nchains + row``; the mesh stores interior edges axis by axis, chain by
-    chain, so ``h`` is a reshape of their measures.  Each boundary piece of
+    nchains + row``; interior edges come axis by axis, chain by chain, so
+    ``h`` repeats each chain's face measure along it.  Each boundary piece of
     axis ``a`` emits one unary term for axis ``a``: its measure times the
     constant mismatch, or, for affine mismatches, one trapezoid share per
     corner.  With ``side_terms`` (pure jump problems), a piece whose mismatch
@@ -390,7 +390,7 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
         stride = n ** (dim - 1 - b)
         chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
         columns.append((chain, pos, np.repeat(weight, count), vals[emit], np.repeat(~own, count)))
-    h = mesh.int_measure.reshape(dim * nchains, n - 1)
+    h = mesh.int_measure().reshape(dim * nchains, n - 1)
     return ChainTable(h, *(np.concatenate(c) for c in zip(*columns)))
 
 

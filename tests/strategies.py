@@ -65,3 +65,18 @@ def nonzero_jumps(field):
     identically zero, in edge order, read from the field's jump table."""
     values = jump_corner_values(field)
     return [(e, values[e]) for e in np.flatnonzero(np.any(values != 0.0, axis=(1, 2)))]
+
+
+def interior_tables(mesh, rows=None):
+    """The derived interior edge views of ``mesh`` on ``rows`` (every edge
+    if ``None``), by name: ``int_axis``, ``int_minus``, ``int_plus``,
+    ``int_measure`` and ``int_corners``."""
+    rows = np.arange(len(mesh.int_axis)) if rows is None else np.asarray(rows, dtype=np.intp)
+    axis, minus, plus = mesh.int_edges(rows)
+    return {
+        "int_axis": axis,
+        "int_minus": minus,
+        "int_plus": plus,
+        "int_measure": mesh.int_measure()[rows],
+        "int_corners": mesh.int_corners(rows),
+    }

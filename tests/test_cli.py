@@ -55,6 +55,21 @@ def test_verify_suites_pass(capsys):
         assert cells[1] == "True"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "cell", "--n", "0"], "refinement --n must be >= 1, got 0"),
+    (["--suite", "cell", "--n", "-3"], "refinement --n must be >= 1, got -3"),
+    (["--suite", "cell", "--samples", "0"], "samples must be >= 1"),
+    (["--suite", "gauss-green", "--samples", "0"], "samples must be >= 1"),
+    (["--suite", "gauss-green", "--samples", "-1"], "samples must be >= 1"),
+    (["--suite", "closed-forms", "--samples", "-5"], "samples must be >= 1"),
+], ids=["cell-n0", "cell-n-3", "cell-samples0", "gg-samples0", "gg-samples-1", "cf-samples-5"])
+def test_verify_rejects_empty_runs(capsys, argv, message):
+    # a zero refinement or sample count used to solve at n = 8 or report
+    # over no samples, and exit 0
+    code, out, err = run(capsys, "verify", *argv, "--seed", "0")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_verify_json_format_and_outfile(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run(

@@ -40,7 +40,7 @@ def test_gamma_split_n2_jump_locations():
     mesh = fld.mesh
     inner = (2 - 1) / (2 * 2)  # half-width of the shrunken square
     for e, _ in nonzero_jumps(fld):
-        corners = mesh.int_corners[e]
+        corners = mesh.int_corners([e])[0]
         on_midline = np.max(np.abs(corners[:, 0])) <= inner + 1e-12 and np.all(
             np.abs(corners[:, 0]) <= 1e-12
         ) or np.all(corners[:, 0] == 0.0)
@@ -65,7 +65,7 @@ def test_gamma_split_paid_set_matches_midline_segment():
         mesh = fld.mesh
         a = (n - 1) / (2 * n)
         for e, values in nonzero_jumps(fld):
-            corners = mesh.int_corners[e]
+            corners = mesh.int_corners([e])[0]
             third_zero = np.max(np.abs(values[:, 2])) == 0.0
             mid = corners.mean(axis=0)
             on_outer_midline = np.all(corners[:, 0] == 0.0) and abs(mid[1]) >= a - 1e-12
@@ -127,10 +127,10 @@ def test_frame_inter_rectangle_jumps_planar_m():
     w = (n - 1) / n**2
     found = 0
     for e, values in nonzero_jumps(fld):
-        corners = mesh.int_corners[e]
+        corners = mesh.int_corners([e])[0]
         if np.max(np.abs(corners)) >= a - 1e-12:
             continue  # not strictly inside the shrunken square
-        if int(mesh.int_axis[e]) != 0:
+        if int(mesh.int_edges([e])[0][0]) != 0:
             continue
         mid = corners.mean(axis=0)
         k = (mid[0] + a) / w

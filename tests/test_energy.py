@@ -5,6 +5,7 @@ from sdrelax.densities import DensityPair, interfacial_normal_pair, psi1_pair
 from sdrelax.energy import surface_energy
 from sdrelax.fields import AffineDatum, SbvField
 from sdrelax.meshes import Mesh, build_mesh
+from strategies import interior_tables
 
 E1 = np.array([1.0, 0.0])
 
@@ -36,15 +37,16 @@ def test_exact_matches_dense_quadrature_normal_form():
     # brute-force oracle: dense midpoint rule along every interior edge
     t = (np.arange(100000) + 0.5) / 100000
     total = 0.0
+    tab = interior_tables(mesh)
     for e in range(len(mesh.int_axis)):
-        pts = mesh.int_corners[e] @ mesh.frame.T
+        pts = tab["int_corners"][e] @ mesh.frame.T
         line = pts[0][None, :] + t[:, None] * (pts[1] - pts[0])[None, :]
-        cm, cp = mesh.int_minus[e], mesh.int_plus[e]
+        cm, cp = tab["int_minus"][e], tab["int_plus"][e]
         delta = (line @ fld.gradients[cp].T + fld.offsets[cp]) - (
             line @ fld.gradients[cm].T + fld.offsets[cm]
         )
-        nu = mesh.int_normals()[e]
-        total += np.mean(np.abs(delta[:, 0] * nu[0] + delta[:, 1] * nu[1])) * mesh.int_measure[e]
+        nu = mesh.frame.T[tab["int_axis"][e]]
+        total += np.mean(np.abs(delta[:, 0] * nu[0] + delta[:, 1] * nu[1])) * tab["int_measure"][e]
     assert exact == pytest.approx(total, abs=1e-6)
 
 
@@ -91,11 +93,12 @@ def _exact_edge_terms(field):
     from fractions import Fraction
 
     mesh = field.mesh
-    pts = mesh.int_corners @ mesh.frame.T
-    normals, measures = mesh.int_normals(), mesh.int_measure
+    tab = interior_tables(mesh)
+    pts = tab["int_corners"] @ mesh.frame.T
+    normals, measures = mesh.frame.T[tab["int_axis"]], tab["int_measure"]
     G, c = field.gradients, field.offsets
     terms = []
-    for e, (lo, hi) in enumerate(zip(mesh.int_minus, mesh.int_plus)):
+    for e, (lo, hi) in enumerate(zip(tab["int_minus"], tab["int_plus"])):
         f = []
         for x in pts[e]:
             x = [Fraction(v) for v in x]

@@ -27,7 +27,14 @@ from sdrelax.fields import (
 )
 from sdrelax.functionals import StructuredTriple, eval_left, eval_right
 from sdrelax.meshes import Mesh, build_mesh
-from strategies import jump_corner_values, nonzero_jumps, rectilinear_meshes, scaled_values, unit_vectors
+from strategies import (
+    interior_tables,
+    jump_corner_values,
+    nonzero_jumps,
+    rectilinear_meshes,
+    scaled_values,
+    unit_vectors,
+)
 
 E1 = np.array([1.0, 0.0])
 RNG = np.random.default_rng(20240817)
@@ -142,7 +149,7 @@ def test_two_cell_constant_jump():
     assert len(recs) == 1
     e, values = recs[0]
     assert np.allclose(values, lam[None, :], atol=0)
-    assert mesh.int_measure[e] == pytest.approx(1.0, abs=1e-12)
+    assert mesh.int_measure()[e] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gamma_split_jumps_verified_pointwise():
@@ -150,9 +157,10 @@ def test_gamma_split_jumps_verified_pointwise():
     params = SequenceParams(kind="GAMMA1_SPLIT", n=2, lam=np.array([1.0, 0, 0]), eta=np.array([0.0, 1.0]))
     fld = build(params)
     mesh = fld.mesh
+    tab = interior_tables(mesh)
     for e, values in nonzero_jumps(fld):
-        pts = mesh.int_corners[e] @ mesh.frame.T
-        minus_cell, plus_cell = mesh.int_minus[e], mesh.int_plus[e]
+        pts = tab["int_corners"][e] @ mesh.frame.T
+        minus_cell, plus_cell = tab["int_minus"][e], tab["int_plus"][e]
         u_minus = pts @ fld.gradients[minus_cell].T + fld.offsets[minus_cell]
         u_plus = pts @ fld.gradients[plus_cell].T + fld.offsets[plus_cell]
         assert np.max(np.abs(values - (u_plus - u_minus))) <= 1e-12
@@ -167,10 +175,10 @@ def _sum_of_traces(field):
     """Reference jumps ``(G+ x + c+) - (G- x + c-)`` at every interior edge
     corner, each trace evaluated on its own (the form the table replaced),
     and a bound on the magnitude of the traces' terms per edge."""
-    mesh = field.mesh
-    pts = mesh.int_corners @ mesh.frame.T
+    tab = interior_tables(field.mesh)
+    pts = tab["int_corners"] @ field.mesh.frame.T
     traces, magnitude = [], 0.0
-    for cells in (mesh.int_minus, mesh.int_plus):
+    for cells in (tab["int_minus"], tab["int_plus"]):
         G, c = field.gradients[cells], field.offsets[cells][:, None, :]
         traces.append(np.einsum("eij,ekj->eki", G, pts) + c)
         terms = np.einsum("eij,ekj->eki", np.abs(G), np.abs(pts)) + np.abs(c)
@@ -192,6 +200,33 @@ def test_jump_table_matches_sum_of_traces(mesh, data):
     assert np.all(np.abs(got - ref).max(axis=(1, 2), initial=0.0) <= 1e-15 * magnitude)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mesh=rectilinear_meshes(max_cells=(6, 4)), data=st.data())
+def test_jump_table_by_differences_equals_the_gathered_form(mesh, data):
+    # per-axis differences give the bytes of the per-edge gathers
+    # offsets[plus] - offsets[minus] and grads[plus] - grads[minus]
+    grads = data.draw(scaled_values((mesh.ncells, 3, mesh.dim)))
+    odd = data.draw(st.sampled_from(["all", "some", "none"]))
+    if odd != "all":
+        keep = np.ones(mesh.ncells, dtype=bool)
+        if odd == "some":
+            keep[data.draw(st.lists(st.integers(0, mesh.ncells - 1), max_size=3))] = False
+        grads[keep] = grads[0]
+    field = SbvField(mesh, grads, data.draw(scaled_values((mesh.ncells, 3))))
+    tab = interior_tables(mesh)
+    minus, plus = tab["int_minus"], tab["int_plus"]
+    table = field.jump_table
+    offset = field.offsets[plus] - field.offsets[minus]
+    assert table.offset.tobytes() == offset.tobytes()
+    slope = field.gradients[plus] - field.gradients[minus]
+    affine = np.flatnonzero(np.any(field.gradients[plus] != field.gradients[minus], axis=(1, 2)))
+    assert np.array_equal(table.affine, affine)
+    assert table.corners.tobytes() == tab["int_corners"][affine].tobytes()
+    points = tab["int_corners"][affine] @ mesh.frame.T
+    values = points @ slope[affine].transpose(0, 2, 1) + offset[affine][:, None, :]
+    assert table.values.shape == values.shape and table.values.tobytes() == values.tobytes()
+
+
 def test_jump_table_rows_with_equal_gradients_are_exactly_constant():
     # one shared gradient: every row is the offset difference, no corner values
     mesh = build_mesh(3, 4, np.array([0.0, 0.6, 0.8]))
@@ -200,7 +235,8 @@ def test_jump_table_rows_with_equal_gradients_are_exactly_constant():
     field = SbvField(mesh, grads, rng.uniform(-5, 5, (mesh.ncells, 3)))
     table = field.jump_table
     assert len(table.affine) == 0 and table.values.shape == (0, 4, 3)
-    assert np.array_equal(table.offset, field.offsets[mesh.int_plus] - field.offsets[mesh.int_minus])
+    tab = interior_tables(mesh)
+    assert np.array_equal(table.offset, field.offsets[tab["int_plus"]] - field.offsets[tab["int_minus"]])
     # the sum of traces rounds many of these constant jumps into affine ones
     ref, _ = _sum_of_traces(field)
     assert np.any(ref != ref[:, :1])
@@ -208,7 +244,7 @@ def test_jump_table_rows_with_equal_gradients_are_exactly_constant():
     grads = grads.copy()
     grads[5] += 1.0
     table = SbvField(mesh, grads, field.offsets).jump_table
-    touching = np.flatnonzero((mesh.int_minus == 5) | (mesh.int_plus == 5))
+    touching = np.flatnonzero((tab["int_minus"] == 5) | (tab["int_plus"] == 5))
     assert np.array_equal(table.affine, touching)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sdrelax.errors import MeshError
 from sdrelax.meshes import Mesh, build_mesh, frame_from_orientation
-from strategies import rectilinear_meshes, unit_vectors
+from strategies import interior_tables, rectilinear_meshes, unit_vectors
 
 E1 = np.array([1.0, 0.0])
 DIAG = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -33,7 +33,7 @@ def test_rotated_mesh_normals_match_rotated_axis_normals():
     assert mesh.ncells == 16
     frame = frame_from_orientation(DIAG)
     expected = {tuple(np.round(s * frame[:, a], 12)) for a in range(2) for s in (+1, -1)}
-    seen = {tuple(np.round(v, 12)) for v in mesh.int_normals()}
+    seen = {tuple(np.round(v, 12)) for v in mesh.frame.T[mesh.int_axis]}
     seen |= {tuple(np.round(v, 12)) for v in mesh.bnd_normals()}
     assert seen <= expected
     d = round(1 / np.sqrt(2), 12)
@@ -43,15 +43,16 @@ def test_rotated_mesh_normals_match_rotated_axis_normals():
 
 def test_interior_edges_reference_two_distinct_cells():
     mesh = build_mesh(2, 3, DIAG)
-    assert np.all(mesh.int_minus != mesh.int_plus)
-    assert np.all(mesh.int_minus >= 0) and np.all(mesh.int_plus < mesh.ncells)
+    _, minus, plus = mesh.int_edges(np.arange(len(mesh.int_axis)))
+    assert np.all(minus != plus)
+    assert np.all(minus >= 0) and np.all(plus < mesh.ncells)
 
 
 def test_normals_unit_and_measures_sum():
     for dim, n in ((2, 5), (3, 2)):
         orientation = np.ones(dim) / np.sqrt(dim)
         mesh = build_mesh(dim, n, orientation)
-        for nv in (mesh.int_normals(), mesh.bnd_normals()):
+        for nv in (mesh.frame.T[mesh.int_axis], mesh.bnd_normals()):
             if len(nv):
                 assert np.max(np.abs(np.linalg.norm(nv, axis=1) - 1.0)) <= 1e-12
         assert abs(mesh.total_measure - 1.0) <= 1e-12
@@ -81,12 +82,12 @@ def test_refinement_partitions_parent_measures():
         assert fine.ncells == children_per_parent * coarse.ncells
 
 
-def test_vertices_and_cell_vertex_indices():
+def test_cell_corners_from_cell_bounds():
     mesh = build_mesh(2, 2, E1)
-    assert mesh.vertices.shape == (9, 2)
-    corners = mesh.cell_vertex_indices(0)
-    assert len(corners) == 4
-    pts = mesh.vertices[corners]
+    assert mesh.cell_lo.shape == mesh.cell_hi.shape == (4, 2)
+    corners = [np.where(o, mesh.cell_hi[0], mesh.cell_lo[0]) for o in np.ndindex(2, 2)]
+    assert len({tuple(c) for c in corners}) == 4
+    pts = np.array(corners)
     assert pts.min() == -0.5 and pts.max() == 0.0
 
 
@@ -166,11 +167,20 @@ def reference_edges(mesh):
     return out
 
 
-def assert_edges_match_reference(mesh):
-    for key, want in reference_edges(mesh).items():
-        got = getattr(mesh, key)
-        assert got.dtype == want.dtype and got.shape == want.shape, key
-        assert got.tobytes() == want.tobytes(), key
+def assert_edges_match_reference(mesh, rows=None):
+    """The boundary tables and the derived interior views on ``rows``
+    (every interior edge if ``None``) equal the loop reference."""
+    ref = reference_edges(mesh)
+    got = interior_tables(mesh, rows)
+    assert np.array_equal(mesh.int_axis, ref["int_axis"])
+    assert mesh.int_measure().tobytes() == ref["int_measure"].tobytes()
+    assert mesh.int_counts == tuple(np.bincount(ref["int_axis"], minlength=mesh.dim))
+    for key, want in ref.items():
+        if key.startswith("int_"):
+            want = want[np.arange(len(want)) if rows is None else rows]
+        value = got[key] if key in got else getattr(mesh, key)
+        assert value.dtype == want.dtype and value.shape == want.shape, key
+        assert value.tobytes() == want.tobytes(), key
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -184,6 +194,31 @@ def test_edge_arrays_match_reference_on_uniform_meshes(dim):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(rectilinear_meshes())
 def test_edge_arrays_match_reference_on_rectilinear_meshes(mesh):
+    assert_edges_match_reference(mesh)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rectilinear_meshes(max_cells=(7, 4)), st.data())
+def test_derived_interior_views_of_drawn_rows_match_reference(mesh, data):
+    # rows drawn in any order, with repeats, as the jump table's affine rows
+    # and the energy's constant rows ask for them
+    count = len(mesh.int_axis)
+    rows = data.draw(st.lists(st.integers(0, max(count - 1, 0)), max_size=12 if count else 0))
+    assert_edges_match_reference(mesh, np.asarray(rows, dtype=np.intp))
+
+
+@pytest.mark.parametrize("params, shape", [
+    (dict(kind="FRAME_W1", n=64, M=np.arange(6.0).reshape(3, 2)), (128, 66)),
+    (dict(kind="FRAME_W1", n=5, M=np.ones((3, 2))), (11, 7)),
+    (dict(kind="GAMMA1_SPLIT", n=8, lam=np.array([1.0, 2.0, 0.5]), eta=np.array([0.6, 0.8])), (4, 3)),
+    (dict(kind="GAMMA1_SPLIT", n=3, lam=np.array([1.0, 0.0, 0.0]), eta=np.array([0.0, 1.0])), (4, 3)),
+], ids=["frame-64", "frame-5", "gamma-8", "gamma-3"])
+def test_derived_interior_views_on_competitor_meshes(params, shape):
+    # non-square, non-uniform breakpoints; the split meshes are rotated
+    from sdrelax.constructions import SequenceParams, build
+
+    mesh = build(SequenceParams(**params)).mesh
+    assert mesh.shape == shape
     assert_edges_match_reference(mesh)
 
 
@@ -208,9 +243,11 @@ def test_interior_edges_are_the_chains_consecutive_pairs(dim, n, data):
     # table of the chains' edge weights, axis by axis
     mesh = build_mesh(dim, n, data.draw(unit_vectors(dim)))
     nchains = mesh.ncells // n
+    tab = interior_tables(mesh)
     assert np.array_equal(mesh.int_axis, np.repeat(np.arange(dim), nchains * (n - 1)))
-    minus = mesh.int_minus.reshape(dim * nchains, n - 1)
-    plus = mesh.int_plus.reshape(dim * nchains, n - 1)
+    assert np.array_equal(tab["int_axis"], mesh.int_axis)
+    minus = tab["int_minus"].reshape(dim * nchains, n - 1)
+    plus = tab["int_plus"].reshape(dim * nchains, n - 1)
     for a in range(dim):
         chains = mesh.chains(a)
         rows = slice(a * nchains, (a + 1) * nchains)
@@ -219,8 +256,10 @@ def test_interior_edges_are_the_chains_consecutive_pairs(dim, n, data):
     # each edge's measure is that of the face its two cells share
     for a in range(dim):
         on = mesh.int_axis == a
-        face = np.prod(np.delete(mesh.cell_hi - mesh.cell_lo, a, axis=1), axis=1)[mesh.int_minus[on]]
-        assert mesh.int_measure[on] == pytest.approx(face, rel=1e-14)
+        face = np.prod(np.delete(mesh.cell_hi - mesh.cell_lo, a, axis=1), axis=1)[tab["int_minus"][on]]
+        assert mesh.int_measure()[on] == pytest.approx(face, rel=1e-14)
+        per_chain = mesh.int_measure()[on].reshape(nchains, n - 1)
+        assert np.all(per_chain == per_chain[:, :1])  # one face measure along each chain
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +267,8 @@ def test_interior_edges_are_the_chains_consecutive_pairs(dim, n, data):
 # ---------------------------------------------------------------------------
 
 def mesh_arrays(mesh):
-    """Every array a mesh holds, by name, with its world vertices."""
+    """Every array a mesh holds, by name."""
     arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
-    arrays["vertices"] = mesh.vertices
     arrays.update((f"axis_breaks[{a}]", b) for a, b in enumerate(mesh.axis_breaks))
     return arrays
 
@@ -243,8 +281,10 @@ def test_build_mesh_equals_a_fresh_mesh(dim, n, data):
     orientation = data.draw(unit_vectors(dim))
     mesh = build_mesh(dim, n, orientation)
     fresh = Mesh([np.linspace(-0.5, 0.5, n + 1)] * dim, frame_from_orientation(orientation), n=n)
-    got, want = mesh_arrays(mesh), mesh_arrays(fresh)
-    assert got.keys() == want.keys() and len(got) == 15 + dim
+    got = {**mesh_arrays(mesh), **interior_tables(mesh)}
+    want = {**mesh_arrays(fresh), **interior_tables(fresh)}
+    assert got.keys() == want.keys() and len(got) == 14 + dim
+    assert mesh.int_counts == fresh.int_counts
     for key, value in want.items():
         assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
         assert got[key].tobytes() == value.tobytes(), key
@@ -271,14 +311,15 @@ def test_orientations_share_the_grid_but_not_the_frame(dim, n):
     a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)))
     ma, mb = build_mesh(dim, n, a), build_mesh(dim, n, b)
     assert ma is not mb
-    for key in ("cell_lo", "cell_hi", "cell_measures", "int_minus", "int_plus", "int_axis",
-                "int_measure", "int_corners", "bnd_cell", "bnd_side", "bnd_axis", "bnd_measure",
-                "bnd_corners"):
+    for key in ("cell_lo", "cell_hi", "cell_measures", "bnd_cell", "bnd_side", "bnd_axis",
+                "bnd_measure", "bnd_corners"):
         assert getattr(ma, key) is getattr(mb, key), key
     assert all(x is y for x, y in zip(ma.axis_breaks, mb.axis_breaks))
     assert np.shares_memory(ma.bnd_corners, mb.bnd_corners)
-    for key in ("frame", "vertices"):
-        assert not np.shares_memory(getattr(ma, key), getattr(mb, key)), key
+    assert not np.shares_memory(ma.frame, mb.frame)
+    # the interior views follow from the shared grid, whatever the frame
+    for key, value in interior_tables(ma).items():
+        assert value.tobytes() == interior_tables(mb)[key].tobytes(), key
     assert np.array_equal(ma.orientation, a) and np.array_equal(mb.orientation, b)
     build_mesh.cache_clear()
     mc = build_mesh(dim, n, a)
@@ -293,8 +334,8 @@ def test_grids_above_the_cell_bound_are_not_kept(monkeypatch):
     build_mesh.cache_clear()
     small = [build_mesh(2, 2, E1) for _ in range(2)]
     large = [build_mesh(2, 3, E1) for _ in range(2)]
-    assert np.shares_memory(small[0].int_corners, small[1].int_corners)
-    assert not np.shares_memory(large[0].int_corners, large[1].int_corners)
+    assert np.shares_memory(small[0].bnd_corners, small[1].bnd_corners)
+    assert not np.shares_memory(large[0].bnd_corners, large[1].bnd_corners)
     fresh = Mesh([np.linspace(-0.5, 0.5, 4)] * 2, frame_from_orientation(E1), n=3)
     for key, value in mesh_arrays(fresh).items():
         assert mesh_arrays(large[0])[key].tobytes() == value.tobytes(), key

@@ -26,6 +26,7 @@ from sdrelax.solver import (
     result_to_json,
     solve,
 )
+from strategies import interior_tables
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -662,6 +663,28 @@ def test_custom_bulk_problem_rejects_a_d_of_the_wrong_shape():
     assert str(exc.value) == "kind W_3D2D needs a 3-vector d"
 
 
+@pytest.mark.parametrize("kind, n, orientation", [
+    ("H_3D2D", 256, [0.6, 0.8]),
+    ("H_3DSD", 16, [0.0, 0.6, 0.8]),
+])
+def test_step_solve_computes_no_interior_corners(monkeypatch, kind, n, orientation):
+    # interior corners are derived on demand, and a minimizer's jumps are
+    # all constant, so a solve asks for the corners of no interior edge
+    from sdrelax.meshes import Mesh
+
+    original, asked = Mesh.int_corners, []
+
+    def counted(self, rows):
+        asked.append(len(rows))
+        return original(self, rows)
+
+    monkeypatch.setattr(Mesh, "int_corners", counted)
+    result = solve(CellProblem(kind=kind, n=n, lam=[1.0, -2.0, 0.5], orientation=orientation))
+    assert result.value_exact <= result.value + 1e-12 * (1.0 + abs(result.value))
+    assert len(result.minimizer.jump_table.affine) == 0
+    assert sum(asked) == 0
+
+
 @pytest.mark.parametrize(
     "kind, n",
     [(k, 4) for k in Kind if k not in (Kind.W1, Kind.GAMMA1)] + [("W_3DSD", 16), ("W_3D2DSD", 64)],
@@ -684,8 +707,8 @@ def test_minimizer_jumps_are_all_constant(kind, n):
     field = solve(problem).minimizer
     table = field.jump_table
     assert len(table.affine) == 0
-    mesh = field.mesh
-    assert np.array_equal(table.offset, field.offsets[mesh.int_plus] - field.offsets[mesh.int_minus])
+    tab = interior_tables(field.mesh)
+    assert np.array_equal(table.offset, field.offsets[tab["int_plus"]] - field.offsets[tab["int_minus"]])
 
 
 # ---------------------------------------------------------------------------
