@@ -21,12 +21,11 @@ edges with equal gradients on both sides carry exactly constant jumps and
 take the closed form on that value, axis by axis, with the axis' normal as
 a broadcast view rather than one copy per edge; only affine rows carry
 corners.  Boundary mismatches come from the boundary piece table
-(:func:`sdrelax.fields.boundary_pieces`); :func:`surface_energy` builds it
-from the datum unless the caller passes the table it already holds (the
-solver builds one per solve).  The closed forms
-run over all pieces at once, including the sign-split integrals over 3D
-faces (vectorized polygon clipping); only custom densities are evaluated
-piece by piece.  Pieces are summed in sequence, in mesh order.
+(:func:`sdrelax.fields.boundary_pieces`), which :func:`surface_energy`
+builds from the datum.  The closed forms run over all pieces at once,
+including the sign-split integrals over 3D faces (vectorized polygon
+clipping); only custom densities are evaluated piece by piece.  Pieces are
+summed in sequence, in mesh order.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .densities import (
 from .fields import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
-    BoundaryPieces,
     SbvField,
     abs_affine_polygon_exact,
     abs_affine_segment_exact,
@@ -139,24 +137,15 @@ def _piece_integral(values, nu, measure, func):
     return float(measure * gauss_face_mean(values[0], values[1], values[3], integrand))
 
 
-def surface_energy(
-    field: SbvField,
-    density,
-    datum=None,
-    overestimate: bool = False,
-    pieces: BoundaryPieces | None = None,
-) -> float:
+def surface_energy(field: SbvField, density, datum=None, overestimate: bool = False) -> float:
     """Surface energy of a field; with ``datum`` the boundary mismatch is
     charged as a jump against the datum.  ``overestimate=True`` switches the
     affine pieces of the normal form to the trapezoid / corner-average rule
-    (used by the solver to state certified objective values).  A caller that
-    already holds the datum's table ``boundary_pieces(field.mesh, datum)``
-    passes it as ``pieces``, and it is not built again.
+    (the rule of the solver's certified objective values).
 
     Pieces are summed in sequence (interior edges, then boundary pieces, in
     mesh order), skipping those without jump."""
-    if pieces is None and datum is not None:
-        pieces = boundary_pieces(field.mesh, datum)
+    pieces = None if datum is None else boundary_pieces(field.mesh, datum)
     mesh, table = field.mesh, field.jump_table
     form, func = _surface_form(density), _surface_callable(density)
     dirs3 = padded_normal(mesh.frame.T)  # row a: padded world normal of axis a

@@ -37,6 +37,14 @@ program (datum mismatches on every boundary face, whose breakpoints join
 the candidates) and compare (primary, secondary) pairs lexicographically,
 so that among minimizers one matching the boundary datum is returned.
 
+One pass over the chain program's terms at the minimizer sums both the
+objective (``value``) and the exact energy of the minimizer
+(``value_exact``): they share every interior and constant boundary term,
+and an affine boundary piece's exact integral, split at the sign change,
+is spread over its trapezoid shares in proportion, clamped to them.  Both
+add their terms in the same order, so ``value_exact <= value`` holds term
+by term and, rounding being monotone, for the sums.
+
 Problems whose surface integrand relaxes the out-of-plane normal component
 (the zero-boundary pinned-gradient problem and the step-datum problem with
 that integrand) admit exact zero-cost discrete minimizers obtained by
@@ -58,13 +66,15 @@ from typing import Callable
 import numpy as np
 
 from . import densities as dens
-from .energy import padded_normal, surface_energy
+from .energy import _face_param_2d, padded_normal, surface_energy
 from .errors import InputError, ProblemError, UnsupportedProblemError
 from .fields import (
     AffineDatum,
     BoundaryPieces,
     SbvField,
     StepDatum,
+    abs_affine_polygon_exact,
+    abs_affine_segment_exact,
     boundary_pieces,
     boundary_trace_gap,
     embed_planar,
@@ -276,8 +286,12 @@ class SolveResult:
     ``value`` is the minimized objective (exact interior jump cost plus
     trapezoid-overestimated boundary mismatch), which upper-bounds the exact
     energy of the minimizer and, for certified problems, lower-bounds the
-    continuum infimum.  ``value_exact`` re-evaluates the minimizer with exact
-    sign-splitting everywhere (``value_exact <= value``).
+    continuum infimum.  ``value_exact`` is the exact energy of the minimizer
+    (sign-split integrals on affine boundary pieces), summed in the same
+    pass, term layout and order as ``value``, so ``value_exact <= value``
+    holds with no tolerance.  The psi1 kinds, solved in closed form, take
+    both from the generic :func:`sdrelax.energy.surface_energy`.
+    ``reevaluate`` recomputes ``value`` by that generic path.
     """
 
     kind: Kind
@@ -346,6 +360,12 @@ class ChainTable:
     ``h`` is ``(nchains, n - 1)``; the unary terms are ``(T,)`` arrays, and
     every chain needs at least one.  Unary terms with ``side`` set carry no
     energy: they enter only the tie-break of pure jump problems.
+
+    The affine boundary pieces, whose corner terms are trapezoid shares of
+    one mismatch integral, are listed for the exact energy: ``affine``
+    ``(Q, corners)`` holds each piece's term indices, one per corner in
+    corner order, ``measure`` ``(Q,)`` its measure and, in 3D, ``face``
+    ``(Q, 4, 2)`` its corners within its own plane (``None`` in 2D).
     """
 
     h: np.ndarray
@@ -354,6 +374,9 @@ class ChainTable:
     weight: np.ndarray
     const: np.ndarray
     side: np.ndarray
+    affine: np.ndarray
+    measure: np.ndarray
+    face: np.ndarray | None
 
 
 def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> ChainTable:
@@ -375,7 +398,7 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
     nchains = mesh.ncells // n
     dirs3 = padded_normal(mesh.frame.T)  # row b = padded world direction of axis b
     gall = pieces.points @ pin.T - pieces.datum
-    columns = []
+    columns, affine, before = [], [], 0
     for b in range(dim):
         on = slice(None) if side_terms else pieces.axis == b  # the pieces that emit for axis b
         vals = gall[on] @ dirs3[b]
@@ -390,8 +413,18 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
         stride = n ** (dim - 1 - b)
         chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
         columns.append((chain, pos, np.repeat(weight, count), vals[emit], np.repeat(~own, count)))
+        # each affine piece's row in the piece table and index of its first term
+        first = before + np.cumsum(count) - count
+        affine.append((np.arange(len(pieces.cell))[on][share], first[share]))
+        before += len(cell)
     h = mesh.int_measure().reshape(dim * nchains, n - 1)
-    return ChainTable(h, *(np.concatenate(c) for c in zip(*columns)))
+    rows, first = (np.concatenate(c) for c in zip(*affine))
+    face = _face_param_2d(pieces.corners[rows], pieces.axis[rows]) if dim == 3 else None
+    return ChainTable(
+        h, *(np.concatenate(c) for c in zip(*columns)),
+        affine=first[:, None] + np.arange(pieces.corners.shape[1]),
+        measure=pieces.measure[rows], face=face,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +539,15 @@ def _contract(h: np.ndarray, kept: np.ndarray):
     return keep, hin, begin[1:] - begin[:-1]
 
 
-def _solve_chains(table: ChainTable, tie_break: bool):
-    """Exact minimizer ``x`` ``(nchains, n)`` of a chain program, and each
-    chain's objective at it.
+def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
+    """Exact minimizer ``x`` ``(nchains, n)`` of a chain program.
 
     By the threshold property of L1 total variation, some minimizer takes
     all its values in its chain's unary breakpoints ``-const``, so the DP
     over those candidates is exact; with ``tie_break`` the candidates
     include the side-term breakpoints, which keeps the lexicographic program
     exact too.  The DP runs once, on all chains contracted to their cells
-    with unary terms (``_contract``), longest first (``_chain_dp``); the
-    objective is summed over the expanded chains.
+    with unary terms (``_contract``), longest first (``_chain_dp``).
     """
     h = table.h
     nchains, n = h.shape[0], h.shape[1] + 1
@@ -552,25 +583,54 @@ def _solve_chains(table: ChainTable, tie_break: bool):
         total_weight = h.sum(axis=1) + np.bincount(tc[primary], weight[primary], nchains)
         tol = TIE_RTOL * total_weight[order] * np.abs(cand).max(axis=1)
     idx = _chain_dp(active, cand, hc, unary, secondary, tol)
-    x = np.repeat(cand[slot[kc], idx[row]], span).reshape(nchains, n)
-    return x, _chain_objective(x, h, tc[primary], tp[primary], weight[primary], const[primary])
+    return np.repeat(cand[slot[kc], idx[row]], span).reshape(nchains, n)
 
 
-def _chain_objective(x, h, chain, pos, weight, const) -> np.ndarray:
-    """Objective of each chain at the values ``x``.
+def _chain_objective(x: np.ndarray, table: ChainTable):
+    """Objective of each chain at the values ``x``, and the exact energy of
+    the same terms, ``(value, value_exact)``.
 
-    Summed in sequence: interior terms in chain order, then unary terms in
-    table order, so the value does not depend on the order of the solver's
-    internal arithmetic.
+    The two share every term but the corner terms of the affine boundary
+    pieces: a piece's trapezoid shares ``s_i``, summing to ``T``, become
+    ``s_i min(E / T, 1)``, where ``E <= T`` (by convexity) is the piece's
+    exact integral of ``|x + const|``.  Both are summed in sequence,
+    interior terms in chain order, then unary terms in table order, so that
+    neither depends on the order of the solver's internal arithmetic and,
+    rounding being monotone, each exact sum is at most its objective.  A
+    zero interior term leaves such a sum of nonnegative terms unchanged, so
+    only the interior terms with a jump are formed.
     """
-    order = np.argsort(chain, kind="stable")
-    chain, pos, weight, const = chain[order], pos[order], weight[order], const[order]
-    rank = _rank_in_group(chain, len(x))
-    m = h.shape[1]
-    terms = np.zeros((len(x), m + rank.max() + 1))
-    terms[:, :m] = h * np.abs(x[:, 1:] - x[:, :-1])
-    terms[chain, m + rank] = weight * np.abs(x[chain, pos] + const)
-    return np.cumsum(terms, axis=1)[:, -1]
+    nchains = len(x)
+    row, col = np.nonzero(x[:, 1:] != x[:, :-1])
+    interior = table.h[row, col] * np.abs(x[row, col + 1] - x[row, col])
+    at = x[table.chain, table.pos] + table.const
+    terms = table.weight * np.abs(at)
+    exact = terms.copy()
+    if len(table.affine):  # one exact kernel call over the affine pieces of all axes
+        f = at[table.affine]
+        if table.face is None:
+            full = abs_affine_segment_exact(f[:, 0], f[:, 1], table.measure)
+        else:
+            full = abs_affine_polygon_exact(table.face, f)
+        share = terms[table.affine]
+        total = share.sum(axis=1)
+        ratio = np.divide(full, total, out=np.zeros_like(full), where=total > 0)
+        exact[table.affine] = share * np.minimum(ratio, 1.0)[:, None]
+    unary = np.flatnonzero(~table.side)
+    chain = np.concatenate((row, table.chain[unary]))
+    order = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
+    chain = chain[order]
+    rank = _rank_in_group(chain, nchains)
+
+    def in_sequence(unary_terms):
+        columns = np.zeros((rank.max() + 1, nchains))
+        columns[rank, chain] = np.concatenate((interior, unary_terms[unary]))[order]
+        total = np.zeros(nchains)
+        for column in columns:
+            total += column
+        return total
+
+    return in_sequence(terms), in_sequence(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -653,22 +713,19 @@ def solve(problem: CellProblem) -> SolveResult:
     datum = _datum_for(problem, mesh)
 
     bulk_value, z, certified = _bulk_value(problem, mesh)
-    # one piece table for term assembly and the exact re-evaluation
-    pieces = boundary_pieces(mesh, datum)
-
-    if spec.psi1:
-        surf_value, offsets = None, _staggered_offsets(problem, mesh)
-    else:
-        surf_value, offsets = _chain_offsets(problem, mesh, pin, pieces)
-
     grads = np.broadcast_to(np.array(pin), (mesh.ncells, 3, mesh.dim))
-    minimizer = SbvField(mesh, grads, offsets)
-    value_exact = surface_energy(minimizer, problem.density, datum, pieces=pieces) + bulk_value
-    value = value_exact if surf_value is None else surf_value + bulk_value
+    if spec.psi1:  # solved in closed form, scored by the generic energy
+        minimizer = SbvField(mesh, grads, _staggered_offsets(problem, mesh))
+        surf_value = surf_exact = surface_energy(minimizer, problem.density, datum)
+    else:
+        surf_value, surf_exact, offsets = _chain_offsets(
+            problem, mesh, pin, boundary_pieces(mesh, datum)
+        )
+        minimizer = SbvField(mesh, grads, offsets)
     return SolveResult(
         kind=problem.kind,
-        value=float(value),
-        value_exact=float(value_exact),
+        value=float(surf_value + bulk_value),
+        value_exact=float(surf_exact + bulk_value),
         minimizer=minimizer,
         n=problem.n,
         lower_bound_certified=certified,
@@ -678,12 +735,16 @@ def solve(problem: CellProblem) -> SolveResult:
 
 
 def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces):
-    """(surface objective, offsets) of the chain program of all axes."""
+    """(surface objective, its exact energy, offsets) of the chain program
+    of all axes."""
     tie_break = KINDS[problem.kind].pin is None
     dim, n = mesh.dim, mesh.shape[0]
-    x, chain_value = _solve_chains(_chain_table(mesh, pin, pieces, tie_break), tie_break)
+    table = _chain_table(mesh, pin, pieces, tie_break)
+    x = _solve_chains(table, tie_break)
     # summed axis by axis, chain by chain
-    surf_value = np.cumsum(np.cumsum(chain_value.reshape(dim, -1), axis=1)[:, -1])[-1]
+    surf_value, surf_exact = (
+        np.cumsum(np.cumsum(v.reshape(dim, -1), axis=1)[:, -1])[-1] for v in _chain_objective(x, table)
+    )
     offsets = np.zeros((mesh.ncells, 3))
     grid = offsets.reshape((n,) * dim + (3,))
     dirs3 = padded_normal(mesh.frame.T)
@@ -697,7 +758,7 @@ def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces
         lam3 = float(problem.lam[2])
         mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
         offsets[:, 2] += np.where(mids >= 0, lam3, 0.0)
-    return surf_value, offsets
+    return surf_value, surf_exact, offsets
 
 
 def _staggered_offsets(problem: CellProblem, mesh: Mesh) -> np.ndarray:

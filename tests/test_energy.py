@@ -133,11 +133,15 @@ def test_staircase_energy_is_in_order_sum_of_exactly_rounded_edge_terms(n, seed)
 
 @pytest.mark.parametrize("dim, n", [(2, 5), (3, 3)])
 def test_surface_energy_reads_the_datum_piece_table(dim, n, monkeypatch):
+    # one piece table per call with a datum, built from that datum; none without
     import sdrelax.energy
     from sdrelax.fields import StepDatum, boundary_pieces
 
-    def unbuilt(*args):
-        raise AssertionError("a given piece table is built again")
+    built = []
+
+    def counted(mesh, datum):
+        built.append((mesh, datum))
+        return boundary_pieces(mesh, datum)
 
     rng = np.random.default_rng(60 + dim)
     eta = rng.normal(size=dim)
@@ -151,7 +155,11 @@ def test_surface_energy_reads_the_datum_piece_table(dim, n, monkeypatch):
             for datum in (AffineDatum(rng.uniform(-3, 3, (3, dim))),
                           StepDatum(rng.uniform(-3, 3, 3), mesh.orientation)):
                 want = surface_energy(fld, pair, datum=datum, overestimate=over)
-                pieces = boundary_pieces(mesh, datum)
                 with monkeypatch.context() as m:
-                    m.setattr(sdrelax.energy, "boundary_pieces", unbuilt)
-                    assert surface_energy(fld, pair, datum, over, pieces=pieces) == want
+                    m.setattr(sdrelax.energy, "boundary_pieces", counted)
+                    built.clear()
+                    assert surface_energy(fld, pair, datum, over) == want
+                    assert built == [(mesh, datum)]
+                    built.clear()
+                    surface_energy(fld, pair, overestimate=over)
+                    assert built == []

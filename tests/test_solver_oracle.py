@@ -28,6 +28,7 @@ from sdrelax.solver import (
     CellProblem,
     Kind,
     _chain_dp,
+    _chain_objective,
     _chain_table,
     _datum_for,
     _mesh_for,
@@ -156,7 +157,8 @@ def test_every_lp_kind_matches_monolithic_lp_across_scales(kind, scale):
 # ---------------------------------------------------------------------------
 
 def chain_table(h, chain, pos, weight, const, side=None):
-    """Chain table of ``len(h)`` chains; ``h`` is ``(nchains, n - 1)``."""
+    """Chain table of ``len(h)`` chains, without affine boundary pieces;
+    ``h`` is ``(nchains, n - 1)``."""
     chain = np.asarray(chain, dtype=int)
     return ChainTable(
         h=np.asarray(h, dtype=float),
@@ -165,6 +167,9 @@ def chain_table(h, chain, pos, weight, const, side=None):
         weight=np.asarray(weight, dtype=float),
         const=np.asarray(const, dtype=float),
         side=np.zeros(len(chain), dtype=bool) if side is None else np.asarray(side),
+        affine=np.zeros((0, 2), dtype=int),
+        measure=np.zeros(0),
+        face=None,
     )
 
 
@@ -193,7 +198,8 @@ def chain_objective(table, x):
 
 def solve_chain_table(table, tie_break):
     """Total objective and minimizer ``(nchains, n)`` of a chain table."""
-    x, chain_value = _solve_chains(table, tie_break)
+    x = _solve_chains(table, tie_break)
+    chain_value, _ = _chain_objective(x, table)
     return float(np.cumsum(chain_value)[-1]), x
 
 
@@ -299,6 +305,55 @@ def test_contracted_chains_match_the_uncontracted_dp(n, nchains, density, tie_br
     # the expanded minimizer attains the contracted minimum
     attained = chain_objective(table, x)
     assert abs(attained - value) <= 1e-12 * (1 + abs(ref))
+
+
+def table_chain_objective(table, x):
+    """Each chain's objective summed along one full row per chain: every
+    interior term, zeros included, then the energy terms in table order."""
+    energy = ~table.side
+    chain = table.chain[energy]
+    order = np.argsort(chain, kind="stable")
+    chain, pos = chain[order], table.pos[energy][order]
+    weight, const = table.weight[energy][order], table.const[energy][order]
+    rank = np.arange(len(chain)) - np.searchsorted(chain, chain)
+    m = table.h.shape[1]
+    terms = np.zeros((len(x), m + rank.max() + 1))
+    terms[:, :m] = table.h * np.abs(x[:, 1:] - x[:, :-1])
+    terms[chain, m + rank] = weight * np.abs(x[chain, pos] + const)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    nchains=st.integers(1, 4),
+    exponent=st.integers(-9, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_objective_skips_only_zero_interior_terms(n, nchains, exponent, seed):
+    # the objective pass forms only the interior terms with a jump; adding a
+    # zero to a sum of nonnegative terms is exact, so it matches the full
+    # row sum bit for bit, and without affine pieces the exact energy is it
+    rng = np.random.default_rng(seed)
+    cell = np.concatenate([
+        rng.integers(0, n, nchains) * nchains + np.arange(nchains),
+        rng.integers(0, n * nchains, int(rng.integers(0, 8))),
+    ])
+    side = rng.random(len(cell)) < 0.3
+    side[:nchains] = False
+    table = chain_table(
+        h=rng.uniform(0.05, 3, (nchains, n - 1)),
+        chain=cell % nchains,
+        pos=cell // nchains,
+        weight=rng.uniform(0.05, 3, len(cell)),
+        const=rng.uniform(-3, 3, len(cell)) * 10.0**exponent,
+        side=side,
+    )
+    # few distinct values, so that many interior terms are zero
+    x = rng.choice(rng.uniform(-3, 3, 3) * 10.0**exponent, (nchains, n))
+    value, exact = _chain_objective(x, table)
+    assert value.tobytes() == table_chain_objective(table, x).tobytes()
+    assert exact.tobytes() == value.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -12,14 +12,19 @@ between repeats.  The child times the stages by wrapping the functions that
 boundary piece table (``boundary_pieces``), term assembly (the chain table
 of all axes, ``_chain_table``; per axis, ``_assemble_axis_terms``, in
 trees before it), the chain program outside the DP (``_solve_chains``:
-contraction, candidates, objective; per axis, ``_solve_axis``), the
-min-plus DP itself (``_chain_dp``) and the exact re-evaluation
-(``surface_energy``).  Stage times are exclusive: a wrapped call nested in
-another counts only in its own stage, so the DP counts in ``chain_dp_s``
-and not in ``chains_s``, a piece table built inside term assembly counts in
-``pieces_s``, and one built inside ``surface_energy`` (not looked up in
-``sdrelax.solver``) counts in ``reevaluate_s``.  A stage none of whose
-functions exist in a tree is reported as ``null``.  A row gives each time
+contraction and candidates; per axis, ``_solve_axis``), the min-plus DP
+itself (``_chain_dp``), the objective pass at the minimizer
+(``_chain_objective``: ``value`` and, in trees that score ``value_exact``
+there, the exact energy) and the generic re-evaluation (``surface_energy``,
+which trees that score ``value_exact`` in the objective pass call only for
+the closed-form psi1 kinds).  Stage times are exclusive: a wrapped call
+nested in another counts only in its own stage, so the DP counts in
+``chain_dp_s`` and not in ``chains_s``, an objective pass called inside
+``_solve_chains`` counts in ``objective_s``, a piece table built inside
+term assembly counts in ``pieces_s``, and one built inside
+``surface_energy`` (not looked up in ``sdrelax.solver``) counts in
+``reevaluate_s``.  A stage none of whose functions exist in a tree is
+reported as ``null``.  A row gives each time
 as the median and quartiles over the repeats, and the largest peak RSS
 (``ru_maxrss`` of the child).  ``--out`` appends one run, with the
 environment and both trees' git revisions, to the file's ``runs`` list.
@@ -51,6 +56,7 @@ STAGES = {
     "assembly_s": ("_assemble_axis_terms", "_chain_table"),
     "chains_s": ("_solve_axis", "_solve_chains"),
     "chain_dp_s": ("_chain_dp",),
+    "objective_s": ("_chain_objective",),
     "reevaluate_s": ("surface_energy",),
 }
 
