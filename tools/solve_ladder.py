@@ -24,10 +24,10 @@ nested in another counts only in its own stage, so the DP counts in
 term assembly counts in ``pieces_s``, and one built inside
 ``surface_energy`` (not looked up in ``sdrelax.solver``) counts in
 ``reevaluate_s``.  A stage none of whose functions exist in a tree is
-reported as ``null``.  A row gives each time
-as the median and quartiles over the repeats, and the largest peak RSS
-(``ru_maxrss`` of the child).  ``--out`` appends one run, with the
-environment and both trees' git revisions, to the file's ``runs`` list.
+reported as ``null``.  A row gives each time as the median and quartiles
+over the repeats, and the largest peak RSS (``ru_maxrss`` of the child).
+``--out`` appends one run, with the environment and both trees' git
+revisions, to the file's ``runs`` list.
 """
 
 from __future__ import annotations
