@@ -401,6 +401,8 @@ def boundary_trace_gap(field: SbvField, datum) -> float:
     faces the affine-mismatch case falls back to the 16-point tensor Gauss
     rule, evaluated for all such faces at once (constant mismatches, the only
     case asserted exactly by the solver contracts, are integrated exactly).
+    A face is constant only if its corner mismatches are equal, so the rule
+    chosen does not depend on the data scale.
     """
     mesh = field.mesh
     pieces = boundary_pieces(mesh, datum)
@@ -410,7 +412,7 @@ def boundary_trace_gap(field: SbvField, datum) -> float:
     else:
         first = mism[:, 0]
         terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
-        affine = np.max(np.abs(mism - mism[:, :1]), axis=(1, 2)) >= 1e-15
+        affine = np.any(mism != mism[:, :1], axis=(1, 2))
         terms[affine] = pieces.measure[affine] * _face_norm_means(mism[affine])
     return float(np.cumsum(terms)[-1])
 

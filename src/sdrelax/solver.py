@@ -24,14 +24,13 @@ the threshold property: some minimizer takes all its values among the unary
 breakpoints ``-c``.  A min-plus dynamic program down each chain over those
 candidates is therefore exact; it runs once per solve, vectorized across
 the chains of all axes, longest first, so that each step works only on the
-chains still running.  Before it runs, each chain is contracted in series
-to its kept cells (the cells with a unary term, and both ends): a run of
-unary-free cells between two kept cells is a bare total-variation path,
-whose cheapest way from value ``u`` to value ``v`` is one jump ``min h |v -
-u|`` on its cheapest edge.  So the DP sees one edge per run, and the
-returned minimizer jumps at most once per run, at the run's last cheapest
-edge.  Affine problems charge only boundary faces, so their chains shrink to
-their two ends.
+chains still running.  Every interior face of a chain has the same measure
+``h``, so the DP visits only a chain's kept cells (the cells with a unary
+term, and both ends): a run of unary-free cells between two kept cells is a
+bare total-variation path, which costs ``h |v - u|`` from value ``u`` to
+value ``v``.  The returned minimizer jumps at most once per run, at the
+run's last edge.  Affine problems charge only boundary faces, so their DP
+visits each chain's two ends.
 Pure jump problems carry a second, energy-free objective through the same
 program (datum mismatches on every boundary face, whose breakpoints join
 the candidates) and compare (primary, secondary) pairs lexicographically,
@@ -354,12 +353,13 @@ class ChainTable:
     """Program over independent chains of ``n`` cells, in the values ``x``
     ``(nchains, n)``::
 
-        sum_c sum_i h[c, i] |x[c, i + 1] - x[c, i]|
+        sum_c sum_i h[c] |x[c, i + 1] - x[c, i]|
           + sum_t weight[t] |x[chain[t], pos[t]] + const[t]|
 
-    ``h`` is ``(nchains, n - 1)``; the unary terms are ``(T,)`` arrays, and
-    every chain needs at least one.  Unary terms with ``side`` set carry no
-    energy: they enter only the tie-break of pure jump problems.
+    ``h`` ``(nchains,)`` is the one weight of every interior edge of a
+    chain; the unary terms are ``(T,)`` arrays, and every chain needs at
+    least one.  Unary terms with ``side`` set carry no energy: they enter
+    only the tie-break of pure jump problems.
 
     The affine boundary pieces, whose corner terms are trapezoid shares of
     one mismatch integral, are listed for the exact energy: ``affine``
@@ -369,6 +369,7 @@ class ChainTable:
     """
 
     h: np.ndarray
+    n: int
     chain: np.ndarray
     pos: np.ndarray
     weight: np.ndarray
@@ -384,8 +385,8 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
 
     Axis ``b``'s program is in the offset component along the axis' (padded)
     world normal, over its chains ``mesh.chains(b)``, numbered ``b *
-    nchains + row``; interior edges come axis by axis, chain by chain, so
-    ``h`` repeats each chain's face measure along it.  Each boundary piece of
+    nchains + row``, the order of the boundary edges, so ``h`` is the face
+    measure that each chain's boundary edges carry.  Each boundary piece of
     axis ``a`` emits one unary term for axis ``a``: its measure times the
     constant mismatch, or, for affine mismatches, one trapezoid share per
     corner.  With ``side_terms`` (pure jump problems), a piece whose mismatch
@@ -417,11 +418,10 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
         first = before + np.cumsum(count) - count
         affine.append((np.arange(len(pieces.cell))[on][share], first[share]))
         before += len(cell)
-    h = mesh.int_measure().reshape(dim * nchains, n - 1)
     rows, first = (np.concatenate(c) for c in zip(*affine))
     face = _face_param_2d(pieces.corners[rows], pieces.axis[rows]) if dim == 3 else None
     return ChainTable(
-        h, *(np.concatenate(c) for c in zip(*columns)),
+        mesh.bnd_measure[::2], n, *(np.concatenate(c) for c in zip(*columns)),
         affine=first[:, None] + np.arange(pieces.corners.shape[1]),
         measure=pieces.measure[rows], face=face,
     )
@@ -461,18 +461,18 @@ def _lex_argmin(primary, secondary, tol):
 
 
 def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
-    """Candidate index of every row minimizing, per chain, ``sum_j unary[r_j,
-    x_j] + h[r_j] |cand[x_j] - cand[x_{j-1}]|`` over the chain's rows ``r_j``;
-    with ``secondary``, lexicographically in (``unary``, ``secondary``),
-    primaries within ``tol`` (one per chain) counting as tied.
+    """Candidate index of every row minimizing, per chain ``c``, ``sum_j
+    unary[r_j, x_j] + h[c] |cand[x_j] - cand[x_{j-1}]|`` over the chain's
+    rows ``r_j``; with ``secondary``, lexicographically in (``unary``,
+    ``secondary``), primaries within ``tol`` (one per chain) counting as
+    tied.
 
     Chains are laid out longest first and ragged: position ``j`` of the
     ``active[j]`` chains that reach it is rows ``start[j] ... start[j + 1]``
     (``start`` the running sum of ``active``), in the order of the rows of
-    ``cand``; ``h`` at a row weighs the edge into it.  Min-plus
-    recursion ``f_j(v) = unary_j(v) + min_u f_{j-1}(u) + h_j |v - u|`` with
-    backtracking, each step on a prefix of the chains: a chain that has ended
-    keeps its last ``f``.
+    ``cand``, ``h`` and ``tol``.  Min-plus recursion ``f_j(v) = unary_j(v) +
+    min_u f_{j-1}(u) + h |v - u|`` with backtracking, each step on a prefix
+    of the chains: a chain that has ended keeps its last ``f``.
     """
     nchains, k = cand.shape
     start = np.concatenate(([0], np.cumsum(active)))
@@ -484,7 +484,7 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
         a, rows = active[j], slice(start[j], start[j + 1])
         # trans[c, u, v] = f[c, u] + h |cand v - cand u|, built in place
         trans = np.abs(cand[:a, None, :] - cand[:a, :, None])
-        trans *= h[rows, None, None]
+        trans *= h[:a, None, None]
         trans += f[:a, :, None]
         arg = _lex_argmin(trans, g if g is None else g[:a, :, None], tol[:a, None, None])
         back[rows] = arg
@@ -502,43 +502,6 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
     return idx
 
 
-def _contract(h: np.ndarray, kept: np.ndarray):
-    """Series contraction of chains to their kept cells.
-
-    ``h`` ``(nchains, n - 1)`` holds each chain's edge weights, and ``kept``
-    ``(nchains, n)`` marks the kept cells, every chain's first and last cell
-    among them.  Between two kept cells of a chain lies a run of cells
-    without unary terms: a bare total-variation path, along which going from
-    value ``u`` to value ``v`` costs at least ``min h |v - u|``, attained by
-    one jump at a cheapest edge.
-
-    Returns ``keep``, the kept cells' flat (row-major) indices; ``hin``, the
-    least ``h`` of the run that ends at each kept cell (0 at a chain's first
-    cell); and ``span``, how many consecutive cells (in flat order) take each
-    kept cell's value: a run's cells up to its last cheapest edge take the
-    value of the kept cell before it, the rest that of the kept cell after
-    it.
-    """
-    m = h.shape[1]
-    keep = np.flatnonzero(kept)
-    chain, pos = np.divmod(keep, m + 1)
-    # kept cell j (not its chain's last) starts the run of edges up to kept
-    # cell j + 1; in h's flat order the runs tile every chain
-    inner = (pos != m)[:-1]
-    edge = keep - chain  # flat index in h of the edge after each kept cell
-    start, stop = edge[:-1][inner], edge[1:][inner]
-    hflat = h.reshape(-1)
-    hmin = np.minimum.reduceat(hflat, start)
-    cheapest = np.flatnonzero(hflat == np.repeat(hmin, stop - start))
-    jump = cheapest[cheapest.searchsorted(stop) - 1]  # last cheapest edge of each run
-    # first cell, in flat order, that takes each kept cell's value; then the end
-    begin = np.concatenate((keep, [kept.size]))
-    begin[1:-1][inner] = jump + chain[:-1][inner] + 1
-    hin = np.zeros(len(keep))
-    hin[1:][inner] = hmin
-    return keep, hin, begin[1:] - begin[:-1]
-
-
 def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     """Exact minimizer ``x`` ``(nchains, n)`` of a chain program.
 
@@ -546,18 +509,21 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     all its values in its chain's unary breakpoints ``-const``, so the DP
     over those candidates is exact; with ``tie_break`` the candidates
     include the side-term breakpoints, which keeps the lexicographic program
-    exact too.  The DP runs once, on all chains contracted to their cells
-    with unary terms (``_contract``), longest first (``_chain_dp``).
+    exact too.  The DP runs once, over the kept cells of all chains (those
+    with unary terms, and both ends), longest first (``_chain_dp``); each run
+    of cells between two kept cells takes the first one's value up to its
+    last edge.
     """
-    h = table.h
-    nchains, n = h.shape[0], h.shape[1] + 1
+    h, n = table.h, table.n
+    nchains = len(h)
     use = ~table.side | tie_break
     tc, tp = table.chain[use], table.pos[use]
     weight, const, primary = table.weight[use], table.const[use], ~table.side[use]
     kept = np.zeros((nchains, n), dtype=bool)
     kept[:, 0] = kept[:, -1] = True
     kept[tc, tp] = True
-    keep, hin, span = _contract(h, kept)
+    keep = np.flatnonzero(kept)
+    span = np.diff(keep, append=kept.size)  # cells, in flat order, that take each kept value
     kc = keep // n
     # longest-first ragged layout: chain c is candidate row slot[c], and its
     # j-th kept cell is row start[j] + slot[c]
@@ -567,8 +533,6 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     active = nchains - np.cumsum(np.bincount(length))[:-1]
     start = np.concatenate(([0], np.cumsum(active)))
     row = start[np.arange(len(keep)) - keep.searchsorted(kc * n)] + slot[kc]
-    hc = np.empty(len(keep))
-    hc[row] = hin
     trow = row[keep.searchsorted(tc * n + tp)]
     ts = slot[tc]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
@@ -580,9 +544,9 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     if tie_break:
         secondary = np.zeros_like(unary)
         np.add.at(secondary, trow, cost)
-        total_weight = h.sum(axis=1) + np.bincount(tc[primary], weight[primary], nchains)
+        total_weight = h * (n - 1) + np.bincount(tc[primary], weight[primary], nchains)
         tol = TIE_RTOL * total_weight[order] * np.abs(cand).max(axis=1)
-    idx = _chain_dp(active, cand, hc, unary, secondary, tol)
+    idx = _chain_dp(active, cand, h[order], unary, secondary, tol)
     return np.repeat(cand[slot[kc], idx[row]], span).reshape(nchains, n)
 
 
@@ -602,7 +566,7 @@ def _chain_objective(x: np.ndarray, table: ChainTable):
     """
     nchains = len(x)
     row, col = np.nonzero(x[:, 1:] != x[:, :-1])
-    interior = table.h[row, col] * np.abs(x[row, col + 1] - x[row, col])
+    interior = table.h[row] * np.abs(x[row, col + 1] - x[row, col])
     at = x[table.chain, table.pos] + table.const
     terms = table.weight * np.abs(at)
     exact = terms.copy()

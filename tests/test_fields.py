@@ -362,6 +362,22 @@ def test_trace_gap_zero_for_cellwise_step_field():
     assert boundary_trace_gap(fld, StepDatum(lam, eta)) <= 1e-12
 
 
+def test_3d_trace_gap_is_1_homogeneous_down_to_tiny_mismatches():
+    # gradients within 1e-6 of the datum's: at scale 2^-30 each face's
+    # mismatch varies by about 1e-16, which must still count as affine.
+    # Power-of-two scales make every step exact, so gap / s is bit-identical
+    rng = np.random.default_rng(1)
+    A = rng.uniform(-1, 1, (3, 3))
+    mesh = build_mesh(3, 2, np.array([1.0, 0.0, 0.0]))
+    grads = A * (1 + 1e-6 * rng.uniform(-1, 1, (mesh.ncells, 3, 3)))
+    gaps = []
+    for s in (1.0, 2.0**-30, 2.0**40):
+        fld = SbvField(mesh, s * grads, np.zeros((mesh.ncells, 3)))
+        gaps.append(boundary_trace_gap(fld, AffineDatum(s * A)) / s)
+    assert gaps[0] > 0
+    assert gaps[1] == gaps[0] and gaps[2] == gaps[0]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     dim=st.sampled_from((2, 3)),
@@ -545,7 +561,7 @@ def _trace_gap_3d_reference(field, datum):
     mism = pieces.field_values(field) - pieces.datum
     first = mism[:, 0]
     terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
-    for i in np.flatnonzero(np.max(np.abs(mism - mism[:, :1]), axis=(1, 2)) >= 1e-15):
+    for i in np.flatnonzero(np.any(mism != mism[:, :1], axis=(1, 2))):
         cell, c = pieces.cell[i], pieces.corners[i]
 
         def mismatch_norm(grid):

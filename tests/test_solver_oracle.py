@@ -7,9 +7,9 @@ solver's value.  The chain solver is also checked on its own against scipy,
 on random chains with arbitrary weights.  The certificate check evaluates
 the objective at arbitrary (non-optimal) feasible fields and verifies it
 never falls below the closed form, which is the content of the lower-bound
-flag.  The series contraction of the chains is checked against the same
-DP run on the uncontracted chains, and the longest-first ragged DP against
-the padded DP it replaced (``padded_chain_dp``), kept here as a reference.
+flag.  The DP over the kept cells of the chains is checked against the
+same DP run on every cell, and the longest-first ragged DP against the
+padded DP it replaced (``padded_chain_dp``), kept here as a reference.
 """
 
 import numpy as np
@@ -156,12 +156,13 @@ def test_every_lp_kind_matches_monolithic_lp_across_scales(kind, scale):
 # the chain solver on its own
 # ---------------------------------------------------------------------------
 
-def chain_table(h, chain, pos, weight, const, side=None):
-    """Chain table of ``len(h)`` chains, without affine boundary pieces;
-    ``h`` is ``(nchains, n - 1)``."""
+def chain_table(h, n, chain, pos, weight, const, side=None):
+    """Chain table of ``len(h)`` chains of ``n`` cells, without affine
+    boundary pieces; ``h`` is ``(nchains,)``."""
     chain = np.asarray(chain, dtype=int)
     return ChainTable(
         h=np.asarray(h, dtype=float),
+        n=n,
         chain=chain,
         pos=np.asarray(pos, dtype=int),
         weight=np.asarray(weight, dtype=float),
@@ -176,10 +177,10 @@ def chain_table(h, chain, pos, weight, const, side=None):
 def chain_lp_terms(table):
     """``abs_sum_lp_value`` pairs and unary rows of a chain table's energy;
     cell ``i`` of chain ``c`` is variable ``c * n + i``."""
-    nchains, m = table.h.shape
-    var = np.arange(nchains * (m + 1)).reshape(nchains, m + 1)
+    var = np.arange(len(table.h) * table.n).reshape(len(table.h), table.n)
     energy = ~table.side
-    pairs = list(zip(var[:, 1:].reshape(-1), var[:, :-1].reshape(-1), table.h.reshape(-1)))
+    h = np.repeat(table.h, table.n - 1)
+    pairs = list(zip(var[:, 1:].reshape(-1), var[:, :-1].reshape(-1), h))
     cell = var[table.chain, table.pos]
     unary = list(zip(cell[energy], table.weight[energy], table.const[energy]))
     return pairs, unary
@@ -188,7 +189,7 @@ def chain_lp_terms(table):
 def chain_objective(table, x):
     energy = ~table.side
     return float(
-        np.sum(table.h * np.abs(x[:, 1:] - x[:, :-1]))
+        np.sum(table.h[:, None] * np.abs(x[:, 1:] - x[:, :-1]))
         + np.sum(
             table.weight[energy]
             * np.abs(x[table.chain[energy], table.pos[energy]] + table.const[energy])
@@ -213,7 +214,8 @@ def test_chain_solver_matches_scipy_on_random_chains():
         cell = np.concatenate([rng.integers(0, n, nchains) * nchains + np.arange(nchains),
                                rng.integers(0, n * nchains, nunary)])
         table = chain_table(
-            h=rng.uniform(0.05, 3, (nchains, n - 1)),
+            h=rng.uniform(0.05, 3, nchains),
+            n=n,
             chain=cell % nchains,
             pos=cell // nchains,
             weight=rng.uniform(0.05, 3, len(cell)),
@@ -231,7 +233,7 @@ def test_chain_tie_break_picks_the_boundary_matching_minimizer():
     # monotone x from 0 to 1; the tie-break re-weighs the boundary terms and
     # returns a minimizer that matches both ends
     table = chain_table(
-        h=[[1.0, 1.0]], chain=[0, 0], pos=[0, 2], weight=[1.0, 1.0], const=[0.0, -1.0]
+        h=[1.0], n=3, chain=[0, 0], pos=[0, 2], weight=[1.0, 1.0], const=[0.0, -1.0]
     )
     value, x = solve_chain_table(table, tie_break=True)
     assert value == 1.0
@@ -244,14 +246,14 @@ def test_chain_tie_break_side_terms_carry_no_energy():
     # heavier energy-free side term 3|x1 - 2| moves it to x1 = 2 without
     # changing the value
     table = chain_table(
-        h=[[1.0]], chain=[0, 0, 0], pos=[0, 1, 1], weight=[2.0, 1.0, 3.0], const=[-2.0, -1.0, -2.0],
+        h=[1.0], n=2, chain=[0, 0, 0], pos=[0, 1, 1], weight=[2.0, 1.0, 3.0], const=[-2.0, -1.0, -2.0],
         side=[False, False, True],
     )
     value, x = solve_chain_table(table, tie_break=True)
     assert value == 1.0
     assert x[0, 0] == 2.0 and x[0, 1] == 2.0
     no_side = chain_table(
-        h=[[1.0]], chain=[0, 0], pos=[0, 1], weight=[2.0, 1.0], const=[-2.0, -1.0]
+        h=[1.0], n=2, chain=[0, 0], pos=[0, 1], weight=[2.0, 1.0], const=[-2.0, -1.0]
     )
     value, x = solve_chain_table(no_side, tie_break=True)
     assert value == 1.0
@@ -259,18 +261,30 @@ def test_chain_tie_break_side_terms_carry_no_energy():
 
 
 def test_chain_of_one_cell_without_interior_terms():
-    table = chain_table(h=np.zeros((1, 0)), chain=[0], pos=[0], weight=[2.0], const=[5.0])
+    table = chain_table(h=[1.0], n=1, chain=[0], pos=[0], weight=[2.0], const=[5.0])
     value, x = solve_chain_table(table, tie_break=False)
     assert value == 0.0
     assert x[0, 0] == -5.0
 
 
-def uncontracted_solve_chains(table, tie_break):
-    """``solve_chain_table`` with every cell kept: the DP walks every cell."""
-    contract = sdrelax.solver._contract
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdrelax.solver, "_contract", lambda h, kept: contract(h, np.ones_like(kept)))
-        return solve_chain_table(table, tie_break)
+def every_cell_solve_chains(table, tie_break):
+    """``solve_chain_table`` with every cell kept: a zero-weight energy term
+    on every cell, at a breakpoint its chain already has, makes the DP walk
+    every cell and leaves the candidates and the objective unchanged."""
+    nchains, n = len(table.h), table.n
+    energy = ~table.side
+    breakpoint = np.empty(nchains)
+    breakpoint[table.chain[energy]] = table.const[energy]  # one energy breakpoint per chain
+    chain, pos = np.divmod(np.arange(nchains * n), n)
+    every = chain_table(
+        table.h, n,
+        np.concatenate((table.chain, chain)),
+        np.concatenate((table.pos, pos)),
+        np.concatenate((table.weight, np.zeros(len(chain)))),
+        np.concatenate((table.const, breakpoint[chain])),
+        np.concatenate((table.side, np.zeros(len(chain), dtype=bool))),
+    )
+    return solve_chain_table(every, tie_break)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -282,7 +296,7 @@ def uncontracted_solve_chains(table, tie_break):
     exponent=st.integers(-9, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_contracted_chains_match_the_uncontracted_dp(n, nchains, density, tie_break, exponent, seed):
+def test_kept_cell_dp_matches_the_dp_over_every_cell(n, nchains, density, tie_break, exponent, seed):
     rng = np.random.default_rng(seed)
     # every chain carries a unary term; each cell carries one with the drawn density
     cell = np.concatenate([
@@ -292,7 +306,8 @@ def test_contracted_chains_match_the_uncontracted_dp(n, nchains, density, tie_br
     side = rng.random(len(cell)) < 0.3
     side[:nchains] = False
     table = chain_table(
-        h=rng.uniform(0.05, 3, (nchains, n - 1)),
+        h=rng.uniform(0.05, 3, nchains) * 10.0**exponent,
+        n=n,
         chain=cell % nchains,
         pos=cell // nchains,
         weight=rng.uniform(0.05, 3, len(cell)),
@@ -300,9 +315,9 @@ def test_contracted_chains_match_the_uncontracted_dp(n, nchains, density, tie_br
         side=side,
     )
     value, x = solve_chain_table(table, tie_break)
-    ref, _ = uncontracted_solve_chains(table, tie_break)
+    ref, _ = every_cell_solve_chains(table, tie_break)
     assert abs(value - ref) <= 1e-12 * (1 + abs(ref))
-    # the expanded minimizer attains the contracted minimum
+    # the expanded minimizer attains the kept-cell minimum
     attained = chain_objective(table, x)
     assert abs(attained - value) <= 1e-12 * (1 + abs(ref))
 
@@ -316,9 +331,9 @@ def table_chain_objective(table, x):
     chain, pos = chain[order], table.pos[energy][order]
     weight, const = table.weight[energy][order], table.const[energy][order]
     rank = np.arange(len(chain)) - np.searchsorted(chain, chain)
-    m = table.h.shape[1]
+    m = table.n - 1
     terms = np.zeros((len(x), m + rank.max() + 1))
-    terms[:, :m] = table.h * np.abs(x[:, 1:] - x[:, :-1])
+    terms[:, :m] = table.h[:, None] * np.abs(x[:, 1:] - x[:, :-1])
     terms[chain, m + rank] = weight * np.abs(x[chain, pos] + const)
     return np.cumsum(terms, axis=1)[:, -1]
 
@@ -342,7 +357,8 @@ def test_chain_objective_skips_only_zero_interior_terms(n, nchains, exponent, se
     side = rng.random(len(cell)) < 0.3
     side[:nchains] = False
     table = chain_table(
-        h=rng.uniform(0.05, 3, (nchains, n - 1)),
+        h=rng.uniform(0.05, 3, nchains) * 10.0**exponent,
+        n=n,
         chain=cell % nchains,
         pos=cell // nchains,
         weight=rng.uniform(0.05, 3, len(cell)),
@@ -357,16 +373,29 @@ def test_chain_objective_skips_only_zero_interior_terms(n, nchains, exponent, se
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(h=st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=1, max_size=10))
-def test_a_unary_free_run_jumps_at_its_last_cheapest_edge(h):
-    # heavy end terms pin x = 0 at the first cell and x = 1 at the last; the
-    # cells between carry no unary term, so the path jumps exactly once
-    n = len(h) + 1
-    table = chain_table(h=[h], chain=[0, 0], pos=[0, n - 1], weight=[10.0, 10.0], const=[0.0, -1.0])
+@given(
+    n=st.integers(2, 12),
+    nchains=st.integers(1, 4),
+    exponent=st.integers(-9, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_unary_free_run_jumps_once_at_its_last_edge(n, nchains, exponent, seed):
+    # end terms heavier than the chain's weight pin chain c to u[c] at its
+    # first cell and v[c] at its last; the cells between carry no unary
+    # term, so each chain jumps exactly once, from u to v at its last edge
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.05, 3, nchains) * 10.0**exponent
+    u, v = rng.uniform(-3, 3, (2, nchains))
+    table = chain_table(
+        h=h, n=n,
+        chain=np.repeat(np.arange(nchains), 2),
+        pos=np.tile([0, n - 1], nchains),
+        weight=np.repeat(2 * h, 2),
+        const=-np.column_stack((u, v)).reshape(-1),
+    )
     value, x = solve_chain_table(table, tie_break=False)
-    last = len(h) - 1 - int(np.argmin(h[::-1]))
-    assert value == min(h)
-    assert np.array_equal(x[0], (np.arange(n) > last).astype(float))
+    assert value == np.cumsum(h * np.abs(v - u))[-1]
+    assert np.array_equal(x, np.where(np.arange(n) < n - 1, u[:, None], v[:, None]))
 
 
 def count_chain_dp(monkeypatch):
@@ -478,8 +507,10 @@ def test_ragged_dp_matches_the_padded_dp(lengths, tie_break, exponent, seed):
     weight = rng.choice([0.5, 1.0, 2.0], len(chain))
     const = rng.integers(-30, 31, len(chain)) / 10 * 10.0**exponent
     side = rng.random(len(chain)) < 0.3
-    h = rng.choice([0.5, 1.0, 2.0], (nchains, max(longest - 1, 0)))
-    h[np.arange(longest - 1) >= length[:, None] - 1] = 0.0
+    # one weight per chain; the padded reference takes it on the chain's
+    # edges and 0 past its end
+    hc = rng.choice([0.5, 1.0, 2.0], nchains)
+    h = np.where(np.arange(longest - 1) < length[:, None] - 1, hc[:, None], 0.0)
     breaks = [np.unique(0.0 - const[chain == c]) for c in range(nchains)]
     k = max(len(b) for b in breaks)
     cand = np.array([np.concatenate((b, np.full(k - len(b), b[-1]))) for b in breaks])
@@ -488,7 +519,7 @@ def test_ragged_dp_matches_the_padded_dp(lengths, tie_break, exponent, seed):
     secondary = np.zeros_like(unary)
     np.add.at(unary, (chain[~side], pos[~side]), cost[~side])
     np.add.at(secondary, (chain, pos), cost)
-    total_weight = h.sum(axis=1) + np.bincount(chain[~side], weight[~side], nchains)
+    total_weight = hc * (length - 1) + np.bincount(chain[~side], weight[~side], nchains)
     tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
     if not tie_break:
         secondary = tol = None
@@ -503,14 +534,12 @@ def test_ragged_dp_matches_the_padded_dp(lengths, tie_break, exponent, seed):
     row = start[j] + slot[c]
     flat = np.empty((len(row), k))
     flat[row] = unary[c, j]
-    hflat = np.zeros(len(row))
-    hflat[row[j > 0]] = h[c[j > 0], j[j > 0] - 1]
     # without the tie-break the ragged DP takes no secondary, as in the solver
     sflat, rtol = None, np.zeros(nchains)
     if tie_break:
         sflat, rtol = np.empty_like(flat), tol[order]
         sflat[row] = secondary[c, j]
-    idx = _chain_dp(active, cand[order], hflat, flat, sflat, rtol)
+    idx = _chain_dp(active, cand[order], hc[order], flat, sflat, rtol)
 
     assert np.array_equal(idx[row], ref[c, j])
     for ch in range(nchains):

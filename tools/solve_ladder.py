@@ -12,7 +12,7 @@ between repeats.  The child times the stages by wrapping the functions that
 boundary piece table (``boundary_pieces``), term assembly (the chain table
 of all axes, ``_chain_table``; per axis, ``_assemble_axis_terms``, in
 trees before it), the chain program outside the DP (``_solve_chains``:
-contraction and candidates; per axis, ``_solve_axis``), the min-plus DP
+kept cells and candidates; per axis, ``_solve_axis``), the min-plus DP
 itself (``_chain_dp``), the objective pass at the minimizer
 (``_chain_objective``: ``value`` and, in trees that score ``value_exact``
 there, the exact energy) and the generic re-evaluation (``surface_energy``,
