@@ -191,7 +191,9 @@ class DecayRow:
 
     @property
     def within_bound(self) -> bool:
-        return self.energy <= self.bound + 1e-12
+        """``energy <= bound`` up to rounding, ``1e-12`` relative to the bound
+        (so the check does not depend on the data scale)."""
+        return self.energy <= self.bound + 1e-12 * self.bound
 
 
 def frame_threshold(M: np.ndarray) -> int:

@@ -6,7 +6,8 @@ mismatch against the datum integrated over the boundary, which is the jump of
 the field extended by the datum.  Jumps are affine along edges, so built-in
 densities integrate in closed form:
 
-* normal form ``|jump . nu~|``: exact split at the sign change;
+* normal form ``|jump . nu~|``: exact, split at the sign change on
+  segments and by a closed form on rectangular faces;
 * out-of-plane-relaxed form: jumps whose third component vanishes
   identically along the edge pay ``|planar jump . nu~|``; all others are free
   because the integrand vanishes off a measure-zero set.
@@ -23,8 +24,9 @@ a broadcast view rather than one copy per edge; only affine rows carry
 corners.  Boundary mismatches come from the boundary piece table
 (:func:`sdrelax.fields.boundary_pieces`), which :func:`surface_energy`
 builds from the datum.  The closed forms run over all pieces at once,
-including the sign-split integrals over 3D faces (vectorized polygon
-clipping); only custom densities are evaluated piece by piece.  Pieces are
+including the exact integrals over 3D faces, which need only each face's
+corner values and measure (:func:`sdrelax.fields.abs_affine_rectangle_exact`);
+only custom densities are evaluated piece by piece.  Pieces are
 summed in sequence, in mesh order.
 """
 
@@ -41,7 +43,7 @@ from .fields import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
     SbvField,
-    abs_affine_polygon_exact,
+    abs_affine_rectangle_exact,
     abs_affine_segment_exact,
     abs_affine_segment_trapezoid,
     boundary_pieces,
@@ -68,14 +70,14 @@ def _surface_callable(density):
     return density.surface if isinstance(density, DensityPair) else density
 
 
-def _integrals(values, rows, normal3, measure, corners, axis, form, func, overestimate) -> np.ndarray:
+def _integrals(values, rows, normal3, measure, form, func, overestimate) -> np.ndarray:
     """Integrals of the surface density over the pieces ``rows`` of one
     table (interior edges or boundary pieces), one per row.
 
     ``values`` are the jump (or mismatch) vectors at the pieces' corners,
     ``(R, corners, 3)``, with a single corner for constant rows, and
     ``normal3`` their padded unit normals, ``(R, 3)`` (a broadcast view
-    where the rows share one); ``measure``, ``corners`` and ``axis`` are the table's.
+    where the rows share one); ``measure`` is the table's.
     """
     if len(rows) == 0:
         return np.zeros(0)
@@ -85,8 +87,7 @@ def _integrals(values, rows, normal3, measure, corners, axis, form, func, overes
         out = np.zeros(len(rows))
         paid = np.all(values[:, :, 2] == 0.0, axis=1)
         out[paid] = _integrals(
-            values[paid], rows[paid], normal3[paid], measure, corners, axis, SURFACE_NORMAL,
-            None, overestimate,
+            values[paid], rows[paid], normal3[paid], measure, SURFACE_NORMAL, None, overestimate,
         )
         return out
     h = measure[rows]
@@ -101,7 +102,7 @@ def _integrals(values, rows, normal3, measure, corners, axis, form, func, overes
             return segment(f[:, 0], f[:, 1], h)
         if overestimate:
             return h * np.mean(np.abs(f), axis=1)
-        return abs_affine_polygon_exact(_face_param_2d(corners[rows], axis[rows]), f)
+        return abs_affine_rectangle_exact(f, h)
     # custom density: exact on constant jumps, Gauss rule otherwise
     nus = (nu / np.linalg.norm(nu) for nu in normal3)
     return np.array([_piece_integral(v, nu, m, func) for v, nu, m in zip(values, nus, h)])
@@ -114,14 +115,6 @@ def _jump_rows(rows, values):
     rows, values = rows[jump], values[jump]
     const = np.all(values == values[:, :1], axis=(1, 2))
     return (rows[const], values[const, :1]), (rows[~const], values[~const])
-
-
-_FREE_AXES = np.array([[1, 2], [0, 2], [0, 1]])  # of a 3D face, by its own axis
-
-
-def _face_param_2d(corners, axis):
-    """2D coordinates of face corners within their own planes, ``(E, 4, 2)``."""
-    return np.take_along_axis(corners, _FREE_AXES[axis][:, None, :], axis=2)
 
 
 def _piece_integral(values, nu, measure, func):
@@ -160,13 +153,12 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
         on = np.flatnonzero(constant[starts[a] : starts[a + 1]]) + starts[a]
         interior[on] = _integrals(
             table.offset[on][:, None, :], on, np.broadcast_to(dirs3[a], (len(on), 3)), measure,
-            None, None, form, func, overestimate,
+            form, func, overestimate,
         )
     axis = np.searchsorted(starts, table.affine, side="right") - 1
     for rows, values in _jump_rows(np.arange(len(axis)), table.values):
         interior[table.affine[rows]] = _integrals(
-            values, rows, dirs3[axis[rows]], measure[table.affine], table.corners, axis, form,
-            func, overestimate,
+            values, rows, dirs3[axis[rows]], measure[table.affine], form, func, overestimate,
         )
     terms = [np.zeros(1), interior]
     if pieces is not None:
@@ -175,7 +167,6 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
         mismatch = pieces.field_values(field) - pieces.datum
         for rows, values in _jump_rows(np.arange(len(pieces.edge)), mismatch):
             terms[-1][rows] = _integrals(
-                values, rows, normal3[rows], pieces.measure, pieces.corners, pieces.axis, form,
-                func, overestimate,
+                values, rows, normal3[rows], pieces.measure, form, func, overestimate,
             )
     return float(np.cumsum(np.concatenate(terms))[-1])

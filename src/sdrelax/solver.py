@@ -39,10 +39,11 @@ so that among minimizers one matching the boundary datum is returned.
 One pass over the chain program's terms at the minimizer sums both the
 objective (``value``) and the exact energy of the minimizer
 (``value_exact``): they share every interior and constant boundary term,
-and an affine boundary piece's exact integral, split at the sign change,
-is spread over its trapezoid shares in proportion, clamped to them.  Both
-add their terms in the same order, so ``value_exact <= value`` holds term
-by term and, rounding being monotone, for the sums.
+and an affine boundary piece's exact integral (split at the sign change on
+a segment, the closed-form rectangle kernel on a face) is spread over its
+trapezoid shares in proportion, clamped to them.  Both add their terms in
+the same order, so ``value_exact <= value`` holds term by term and,
+rounding being monotone, for the sums.
 
 Problems whose surface integrand relaxes the out-of-plane normal component
 (the zero-boundary pinned-gradient problem and the step-datum problem with
@@ -65,14 +66,14 @@ from typing import Callable
 import numpy as np
 
 from . import densities as dens
-from .energy import _face_param_2d, padded_normal, surface_energy
+from .energy import padded_normal, surface_energy
 from .errors import InputError, ProblemError, UnsupportedProblemError
 from .fields import (
     AffineDatum,
     BoundaryPieces,
     SbvField,
     StepDatum,
-    abs_affine_polygon_exact,
+    abs_affine_rectangle_exact,
     abs_affine_segment_exact,
     boundary_pieces,
     boundary_trace_gap,
@@ -286,7 +287,7 @@ class SolveResult:
     trapezoid-overestimated boundary mismatch), which upper-bounds the exact
     energy of the minimizer and, for certified problems, lower-bounds the
     continuum infimum.  ``value_exact`` is the exact energy of the minimizer
-    (sign-split integrals on affine boundary pieces), summed in the same
+    (exact integrals on affine boundary pieces), summed in the same
     pass, term layout and order as ``value``, so ``value_exact <= value``
     holds with no tolerance.  The psi1 kinds, solved in closed form, take
     both from the generic :func:`sdrelax.energy.surface_energy`.
@@ -363,9 +364,9 @@ class ChainTable:
 
     The affine boundary pieces, whose corner terms are trapezoid shares of
     one mismatch integral, are listed for the exact energy: ``affine``
-    ``(Q, corners)`` holds each piece's term indices, one per corner in
-    corner order, ``measure`` ``(Q,)`` its measure and, in 3D, ``face``
-    ``(Q, 4, 2)`` its corners within its own plane (``None`` in 2D).
+    ``(Q, corners)`` holds each piece's term indices, one per corner in the
+    pieces' corner order (segment ends in 2D, a face's corners in cyclic
+    order in 3D), and ``measure`` ``(Q,)`` its measure.
     """
 
     h: np.ndarray
@@ -377,7 +378,6 @@ class ChainTable:
     side: np.ndarray
     affine: np.ndarray
     measure: np.ndarray
-    face: np.ndarray | None
 
 
 def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> ChainTable:
@@ -419,11 +419,10 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
         affine.append((np.arange(len(pieces.cell))[on][share], first[share]))
         before += len(cell)
     rows, first = (np.concatenate(c) for c in zip(*affine))
-    face = _face_param_2d(pieces.corners[rows], pieces.axis[rows]) if dim == 3 else None
     return ChainTable(
         mesh.bnd_measure[::2], n, *(np.concatenate(c) for c in zip(*columns)),
         affine=first[:, None] + np.arange(pieces.corners.shape[1]),
-        measure=pieces.measure[rows], face=face,
+        measure=pieces.measure[rows],
     )
 
 
@@ -572,10 +571,10 @@ def _chain_objective(x: np.ndarray, table: ChainTable):
     exact = terms.copy()
     if len(table.affine):  # one exact kernel call over the affine pieces of all axes
         f = at[table.affine]
-        if table.face is None:
+        if f.shape[1] == 2:
             full = abs_affine_segment_exact(f[:, 0], f[:, 1], table.measure)
         else:
-            full = abs_affine_polygon_exact(table.face, f)
+            full = abs_affine_rectangle_exact(f, table.measure)
         share = terms[table.affine]
         total = share.sum(axis=1)
         ratio = np.divide(full, total, out=np.zeros_like(full), where=total > 0)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdrelax.constructions import (
+    DecayRow,
     SequenceKind,
     SequenceParams,
     build,
@@ -195,6 +196,16 @@ def test_staircase_energy_approaches_componentwise_trace():
         if prev is not None:
             assert abs(e - 2.0) <= abs(prev - 2.0) + 1e-12
         prev = e
+
+
+def test_decay_row_bound_check_is_relative_to_the_bound():
+    # a 1e-4 relative excess fails at every scale, a 1e-14 one (rounding)
+    # passes at every scale
+    for scale in (1e-9, 1.0, 1e12):
+        assert not DecayRow(n=2, energy=scale * (1 + 1e-4), bound=scale, slope_so_far=np.nan).within_bound
+        assert DecayRow(n=2, energy=scale * (1 + 1e-14), bound=scale, slope_so_far=np.nan).within_bound
+        assert DecayRow(n=2, energy=scale, bound=scale, slope_so_far=np.nan).within_bound
+    assert DecayRow(n=2, energy=0.0, bound=0.0, slope_so_far=np.nan).within_bound
 
 
 def test_staircase_decay_rows_within_bound():

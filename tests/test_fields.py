@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from sdrelax.densities import interfacial_normal_pair, psi1_pair
 from sdrelax.energy import surface_energy
 from sdrelax.errors import DatumError, FieldError, InputError
 from sdrelax.fields import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     AffineDatum,
     SbvField,
     StepDatum,
-    abs_affine_polygon_exact,
+    abs_affine_rectangle_exact,
     abs_affine_segment_exact,
     average_gradient,
     boundary_pieces,
@@ -80,51 +83,114 @@ def test_norm_affine_exact_against_quadrature():
     )
 
 
-def _reference_abs_polygon(pts, vals):
-    """One polygon at a time: clip at the sign change, fan-triangulate."""
-
-    def integral(p, v):
-        total = 0.0
-        for i in range(1, len(p) - 1):
-            (x0, y0), (x1, y1), (x2, y2) = p[0], p[i], p[i + 1]
-            area = abs(0.5 * ((x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) + (x2 * y0 - x0 * y2)))
-            total += area * (v[0] + v[i] + v[i + 1]) / 3.0
-        return total
-
-    if np.all(vals >= 0) or np.all(vals <= 0):
-        return abs(integral(pts, vals))
-    total = 0.0
-    for keep in (True, False):
-        p, v = [], []
-        for i in range(len(pts)):
-            j = (i + 1) % len(pts)
-            in0, in1 = (vals[i] >= 0, vals[j] >= 0) if keep else (vals[i] <= 0, vals[j] <= 0)
-            if in0:
-                p.append(pts[i])
-                v.append(vals[i])
-            if in0 != in1:
-                t = vals[i] / (vals[i] - vals[j])
-                p.append(pts[i] + t * (pts[j] - pts[i]))
-                v.append(0.0)
-        total += abs(integral(p, v))
-    return total
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    v0=st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    direction=unit_vectors(3),
+    rho=st.floats(-16, -3),
+    scale=st.integers(-9, 12),
+)
+def test_norm_affine_exact_on_nearly_constant_segments(v0, direction, rho, scale):
+    # |v1 - v0| / |v0| = 10^rho; the segment stays far from 0, so the
+    # 16-point Gauss rule is exact to rounding there.  Bound 1e-10 relative,
+    # at every scale
+    v0 = np.asarray(v0) * 10.0**scale
+    v1 = v0 + direction * 10.0**rho * np.linalg.norm(v0)
+    gauss = GAUSS_WEIGHTS @ np.linalg.norm(v0 + GAUSS_NODES[:, None] * (v1 - v0), axis=1)
+    got = norm_affine_segment_exact(v0, v1, 0.5)
+    assert abs(got - 0.5 * gauss) <= 1e-10 * 0.5 * gauss
 
 
-def test_abs_affine_polygon_matches_per_polygon_reference():
-    rng = np.random.default_rng(4)
-    lo = rng.uniform(-1, 1, (3000, 2))
-    hi = lo + rng.uniform(1e-3, 1, (3000, 2))
-    pts = np.stack(
-        [lo, np.c_[hi[:, 0], lo[:, 1]], hi, np.c_[lo[:, 0], hi[:, 1]]], axis=1
-    )
-    vals = rng.normal(size=(3000, 4)) * 10.0 ** rng.integers(-6, 6, (3000, 1))
-    vals[rng.random(vals.shape) < 0.1] = 0.0
-    # affine vertex values (what the energy integrates) on every other face
-    grad, c = rng.normal(size=(3000, 2)), rng.normal(size=3000)
-    vals[::2] = (pts @ grad[:, :, None])[::2, :, 0] + c[::2, None]
-    got = abs_affine_polygon_exact(pts, vals)
-    want = [_reference_abs_polygon(p, v) for p, v in zip(pts, vals)]
-    assert got.tolist() == want
+def _exact_abs_rectangle(lo, width, grad, const):
+    """``\\int |f|`` for ``f = grad . x + const`` over the rectangle ``[lo,
+    lo + width]``, in exact rational arithmetic: ``\\int f`` plus twice the
+    integral of ``-f`` over the rectangle clipped to ``f <= 0``, fan
+    triangulated."""
+    (x0, y0), (w, h) = lo, width
+    corners = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
+
+    def f(p):
+        return grad[0] * p[0] + grad[1] * p[1] + const
+
+    clipped = []
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        if f(p) <= 0:
+            clipped.append(p)
+        if (f(p) < 0 < f(q)) or (f(q) < 0 < f(p)):
+            t = f(p) / (f(p) - f(q))
+            clipped.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    negative = Fraction(0)
+    for a, b, c in zip(clipped[:1] * len(clipped), clipped[1:], clipped[2:]):
+        area = abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])) / 2
+        negative -= area * (f(a) + f(b) + f(c)) / 3
+    mean = f((x0 + w / 2, y0 + h / 2))
+    return mean * w * h + 2 * negative
+
+
+@st.composite
+def dyadic_affine_rectangles(draw):
+    """A rectangle in [-0.5, 0.5]^2 on a 1/16 grid and an affine ``f`` whose
+    corner values are exact floats, scaled by a power of two near 1e-9 ...
+    1e12, as Fractions (lo, width, grad, const).  Cases: generic,
+    one slope zero, the sign line through a corner, ``f == 0``, slopes 2^-40
+    of the centre value, and one slope 2^-40 of the other."""
+    q = Fraction(1, 16)
+    lo = [draw(st.integers(-8, 7)) * q for _ in range(2)]
+    width = [draw(st.integers(1, 8 - int(x / q))) * q for x in lo]
+    case = draw(st.sampled_from(("generic", "one-flat", "corner", "zero", "tiny", "skewed")))
+    big = st.integers(-(2**20), 2**20)
+    grad = [Fraction(draw(big)), Fraction(draw(big))]
+    const = draw(big) * q
+    if case == "one-flat":
+        grad[draw(st.integers(0, 1))] = Fraction(0)
+    elif case == "corner":
+        x, y = [(lo[0], lo[1]), (lo[0] + width[0], lo[1]), (lo[0] + width[0], lo[1] + width[1]),
+                (lo[0], lo[1] + width[1])][draw(st.integers(0, 3))]
+        const = -(grad[0] * x + grad[1] * y)
+    elif case == "zero":
+        grad, const = [Fraction(0), Fraction(0)], Fraction(0)
+    elif case == "tiny":
+        small = st.integers(-64, 64)
+        grad = [Fraction(draw(small), 2**40), Fraction(draw(small), 2**40)]
+        const = Fraction(draw(st.integers(1, 256)) * draw(st.sampled_from((-1, 1))))
+    elif case == "skewed":
+        grad = [Fraction(draw(st.integers(-64, 64))), Fraction(draw(st.integers(-16, 16)), 2**40)]
+        const = Fraction(draw(st.integers(-64, 64)), 16)
+    scale = Fraction(2) ** draw(st.integers(-30, 40))
+    return lo, width, [g * scale for g in grad], const * scale
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rect=dyadic_affine_rectangles())
+def test_abs_affine_rectangle_matches_the_exact_rational_integral(rect):
+    # bound: 4e-16 relative, about 3.6 units in the last place; the corner
+    # values and the area are exact floats, so only the kernel rounds
+    lo, width, grad, const = rect
+    (x0, y0), (x1, y1) = lo, (lo[0] + width[0], lo[1] + width[1])
+    exact = [grad[0] * x + grad[1] * y + const for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    assert all(Fraction(float(v)) == v for v in exact)
+    area = width[0] * width[1]
+    got = abs_affine_rectangle_exact(np.array([[float(v) for v in exact]]), np.array([float(area)]))
+    want = _exact_abs_rectangle(lo, width, grad, const)
+    assert abs(Fraction(got[0]) - want) <= Fraction(4e-16) * want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    values=scaled_values((50, 4), specials=(-0.0, 0.0, 1.0, -3.0, 1e16, -1e16, 1e-9, 1e12)),
+    shift=st.integers(-60, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_abs_affine_rectangle_is_1_homogeneous_bit_for_bit(values, shift, seed):
+    # power-of-two scales and sign flips are exact, so they must commute
+    # with the kernel exactly (no subnormal specials: scaling those rounds);
+    # the values need not be affine for that
+    area = np.random.default_rng(seed).uniform(0.0, 1.0, len(values))
+    base = abs_affine_rectangle_exact(values, area)
+    assert np.all(base >= 0.0)
+    s = 2.0**shift
+    assert abs_affine_rectangle_exact(values * s, area).tolist() == (base * s).tolist()
+    assert abs_affine_rectangle_exact(-values, area).tolist() == base.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +426,21 @@ def test_trace_gap_zero_for_cellwise_step_field():
     offsets = np.where(mids[:, None] >= 0, lam[None, :], 0.0)
     fld = SbvField(mesh, np.zeros((mesh.ncells, 3, 2)), offsets)
     assert boundary_trace_gap(fld, StepDatum(lam, eta)) <= 1e-12
+
+
+def test_2d_trace_gap_is_1_homogeneous_down_to_tiny_mismatches():
+    # the 2D twin of the 3D test below: at scale 2^-30 each segment's
+    # mismatch varies by about 1e-22, which must still count as affine
+    rng = np.random.default_rng(1)
+    A = rng.uniform(-1, 1, (3, 2))
+    mesh = build_mesh(2, 2, E1)
+    grads = A * (1 + 1e-6 * rng.uniform(-1, 1, (mesh.ncells, 3, 2)))
+    gaps = []
+    for s in (1.0, 2.0**-30, 2.0**40):
+        fld = SbvField(mesh, s * grads, np.zeros((mesh.ncells, 3)))
+        gaps.append(boundary_trace_gap(fld, AffineDatum(s * A)) / s)
+    assert gaps[0] > 0
+    assert gaps[1] == gaps[0] and gaps[2] == gaps[0]
 
 
 def test_3d_trace_gap_is_1_homogeneous_down_to_tiny_mismatches():

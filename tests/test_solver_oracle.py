@@ -170,7 +170,6 @@ def chain_table(h, n, chain, pos, weight, const, side=None):
         side=np.zeros(len(chain), dtype=bool) if side is None else np.asarray(side),
         affine=np.zeros((0, 2), dtype=int),
         measure=np.zeros(0),
-        face=None,
     )
 
 
