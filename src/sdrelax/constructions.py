@@ -36,7 +36,7 @@ import numpy as np
 from .energy import surface_energy
 from .errors import ProblemError
 from .fields import AffineDatum, SbvField, StepDatum, embed_planar, zero_datum
-from .meshes import Mesh, frame_from_orientation
+from .meshes import Mesh, frame_from_orientation, positive_int
 
 
 class SequenceKind(str, Enum):
@@ -59,8 +59,7 @@ class SequenceParams:
 
     def __post_init__(self):
         self.kind = SequenceKind(self.kind)
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ProblemError(f"scale index must be a positive integer, got {self.n!r}")
+        self.n = positive_int(self.n, ProblemError, "scale index")
         for name in ("M", "lam", "eta", "A", "B"):
             v = getattr(self, name)
             if v is not None:
@@ -85,7 +84,7 @@ class SequenceParams:
             self.B = embed_planar(self.B, "trace")
 
     def with_n(self, n: int) -> "SequenceParams":
-        return replace(self, n=int(n))
+        return replace(self, n=n)
 
 
 def _dedupe(values) -> np.ndarray:
@@ -223,7 +222,7 @@ def _bound_for(params: SequenceParams) -> float:
 def decay_table(params: SequenceParams, density, n_list) -> list[DecayRow]:
     """Exact energies of the family over ``n_list``, with per-row bounds and
     the running log-log least-squares slope."""
-    n_list = [int(n) for n in n_list]
+    n_list = [positive_int(n, ProblemError, "scale index") for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ProblemError("n_list must be strictly increasing")
     rows: list[DecayRow] = []

@@ -18,16 +18,17 @@ ones.
 
 Interior jumps come from the field's jump table (built once per field by
 per-axis differences and shared with the divergence-theorem residual):
-edges with equal gradients on both sides carry exactly constant jumps and
-take the closed form on that value, axis by axis, with the axis' normal as
-a broadcast view rather than one copy per edge; only affine rows carry
-corners.  Boundary mismatches come from the boundary piece table
+edges with equal gradients on both sides carry exactly constant jumps, the
+others their jumps at the edge corners.  The interior pass runs axis by
+axis: an axis' edges, and its rows of the sorted affine list, are one slice
+each and share the axis' normal, a broadcast view rather than one copy per
+edge.  Boundary mismatches come from the boundary piece table
 (:func:`sdrelax.fields.boundary_pieces`), which :func:`surface_energy`
-builds from the datum.  The closed forms run over all pieces at once,
-including the exact integrals over 3D faces, which need only each face's
-corner values and measure (:func:`sdrelax.fields.abs_affine_rectangle_exact`);
-only custom densities are evaluated piece by piece.  Pieces are
-summed in sequence, in mesh order.
+builds from the datum.  The closed forms run over all pieces of a pass at
+once through the one exact ``|affine|`` integral,
+:func:`sdrelax.fields.abs_affine_integral`, which needs only each piece's
+corner values and measure; only custom densities are evaluated piece by
+piece.  Pieces are summed in sequence, in mesh order.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ from .fields import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
     SbvField,
-    abs_affine_rectangle_exact,
-    abs_affine_segment_exact,
-    abs_affine_segment_trapezoid,
+    abs_affine_integral,
     boundary_pieces,
     gauss_face_mean,
 )
@@ -70,39 +69,30 @@ def _surface_callable(density):
     return density.surface if isinstance(density, DensityPair) else density
 
 
-def _integrals(values, rows, normal3, measure, form, func, overestimate) -> np.ndarray:
-    """Integrals of the surface density over the pieces ``rows`` of one
-    table (interior edges or boundary pieces), one per row.
-
-    ``values`` are the jump (or mismatch) vectors at the pieces' corners,
-    ``(R, corners, 3)``, with a single corner for constant rows, and
-    ``normal3`` their padded unit normals, ``(R, 3)`` (a broadcast view
-    where the rows share one); ``measure`` is the table's.
+def _integrals(values, normal3, h, form, func, overestimate) -> np.ndarray:
+    """Integrals of the surface density over pieces (interior edges or
+    boundary pieces), one per row, from the jump (or mismatch) vectors at
+    the pieces' corners ``values`` ``(R, corners, 3)`` (a single corner for
+    constant rows), their padded unit normals ``normal3`` ``(R, 3)`` (a
+    broadcast view where the rows share one) and their measures ``h``.
+    The normal form is :func:`sdrelax.fields.abs_affine_integral`, or with
+    ``overestimate`` the corner mean ``h * mean |f|`` of rows with more than
+    one corner (on segments, the trapezoid rule).
     """
-    if len(rows) == 0:
+    if len(values) == 0:  # most passes of a field lack one of the row kinds
         return np.zeros(0)
     if form == SURFACE_PSI1:
         # pieces whose third component vanishes identically pay the normal
         # form; all others are free (the integrand vanishes a.e.)
-        out = np.zeros(len(rows))
+        out = np.zeros(len(values))
         paid = np.all(values[:, :, 2] == 0.0, axis=1)
-        out[paid] = _integrals(
-            values[paid], rows[paid], normal3[paid], measure, SURFACE_NORMAL, None, overestimate,
-        )
+        out[paid] = _integrals(values[paid], normal3[paid], h[paid], SURFACE_NORMAL, None, overestimate)
         return out
-    h = measure[rows]
     if form == SURFACE_NORMAL:
         f = (values @ normal3[:, :, None])[..., 0]
-        if f.shape[1] == 1:  # in place: at large n these rows are most of the mesh
-            out = np.abs(f[:, 0])
-            out *= h
-            return out
-        if f.shape[1] == 2:
-            segment = abs_affine_segment_trapezoid if overestimate else abs_affine_segment_exact
-            return segment(f[:, 0], f[:, 1], h)
-        if overestimate:
+        if overestimate and f.shape[1] > 1:
             return h * np.mean(np.abs(f), axis=1)
-        return abs_affine_rectangle_exact(f, h)
+        return abs_affine_integral(f, h)
     # custom density: exact on constant jumps, Gauss rule otherwise
     nus = (nu / np.linalg.norm(nu) for nu in normal3)
     return np.array([_piece_integral(v, nu, m, func) for v, nu, m in zip(values, nus, h)])
@@ -144,22 +134,20 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
     dirs3 = padded_normal(mesh.frame.T)  # row a: padded world normal of axis a
     measure = mesh.int_measure()
     interior = np.zeros(len(measure))
-    # nonzero constant jumps as single-corner rows, one axis at a time: edges
-    # come axis by axis, so an axis' rows are one slice sharing one normal
+    # one pass per axis: edges come axis by axis and ``affine`` is sorted, so
+    # an axis' rows are one slice of each and share one normal, a broadcast view
     constant = np.any(table.offset != 0.0, axis=1)
     constant[table.affine] = False
     starts = np.cumsum((0,) + mesh.int_counts)  # first edge of each axis
+    cuts = np.searchsorted(table.affine, starts)  # first affine row of each axis
     for a in range(mesh.dim):
         on = np.flatnonzero(constant[starts[a] : starts[a + 1]]) + starts[a]
-        interior[on] = _integrals(
-            table.offset[on][:, None, :], on, np.broadcast_to(dirs3[a], (len(on), 3)), measure,
-            form, func, overestimate,
-        )
-    axis = np.searchsorted(starts, table.affine, side="right") - 1
-    for rows, values in _jump_rows(np.arange(len(axis)), table.values):
-        interior[table.affine[rows]] = _integrals(
-            values, rows, dirs3[axis[rows]], measure[table.affine], form, func, overestimate,
-        )
+        part = slice(cuts[a], cuts[a + 1])
+        groups = [(on, table.offset[on][:, None, :])]
+        groups += _jump_rows(table.affine[part], table.values[part])
+        for edges, values in groups:
+            normal3 = np.broadcast_to(dirs3[a], (len(edges), 3))
+            interior[edges] = _integrals(values, normal3, measure[edges], form, func, overestimate)
     terms = [np.zeros(1), interior]
     if pieces is not None:
         terms.append(np.zeros(len(pieces.edge)))
@@ -167,6 +155,6 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
         mismatch = pieces.field_values(field) - pieces.datum
         for rows, values in _jump_rows(np.arange(len(pieces.edge)), mismatch):
             terms[-1][rows] = _integrals(
-                values, rows, normal3[rows], pieces.measure, form, func, overestimate,
+                values, normal3[rows], pieces.measure[rows], form, func, overestimate,
             )
     return float(np.cumsum(np.concatenate(terms))[-1])

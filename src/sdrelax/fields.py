@@ -56,11 +56,6 @@ def abs_affine_segment_exact(f0, f1, length):
     return np.where(same, trapezoid, split)
 
 
-def abs_affine_segment_trapezoid(f0, f1, length):
-    """Trapezoid rule for ``\\int |f|``; an overestimate by convexity."""
-    return 0.5 * (np.abs(np.asarray(f0)) + np.abs(np.asarray(f1))) * np.asarray(length)
-
-
 def abs_affine_rectangle_exact(f, area):
     """Exact ``\\int |f|`` over rectangles for the affine ``f`` with corner
     values ``f`` (P, 4), in the cyclic order ``(lo, lo), (hi, lo), (hi, hi),
@@ -90,6 +85,22 @@ def abs_affine_rectangle_exact(f, area):
     simpson = d * d + 4.0 * (d - cw) ** 2 + (d - 2.0 * cw) ** 2
     twice_neg = np.divide(w * simpson, 12.0 * b, out=np.zeros_like(d), where=neg)
     return (m + twice_neg) * np.asarray(area, dtype=float)
+
+
+def abs_affine_integral(f, measure):
+    """Exact ``\\int |f|`` over pieces of ``measure`` ``(P,)`` for the affine
+    ``f`` with values ``f`` ``(P, corners)`` at their corners: one for a
+    constant, a segment's two ends (:func:`abs_affine_segment_exact`) or a
+    rectangle's four in cyclic order (:func:`abs_affine_rectangle_exact`).
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape[1] == 1:  # in place: at large n these rows are most of the mesh
+        out = np.abs(f[:, 0])
+        out *= measure
+        return out
+    if f.shape[1] == 2:
+        return abs_affine_segment_exact(f[:, 0], f[:, 1], measure)
+    return abs_affine_rectangle_exact(f, measure)
 
 
 def norm_affine_segment_exact(v0, v1, length):
@@ -263,13 +274,12 @@ class JumpTable:
     ``offset`` ``(E, 3)`` holds ``c+ - c-`` for every edge; where the two
     gradients agree it is the whole jump, exactly constant along the edge.
     ``affine`` ``(A,)`` lists the edges whose gradients differ, in
-    increasing order, ``corners`` ``(A, corners, dim)`` their mesh-frame
-    corners and ``values`` ``(A, corners, 3)`` their jumps at those corners.
+    increasing order, and ``values`` ``(A, corners, 3)`` their jumps at
+    their corners, in :meth:`Mesh.int_corners` order; no geometry is kept.
     """
 
     offset: np.ndarray
     affine: np.ndarray
-    corners: np.ndarray
     values: np.ndarray
 
 
@@ -330,7 +340,7 @@ class SbvField:
     def jump_table(self) -> JumpTable:
         """The jumps across interior edges, built on first use.  Corners are
         computed and mapped to world coordinates only on edges whose two
-        gradients differ."""
+        gradients differ, and dropped once their jumps are formed."""
         mesh, grads = self.mesh, self.gradients
         offset = _edge_differences(mesh, self.offsets)
         if np.all(grads == grads[0]):  # one gradient: every jump is constant
@@ -341,9 +351,9 @@ class SbvField:
             affine = np.flatnonzero(np.any(slope != 0.0, axis=(1, 2)))
             slope, corners = slope[affine], mesh.int_corners(affine)
         values = (corners @ mesh.frame.T) @ slope.transpose(0, 2, 1) + offset[affine][:, None, :]
-        for a in (offset, affine, corners, values):
+        for a in (offset, affine, values):
             a.flags.writeable = False
-        return JumpTable(offset, affine, corners, values)
+        return JumpTable(offset, affine, values)
 
 
 def average_gradient(field: SbvField) -> np.ndarray:
@@ -361,7 +371,10 @@ def gauss_green_residual(field: SbvField) -> np.ndarray:
     table = field.jump_table
     delta_mean = table.offset.copy()
     delta_mean[table.affine] = table.values.mean(axis=1)
-    jump_term = (np.repeat(mesh.frame.T @ w, mesh.int_counts) * mesh.int_measure()) @ delta_mean
+    # one weight per chain (normal . w times face measure), repeated over its edges
+    nchains = [mesh.ncells // m for m in mesh.shape]
+    weight = np.repeat(mesh.frame.T @ w, nchains) * mesh.bnd_measure[::2]
+    jump_term = np.repeat(weight, np.repeat(np.subtract(mesh.shape, 1), nchains)) @ delta_mean
     bulk_term = np.einsum("t,tij,j->i", mesh.cell_measures, field.gradients, w)
     pieces = boundary_pieces(mesh, zero_datum(mesh.dim))
     bnd_mean = pieces.field_values(field).mean(axis=1)

@@ -45,6 +45,14 @@ GRID_CACHE_SIZE = 5
 GRID_CACHE_MAX_CELLS = 2**14
 
 
+def positive_int(n, error, what: str) -> int:
+    """``n`` as an ``int`` if it is a Python or numpy integer of at least 1;
+    otherwise (a ``bool``, a float, ``n < 1``) raise ``error`` naming ``what``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise error(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def frame_from_orientation(orientation: np.ndarray) -> np.ndarray:
     """Rotation whose first column is ``orientation``.
 
@@ -225,15 +233,13 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
     kept (see the module docstring)."""
     if dimension not in (2, 3):
         raise MeshError(f"dimension must be 2 or 3, got {dimension}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise MeshError(f"refinement must be a positive integer, got {n!r}")
+    n = positive_int(n, MeshError, "refinement")
     orientation = np.asarray(orientation, dtype=float)
     if orientation.shape != (dimension,):
         raise MeshError(
             f"orientation shape {orientation.shape} does not match dimension {dimension}"
         )
     frame = frame_from_orientation(orientation)
-    n = int(n)
     kept = n**dimension <= GRID_CACHE_MAX_CELLS
     return Mesh((_uniform_grid if kept else _uniform_grid.__wrapped__)(dimension, n), frame)
 

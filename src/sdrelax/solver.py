@@ -73,14 +73,13 @@ from .fields import (
     BoundaryPieces,
     SbvField,
     StepDatum,
-    abs_affine_rectangle_exact,
-    abs_affine_segment_exact,
+    abs_affine_integral,
     boundary_pieces,
     boundary_trace_gap,
     embed_planar,
     zero_datum,
 )
-from .meshes import UNIT_TOL, Mesh, build_mesh
+from .meshes import UNIT_TOL, Mesh, build_mesh, positive_int
 
 # Tie-break tolerance of the chain solver, relative to a chain's data scale
 # (its total primary weight times its largest breakpoint): primaries closer
@@ -227,8 +226,7 @@ class CellProblem:
 
     def __post_init__(self):
         self.kind = Kind(self.kind)
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ProblemError(f"refinement must be a positive integer, got {self.n!r}")
+        self.n = positive_int(self.n, ProblemError, "refinement")
         for name in ("A", "B", "d", "lam", "orientation"):
             v = getattr(self, name)
             if v is not None:
@@ -556,12 +554,15 @@ def _chain_objective(x: np.ndarray, table: ChainTable):
     The two share every term but the corner terms of the affine boundary
     pieces: a piece's trapezoid shares ``s_i``, summing to ``T``, become
     ``s_i min(E / T, 1)``, where ``E <= T`` (by convexity) is the piece's
-    exact integral of ``|x + const|``.  Both are summed in sequence,
-    interior terms in chain order, then unary terms in table order, so that
-    neither depends on the order of the solver's internal arithmetic and,
-    rounding being monotone, each exact sum is at most its objective.  A
-    zero interior term leaves such a sum of nonnegative terms unchanged, so
-    only the interior terms with a jump are formed.
+    exact integral of ``|x + const|``.  One
+    :func:`sdrelax.fields.abs_affine_integral` call gives ``E`` for the
+    affine pieces of all axes (segments in 2D, rectangles in 3D; step
+    problems have none).  Both are summed in sequence, interior terms in
+    chain order, then unary terms in table order, so that neither depends
+    on the order of the solver's internal arithmetic and, rounding being
+    monotone, each exact sum is at most its objective.  A zero interior
+    term leaves such a sum of nonnegative terms unchanged, so only the
+    interior terms with a jump are formed.
     """
     nchains = len(x)
     row, col = np.nonzero(x[:, 1:] != x[:, :-1])
@@ -569,16 +570,11 @@ def _chain_objective(x: np.ndarray, table: ChainTable):
     at = x[table.chain, table.pos] + table.const
     terms = table.weight * np.abs(at)
     exact = terms.copy()
-    if len(table.affine):  # one exact kernel call over the affine pieces of all axes
-        f = at[table.affine]
-        if f.shape[1] == 2:
-            full = abs_affine_segment_exact(f[:, 0], f[:, 1], table.measure)
-        else:
-            full = abs_affine_rectangle_exact(f, table.measure)
-        share = terms[table.affine]
-        total = share.sum(axis=1)
-        ratio = np.divide(full, total, out=np.zeros_like(full), where=total > 0)
-        exact[table.affine] = share * np.minimum(ratio, 1.0)[:, None]
+    full = abs_affine_integral(at[table.affine], table.measure)
+    share = terms[table.affine]
+    total = share.sum(axis=1)
+    ratio = np.divide(full, total, out=np.zeros_like(full), where=total > 0)
+    exact[table.affine] = share * np.minimum(ratio, 1.0)[:, None]
     unary = np.flatnonzero(~table.side)
     chain = np.concatenate((row, table.chain[unary]))
     order = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
@@ -756,7 +752,7 @@ class RefineRow:
 
 def refine_study(problem: CellProblem, n_list) -> list[RefineRow]:
     """Solve the same problem over a nested refinement ladder."""
-    n_list = [int(n) for n in n_list]
+    n_list = [positive_int(n, ProblemError, "refinement") for n in n_list]
     if not n_list:
         raise ProblemError("n_list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -823,8 +819,7 @@ def problem_from_json(text: str) -> CellProblem:
     n = payload["n"]
     if isinstance(n, float) and n.is_integer():
         n = int(n)  # JSON 4.0 means 4
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InputError(f"problem file 'n' must be a positive integer, got {payload['n']!r}")
+    n = positive_int(n, InputError, "problem file 'n'")
     try:  # CellProblem converts and checks each data slot
         return CellProblem(
             kind=kind,

@@ -236,6 +236,31 @@ def test_sequence_params_validation():
     assert SequenceKind("GAMMA1_SPLIT") is SequenceKind.GAMMA1_SPLIT
 
 
+@pytest.mark.parametrize("n", [True, np.True_, 2.0, 2.7, float("nan"), "4", 0])
+def test_sequence_params_reject_a_scale_index_that_is_not_a_positive_integer(n):
+    # True == 1, but a bool is not a scale index
+    with pytest.raises(ProblemError) as exc:
+        gamma_params([1, 0, 0], [1, 0], n)
+    assert str(exc.value) == f"scale index must be a positive integer, got {n!r}"
+
+
+@pytest.mark.parametrize(
+    "n_list, bad", [([2.7, 4], 2.7), ([float("nan")], float("nan")), (["4", "8"], "4"), ([True, 2], True)]
+)
+def test_decay_table_rejects_entries_that_are_not_positive_integers(n_list, bad):
+    # every entry is checked, none truncated: 2.7 is not 2
+    with pytest.raises(ProblemError) as exc:
+        decay_table(gamma_params([1, 0, 0], [1, 0], 2), PSI1, n_list)
+    assert str(exc.value) == f"scale index must be a positive integer, got {bad!r}"
+
+
+def test_decay_table_accepts_numpy_integers():
+    params = gamma_params([1, 2, 0], [0.6, 0.8], 2)
+    rows = decay_table(params, NORMAL, np.array([2, 4]))
+    assert [r.n for r in rows] == [2, 4] and all(type(r.n) is int for r in rows)
+    assert repr(rows) == repr(decay_table(params, NORMAL, [2, 4]))  # slope_so_far may be nan
+
+
 def test_frame_params_reject_non_finite_data():
     M = np.zeros((3, 2))
     M[1, 0] = np.nan

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdrelax.densities import DensityPair, interfacial_normal_pair, psi1_pair
-from sdrelax.energy import surface_energy
-from sdrelax.fields import AffineDatum, SbvField
+from sdrelax.energy import padded_normal, surface_energy
+from sdrelax.fields import AffineDatum, SbvField, boundary_pieces
 from sdrelax.meshes import Mesh, build_mesh
-from strategies import interior_tables
+from strategies import interior_tables, scaled_values, unit_vectors
 
 E1 = np.array([1.0, 0.0])
 
@@ -24,6 +26,21 @@ def test_overestimate_dominates_exact():
         exact = surface_energy(fld, pair, datum=datum)
         over = surface_energy(fld, pair, datum=datum, overestimate=True)
         assert over >= exact - 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), A=scaled_values((3, 2)), D=scaled_values((3, 2)), eta=unit_vectors(2))
+def test_overestimate_on_segments_is_the_trapezoid_rule_bit_for_bit(n, A, D, eta):
+    # one gradient and one offset leave no interior jump; every boundary
+    # segment then pays the corner mean, 0.5 (|f0| + |f1|) h, in edge order
+    mesh = build_mesh(2, n, eta)
+    field, datum = SbvField.affine(mesh, A), AffineDatum(D)
+    pieces = boundary_pieces(mesh, datum)
+    mismatch = pieces.field_values(field) - pieces.datum
+    f = (mismatch @ padded_normal(pieces.normal)[:, :, None])[..., 0]
+    trapezoid = 0.5 * (np.abs(f[:, 0]) + np.abs(f[:, 1])) * pieces.measure
+    want = np.cumsum(np.concatenate(([0.0], trapezoid)))[-1]
+    assert surface_energy(field, interfacial_normal_pair(), datum, overestimate=True) == want
 
 
 def test_exact_matches_dense_quadrature_normal_form():

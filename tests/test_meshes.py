@@ -102,6 +102,19 @@ def test_rejects_bad_input():
         Mesh([np.array([0.0, 1.0]), np.array([1.0, 0.5])])
 
 
+@pytest.mark.parametrize("n", [True, np.True_, 2.0, 2.5, float("nan"), "2", None])
+def test_build_mesh_rejects_a_refinement_that_is_not_an_integer(n):
+    # True == 1, but a bool is not a refinement
+    with pytest.raises(MeshError) as exc:
+        build_mesh(2, n, E1)
+    assert str(exc.value) == f"refinement must be a positive integer, got {n!r}"
+
+
+def test_build_mesh_keeps_numpy_integer_refinements():
+    mesh = build_mesh(2, np.int64(3), E1)
+    assert mesh.ncells == 9 and type(mesh.n) is int
+
+
 def test_custom_breaks_total_measure():
     mesh = Mesh([np.array([-0.5, -0.1, 0.5]), np.array([-0.5, 0.25, 0.5])])
     assert mesh.total_measure == pytest.approx(1.0, abs=1e-12)

@@ -637,6 +637,24 @@ def test_problem_rejects_a_refinement_that_is_not_an_integer(n):
 
 
 @pytest.mark.parametrize(
+    "n_list, bad",
+    [([4.9, 8], 4.9), ([2.0, 4], 2.0), ([float("nan")], float("nan")), (["4", "8"], "4"), ([True, 2], True)],
+)
+def test_refine_study_rejects_entries_that_are_not_positive_integers(n_list, bad):
+    # every entry is checked, none truncated: 4.9 is not 4
+    p = CellProblem(kind=Kind.H_3D2D, n=2, **VALID_DATA[Kind.H_3D2D])
+    with pytest.raises(ProblemError) as exc:
+        refine_study(p, n_list)
+    assert str(exc.value) == f"refinement must be a positive integer, got {bad!r}"
+
+
+def test_problem_keeps_a_numpy_integer_refinement_as_an_int():
+    p = CellProblem(kind=Kind.H_3D2D, n=np.int64(4), **VALID_DATA[Kind.H_3D2D])
+    assert p.n == 4 and type(p.n) is int
+    assert [r.n for r in refine_study(p, np.array([1, 2]))] == [1, 2]
+
+
+@pytest.mark.parametrize(
     "lam", ["abc", "1.5", [1j, 0, 0], np.array([1j, 0, 0]), [1, [0], 0], {"a": 1}],
     ids=["string", "numeric-string", "complex-list", "complex-array", "ragged", "dict"],
 )
@@ -848,3 +866,71 @@ def test_value_exact_never_exceeds_value_on_the_rounding_probe(n):
         B = rng.uniform(-5, 5, (3, 2))
         r = solve(CellProblem(kind=Kind.W_3D2DSD, n=n, A=A, B=B))
         assert r.value_exact <= r.value
+
+
+# ---------------------------------------------------------------------------
+# 1-homogeneity over the whole data range
+# ---------------------------------------------------------------------------
+
+def _scaled_solve(kind, n, seed, scale):
+    problem = _random_problem(kind, n, np.random.default_rng(seed), scale)
+    result = solve(problem)
+    gap = None
+    if KINDS[kind].pin is None and not KINDS[kind].psi1:  # the trace gap of the step kinds
+        gap = boundary_trace_gap(result.minimizer, _datum_for(problem, result.minimizer.mesh))
+    return result, gap
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(list(Kind)), data=st.data(), k=st.integers(-40, 40), seed=st.integers(0, 2**32 - 1))
+def test_solve_is_1_homogeneous_bit_for_bit_under_power_of_two_scaling(kind, data, k, seed):
+    # scaling by 2^k is exact, so value, value_exact, the offsets and the
+    # step kinds' trace gap must scale exactly; the psi1 kinds' staggered
+    # offsets add 1.0 by design, so only their value scales (in both tests)
+    n = data.draw(st.integers(1, 4 if KINDS[kind].dim == 3 else 16), label="n")
+    s = 2.0**k
+    (base, base_gap), (scaled, gap) = (_scaled_solve(kind, n, seed, x) for x in (1.0, s))
+    assert scaled.value == s * base.value
+    if KINDS[kind].psi1:
+        return
+    assert scaled.value_exact == s * base.value_exact
+    assert scaled.minimizer.offsets.tolist() == (s * base.minimizer.offsets).tolist()
+    if gap is not None:
+        assert gap == s * base_gap
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(list(Kind)),
+    data=st.data(),
+    scale=st.sampled_from((1e-9, 1e12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_is_1_homogeneous_at_the_ends_of_the_data_range(kind, data, scale, seed):
+    # values to 1e-12 relative.  The trace gap is checked on even meshes,
+    # where it is zero up to rounding, to 1e-12 of the data scale; on odd
+    # ones rounding may pick another of several exactly tied minimizers,
+    # whose gaps differ
+    n = data.draw(st.integers(1, 4 if KINDS[kind].dim == 3 else 16), label="n")
+    (base, base_gap), (scaled, gap) = (_scaled_solve(kind, n, seed, s) for s in (1.0, scale))
+    for got, want in ((scaled.value, base.value), (scaled.value_exact, base.value_exact)):
+        assert abs(got - scale * want) <= 1e-12 * abs(scale * want)
+    if gap is not None and n % 2 == 0:
+        assert abs(gap - scale * base_gap) <= 1e-12 * scale * (1.0 + base_gap)
+
+
+def test_solve_ladder_stages_name_solver_functions():
+    # the ladder times a stage by wrapping sdrelax.solver functions by name;
+    # a renamed function would otherwise turn its stage into null silently
+    import importlib.util
+    import pathlib
+
+    import sdrelax.solver as solver
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "solve_ladder.py"
+    spec = importlib.util.spec_from_file_location("solve_ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    assert ladder.STAGES
+    missing = [name for names in ladder.STAGES.values() for name in names if not hasattr(solver, name)]
+    assert missing == []

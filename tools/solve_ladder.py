@@ -10,10 +10,9 @@ trees alternate within each repeat, and the tree that goes first alternates
 between repeats.  The child times the stages by wrapping the functions that
 ``solve`` looks up in ``sdrelax.solver`` (``STAGES``): mesh (``_mesh_for``),
 boundary piece table (``boundary_pieces``), term assembly (the chain table
-of all axes, ``_chain_table``; per axis, ``_assemble_axis_terms``, in
-trees before it), the chain program outside the DP (``_solve_chains``:
-kept cells and candidates; per axis, ``_solve_axis``), the min-plus DP
-itself (``_chain_dp``), the objective pass at the minimizer
+of all axes, ``_chain_table``), the chain program outside the DP
+(``_solve_chains``: kept cells and candidates), the min-plus DP itself
+(``_chain_dp``), the objective pass at the minimizer
 (``_chain_objective``: ``value`` and, in trees that score ``value_exact``
 there, the exact energy) and the generic re-evaluation (``surface_energy``,
 which trees that score ``value_exact`` in the objective pass call only for
@@ -53,8 +52,8 @@ REPEAT = 5
 STAGES = {
     "mesh_s": ("_mesh_for",),
     "pieces_s": ("boundary_pieces",),
-    "assembly_s": ("_assemble_axis_terms", "_chain_table"),
-    "chains_s": ("_solve_axis", "_solve_chains"),
+    "assembly_s": ("_chain_table",),
+    "chains_s": ("_solve_chains",),
     "chain_dp_s": ("_chain_dp",),
     "objective_s": ("_chain_objective",),
     "reevaluate_s": ("surface_energy",),
