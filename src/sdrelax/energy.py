@@ -22,10 +22,11 @@ edges with equal gradients on both sides carry exactly constant jumps, the
 others their jumps at the edge corners.  The interior pass runs axis by
 axis: an axis' edges, and its rows of the sorted affine list, are one slice
 each and share the axis' normal, a broadcast view rather than one copy per
-edge.  Boundary mismatches come from the boundary piece table
-(:func:`sdrelax.fields.boundary_pieces`), which :func:`surface_energy`
-builds from the datum.  The closed forms run over all pieces of a pass at
-once through the one exact ``|affine|`` integral,
+edge; an edge's measure is read from its chain's face measure, so no
+per-edge measure array is formed.  Boundary mismatches come from the
+boundary piece table (:func:`sdrelax.fields.boundary_pieces`), which
+:func:`surface_energy` builds from the datum.  The closed forms run over
+all pieces of a pass at once through the one exact ``|affine|`` integral,
 :func:`sdrelax.fields.abs_affine_integral`, which needs only each piece's
 corner values and measure; only custom densities are evaluated piece by
 piece.  Pieces are summed in sequence, in mesh order.
@@ -132,14 +133,17 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
     mesh, table = field.mesh, field.jump_table
     form, func = _surface_form(density), _surface_callable(density)
     dirs3 = padded_normal(mesh.frame.T)  # row a: padded world normal of axis a
-    measure = mesh.int_measure()
-    interior = np.zeros(len(measure))
+    interior = np.zeros(len(table.offset))
     # one pass per axis: edges come axis by axis and ``affine`` is sorted, so
     # an axis' rows are one slice of each and share one normal, a broadcast view
     constant = np.any(table.offset != 0.0, axis=1)
     constant[table.affine] = False
     starts = np.cumsum((0,) + mesh.int_counts)  # first edge of each axis
     cuts = np.searchsorted(table.affine, starts)  # first affine row of each axis
+    # an edge's measure is its chain's face measure, which the chain's
+    # boundary edges carry: one per chain, axis by axis
+    faces = mesh.bnd_measure[::2]
+    first_chain = np.cumsum([0] + [mesh.ncells // m for m in mesh.shape])
     for a in range(mesh.dim):
         on = np.flatnonzero(constant[starts[a] : starts[a + 1]]) + starts[a]
         part = slice(cuts[a], cuts[a + 1])
@@ -147,7 +151,8 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
         groups += _jump_rows(table.affine[part], table.values[part])
         for edges, values in groups:
             normal3 = np.broadcast_to(dirs3[a], (len(edges), 3))
-            interior[edges] = _integrals(values, normal3, measure[edges], form, func, overestimate)
+            h = faces[first_chain[a] + (edges - starts[a]) // (mesh.shape[a] - 1)]
+            interior[edges] = _integrals(values, normal3, h, form, func, overestimate)
     terms = [np.zeros(1), interior]
     if pieces is not None:
         terms.append(np.zeros(len(pieces.edge)))

@@ -219,47 +219,62 @@ class BoundaryPieces:
 
 
 def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
-    """Boundary piece table of ``mesh`` against ``datum``.
+    """Boundary piece table of ``mesh`` against ``datum``; every array of it
+    is read-only.
+
+    Where no edge is split (every affine datum, and a step datum on a mesh
+    whose breakpoints include its discontinuity), the pieces are the mesh's
+    boundary edges: ``cell``, ``axis``, ``measure`` and ``corners`` are the
+    mesh's own ``bnd_*`` arrays, and only the world points, normals and
+    datum values are computed.  The halves of a split edge take its corners
+    clipped at ``xi[0] == 0`` and, as measure, the product of their extents
+    along the free axes (an unsplit edge's ``bnd_measure`` is that product
+    too, bit for bit).
 
     Step data are constant on each piece, but their pointwise rule
     misassigns the measure-zero corners lying on the discontinuity, so they
     are evaluated at the piece centroid.
     """
-    edge = np.arange(len(mesh.bnd_axis))
-    corners = mesh.bnd_corners
+    rows = slice(None)  # the piece's boundary edge, as an index of the bnd_* arrays
+    corners, measure = mesh.bnd_corners, mesh.bnd_measure
     step = isinstance(datum, StepDatum)
     if step:
         datum.check_mesh(mesh)
         xi0 = corners[:, :, 0]
         split = (mesh.bnd_axis != 0) & (xi0.min(axis=1) < 0.0) & (0.0 < xi0.max(axis=1))
-        edge = np.repeat(edge, np.where(split, 2, 1))
-        corners = corners[edge]
-        upper = np.zeros(len(edge), dtype=bool)
-        upper[1:] = edge[1:] == edge[:-1]
-        lower = split[edge] & ~upper
-        # the halves clip xi[0] of the edge's corners to either side of 0
-        corners[lower, :, 0] = np.minimum(corners[lower, :, 0], 0.0)
-        corners[upper, :, 0] = np.maximum(corners[upper, :, 0], 0.0)
-    axis = mesh.bnd_axis[edge]
-    # measure: product of the extents along the free axes
-    spread = corners.max(axis=1) - corners.min(axis=1)
-    spread[np.arange(len(axis)), axis] = 1.0
+        if split.any():
+            rows = np.repeat(np.arange(len(split)), np.where(split, 2, 1))
+            corners, measure = corners[rows], measure[rows]
+            upper = np.zeros(len(rows), dtype=bool)
+            upper[1:] = rows[1:] == rows[:-1]
+            lower = split[rows] & ~upper
+            # the halves clip xi[0] of the edge's corners to either side of 0
+            corners[lower, :, 0] = np.minimum(corners[lower, :, 0], 0.0)
+            corners[upper, :, 0] = np.maximum(corners[upper, :, 0], 0.0)
+            halves = lower | upper
+            spread = corners[halves].max(axis=1) - corners[halves].min(axis=1)
+            spread[np.arange(len(spread)), mesh.bnd_axis[rows][halves]] = 1.0
+            measure[halves] = np.prod(spread, axis=1)
+    axis = mesh.bnd_axis[rows]
     points = corners @ mesh.frame.T
     if step:
         values = datum.values(points.mean(axis=1))[:, None, :]
         values = np.broadcast_to(values, points.shape[:2] + (3,))
     else:
         values = datum.values(points)
-    return BoundaryPieces(
-        edge=edge,
-        cell=mesh.bnd_cell[edge],
+    pieces = BoundaryPieces(
+        edge=np.arange(len(mesh.bnd_axis))[rows],
+        cell=mesh.bnd_cell[rows],
         axis=axis,
-        normal=mesh.bnd_normals()[edge],
-        measure=np.prod(spread, axis=1),
+        normal=mesh.bnd_normals()[rows],
+        measure=measure,
         corners=corners,
         points=points,
         datum=values,
     )
+    for value in vars(pieces).values():
+        value.flags.writeable = False
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +406,8 @@ def boundary_trace_gap(field: SbvField, datum) -> float:
     rule, evaluated for all such faces at once (constant mismatches, the only
     case asserted exactly by the solver contracts, are integrated exactly).
     A face is constant only if its corner mismatches are equal, so the rule
-    chosen does not depend on the data scale.
+    chosen does not depend on the data scale.  Where every face is constant
+    (a step problem's minimizer has zero gradient) the Gauss rule never runs.
     """
     mesh = field.mesh
     pieces = boundary_pieces(mesh, datum)
@@ -401,14 +417,16 @@ def boundary_trace_gap(field: SbvField, datum) -> float:
     else:
         first = mism[:, 0]
         terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
-        affine = np.any(mism != mism[:, :1], axis=(1, 2))
-        terms[affine] = pieces.measure[affine] * _face_norm_means(mism[affine])
+        affine = np.flatnonzero(np.any(mism != mism[:, :1], axis=(1, 2)))
+        if len(affine):
+            terms[affine] = pieces.measure[affine] * _face_norm_means(mism[affine])
     return float(np.cumsum(terms)[-1])
 
 
 def _face_norm_means(mism) -> np.ndarray:
     """Gauss means of ``||m||``, ``m = m0 + s (m1 - m0) + t (m3 - m0)``, from the
-    corners (F, 4, 3); one pass per ``t`` node keeps temporaries (F, 16, 3)."""
+    corners (F, 4, 3), F > 0; one pass per ``t`` node keeps temporaries
+    (F, 16, 3)."""
     m0 = mism[:, 0]
     ds, dt = mism[:, 1] - m0, mism[:, 3] - m0
     line = m0[:, None, :] + GAUSS_NODES[None, :, None] * ds[:, None, :]

@@ -70,7 +70,9 @@ def frame_from_orientation(orientation: np.ndarray) -> np.ndarray:
         e[k] = 1.0
         c1 = e - (e @ v) * v
         c1 /= np.linalg.norm(c1)
-        c2 = np.cross(v, c1)
+        # v x c1, each component formed as np.cross forms it
+        (a0, a1, a2), (b0, b1, b2) = v.tolist(), c1.tolist()
+        c2 = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
         return np.column_stack([v, c1, c2])
     raise MeshError(f"orientation must have 2 or 3 components, got shape {v.shape}")
 

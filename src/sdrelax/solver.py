@@ -391,36 +391,40 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
     is constant along another axis direction ``b`` also emits an energy-free
     term for axis ``b``; these enter only the tie-break, steering the
     returned minimizer to attain the boundary datum wherever the optimal face
-    allows it.  Terms come axis by axis, in boundary-piece order.
+    allows it.  Terms come axis by axis, in boundary-piece order, corner by
+    corner.
+
+    Only the mismatch along each axis' direction is formed per axis (one
+    matrix-vector product of the pieces that emit for it); the terms of all
+    axes are then derived in one pass over the stacked ``(axis, piece)``
+    rows.
     """
     dim, n = mesh.dim, mesh.shape[0]
     nchains = mesh.ncells // n
     dirs3 = padded_normal(mesh.frame.T)  # row b = padded world direction of axis b
     gall = pieces.points @ pin.T - pieces.datum
-    columns, affine, before = [], [], 0
-    for b in range(dim):
-        on = slice(None) if side_terms else pieces.axis == b  # the pieces that emit for axis b
-        vals = gall[on] @ dirs3[b]
-        const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
-        own = pieces.axis[on] == b
-        share = own & ~const  # affine: a trapezoid share per corner, else one term at corner 0
-        emit = share[:, None] | (np.arange(vals.shape[1]) == 0) & (own | const)[:, None]
-        weight = np.where(share, pieces.measure[on] / vals.shape[1], pieces.measure[on])
-        count = emit.sum(axis=1)  # terms of each piece, in row-major order
-        cell = np.repeat(pieces.cell[on], count)
-        # cell -> (row, position) in the chains along axis b (meshes._chains)
-        stride = n ** (dim - 1 - b)
-        chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
-        columns.append((chain, pos, np.repeat(weight, count), vals[emit], np.repeat(~own, count)))
-        # each affine piece's row in the piece table and index of its first term
-        first = before + np.cumsum(count) - count
-        affine.append((np.arange(len(pieces.cell))[on][share], first[share]))
-        before += len(cell)
-    rows, first = (np.concatenate(c) for c in zip(*affine))
+    on = [slice(None) if side_terms else pieces.axis == b for b in range(dim)]  # emitting pieces
+    vals = np.concatenate([gall[rows] @ dirs3[b] for b, rows in enumerate(on)])
+    src = [np.arange(len(pieces.cell))[rows] for rows in on]  # each row's piece
+    axis = np.repeat(np.arange(dim), [len(s) for s in src])  # and the axis it emits for
+    src = np.concatenate(src)
+    ncorners = vals.shape[1]
+    const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
+    own = pieces.axis[src] == axis
+    share = own & ~const  # affine: a trapezoid share per corner, else one term at corner 0
+    emit = share[:, None] | (np.arange(ncorners) == 0) & (own | const)[:, None]
+    weight = np.where(share, pieces.measure[src] / ncorners, pieces.measure[src])
+    count = emit.sum(axis=1)  # terms of each row, in row-major order
+    cell, b = np.repeat(pieces.cell[src], count), np.repeat(axis, count)
+    # cell -> (row, position) in the chains along axis b (meshes._chains)
+    stride = n ** (dim - 1 - b)
+    chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
+    first = np.cumsum(count) - count  # each row's first term
     return ChainTable(
-        mesh.bnd_measure[::2], n, *(np.concatenate(c) for c in zip(*columns)),
-        affine=first[:, None] + np.arange(pieces.corners.shape[1]),
-        measure=pieces.measure[rows],
+        mesh.bnd_measure[::2], n, chain, pos, np.repeat(weight, count), vals[emit],
+        np.repeat(~own, count),
+        affine=first[share][:, None] + np.arange(ncorners),
+        measure=pieces.measure[src[share]],
     )
 
 
@@ -470,31 +474,44 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
     ``cand``, ``h`` and ``tol``.  Min-plus recursion ``f_j(v) = unary_j(v) +
     min_u f_{j-1}(u) + h |v - u|`` with backtracking, each step on a prefix
     of the chains: a chain that has ended keeps its last ``f``.
+
+    Each step adds ``f`` to the step cost ``h |cand v - cand u|`` in one
+    ``(nchains, k, k)`` buffer.  The step cost is built once, in that buffer
+    before step 1; only the rows of the chains that take more than one step
+    are kept aside for steps 2 onward, so a solve holds one full table.
     """
     nchains, k = cand.shape
-    start = np.concatenate(([0], np.cumsum(active)))
+    active = np.asarray(active).tolist()  # step bounds as Python ints
+    start = np.cumsum([0] + active).tolist()
     f = unary[:nchains].copy()
     g = None if secondary is None else secondary[:nchains].copy()
     back = np.empty(unary.shape, dtype=np.min_scalar_type(k))  # rows of step 0 unused
     chains, cols = np.arange(nchains)[:, None], np.arange(k)
+    # step j reads the first active[j] rows of each of these views
+    f3, g3, tol3 = f[:, :, None], None if g is None else g[:, :, None], tol[:, None, None]
+    buffer = np.subtract(cand[:, None, :], cand[:, :, None])  # [c, u, v]: cand v - cand u
+    np.abs(buffer, out=buffer)
+    buffer *= h[:, None, None]
+    cost = buffer[: active[2] if len(active) > 2 else 0].copy()
     for j in range(1, len(active)):
-        a, rows = active[j], slice(start[j], start[j + 1])
-        # trans[c, u, v] = f[c, u] + h |cand v - cand u|, built in place
-        trans = np.abs(cand[:a, None, :] - cand[:a, :, None])
-        trans *= h[:a, None, None]
-        trans += f[:a, :, None]
-        arg = _lex_argmin(trans, g if g is None else g[:a, :, None], tol[:a, None, None])
-        back[rows] = arg
+        a, lo, hi = active[j], start[j], start[j + 1]
+        # trans[c, u, v] = f[c, u] + h |cand v - cand u|
+        trans = buffer[:a]
+        if j > 1:
+            trans[...] = cost[:a]
+        trans += f3[:a]
+        arg = _lex_argmin(trans, None if g is None else g3[:a], tol3[:a])
+        back[lo:hi] = arg
         # [chain, arg, cols] picks trans[c, arg[c, v], v]
-        f[:a] = trans[chains[:a], arg, cols] + unary[rows]
+        f[:a] = trans[chains[:a], arg, cols] + unary[lo:hi]
         if g is not None:
-            g[:a] = g[chains[:a], arg] + secondary[rows]
+            g[:a] = g[chains[:a], arg] + secondary[lo:hi]
     idx = np.empty(len(unary), dtype=np.intp)
     last = _lex_argmin(f, g, tol[:, None])
     for j in range(len(active) - 1, 0, -1):
-        a, rows = active[j], slice(start[j], start[j + 1])
-        idx[rows] = last[:a]
-        last[:a] = back[rows][chains[:a, 0], last[:a]]
+        a, lo, hi = active[j], start[j], start[j + 1]
+        idx[lo:hi] = last[:a]
+        last[:a] = back[lo:hi][chains[:a, 0], last[:a]]
     idx[:nchains] = last
     return idx
 
@@ -509,7 +526,9 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     exact too.  The DP runs once, over the kept cells of all chains (those
     with unary terms, and both ends), longest first (``_chain_dp``); each run
     of cells between two kept cells takes the first one's value up to its
-    last edge.
+    last edge.  The DP's unary (and secondary) table sums each kept cell's
+    terms at every candidate with one ``np.bincount`` per candidate column,
+    which adds in term order from 0.
     """
     h, n = table.h, table.n
     nchains = len(h)
@@ -534,13 +553,16 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     ts = slot[tc]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
     cand = _candidates(ts, 0.0 - const, nchains)
-    cost = weight[:, None] * np.abs(cand[ts] + const[:, None])
-    unary = np.zeros((len(keep), cand.shape[1]))
+    cost = np.abs(cand[ts].T + const) * weight  # [candidate, term]
+
+    def summed(rows, cost):
+        """Per-row sums of ``cost``'s terms, added in term order from 0."""
+        return np.column_stack([np.bincount(rows, c, len(keep)) for c in cost])
+
+    unary = summed(trow[primary], cost[:, primary])
     secondary, tol = None, np.zeros(nchains)
-    np.add.at(unary, trow[primary], cost[primary])
     if tie_break:
-        secondary = np.zeros_like(unary)
-        np.add.at(secondary, trow, cost)
+        secondary = summed(trow, cost)
         total_weight = h * (n - 1) + np.bincount(tc[primary], weight[primary], nchains)
         tol = TIE_RTOL * total_weight[order] * np.abs(cand).max(axis=1)
     idx = _chain_dp(active, cand, h[order], unary, secondary, tol)
@@ -695,15 +717,19 @@ def solve(problem: CellProblem) -> SolveResult:
 
 def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces):
     """(surface objective, its exact energy, offsets) of the chain program
-    of all axes."""
+    of all axes.  The piece and chain tables are released once the program
+    is solved and scored, so the offsets' full-grid temporaries do not stack
+    on them at a solve's peak memory."""
     tie_break = KINDS[problem.kind].pin is None
     dim, n = mesh.dim, mesh.shape[0]
     table = _chain_table(mesh, pin, pieces, tie_break)
+    del pieces
     x = _solve_chains(table, tie_break)
     # summed axis by axis, chain by chain
     surf_value, surf_exact = (
         np.cumsum(np.cumsum(v.reshape(dim, -1), axis=1)[:, -1])[-1] for v in _chain_objective(x, table)
     )
+    del table
     offsets = np.zeros((mesh.ncells, 3))
     grid = offsets.reshape((n,) * dim + (3,))
     dirs3 = padded_normal(mesh.frame.T)

@@ -522,6 +522,63 @@ def test_boundary_pieces_of_affine_datum_are_the_boundary_edges():
     assert np.allclose(pieces.datum, pieces.points @ A.T, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim, n", [(2, 4), (2, 5), (3, 2), (3, 3)])
+def test_piece_arrays_are_read_only_and_unsplit_pieces_are_the_mesh_arrays(dim, n):
+    nu = np.array([0.6, 0.8, 0.0][:dim]) / np.linalg.norm([0.6, 0.8, 0.0][:dim])
+    mesh = build_mesh(dim, n, nu)
+    step = StepDatum(np.array([1.0, -2.0, 0.5]), nu)
+    for datum, split in ((AffineDatum(RNG.uniform(-2, 2, (3, dim))), False), (step, n % 2 == 1)):
+        pieces = boundary_pieces(mesh, datum)
+        for name, value in vars(pieces).items():
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError):
+                value[...] = 0
+        own = {"cell": mesh.bnd_cell, "axis": mesh.bnd_axis, "measure": mesh.bnd_measure,
+               "corners": mesh.bnd_corners}
+        for name, array in own.items():
+            assert np.shares_memory(getattr(pieces, name), array) is not split, name
+        assert (len(pieces.edge) > len(mesh.bnd_axis)) is split
+
+
+def test_split_measure_rule_gives_unsplit_edges_their_mesh_measure():
+    # a split half's measure is the product of its extents along the free
+    # axes; on every unsplit edge that rule is the mesh's bnd_measure bit for bit
+    def rule(mesh):
+        corners = mesh.bnd_corners
+        spread = corners.max(axis=1) - corners.min(axis=1)
+        spread[np.arange(len(spread)), mesh.bnd_axis] = 1.0
+        return np.prod(spread, axis=1)
+
+    meshes = [build_mesh(2, n, E1) for n in range(1, 70)]
+    meshes += [build_mesh(3, n, np.array([1.0, 0.0, 0.0])) for n in range(1, 30)]
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        dim = int(rng.integers(2, 4))
+        meshes.append(Mesh([np.sort(rng.uniform(-2, 2, rng.integers(2, 8))) for _ in range(dim)]))
+    for mesh in meshes:
+        assert rule(mesh).tobytes() == mesh.bnd_measure.tobytes()
+
+
+def test_zero_gradient_3d_trace_gap_runs_no_quadrature(monkeypatch):
+    # a step minimizer has zero gradient, so each face's mismatch is constant
+    def never(mism):
+        raise AssertionError("the Gauss rule ran")
+
+    monkeypatch.setattr(fields, "_face_norm_means", never)
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 6):
+        nu = rng.normal(size=3)
+        nu /= np.linalg.norm(nu)
+        lam = rng.uniform(-5, 5, 3)
+        mesh = build_mesh(3, n, nu)
+        fld = SbvField(mesh, np.zeros((mesh.ncells, 3, 3)), rng.uniform(-5, 5, (mesh.ncells, 3)))
+        datum = StepDatum(lam, nu)
+        pieces = boundary_pieces(mesh, datum)
+        first = (pieces.field_values(fld) - pieces.datum)[:, 0]
+        constant_faces = np.sqrt(np.vecdot(first, first)) * pieces.measure
+        assert boundary_trace_gap(fld, datum) == float(np.cumsum(constant_faces)[-1])
+
+
 def test_step_datum_orientation_mismatch_raises():
     mesh = build_mesh(2, 2, E1)
     fld = SbvField.affine(mesh, np.zeros((3, 2)))

@@ -41,6 +41,14 @@ def test_rotated_mesh_normals_match_rotated_axis_normals():
     assert up_to_sign == {(d, d)}
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(v=unit_vectors(3))
+def test_3d_frame_completion_is_np_cross_bit_for_bit(v):
+    frame = frame_from_orientation(v)
+    assert frame[:, 0].tobytes() == np.asarray(v, dtype=float).tobytes()
+    assert frame[:, 2].tobytes() == np.cross(frame[:, 0], frame[:, 1]).tobytes()
+
+
 def test_interior_edges_reference_two_distinct_cells():
     mesh = build_mesh(2, 3, DIAG)
     _, minus, plus = mesh.int_edges(np.arange(len(mesh.int_axis)))

@@ -9,8 +9,12 @@ the objective at arbitrary (non-optimal) feasible fields and verifies it
 never falls below the closed form, which is the content of the lower-bound
 flag.  The DP over the kept cells of the chains is checked against the
 same DP run on every cell, and the longest-first ragged DP against the
-padded DP it replaced (``padded_chain_dp``), kept here as a reference.
+padded DP it replaced (``padded_chain_dp``), kept here as a reference; the
+chain table of all axes is checked bit for bit against the axis-by-axis
+assembly it replaced (``per_axis_chain_table``).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from scipy.optimize import linprog
 
 import sdrelax.solver
 from sdrelax.densities import h_3d2d, interfacial_normal_pair, w_3d2dsd
-from sdrelax.energy import surface_energy
+from sdrelax.energy import padded_normal, surface_energy
 from sdrelax.fields import SbvField, StepDatum, AffineDatum, boundary_pieces
 from sdrelax.meshes import build_mesh
 from sdrelax.solver import (
@@ -150,6 +154,68 @@ def test_every_lp_kind_matches_monolithic_lp_across_scales(kind, scale):
             r = solve(p)
             ref = monolithic_lp_value(p) + r.bulk_value
             assert r.value == pytest.approx(ref, rel=0, abs=1e-8 * (1 + abs(ref)))
+
+
+# ---------------------------------------------------------------------------
+# the chain table of all axes against its axis-by-axis assembly
+# ---------------------------------------------------------------------------
+
+def per_axis_chain_table(mesh, pin, pieces, side_terms):
+    """The chain table assembled in one pass per axis, each deriving its own
+    terms: the assembly ``_chain_table`` replaced, kept as a reference."""
+    dim, n = mesh.dim, mesh.shape[0]
+    nchains = mesh.ncells // n
+    dirs3 = padded_normal(mesh.frame.T)
+    gall = pieces.points @ pin.T - pieces.datum
+    columns, affine, before = [], [], 0
+    for b in range(dim):
+        on = slice(None) if side_terms else pieces.axis == b
+        vals = gall[on] @ dirs3[b]
+        const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
+        own = pieces.axis[on] == b
+        share = own & ~const
+        emit = share[:, None] | (np.arange(vals.shape[1]) == 0) & (own | const)[:, None]
+        weight = np.where(share, pieces.measure[on] / vals.shape[1], pieces.measure[on])
+        count = emit.sum(axis=1)
+        cell = np.repeat(pieces.cell[on], count)
+        stride = n ** (dim - 1 - b)
+        chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
+        columns.append((chain, pos, np.repeat(weight, count), vals[emit], np.repeat(~own, count)))
+        first = before + np.cumsum(count) - count
+        affine.append((np.arange(len(pieces.cell))[on][share], first[share]))
+        before += len(cell)
+    rows, first = (np.concatenate(c) for c in zip(*affine))
+    return ChainTable(
+        mesh.bnd_measure[::2], n, *(np.concatenate(c) for c in zip(*columns)),
+        affine=first[:, None] + np.arange(pieces.corners.shape[1]),
+        measure=pieces.measure[rows],
+    )
+
+
+def with_b_equal_to_a(problem):
+    """``problem`` with its ``B`` replaced by (the first columns of) ``A``,
+    so that every boundary mismatch is constant; unchanged without ``B``."""
+    if problem.B is None:
+        return problem
+    return replace(problem, B=problem.A[:, : problem.B.shape[1]].copy())
+
+
+@pytest.mark.parametrize("kind", LP_KINDS, ids=lambda k: k.value)
+def test_chain_table_equals_the_per_axis_assembly_bit_for_bit(kind):
+    rng = np.random.default_rng(300 + LP_KINDS.index(kind))
+    side_terms = sdrelax.solver.KINDS[kind].pin is None
+    for n in range(1, 6 if kind is Kind.W_3DSD or kind is Kind.H_3DSD else 10):
+        for scale in (1e-9, 1.0, 1e12):
+            for p in (random_problem(kind, n, rng, scale), with_b_equal_to_a(random_problem(kind, n, rng, scale))):
+                mesh, pin = _mesh_for(p), _pinned_gradient(p)
+                pieces = boundary_pieces(mesh, _datum_for(p, mesh))
+                got = _chain_table(mesh, pin, pieces, side_terms)
+                ref = per_axis_chain_table(mesh, pin, pieces, side_terms)
+                for name, value in vars(ref).items():
+                    other = getattr(got, name)
+                    assert np.shape(other) == np.shape(value), name
+                    assert np.asarray(other).dtype == np.asarray(value).dtype, name
+                    assert np.asarray(other).tobytes() == np.asarray(value).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
