@@ -213,9 +213,13 @@ class BoundaryPieces:
     datum: np.ndarray
 
     def field_values(self, field: SbvField) -> np.ndarray:
-        """Values of ``field`` at the piece corners, ``(P, corners, 3)``."""
-        grads = field.gradients[self.cell].transpose(0, 2, 1)
-        return self.points @ grads + field.offsets[self.cell][:, None, :]
+        """Values of ``field`` at the piece corners, ``(P, corners, 3)``;
+        where the pieces' gradients are all zero, the offsets themselves."""
+        grads = field.gradients[self.cell]
+        offsets = field.offsets[self.cell][:, None, :]
+        if not grads.any():
+            return np.broadcast_to(offsets, self.points.shape[:2] + (3,))
+        return self.points @ grads.transpose(0, 2, 1) + offsets
 
 
 def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
@@ -226,7 +230,9 @@ def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
     whose breakpoints include its discontinuity), the pieces are the mesh's
     boundary edges: ``cell``, ``axis``, ``measure`` and ``corners`` are the
     mesh's own ``bnd_*`` arrays, and only the world points, normals and
-    datum values are computed.  The halves of a split edge take its corners
+    datum values are computed.  Edges are split only if a cell interval of
+    ``axis_breaks[0]`` holds 0 strictly inside; every cell interval carries
+    boundary edges across axis 0.  The halves of a split edge take its corners
     clipped at ``xi[0] == 0`` and, as measure, the product of their extents
     along the free axes (an unsplit edge's ``bnd_measure`` is that product
     too, bit for bit).
@@ -240,9 +246,10 @@ def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
     step = isinstance(datum, StepDatum)
     if step:
         datum.check_mesh(mesh)
-        xi0 = corners[:, :, 0]
-        split = (mesh.bnd_axis != 0) & (xi0.min(axis=1) < 0.0) & (0.0 < xi0.max(axis=1))
-        if split.any():
+        breaks = mesh.axis_breaks[0]
+        if np.any((breaks[:-1] < 0.0) & (0.0 < breaks[1:])):  # some cell straddles xi[0] == 0
+            xi0 = corners[:, :, 0]
+            split = (mesh.bnd_axis != 0) & (xi0.min(axis=1) < 0.0) & (0.0 < xi0.max(axis=1))
             rows = np.repeat(np.arange(len(split)), np.where(split, 2, 1))
             corners, measure = corners[rows], measure[rows]
             upper = np.zeros(len(rows), dtype=bool)

@@ -26,11 +26,16 @@ candidates is therefore exact; it runs once per solve, vectorized across
 the chains of all axes, longest first, so that each step works only on the
 chains still running.  Every interior face of a chain has the same measure
 ``h``, so the DP visits only a chain's kept cells (the cells with a unary
-term, and both ends): a run of unary-free cells between two kept cells is a
-bare total-variation path, which costs ``h |v - u|`` from value ``u`` to
-value ``v``.  The returned minimizer jumps at most once per run, at the
-run's last edge.  Affine problems charge only boundary faces, so their DP
-visits each chain's two ends.
+term, and both ends): a stretch of unary-free cells between two kept cells
+is a bare total-variation path, which costs ``h |v - u|`` from value ``u``
+to value ``v``.  Consecutive kept cells all of whose terms share one
+breakpoint ``p`` take one DP row between them: setting such a run to its
+value closest to ``p`` lowers every one of its terms and, by the triangle
+inequality, not the total variation, so some (lexicographic) minimizer is
+constant on it.  Step problems at even n thus take one DP step.  The
+returned minimizer jumps at most once between two rows, at the last edge
+before the second.  Affine problems charge only boundary faces, so their
+DP visits each chain's two ends.
 Pure jump problems carry a second, energy-free objective through the same
 program (datum mismatches on every boundary face, whose breakpoints join
 the candidates) and compare (primary, secondary) pairs lexicographically,
@@ -466,7 +471,9 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
     unary[r_j, x_j] + h[c] |cand[x_j] - cand[x_{j-1}]|`` over the chain's
     rows ``r_j``; with ``secondary``, lexicographically in (``unary``,
     ``secondary``), primaries within ``tol`` (one per chain) counting as
-    tied.
+    tied.  A row is one run of a chain's kept cells (``_solve_chains``): a
+    run whose terms share one breakpoint is one row however many cells it
+    spans, so the steps follow the runs, not the cells.
 
     Chains are laid out longest first and ragged: position ``j`` of the
     ``active[j]`` chains that reach it is rows ``start[j] ... start[j + 1]``
@@ -516,6 +523,21 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
     return idx
 
 
+def _runs(keep, term_cell, breaks, n):
+    """The runs of kept cells: ``keep`` (flat cell ids, sorted) reduced to
+    each run's first cell, and each term's run in place of its kept cell
+    ``term_cell``.  A kept cell all of whose terms have one breakpoint joins
+    the run of the kept cell before it in its chain if all of that one's
+    terms have the same breakpoint."""
+    lo, hi = np.full(len(keep), np.inf), np.full(len(keep), -np.inf)
+    np.minimum.at(lo, term_cell, breaks)
+    np.maximum.at(hi, term_cell, breaks)
+    single = np.where(lo == hi, lo, np.nan)  # nan: several breakpoints, or none
+    head = np.ones(len(keep), dtype=bool)
+    head[1:] = (keep[1:] // n != keep[:-1] // n) | (single[1:] != single[:-1])
+    return keep[head], (np.cumsum(head) - 1)[term_cell]
+
+
 def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     """Exact minimizer ``x`` ``(nchains, n)`` of a chain program.
 
@@ -523,36 +545,47 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     all its values in its chain's unary breakpoints ``-const``, so the DP
     over those candidates is exact; with ``tie_break`` the candidates
     include the side-term breakpoints, which keeps the lexicographic program
-    exact too.  The DP runs once, over the kept cells of all chains (those
-    with unary terms, and both ends), longest first (``_chain_dp``); each run
-    of cells between two kept cells takes the first one's value up to its
-    last edge.  The DP's unary (and secondary) table sums each kept cell's
-    terms at every candidate with one ``np.bincount`` per candidate column,
-    which adds in term order from 0.
+    exact too.  The DP runs once, over the runs of kept cells of all chains
+    (cells with unary terms, and both ends), longest first (``_chain_dp``).
+    A run is one kept cell, or, where some chain keeps more than its two
+    ends, consecutive kept cells every term of which has one breakpoint
+    ``p``, with the cells between them.  Setting all of a point's values on
+    the run to the one closest to ``p`` lowers each of the run's terms,
+    energy or side, and by the triangle inequality not the total
+    variation, so some lexicographic minimizer is constant on the run.
+    Each run's value spans it and the cells after it up to the next run's
+    first cell.  The DP's unary (and secondary) table sums each run's terms
+    at every candidate with one ``np.bincount`` per candidate column, which
+    adds in term order from 0.
     """
     h, n = table.h, table.n
     nchains = len(h)
     use = ~table.side | tie_break
     tc, tp = table.chain[use], table.pos[use]
     weight, const, primary = table.weight[use], table.const[use], ~table.side[use]
+    # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
+    breaks = 0.0 - const
     kept = np.zeros((nchains, n), dtype=bool)
     kept[:, 0] = kept[:, -1] = True
     kept[tc, tp] = True
     keep = np.flatnonzero(kept)
-    span = np.diff(keep, append=kept.size)  # cells, in flat order, that take each kept value
+    trow = keep.searchsorted(tc * n + tp)  # each term's kept cell, then its run, then its row
+    if len(keep) > 2 * nchains:
+        keep, trow = _runs(keep, trow, breaks, n)
+    span = np.diff(keep, append=kept.size)  # cells, in flat order, that take each run's value
     kc = keep // n
     # longest-first ragged layout: chain c is candidate row slot[c], and its
-    # j-th kept cell is row start[j] + slot[c]
+    # j-th run is row start[j] + slot[c]
     length = np.bincount(kc, minlength=nchains)
     order = np.argsort(-length, kind="stable")
     slot = np.argsort(order, kind="stable")
     active = nchains - np.cumsum(np.bincount(length))[:-1]
     start = np.concatenate(([0], np.cumsum(active)))
     row = start[np.arange(len(keep)) - keep.searchsorted(kc * n)] + slot[kc]
-    trow = row[keep.searchsorted(tc * n + tp)]
+    trow = row[trow]
     ts = slot[tc]
-    # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
-    cand = _candidates(ts, 0.0 - const, nchains)
+    cand = _candidates(ts, breaks, nchains)
+    del breaks
     cost = np.abs(cand[ts].T + const) * weight  # [candidate, term]
 
     def summed(rows, cost):
@@ -578,8 +611,9 @@ def _chain_objective(x: np.ndarray, table: ChainTable):
     ``s_i min(E / T, 1)``, where ``E <= T`` (by convexity) is the piece's
     exact integral of ``|x + const|``.  One
     :func:`sdrelax.fields.abs_affine_integral` call gives ``E`` for the
-    affine pieces of all axes (segments in 2D, rectangles in 3D; step
-    problems have none).  Both are summed in sequence, interior terms in
+    affine pieces of all axes (segments in 2D, rectangles in 3D); a table
+    without them (every step problem) has every term exact, and its one sum
+    is both.  Both are summed in sequence, interior terms in
     chain order, then unary terms in table order, so that neither depends
     on the order of the solver's internal arithmetic and, rounding being
     monotone, each exact sum is at most its objective.  A zero interior
@@ -591,12 +625,6 @@ def _chain_objective(x: np.ndarray, table: ChainTable):
     interior = table.h[row] * np.abs(x[row, col + 1] - x[row, col])
     at = x[table.chain, table.pos] + table.const
     terms = table.weight * np.abs(at)
-    exact = terms.copy()
-    full = abs_affine_integral(at[table.affine], table.measure)
-    share = terms[table.affine]
-    total = share.sum(axis=1)
-    ratio = np.divide(full, total, out=np.zeros_like(full), where=total > 0)
-    exact[table.affine] = share * np.minimum(ratio, 1.0)[:, None]
     unary = np.flatnonzero(~table.side)
     chain = np.concatenate((row, table.chain[unary]))
     order = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
@@ -611,7 +639,16 @@ def _chain_objective(x: np.ndarray, table: ChainTable):
             total += column
         return total
 
-    return in_sequence(terms), in_sequence(exact)
+    value = in_sequence(terms)
+    if not len(table.affine):  # every term is exact
+        return value, value
+    exact = terms.copy()
+    full = abs_affine_integral(at[table.affine], table.measure)
+    share = terms[table.affine]
+    total = share.sum(axis=1)
+    ratio = np.divide(full, total, out=np.zeros_like(full), where=total > 0)
+    exact[table.affine] = share * np.minimum(ratio, 1.0)[:, None]
+    return value, in_sequence(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +769,13 @@ def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces
     del table
     offsets = np.zeros((mesh.ncells, 3))
     grid = offsets.reshape((n,) * dim + (3,))
+    term = np.empty((n,) * dim)  # one buffer for every axis' share of one component
     dirs3 = padded_normal(mesh.frame.T)
     for a, xa in enumerate(np.split(x, dim)):
         # axis a's chains run along grid axis a, rows in C order over the others
-        grid += np.moveaxis(xa.reshape((n,) * dim), -1, a)[..., None] * dirs3[a]
+        xa = np.moveaxis(xa.reshape((n,) * dim), -1, a)
+        for c in range(3):
+            grid[..., c] += np.multiply(xa, dirs3[a, c], out=term)
 
     if tie_break and mesh.dim == 2:
         # the out-of-plane offset component is costless under the normal

@@ -14,7 +14,9 @@ chain table of all axes is checked bit for bit against the axis-by-axis
 assembly it replaced (``per_axis_chain_table``).
 """
 
+import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,23 +335,29 @@ def test_chain_of_one_cell_without_interior_terms():
 
 
 def every_cell_solve_chains(table, tie_break):
-    """``solve_chain_table`` with every cell kept: a zero-weight energy term
-    on every cell, at a breakpoint its chain already has, makes the DP walk
-    every cell and leaves the candidates and the objective unchanged."""
+    """``solve_chain_table`` by the padded DP over every cell of every chain
+    (``padded_chain_dp``), with the solver's candidates, term costs and
+    tie tolerances, each cell's terms summed in table order."""
     nchains, n = len(table.h), table.n
-    energy = ~table.side
-    breakpoint = np.empty(nchains)
-    breakpoint[table.chain[energy]] = table.const[energy]  # one energy breakpoint per chain
-    chain, pos = np.divmod(np.arange(nchains * n), n)
-    every = chain_table(
-        table.h, n,
-        np.concatenate((table.chain, chain)),
-        np.concatenate((table.pos, pos)),
-        np.concatenate((table.weight, np.zeros(len(chain)))),
-        np.concatenate((table.const, breakpoint[chain])),
-        np.concatenate((table.side, np.zeros(len(chain), dtype=bool))),
-    )
-    return solve_chain_table(every, tie_break)
+    use = ~table.side | tie_break
+    chain, pos = table.chain[use], table.pos[use]
+    weight, const, energy = table.weight[use], table.const[use], ~table.side[use]
+    breaks = [np.unique(0.0 - const[chain == c]) for c in range(nchains)]
+    k = max(len(b) for b in breaks)
+    cand = np.array([np.concatenate((b, np.full(k - len(b), b[-1]))) for b in breaks])
+    cost = weight[:, None] * np.abs(cand[chain] + const[:, None])
+    unary = np.zeros((nchains, n, k))
+    np.add.at(unary, (chain[energy], pos[energy]), cost[energy])
+    secondary = tol = None
+    if tie_break:
+        secondary = np.zeros_like(unary)
+        np.add.at(secondary, (chain, pos), cost)
+        total_weight = table.h * (n - 1) + np.bincount(chain[energy], weight[energy], nchains)
+        tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
+    h = np.repeat(table.h[:, None], n - 1, axis=1)
+    x = np.take_along_axis(cand, padded_chain_dp(cand, h, unary, secondary, tol), axis=1)
+    chain_value, _ = _chain_objective(x, table)
+    return float(np.cumsum(chain_value)[-1]), x
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -385,6 +393,58 @@ def test_kept_cell_dp_matches_the_dp_over_every_cell(n, nchains, density, tie_br
     # the expanded minimizer attains the kept-cell minimum
     attained = chain_objective(table, x)
     assert abs(attained - value) <= 1e-12 * (1 + abs(ref))
+
+
+def side_objective(table, x):
+    """The tie-break's secondary cost at ``x``: every unary term, side
+    terms included, and no interior term."""
+    return float(np.sum(table.weight * np.abs(x[table.chain, table.pos] + table.const)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    nchains=st.integers(1, 4),
+    tie_break=st.booleans(),
+    exponent=st.integers(-9, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runs_sharing_a_breakpoint_match_the_dp_over_every_cell(n, nchains, tie_break, exponent, seed):
+    # each chain is cut into runs, and every term of a run's cells, energy or
+    # side, with non-dyadic weights, sits at the run's breakpoint; runs draw
+    # it from three values, so neighbouring runs often share it and the
+    # solver merges them; a few cells add a term at another value, which
+    # cuts the run there
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-3, 3, 3) * 10.0**exponent
+    terms = []  # (chain, pos, const)
+    for c in range(nchains):
+        run = np.cumsum(rng.random(n) < 0.3)
+        at = values[rng.integers(0, 3, run[-1] + 1)][run]
+        first = int(rng.integers(0, n))
+        terms.append((c, first, at[first]))  # every chain needs an energy term
+        for i in range(n):
+            terms += [(c, i, at[i])] * int(rng.integers(0, 3))
+            if rng.random() < 0.1:
+                terms.append((c, i, values[rng.integers(0, 3)]))
+    chain, pos, breaks = (np.array(t) for t in zip(*terms))
+    side = rng.random(len(chain)) < 0.4
+    side[np.unique(chain, return_index=True)[1]] = False
+    table = chain_table(
+        h=rng.uniform(0.05, 3, nchains) * 10.0**exponent,
+        n=n,
+        chain=chain,
+        pos=pos,
+        weight=rng.uniform(0.05, 3, len(chain)),
+        const=0.0 - breaks,
+        side=side,
+    )
+    value, x = solve_chain_table(table, tie_break)
+    ref, y = every_cell_solve_chains(table, tie_break)
+    assert abs(value - ref) <= 1e-12 * (1 + abs(ref))
+    assert abs(chain_objective(table, x) - value) <= 1e-12 * (1 + abs(ref))
+    if tie_break:  # as close to the datum as the DP over every cell
+        assert side_objective(table, x) <= side_objective(table, y) * (1 + 1e-12)
 
 
 def table_chain_objective(table, x):
@@ -488,17 +548,24 @@ def test_affine_solves_run_the_dp_on_chains_of_two_cells(monkeypatch, kind, n, A
 
 
 def test_step_solve_runs_the_dp_over_the_kept_cells_only(monkeypatch):
-    # only the two boundary chains of each axis keep every cell (they carry
-    # the side terms); all other chains keep their two ends
+    # at even n no cell straddles the datum's discontinuity, so along every
+    # chain the terms on either side of it share one breakpoint: the kept
+    # cells of each side are one run, and the DP takes one step, with at
+    # most two rows per chain
     calls = count_chain_dp(monkeypatch)
     rng = np.random.default_rng(6)
-    n, eta = 64, rng.normal(size=2)
-    eta /= np.linalg.norm(eta)
-    solve(CellProblem(kind=Kind.H_3D2D, n=n, lam=rng.uniform(-5, 5, 3), orientation=eta))
-    assert len(calls) == 1
-    rows, steps = calls[0]
-    assert rows <= 4 * n + 2 * 2 * n
-    assert steps == n - 1
+    step_kinds = [Kind.H_3D2D, Kind.H_3D2DSD, Kind.H_3DSD2D, Kind.H_3DSD]
+    for kind in step_kinds:
+        dim = 3 if kind is Kind.H_3DSD else 2
+        for n in (6, 16) if dim == 3 else (6, 16, 64, 100):
+            eta = rng.normal(size=dim)
+            eta /= np.linalg.norm(eta)
+            calls.clear()
+            solve(CellProblem(kind=kind, n=n, lam=rng.uniform(-5, 5, 3), orientation=eta))
+            assert len(calls) == 1
+            rows, steps = calls[0]
+            assert steps == 1, (kind, n)
+            assert rows <= 2 * dim * n ** (dim - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +680,89 @@ def test_ragged_dp_matches_the_padded_dp(lengths, tie_break, exponent, seed):
         assert path_cost(cand[ch], h[ch], unary[ch, :L], mine) == path_cost(
             cand[ch], h[ch], unary[ch, :L], ref[ch, :L]
         )
+
+
+# ---------------------------------------------------------------------------
+# an exact rational oracle of the chain program
+# ---------------------------------------------------------------------------
+
+def exact_chain_costs(table, c, tie_break):
+    """Chain ``c``'s exact costs: ``cells[i][v]`` is the (primary,
+    secondary) cost of cell ``i`` at candidate ``v`` and ``jump[u][v]`` the
+    primary cost of an interior edge from ``u`` to ``v``, as ``Fraction``
+    pairs, over the chain's candidate breakpoints ``cand``; the secondary
+    cost sums every unary term the solver's tie-break reads."""
+    on = (table.chain == c) & (~table.side | tie_break)
+    cand = sorted({Fraction(0.0 - const) for const in table.const[on]})
+    zero = (Fraction(0), Fraction(0))
+    cells = [[zero] * len(cand) for _ in range(table.n)]
+    for pos, w, const, side in zip(table.pos[on], table.weight[on], table.const[on], table.side[on]):
+        for v, value in enumerate(cand):
+            term = Fraction(w) * abs(value + Fraction(const))
+            primary, secondary = cells[pos][v]
+            cells[pos][v] = (primary + (0 if side else term), secondary + term)
+    h = Fraction(table.h[c])
+    jump = [[(h * abs(v - u), Fraction(0)) for v in cand] for u in cand]
+    return cand, cells, jump
+
+
+def exact_path_cost(cells, jump, path):
+    """Exact (primary, secondary) cost of one chain at candidate indices ``path``."""
+    steps = [cells[i][v] for i, v in enumerate(path)] + [jump[u][v] for u, v in zip(path, path[1:])]
+    return tuple(sum(parts, Fraction(0)) for parts in zip(*steps))
+
+
+@pytest.mark.parametrize("tie_break", [False, True])
+def test_chain_solver_is_exactly_lexicographic_against_rational_brute_force(tie_break):
+    # dyadic data keep every float sum of the solver exact, so its value and
+    # its tie-break's choice can be checked exactly: against the minimum over
+    # every assignment of candidate breakpoints to cells, which by the
+    # threshold property is the minimum over all real values.  Chains are cut
+    # into runs whose terms share a breakpoint drawn from a few values, and
+    # chain weights up to 4 make flat stretches of tied primaries common
+    rng = np.random.default_rng(1709 + tie_break)
+    ties = merged = 0
+    for _ in range(150):
+        nchains, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        terms = []  # (chain, pos, breakpoint)
+        for c in range(nchains):
+            values = rng.integers(-8, 9, 3) / 4
+            run = np.cumsum(rng.random(n) < 0.4)
+            at = values[rng.integers(0, 3, run[-1] + 1)][run]
+            first = int(rng.integers(0, n))
+            terms.append((c, first, at[first]))
+            for i in range(n):
+                terms += [(c, i, at[i])] * int(rng.integers(0, 3))
+                if rng.random() < 0.15:
+                    terms.append((c, i, values[rng.integers(0, 3)]))
+            merged += int(np.any((at[1:] == at[:-1]) & (run[1:] != run[:-1])))
+        chain, pos, breaks = (np.array(t) for t in zip(*terms))
+        side = rng.random(len(chain)) < 0.4
+        side[np.unique(chain, return_index=True)[1]] = False
+        table = chain_table(
+            h=rng.choice([0.5, 1.0, 2.0], nchains),
+            n=n,
+            chain=chain,
+            pos=pos,
+            weight=rng.choice([0.5, 1.0], len(chain)),
+            const=0.0 - breaks,
+            side=side,
+        )
+        x = _solve_chains(table, tie_break)
+        chain_value, _ = _chain_objective(x, table)
+        for c in range(nchains):
+            cand, cells, jump = exact_chain_costs(table, c, tie_break)
+            costs = [
+                exact_path_cost(cells, jump, path)
+                for path in itertools.product(range(len(cand)), repeat=n)
+            ]
+            best = min(costs)
+            ties += sum(cost[0] == best[0] for cost in costs) > 1
+            got = exact_path_cost(cells, jump, [cand.index(Fraction(v)) for v in x[c]])
+            assert chain_value[c] == best[0]
+            assert got == best if tie_break else got[0] == best[0]
+    # the draws exercised what they are for
+    assert ties >= 30 and merged >= 50
 
 
 def test_objective_of_arbitrary_feasible_fields_certifies_floor():

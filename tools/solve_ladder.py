@@ -24,7 +24,10 @@ term assembly counts in ``pieces_s``, and one built inside
 ``surface_energy`` (not looked up in ``sdrelax.solver``) counts in
 ``reevaluate_s``.  A stage none of whose functions exist in a tree is
 reported as ``null``.  A row gives each time as the median and quartiles
-over the repeats, and the largest peak RSS (``ru_maxrss`` of the child).
+over the repeats, the largest peak RSS (``ru_maxrss`` of the child), and
+the DP's size, read from the arguments of the ragged ``_chain_dp``
+(``active, cand, h, unary, ...``): its rows (``dp_rows``) and its steps
+(``dp_steps``), ``null`` in a tree without it.
 ``--out`` appends one run, with the environment and both trees' git
 revisions, to the file's ``runs`` list.
 """
@@ -88,6 +91,15 @@ def child(kind: str, n: int, seed: int) -> dict:
         times[stage] = 0.0 if present else None
         for name in present:
             setattr(solver, name, timed(stage, getattr(solver, name)))
+    dp_calls = []  # (rows, steps) of every DP
+    chain_dp = getattr(solver, "_chain_dp", None)
+
+    def counted(active, cand, h, unary, *args):
+        dp_calls.append((len(unary), len(active) - 1))
+        return chain_dp(active, cand, h, unary, *args)
+
+    if chain_dp is not None:
+        solver._chain_dp = counted
     rng = np.random.default_rng(seed)
     if kind.startswith("H_"):
         eta = rng.normal(size=3 if kind in THREE_D else 2)
@@ -101,6 +113,8 @@ def child(kind: str, n: int, seed: int) -> dict:
     result = solver.solve(problem)
     times["total_s"] = time.perf_counter() - t0
     times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    times["dp_rows"] = None if chain_dp is None else sum(rows for rows, _ in dp_calls)
+    times["dp_steps"] = None if chain_dp is None else sum(steps for _, steps in dp_calls)
     times["value"] = result.value
     times["value_exact"] = result.value_exact
     return times
@@ -157,7 +171,8 @@ def ladder(before: str, after: str, seed: int) -> list[dict]:
         for side, samples in runs.items():
             stats = {k: _spread(s[k] for s in samples) for k in (*STAGES, "total_s")}
             stats["peak_rss_mb"] = max(s["peak_rss_mb"] for s in samples)
-            stats["value"], stats["value_exact"] = samples[0]["value"], samples[0]["value_exact"]
+            for key in ("dp_rows", "dp_steps", "value", "value_exact"):
+                stats[key] = samples[0][key]
             row[side] = stats
         print(json.dumps(row), flush=True)
         rows.append(row)
