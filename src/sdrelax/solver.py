@@ -585,7 +585,7 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     trow = row[trow]
     ts = slot[tc]
     cand = _candidates(ts, breaks, nchains)
-    del breaks
+    del breaks  # before the cost tables, where a large affine solve peaks
     cost = np.abs(cand[ts].T + const) * weight  # [candidate, term]
 
     def summed(rows, cost):
@@ -755,8 +755,9 @@ def solve(problem: CellProblem) -> SolveResult:
 def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces):
     """(surface objective, its exact energy, offsets) of the chain program
     of all axes.  The piece and chain tables are released once the program
-    is solved and scored, so the offsets' full-grid temporaries do not stack
-    on them at a solve's peak memory."""
+    is solved and scored, so the offsets do not stack on them at a solve's
+    peak memory; each axis adds its share to the offsets one component at a
+    time, through one reused buffer of a third of their size."""
     tie_break = KINDS[problem.kind].pin is None
     dim, n = mesh.dim, mesh.shape[0]
     table = _chain_table(mesh, pin, pieces, tie_break)
