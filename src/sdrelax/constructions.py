@@ -114,7 +114,7 @@ def _build_gamma1_split(params: SequenceParams) -> SbvField:
     b1 = _dedupe([-0.5, -a, a, 0.5])
     mesh = Mesh([b0, b1], frame=frame, n=n)
 
-    xi1, xi2 = (0.5 * (mesh.cell_lo + mesh.cell_hi)).T
+    xi1, xi2 = mesh.cell_centers().T
     right = xi1 >= 0
     inner = (np.abs(xi1) < a) & (np.abs(xi2) < a)
     offsets = np.where(right[:, None], lam, 0.0)
@@ -139,7 +139,7 @@ def _build_frame_w1(params: SequenceParams) -> SbvField:
     b1 = _dedupe([-0.5, 0.5, a, -a] + lattice)
     mesh = Mesh([b0, b1], n=n)
 
-    cx, cy = (0.5 * (mesh.cell_lo + mesh.cell_hi)).T
+    cx, cy = mesh.cell_centers().T
     inner = (np.abs(cx) < a) & (np.abs(cy) < a)
     # anchors p: rectangle centers (c_k, 0) inside, lattice points on the frame sides
     k = np.clip(np.floor((cx + a) / w), 0, n - 1)
@@ -161,7 +161,7 @@ def _build_staircase_trace(params: SequenceParams) -> SbvField:
     A, B = params.A, params.B
     breaks = np.linspace(-0.5, 0.5, n + 1)
     mesh = Mesh([breaks, breaks], n=n)
-    centers = mesh.cell_centers_world()
+    centers = mesh.cell_centers() @ mesh.frame.T
     grads = np.broadcast_to(B, (mesh.ncells, 3, 2)).copy()
     offsets = centers @ (A - B).T
     return SbvField(mesh, grads, offsets)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DatumError, FieldError, InputError, ProblemError
-from .meshes import UNIT_TOL, Mesh, build_mesh
+from .meshes import UNIT_TOL, Mesh, build_mesh, json_positive_int
 
 # 16-point Gauss-Legendre rule on [0, 1]: nodes and weights (summing to 1).
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -493,8 +493,8 @@ def _load_json(text: str, what: str):
 def _field_from_payload(payload) -> SbvField:
     """Field of a parsed field (or triple) file."""
     try:
-        dim = int(payload["dimension"])
-        n = int(payload["n"])
+        dim = json_positive_int(payload["dimension"], "field file 'dimension'")
+        n = json_positive_int(payload["n"], "field file 'n'")
         orientation = np.asarray(payload["orientation"], dtype=float)
         cells = payload["cells"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -503,9 +503,7 @@ def _field_from_payload(payload) -> SbvField:
         raise InputError(f"field file 'cells' must be a list, got {type(cells).__name__}")
     mesh = build_mesh(dim, n, orientation)
     if len(cells) != mesh.ncells:
-        raise InputError(
-            f"field file lists {len(cells)} cells but the mesh has {mesh.ncells}"
-        )
+        raise InputError(f"field file lists {len(cells)} cells but the mesh has {mesh.ncells}")
     grads = _cell_blocks(cells, "gradient", "field")
     offs = _cell_blocks(cells, "offset", "field")
     return SbvField(mesh, grads, offs)

@@ -6,7 +6,8 @@ coordinates are obtained by applying the rotation ``frame``.  Column 0 of
 point equals its world dot product with the orientation.  Uniform meshes of
 the unit square / cube centered at the origin are produced by
 :func:`build_mesh`; the competitor generators build non-uniform ones with
-:class:`Mesh` directly.
+:class:`Mesh` directly.  Cell measures and centers are derived from the
+breakpoints on each read.
 
 Edges (2D) and faces (3D) follow the cells' chains (:meth:`Mesh.chains`,
 the lines of cells along one axis that also carry the solver's programs):
@@ -15,17 +16,17 @@ and then its high one, are flat ``bnd_*`` arrays, which
 :func:`sdrelax.fields.boundary_pieces` cuts into pieces.
 Interior edges are implicit in the breakpoints and ``shape``: ``int_counts``
 holds their number per axis, :meth:`Mesh.int_edges` the axis and two cells
-of any rows, and ``int_axis``, :meth:`Mesh.int_measure` and
-:meth:`Mesh.int_corners` (of the rows asked for) are computed on each call.
+of any rows, and ``int_axis`` and :meth:`Mesh.int_corners` (of the rows
+asked for) are computed on each call; a chain's edges share its face
+measure, ``bnd_measure[::2]``.
 
-Every array of a mesh is read-only.  The breakpoints, cell and boundary
+Every stored array of a mesh is read-only.  The breakpoints and boundary
 tables live in the mesh frame, so they form a frame-free grid; a
 :class:`Mesh` is such a grid plus its own ``frame``.  :func:`build_mesh`
-keeps the last ``GRID_CACHE_SIZE`` uniform grids of at most
-``GRID_CACHE_MAX_CELLS`` cells, one per ``(dimension, n)``, and each mesh it
-returns shares the kept grid's tables; larger grids are built per call.  A
-kept grid holds at most about 0.7 MB in 2D and 1.4 MB in 3D;
-``build_mesh.cache_clear()`` frees them.
+keeps the last ``GRID_CACHE_SIZE`` uniform grids, one per ``(dimension,
+n)``, and each mesh it returns shares the kept grid's tables: 64 bytes per
+boundary edge in 2D and 128 per face in 3D (0.28 MB at 2D n = 1024, 3.2 MB
+at 3D n = 64); ``build_mesh.cache_clear()`` frees them.
 """
 
 from __future__ import annotations
@@ -34,15 +35,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import MeshError
+from .errors import InputError, MeshError
 
 UNIT_TOL = 1e-12
 
 # Uniform grids kept by build_mesh, keyed by (dimension, n): at most
-# GRID_CACHE_SIZE of them (the CLI gauss-green suite cycles through 5 sizes),
-# each of at most GRID_CACHE_MAX_CELLS cells (2D n <= 128, 3D n <= 25).
+# GRID_CACHE_SIZE of them (the CLI gauss-green suite cycles through 5 sizes).
 GRID_CACHE_SIZE = 5
-GRID_CACHE_MAX_CELLS = 2**14
 
 
 def positive_int(n, error, what: str) -> int:
@@ -51,6 +50,13 @@ def positive_int(n, error, what: str) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise error(f"{what} must be a positive integer, got {n!r}")
     return int(n)
+
+
+def json_positive_int(value, what: str) -> int:
+    """``positive_int``, raising ``InputError``, of a JSON number: 4.0 is 4."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return positive_int(value, InputError, what)
 
 
 def frame_from_orientation(orientation: np.ndarray) -> np.ndarray:
@@ -77,9 +83,9 @@ def frame_from_orientation(orientation: np.ndarray) -> np.ndarray:
     raise MeshError(f"orientation must have 2 or 3 components, got shape {v.shape}")
 
 
-def _grid(axes) -> np.ndarray:
-    """Points of the tensor grid of ``axes``, one row each, in C order."""
-    return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+def _outer_measures(sides) -> np.ndarray:
+    """Measures of the tensor grid's boxes of side lengths ``sides``, C order."""
+    return reduce(np.multiply.outer, sides).reshape(-1)
 
 
 # Bound (0: lo, 1: hi) taken on each free axis, corner by corner: segment
@@ -117,8 +123,8 @@ def _chains(shape, axis: int) -> np.ndarray:
 
 
 class _Grid:
-    """The frame-free part of a mesh: breakpoints, cell and boundary tables,
-    all read-only; a :class:`Mesh` copies them and adds its frame."""
+    """The frame-free part of a mesh: breakpoints and boundary tables, all
+    read-only; a :class:`Mesh` copies them and adds its frame."""
 
     def __init__(self, axis_breaks, n=None):
         breaks = tuple(np.array(b, dtype=float) for b in axis_breaks)
@@ -134,9 +140,6 @@ class _Grid:
         self.ncells = int(np.prod(self.shape))
         self.n = n if n is not None else max(self.shape)
         self.int_counts = tuple(self.ncells // m * (m - 1) for m in self.shape)
-        self.cell_lo = _grid([b[:-1] for b in breaks])
-        self.cell_hi = _grid([b[1:] for b in breaks])
-        self.cell_measures = np.prod(self.cell_hi - self.cell_lo, axis=1)
         # boundary edges: a chain's low and then its high edge, each with the
         # chain's face measure, the product of the other axes' break differences
         axes = range(dim)
@@ -144,7 +147,7 @@ class _Grid:
         self.bnd_side = np.tile([-1, 1], len(self.bnd_cell) // 2)
         self.bnd_axis = np.repeat(axes, [2 * self.ncells // m for m in self.shape])
         sides = [np.diff(b) for b in breaks]
-        faces = (reduce(np.multiply.outer, sides[:a] + sides[a + 1 :]).reshape(-1) for a in axes)
+        faces = (_outer_measures(sides[:a] + sides[a + 1 :]) for a in axes)
         self.bnd_measure = np.concatenate([np.repeat(f, 2) for f in faces])
         self.bnd_corners = _face_corners(breaks, self.bnd_cell, self.bnd_axis, self.bnd_side.clip(0))
         for value in (*breaks, *vars(self).values()):
@@ -157,8 +160,8 @@ class Mesh:
 
     Cells are indexed in C order over the per-axis indices, i.e. the last
     axis varies fastest; this is also the order used in field files.
-    Immutable after construction (every array is read-only) and safe to
-    share across threads.  ``axis_breaks`` may also be a kept uniform grid
+    Immutable after construction (every stored array is read-only) and safe
+    to share across threads.  ``axis_breaks`` may also be a kept uniform grid
     (from :func:`build_mesh`), whose tables the mesh then shares.
     """
 
@@ -176,12 +179,6 @@ class Mesh:
     def int_axis(self) -> np.ndarray:
         """Axis of every interior edge, ``(E,)``."""
         return np.repeat(np.arange(self.dim), self.int_counts)
-
-    def int_measure(self) -> np.ndarray:
-        """Measure of every interior edge, ``(E,)``: its chain's face measure,
-        which the chain's two boundary edges carry too."""
-        edges = np.repeat(np.subtract(self.shape, 1), [self.ncells // m for m in self.shape])
-        return np.repeat(self.bnd_measure[::2], edges)
 
     def int_edges(self, rows):
         """Axis, minus cell and plus cell of the interior edges ``rows``: the
@@ -212,8 +209,15 @@ class Mesh:
         """Outward world unit normals of boundary edges."""
         return self.frame.T[self.bnd_axis] * self.bnd_side[:, None]
 
-    def cell_centers_world(self) -> np.ndarray:
-        return (0.5 * (self.cell_lo + self.cell_hi)) @ self.frame.T
+    @property
+    def cell_measures(self) -> np.ndarray:
+        """Measure of every cell, the product of its break differences."""
+        return _outer_measures([np.diff(b) for b in self.axis_breaks])
+
+    def cell_centers(self) -> np.ndarray:
+        """Mesh-frame center of every cell, ``(ncells, dim)``."""
+        mids = (0.5 * (b[:-1] + b[1:]) for b in self.axis_breaks)
+        return np.stack([g.reshape(-1) for g in np.meshgrid(*mids, indexing="ij")], axis=1)
 
     @property
     def total_measure(self) -> float:
@@ -230,9 +234,10 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
     """Uniform ``n x n`` (or ``n^3``) mesh of the unit square/cube centered at
     the origin, rotated so two sides are perpendicular to ``orientation``.
 
-    Each call returns a new mesh; its cell and boundary arrays are shared
-    with every other mesh of the same ``(dimension, n)`` while the grid is
-    kept (see the module docstring)."""
+    Each call returns a new mesh; its breakpoints and boundary arrays are
+    shared with every other mesh of the same ``(dimension, n)`` while the
+    grid is kept (see the module docstring)."""
+    dimension = positive_int(dimension, MeshError, "dimension")
     if dimension not in (2, 3):
         raise MeshError(f"dimension must be 2 or 3, got {dimension}")
     n = positive_int(n, MeshError, "refinement")
@@ -241,9 +246,7 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
         raise MeshError(
             f"orientation shape {orientation.shape} does not match dimension {dimension}"
         )
-    frame = frame_from_orientation(orientation)
-    kept = n**dimension <= GRID_CACHE_MAX_CELLS
-    return Mesh((_uniform_grid if kept else _uniform_grid.__wrapped__)(dimension, n), frame)
+    return Mesh(_uniform_grid(dimension, n), frame_from_orientation(orientation))
 
 
 build_mesh.cache_clear = _uniform_grid.cache_clear

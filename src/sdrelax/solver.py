@@ -84,7 +84,7 @@ from .fields import (
     embed_planar,
     zero_datum,
 )
-from .meshes import UNIT_TOL, Mesh, build_mesh, positive_int
+from .meshes import UNIT_TOL, Mesh, build_mesh, json_positive_int, positive_int
 
 # Tie-break tolerance of the chain solver, relative to a chain's data scale
 # (its total primary weight times its largest breakpoint): primaries closer
@@ -329,11 +329,9 @@ def closed_form(problem: CellProblem) -> float | None:
 # ---------------------------------------------------------------------------
 
 def _mesh_for(problem: CellProblem) -> Mesh:
-    if KINDS[problem.kind].pin is None:
-        return build_mesh(problem.dim, problem.n, problem.orientation)
-    axis1 = np.zeros(problem.dim)
-    axis1[0] = 1.0
-    return build_mesh(problem.dim, problem.n, axis1)
+    pinned = KINDS[problem.kind].pin is not None  # posed on the axis-aligned mesh
+    orientation = np.eye(problem.dim)[0] if pinned else problem.orientation
+    return build_mesh(problem.dim, problem.n, orientation)
 
 
 def _pinned_gradient(problem: CellProblem) -> np.ndarray:
@@ -781,10 +779,14 @@ def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces
     if tie_break and mesh.dim == 2:
         # the out-of-plane offset component is costless under the normal
         # form; match the datum region so the returned trace is exact
-        lam3 = float(problem.lam[2])
-        mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
-        offsets[:, 2] += np.where(mids >= 0, lam3, 0.0)
+        offsets[:, 2] += np.where(_right_cells(mesh), float(problem.lam[2]), 0.0)
     return surf_value, surf_exact, offsets
+
+
+def _right_cells(mesh: Mesh) -> np.ndarray:
+    """Whether each cell's center has ``x·η >= 0`` (axis 0, slowest in C order)."""
+    b = mesh.axis_breaks[0]
+    return np.repeat(0.5 * (b[:-1] + b[1:]) >= 0, mesh.ncells // mesh.shape[0])
 
 
 def _staggered_offsets(problem: CellProblem, mesh: Mesh) -> np.ndarray:
@@ -796,10 +798,8 @@ def _staggered_offsets(problem: CellProblem, mesh: Mesh) -> np.ndarray:
     """
     offsets = np.zeros((mesh.ncells, 3))
     if KINDS[problem.kind].pin is None:
-        lam = problem.lam
-        mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
-        offsets[mids >= 0] = lam
-        stagger = abs(lam[2]) + 1.0
+        offsets[_right_cells(mesh)] = problem.lam
+        stagger = abs(problem.lam[2]) + 1.0
     else:
         stagger = 2.0 * float(np.linalg.norm(problem.A)) + 1.0
     offsets[:, 2] += stagger * (1.0 + np.arange(mesh.ncells))
@@ -883,10 +883,7 @@ def problem_from_json(text: str) -> CellProblem:
     except ValueError:
         raise InputError(f"unknown problem kind {payload['kind']!r}") from None
     density = dens.density_by_name(payload.get("density", "interfacial-normal"))
-    n = payload["n"]
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)  # JSON 4.0 means 4
-    n = positive_int(n, InputError, "problem file 'n'")
+    n = json_positive_int(payload["n"], "problem file 'n'")
     try:  # CellProblem converts and checks each data slot
         return CellProblem(
             kind=kind,

@@ -70,13 +70,18 @@ def nonzero_jumps(field):
 def interior_tables(mesh, rows=None):
     """The derived interior edge views of ``mesh`` on ``rows`` (every edge
     if ``None``), by name: ``int_axis``, ``int_minus``, ``int_plus``,
-    ``int_measure`` and ``int_corners``."""
+    ``int_measure`` and ``int_corners``.  ``int_measure`` is each edge's
+    face measure read from the breakpoints: the product, in axis order, of
+    the minus cell's break differences on the other axes."""
     rows = np.arange(len(mesh.int_axis)) if rows is None else np.asarray(rows, dtype=np.intp)
     axis, minus, plus = mesh.int_edges(rows)
+    index = np.unravel_index(minus, mesh.shape)
+    sides = np.stack([np.diff(b)[i] for b, i in zip(mesh.axis_breaks, index)], axis=-1)
+    sides[np.arange(len(rows)), axis] = 1.0  # the edge's own axis
     return {
         "int_axis": axis,
         "int_minus": minus,
         "int_plus": plus,
-        "int_measure": mesh.int_measure()[rows],
+        "int_measure": np.prod(sides, axis=-1),
         "int_corners": mesh.int_corners(rows),
     }

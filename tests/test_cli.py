@@ -190,32 +190,45 @@ def test_functional_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
-def _malformed_cells(cells):
-    del cells[2]["offset"]
+def _malformed_cells(payload):
+    del payload["cells"][2]["offset"]
 
 
-def _ragged_gradient(cells):
-    cells[1]["gradient"][2] = [0.0]
+def _ragged_gradient(payload):
+    payload["cells"][1]["gradient"][2] = [0.0]
 
 
-def _short_gradient(cells):
+def _short_gradient(payload):
+    cells = payload["cells"]
     cells[3]["gradient"] = cells[3]["gradient"][:2]
 
 
-def _number_cell(cells):
-    cells[2] = 7
+def _number_cell(payload):
+    payload["cells"][2] = 7
 
 
-def _string_cell(cells):
-    cells[1] = "cell"
+def _string_cell(payload):
+    payload["cells"][1] = "cell"
 
 
-def _bad_G(cells):
-    cells[3]["G"] = "oops"
+def _bad_G(payload):
+    payload["cells"][3]["G"] = "oops"
 
 
-def _short_d(cells):
-    cells[2]["d"] = [0.0, 0.0]
+def _short_d(payload):
+    payload["cells"][2]["d"] = [0.0, 0.0]
+
+
+def _fractional_n(payload):
+    payload["n"] = 2.9
+
+
+def _string_n(payload):
+    payload["n"] = "2"
+
+
+def _fractional_dimension(payload):
+    payload["dimension"] = 2.7
 
 
 @pytest.mark.parametrize(
@@ -228,6 +241,10 @@ def _short_d(cells):
         (_string_cell, "field file cell 1 has a missing or malformed 'gradient'"),
         (_bad_G, "triple file cell 3 has a missing or malformed 'G'"),
         (_short_d, "triple file cell 2 has a missing or malformed 'd'"),
+        # the header's integers, read before any cell: 2.0 would be 2, 2.9 is not
+        (_fractional_n, "field file 'n' must be a positive integer, got 2.9"),
+        (_string_n, "field file 'n' must be a positive integer, got '2'"),
+        (_fractional_dimension, "field file 'dimension' must be a positive integer, got 2.7"),
     ],
 )
 def test_functional_names_the_first_malformed_cell(tmp_path, capsys, edit, message):
@@ -237,7 +254,7 @@ def test_functional_names_the_first_malformed_cell(tmp_path, capsys, edit, messa
         g=SbvField.affine(mesh, A), G=np.tile(A, (mesh.ncells, 1, 1)), d=np.zeros((mesh.ncells, 3))
     )
     payload = json.loads(triple_to_json(triple))
-    edit(payload["cells"])
+    edit(payload)
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(payload))
     code, out, err = run(capsys, "functional", "--file", str(f))

@@ -286,12 +286,16 @@ def test_staircase_params_reject_non_finite_data():
 # vectorized builders against the per-cell loop builders they replaced
 # ---------------------------------------------------------------------------
 
+def _loop_center(mesh, t):
+    """Mesh-frame center of cell ``t``, from its bounds on each axis."""
+    return [0.5 * (b[i] + b[i + 1]) for b, i in zip(mesh.axis_breaks, np.unravel_index(t, mesh.shape))]
+
+
 def _loop_gamma1_offsets(mesh, lam, n):
     a = (n - 1) / (2 * n)
     offsets = np.zeros((mesh.ncells, 3))
-    mids = 0.5 * (mesh.cell_lo + mesh.cell_hi)
     for t in range(mesh.ncells):
-        xi1, xi2 = mids[t]
+        xi1, xi2 = _loop_center(mesh, t)
         if xi1 >= 0:
             offsets[t] = lam
         if abs(xi1) < a and abs(xi2) < a:
@@ -308,10 +312,9 @@ def _loop_frame_w1_offsets(mesh, M, n):
     a = (n - 1) / (2 * n)
     w = (n - 1) / (n * n)
     offsets = np.zeros((mesh.ncells, 3))
-    mids = 0.5 * (mesh.cell_lo + mesh.cell_hi)
     e3 = np.array([0.0, 0.0, 1.0])
     for t in range(mesh.ncells):
-        cx, cy = mids[t]
+        cx, cy = _loop_center(mesh, t)
         if abs(cx) < a and abs(cy) < a:
             k = min(max(int(math.floor((cx + a) / w)), 0), n - 1)
             ck = np.array([-a + (k + 0.5) * w, 0.0])

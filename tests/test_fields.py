@@ -232,7 +232,7 @@ def test_two_cell_constant_jump():
     assert len(recs) == 1
     e, values = recs[0]
     assert np.allclose(values, lam[None, :], atol=0)
-    assert mesh.int_measure()[e] == pytest.approx(1.0, abs=1e-12)
+    assert interior_tables(mesh, [e])["int_measure"][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gamma_split_jumps_verified_pointwise():
@@ -439,7 +439,7 @@ def test_trace_gap_zero_for_cellwise_step_field():
     lam = np.array([1.0, 2.0, 3.0])
     eta = np.array([0.0, 1.0])
     mesh = build_mesh(2, 4, eta)
-    mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
+    mids = mesh.cell_centers()[:, 0]
     offsets = np.where(mids[:, None] >= 0, lam[None, :], 0.0)
     fld = SbvField(mesh, np.zeros((mesh.ncells, 3, 2)), offsets)
     assert boundary_trace_gap(fld, StepDatum(lam, eta)) <= 1e-12
@@ -634,7 +634,7 @@ def test_gauss_green_step_field_on_rotated_square():
     lam = np.array([2.0, -1.0, 0.5])
     eta = np.array([1.0, 1.0]) / np.sqrt(2)
     mesh = build_mesh(2, 4, eta)
-    mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
+    mids = mesh.cell_centers()[:, 0]
     offsets = np.where(mids[:, None] >= 0, lam[None, :], 0.0)
     fld = SbvField(mesh, np.zeros((mesh.ncells, 3, 2)), offsets)
     assert np.max(np.abs(gauss_green_residual(fld))) <= 1e-12
@@ -664,6 +664,16 @@ def test_field_json_rejects_bad_payloads():
         field_from_json(
             '{"dimension": 2, "n": 2, "orientation": [1.0, 0.0], "cells": []}'
         )
+
+
+def test_field_json_reads_integral_float_header_numbers():
+    # the problem file's rule: JSON 3.0 is the integer 3
+    fld = random_field(build_mesh(2, 3, np.array([0.0, 1.0])), np.random.default_rng(4))
+    payload = json.loads(field_to_json(fld))
+    payload.update(dimension=2.0, n=3.0)
+    back = field_from_json(json.dumps(payload))
+    assert (back.mesh.dim, back.mesh.n, type(back.mesh.n)) == (2, 3, int)
+    assert back.offsets.tobytes() == field_from_json(field_to_json(fld)).offsets.tobytes()
 
 
 def _dumps_field_reference(field):

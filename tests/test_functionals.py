@@ -51,7 +51,7 @@ def test_constant_trace_gap():
 def test_step_pattern_surface_term():
     lam = np.array([1.0, 0.0, 0.0])
     mesh = build_mesh(2, 4, E1)
-    mids = 0.5 * (mesh.cell_lo[:, 0] + mesh.cell_hi[:, 0])
+    mids = mesh.cell_centers()[:, 0]
     offsets = np.where(mids[:, None] >= 0, lam[None, :], 0.0)
     g = SbvField(mesh, np.zeros((mesh.ncells, 3, 2)), offsets)
     t = StructuredTriple(g=g, G=np.zeros((mesh.ncells, 3, 2)), d=np.zeros((mesh.ncells, 3)))
@@ -113,7 +113,7 @@ def test_eval_F3dSD_cases():
     # single jump plane {x2 = 0} with jump (0,1,0): area 1 times |lam . e2|
     mesh32 = build_mesh(3, 2, np.array([0.0, 1.0, 0.0]))
     lam = np.array([0.0, 1.0, 0.0])
-    mids = mesh32.cell_centers_world() @ np.array([0.0, 1.0, 0.0])
+    mids = mesh32.cell_centers() @ mesh32.frame.T @ np.array([0.0, 1.0, 0.0])
     offsets = np.where(mids[:, None] >= 0, lam[None, :], 0.0)
     g3 = SbvField(mesh32, np.zeros((mesh32.ncells, 3, 3)), offsets)
     assert eval_F3dSD(g3, np.zeros((mesh32.ncells, 3, 2))) == pytest.approx(1.0, abs=1e-12)

@@ -92,11 +92,30 @@ def test_refinement_partitions_parent_measures():
 
 def test_cell_corners_from_cell_bounds():
     mesh = build_mesh(2, 2, E1)
-    assert mesh.cell_lo.shape == mesh.cell_hi.shape == (4, 2)
-    corners = [np.where(o, mesh.cell_hi[0], mesh.cell_lo[0]) for o in np.ndindex(2, 2)]
+    assert mesh.cell_centers().shape == (4, 2)
+    lo, hi = (np.array([b[i] for b in mesh.axis_breaks]) for i in (0, 1))  # cell 0's bounds
+    corners = [np.where(o, hi, lo) for o in np.ndindex(2, 2)]
     assert len({tuple(c) for c in corners}) == 4
     pts = np.array(corners)
     assert pts.min() == -0.5 and pts.max() == 0.0
+    assert np.array_equal(mesh.cell_centers()[0], pts.mean(axis=0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3)), st.integers(-9, 12), st.integers(0, 2**32 - 1))
+def test_cell_views_equal_each_cells_bounds_bit_for_bit(dim, exponent, seed):
+    # non-uniform breaks at scales 1e-9..1e12; lo and hi written out cell by
+    # cell from the breakpoints, as the stored cell tables once held them
+    rng = np.random.default_rng(seed)
+    breaks = [np.unique(rng.uniform(-1.0, 1.0, rng.integers(2, 7))) * 10.0**exponent for _ in range(dim)]
+    mesh = Mesh(breaks, frame_from_orientation(np.eye(dim)[0]))
+    index = np.stack(np.unravel_index(np.arange(mesh.ncells), mesh.shape), axis=1)
+    lo = np.stack([b[index[:, a]] for a, b in enumerate(mesh.axis_breaks)], axis=1)
+    hi = np.stack([b[index[:, a] + 1] for a, b in enumerate(mesh.axis_breaks)], axis=1)
+    for got, want in ((mesh.cell_measures, np.prod(hi - lo, axis=1)), (mesh.cell_centers(), 0.5 * (lo + hi))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert mesh.total_measure == float(np.prod(hi - lo, axis=1).sum())
 
 
 def test_rejects_bad_input():
@@ -116,6 +135,14 @@ def test_build_mesh_rejects_a_refinement_that_is_not_an_integer(n):
     with pytest.raises(MeshError) as exc:
         build_mesh(2, n, E1)
     assert str(exc.value) == f"refinement must be a positive integer, got {n!r}"
+
+
+@pytest.mark.parametrize("dimension", [2.0, 3.0, True, "2", None])
+def test_build_mesh_rejects_a_dimension_that_is_not_an_integer(dimension):
+    orientation = np.eye(3 if dimension == 3.0 else 2)[0]
+    with pytest.raises(MeshError) as exc:
+        build_mesh(dimension, 2, orientation)
+    assert str(exc.value) == f"dimension must be a positive integer, got {dimension!r}"
 
 
 def test_build_mesh_keeps_numpy_integer_refinements():
@@ -194,7 +221,9 @@ def assert_edges_match_reference(mesh, rows=None):
     ref = reference_edges(mesh)
     got = interior_tables(mesh, rows)
     assert np.array_equal(mesh.int_axis, ref["int_axis"])
-    assert mesh.int_measure().tobytes() == ref["int_measure"].tobytes()
+    # each chain's face measure, which energy and residuals read, along its edges
+    edges = np.repeat(np.subtract(mesh.shape, 1), [mesh.ncells // m for m in mesh.shape])
+    assert np.repeat(mesh.bnd_measure[::2], edges).tobytes() == ref["int_measure"].tobytes()
     assert mesh.int_counts == tuple(np.bincount(ref["int_axis"], minlength=mesh.dim))
     for key, want in ref.items():
         if key.startswith("int_"):
@@ -274,13 +303,11 @@ def test_interior_edges_are_the_chains_consecutive_pairs(dim, n, data):
         rows = slice(a * nchains, (a + 1) * nchains)
         assert np.array_equal(minus[rows], chains[:, :-1])
         assert np.array_equal(plus[rows], chains[:, 1:])
-    # each edge's measure is that of the face its two cells share
+    # each edge's measure is that of the face its two cells share, which is
+    # its chain's boundary face measure: one measure along each chain
     for a in range(dim):
-        on = mesh.int_axis == a
-        face = np.prod(np.delete(mesh.cell_hi - mesh.cell_lo, a, axis=1), axis=1)[tab["int_minus"][on]]
-        assert mesh.int_measure()[on] == pytest.approx(face, rel=1e-14)
-        per_chain = mesh.int_measure()[on].reshape(nchains, n - 1)
-        assert np.all(per_chain == per_chain[:, :1])  # one face measure along each chain
+        per_chain = tab["int_measure"][mesh.int_axis == a].reshape(nchains, n - 1)
+        assert np.all(per_chain == mesh.bnd_measure[mesh.bnd_axis == a][::2, None])
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +321,11 @@ def mesh_arrays(mesh):
     return arrays
 
 
+def cell_views(mesh):
+    """The cell views a mesh derives from its breakpoints, by name."""
+    return {"cell_measures": mesh.cell_measures, "cell_centers": mesh.cell_centers()}
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", range(1, 9))
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
@@ -302,9 +334,9 @@ def test_build_mesh_equals_a_fresh_mesh(dim, n, data):
     orientation = data.draw(unit_vectors(dim))
     mesh = build_mesh(dim, n, orientation)
     fresh = Mesh([np.linspace(-0.5, 0.5, n + 1)] * dim, frame_from_orientation(orientation), n=n)
-    got = {**mesh_arrays(mesh), **interior_tables(mesh)}
-    want = {**mesh_arrays(fresh), **interior_tables(fresh)}
-    assert got.keys() == want.keys() and len(got) == 14 + dim
+    got = {**mesh_arrays(mesh), **interior_tables(mesh), **cell_views(mesh)}
+    want = {**mesh_arrays(fresh), **interior_tables(fresh), **cell_views(fresh)}
+    assert got.keys() == want.keys() and len(got) == 13 + dim
     assert mesh.int_counts == fresh.int_counts
     for key, value in want.items():
         assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
@@ -332,15 +364,14 @@ def test_orientations_share_the_grid_but_not_the_frame(dim, n):
     a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)))
     ma, mb = build_mesh(dim, n, a), build_mesh(dim, n, b)
     assert ma is not mb
-    for key in ("cell_lo", "cell_hi", "cell_measures", "bnd_cell", "bnd_side", "bnd_axis",
-                "bnd_measure", "bnd_corners"):
+    for key in ("bnd_cell", "bnd_side", "bnd_axis", "bnd_measure", "bnd_corners"):
         assert getattr(ma, key) is getattr(mb, key), key
     assert all(x is y for x, y in zip(ma.axis_breaks, mb.axis_breaks))
     assert np.shares_memory(ma.bnd_corners, mb.bnd_corners)
     assert not np.shares_memory(ma.frame, mb.frame)
-    # the interior views follow from the shared grid, whatever the frame
-    for key, value in interior_tables(ma).items():
-        assert value.tobytes() == interior_tables(mb)[key].tobytes(), key
+    # the interior and cell views follow from the shared grid, whatever the frame
+    for key, value in {**interior_tables(ma), **cell_views(ma)}.items():
+        assert value.tobytes() == {**interior_tables(mb), **cell_views(mb)}[key].tobytes(), key
     assert np.array_equal(ma.orientation, a) and np.array_equal(mb.orientation, b)
     build_mesh.cache_clear()
     mc = build_mesh(dim, n, a)
@@ -348,20 +379,28 @@ def test_orientations_share_the_grid_but_not_the_frame(dim, n):
     assert mc.bnd_corners.tobytes() == ma.bnd_corners.tobytes()
 
 
-def test_grids_above_the_cell_bound_are_not_kept(monkeypatch):
+def test_grids_of_every_size_are_kept():
+    # above the former cell bound (2^14 cells) a grid is kept like any other,
+    # and the cache still holds at most GRID_CACHE_SIZE grids
     import sdrelax.meshes as meshes
 
-    monkeypatch.setattr(meshes, "GRID_CACHE_MAX_CELLS", 8)
+    for dim, n in ((2, 129), (3, 26)):
+        build_mesh.cache_clear()
+        orientation = np.eye(dim)[0]
+        large = [build_mesh(dim, n, orientation) for _ in range(2)]
+        assert all(x is y for x, y in zip(large[0].axis_breaks, large[1].axis_breaks))
+        assert np.shares_memory(large[0].bnd_corners, large[1].bnd_corners)
+        fresh = Mesh([np.linspace(-0.5, 0.5, n + 1)] * dim, frame_from_orientation(orientation), n=n)
+        got = {**mesh_arrays(large[0]), **cell_views(large[0])}
+        for key, value in {**mesh_arrays(fresh), **cell_views(fresh)}.items():
+            assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
+            assert got[key].tobytes() == value.tobytes(), key
+        for key, value in mesh_arrays(large[0]).items():
+            assert not value.flags.writeable, key
+        for m in range(1, meshes.GRID_CACHE_SIZE + 3):
+            build_mesh(dim, m, orientation)
+            assert meshes._uniform_grid.cache_info().currsize == min(m + 1, meshes.GRID_CACHE_SIZE)
     build_mesh.cache_clear()
-    small = [build_mesh(2, 2, E1) for _ in range(2)]
-    large = [build_mesh(2, 3, E1) for _ in range(2)]
-    assert np.shares_memory(small[0].bnd_corners, small[1].bnd_corners)
-    assert not np.shares_memory(large[0].bnd_corners, large[1].bnd_corners)
-    fresh = Mesh([np.linspace(-0.5, 0.5, 4)] * 2, frame_from_orientation(E1), n=3)
-    for key, value in mesh_arrays(fresh).items():
-        assert mesh_arrays(large[0])[key].tobytes() == value.tobytes(), key
-        assert not mesh_arrays(large[0])[key].flags.writeable, key
-    assert meshes._uniform_grid.cache_info().currsize == 1
 
 
 def test_every_built_mesh_is_initialised(monkeypatch):
