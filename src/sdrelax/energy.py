@@ -19,11 +19,13 @@ ones.
 Interior jumps come from the field's jump table (built once per field by
 per-axis differences and shared with the divergence-theorem residual):
 edges with equal gradients on both sides carry exactly constant jumps, the
-others their jumps at the edge corners.  The interior pass runs axis by
-axis: an axis' edges, and its rows of the sorted affine list, are one slice
-each and share the axis' normal, a broadcast view rather than one copy per
-edge; an edge's measure is read from its chain's face measure, so no
-per-edge measure array is formed.  Boundary mismatches come from the
+others their jumps at the edge corners, already split by the table into
+zero, constant and affine ones.  The interior pass runs axis by axis: an
+axis' edges, and its constant and its affine rows of the table, are one
+slice each and share the axis' normal, a broadcast view rather than one
+copy per edge; an edge's measure is read from its chain's face measure, so
+no per-edge measure array is formed.  Only boundary mismatches are
+classified on each call.  Boundary mismatches come from the
 boundary piece table (:func:`sdrelax.fields.boundary_pieces`), which
 :func:`surface_energy` builds from the datum.  The closed forms run over
 all pieces of a pass at once through the one exact ``|affine|`` integral,
@@ -134,21 +136,23 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
     form, func = _surface_form(density), _surface_callable(density)
     dirs3 = padded_normal(mesh.frame.T)  # row a: padded world normal of axis a
     interior = np.zeros(len(table.offset))
-    # one pass per axis: edges come axis by axis and ``affine`` is sorted, so
-    # an axis' rows are one slice of each and share one normal, a broadcast view
+    # one pass per axis: edges and the table's blocks come axis by axis, so an
+    # axis' rows of each kind are one slice and share one normal, a broadcast view
     constant = np.any(table.offset != 0.0, axis=1)
     constant[table.affine] = False
     starts = np.cumsum((0,) + mesh.int_counts)  # first edge of each axis
-    cuts = np.searchsorted(table.affine, starts)  # first affine row of each axis
     # an edge's measure is its chain's face measure, which the chain's
     # boundary edges carry: one per chain, axis by axis
     faces = mesh.bnd_measure[::2]
     first_chain = np.cumsum([0] + [mesh.ncells // m for m in mesh.shape])
     for a in range(mesh.dim):
         on = np.flatnonzero(constant[starts[a] : starts[a + 1]]) + starts[a]
-        part = slice(cuts[a], cuts[a + 1])
-        groups = [(on, table.offset[on][:, None, :])]
-        groups += _jump_rows(table.affine[part], table.values[part])
+        c, v, e = table.bounds[3 * a + 1 : 3 * a + 4]  # constant rows, then the rest
+        groups = [
+            (on, table.offset[on][:, None, :]),
+            (table.affine[c:v], table.values[c:v, :1]),
+            (table.affine[v:e], table.values[v:e]),
+        ]
         for edges, values in groups:
             normal3 = np.broadcast_to(dirs3[a], (len(edges), 3))
             h = faces[first_chain[a] + (edges - starts[a]) // (mesh.shape[a] - 1)]

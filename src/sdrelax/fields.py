@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DatumError, FieldError, InputError, ProblemError
-from .meshes import UNIT_TOL, Mesh, build_mesh, json_positive_int
+from .meshes import UNIT_TOL, Mesh, build_mesh, frame_from_orientation, json_positive_int
 
 # 16-point Gauss-Legendre rule on [0, 1]: nodes and weights (summing to 1).
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -290,19 +290,25 @@ def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
 
 @dataclass(frozen=True)
 class JumpTable:
-    """Jumps ``u+ - u-`` of a field across its interior edges, in edge order,
-    computed by differences: ``(G+ - G-) x + (c+ - c-)``.
+    """Jumps ``u+ - u-`` of a field across its interior edges, computed by
+    differences: ``(G+ - G-) x + (c+ - c-)``.
 
-    ``offset`` ``(E, 3)`` holds ``c+ - c-`` for every edge; where the two
-    gradients agree it is the whole jump, exactly constant along the edge.
-    ``affine`` ``(A,)`` lists the edges whose gradients differ, in
-    increasing order, and ``values`` ``(A, corners, 3)`` their jumps at
-    their corners, in :meth:`Mesh.int_corners` order; no geometry is kept.
+    ``offset`` ``(E, 3)`` holds ``c+ - c-`` for every edge, in edge order;
+    where the two gradients agree it is the whole jump, exactly constant
+    along the edge.  ``affine`` ``(A,)`` lists the edges whose gradients
+    differ and ``values`` ``(A, corners, 3)`` their jumps at their corners,
+    in :meth:`Mesh.int_corners` order; no geometry is kept.  The rows of
+    ``affine`` come axis by axis, and within an axis in three blocks, each
+    in increasing edge order: rows whose jump is zero at every corner, rows
+    whose jump is equal at every corner (constant along the edge), and the
+    rest.  ``bounds`` ``(3 dim + 1,)`` holds the blocks' row bounds: axis
+    ``a``'s blocks are the rows ``bounds[3a : 3a + 4]`` delimit.
     """
 
     offset: np.ndarray
     affine: np.ndarray
     values: np.ndarray
+    bounds: np.ndarray
 
 
 def _edge_differences(mesh: Mesh, cells: np.ndarray) -> np.ndarray:
@@ -362,7 +368,8 @@ class SbvField:
     def jump_table(self) -> JumpTable:
         """The jumps across interior edges, built on first use.  Corners are
         computed and mapped to world coordinates only on edges whose two
-        gradients differ, and dropped once their jumps are formed."""
+        gradients differ, and dropped once their jumps are formed; the rows
+        are then sorted into their blocks, once per field."""
         mesh, grads = self.mesh, self.gradients
         offset = _edge_differences(mesh, self.offsets)
         if np.all(grads == grads[0]):  # one gradient: every jump is constant
@@ -373,9 +380,20 @@ class SbvField:
             affine = np.flatnonzero(np.any(slope != 0.0, axis=(1, 2)))
             slope, corners = slope[affine], mesh.int_corners(affine)
         values = (corners @ mesh.frame.T) @ slope.transpose(0, 2, 1) + offset[affine][:, None, :]
-        for a in (offset, affine, values):
+        # block 3 a + k of a row: its axis a, and k = 0 for a zero jump, 1 for
+        # a constant one, 2 otherwise (a zero jump is constant too)
+        axis = np.searchsorted(np.cumsum(mesh.int_counts), affine, side="right")
+        const = np.all(values == values[:, :1], axis=(1, 2))
+        zero = ~np.any(values != 0.0, axis=(1, 2))
+        block = (3 * axis + 2 - const - zero).astype(np.int8)
+        if np.any(block[1:] < block[:-1]):  # a stable sort keeps edge order in a block
+            order = np.argsort(block, kind="stable")
+            affine, values = affine[order], values[order]
+        bounds = np.zeros(3 * mesh.dim + 1, dtype=np.intp)
+        np.cumsum(np.bincount(block, minlength=3 * mesh.dim), out=bounds[1:])
+        for a in (offset, affine, values, bounds):
             a.flags.writeable = False
-        return JumpTable(offset, affine, values)
+        return JumpTable(offset, affine, values, bounds)
 
 
 def average_gradient(field: SbvField) -> np.ndarray:
@@ -432,14 +450,22 @@ def boundary_trace_gap(field: SbvField, datum) -> float:
 
 def _face_norm_means(mism) -> np.ndarray:
     """Gauss means of ``||m||``, ``m = m0 + s (m1 - m0) + t (m3 - m0)``, from the
-    corners (F, 4, 3), F > 0; one pass per ``t`` node keeps temporaries
-    (F, 16, 3)."""
-    m0 = mism[:, 0]
-    ds, dt = mism[:, 1] - m0, mism[:, 3] - m0
-    line = m0[:, None, :] + GAUSS_NODES[None, :, None] * ds[:, None, :]
+    corners (F, 4, 3), F > 0.  The points of one ``t`` node are formed
+    component by component, ``(3, F, 16)``, into one reused buffer, and
+    their norms summed in ``np.linalg.norm``'s order, ``(x0^2 + x1^2) + x2^2``,
+    which gives its values bit for bit; no temporary is larger than the
+    buffer."""
+    m0 = mism[:, 0].T
+    ds, dt = mism[:, 1].T - m0, mism[:, 3].T - m0
+    line = m0[:, :, None] + GAUSS_NODES * ds[:, :, None]  # (3, F, 16)
+    points, norms = np.empty_like(line), np.empty(line.shape[1:])
     sums = np.empty((len(mism), len(GAUSS_NODES)))
     for j, t in enumerate(GAUSS_NODES):
-        sums[:, j] = np.linalg.norm(line + t * dt[:, None, :], axis=2) @ GAUSS_WEIGHTS
+        np.add(line, t * dt[:, :, None], out=points)
+        np.multiply(points, points, out=points)
+        np.add(points[0], points[1], out=norms)
+        norms += points[2]
+        sums[:, j] = np.sqrt(norms, out=norms) @ GAUSS_WEIGHTS
     return sums @ GAUSS_WEIGHTS
 
 
@@ -501,9 +527,12 @@ def _field_from_payload(payload) -> SbvField:
         raise InputError(f"field file is missing or has malformed keys: {exc}") from exc
     if not isinstance(cells, list):
         raise InputError(f"field file 'cells' must be a list, got {type(cells).__name__}")
+    # count the cells before the grid is built: a short file may claim any n;
+    # build_mesh raises its own errors for a bad dimension or orientation
+    if dim in (2, 3) and orientation.shape == (dim,) and len(cells) != n**dim:
+        frame_from_orientation(orientation)
+        raise InputError(f"field file lists {len(cells)} cells but the mesh has {n**dim}")
     mesh = build_mesh(dim, n, orientation)
-    if len(cells) != mesh.ncells:
-        raise InputError(f"field file lists {len(cells)} cells but the mesh has {mesh.ncells}")
     grads = _cell_blocks(cells, "gradient", "field")
     offs = _cell_blocks(cells, "offset", "field")
     return SbvField(mesh, grads, offs)

@@ -122,6 +122,16 @@ def _chains(shape, axis: int) -> np.ndarray:
     return np.moveaxis(ids, axis, -1).reshape(-1, shape[axis])
 
 
+def _chain_ends(shape, axis: int) -> np.ndarray:
+    """``_chains(shape, axis)[:, [0, -1]]``, flat, from the strides alone: a
+    chain's first cell is its offset over the other axes, its last one lies
+    ``shape[axis] - 1`` strides of ``axis`` further."""
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    others = [np.arange(m) * s for b, (m, s) in enumerate(zip(shape, strides)) if b != axis]
+    first = reduce(np.add.outer, others).reshape(-1)
+    return np.stack([first, first + (shape[axis] - 1) * strides[axis]], axis=1).reshape(-1)
+
+
 class _Grid:
     """The frame-free part of a mesh: breakpoints and boundary tables, all
     read-only; a :class:`Mesh` copies them and adds its frame."""
@@ -143,7 +153,7 @@ class _Grid:
         # boundary edges: a chain's low and then its high edge, each with the
         # chain's face measure, the product of the other axes' break differences
         axes = range(dim)
-        self.bnd_cell = np.concatenate([_chains(self.shape, a)[:, [0, -1]].reshape(-1) for a in axes])
+        self.bnd_cell = np.concatenate([_chain_ends(self.shape, a) for a in axes])
         self.bnd_side = np.tile([-1, 1], len(self.bnd_cell) // 2)
         self.bnd_axis = np.repeat(axes, [2 * self.ncells // m for m in self.shape])
         sides = [np.diff(b) for b in breaks]

@@ -4,6 +4,7 @@ and functional tests."""
 import numpy as np
 from hypothesis import strategies as st
 
+from sdrelax.fields import SbvField
 from sdrelax.meshes import Mesh, frame_from_orientation
 
 
@@ -65,6 +66,29 @@ def nonzero_jumps(field):
     identically zero, in edge order, read from the field's jump table."""
     values = jump_corner_values(field)
     return [(e, values[e]) for e in np.flatnonzero(np.any(values != 0.0, axis=(1, 2)))]
+
+
+def blocked_field(mesh, rng, scale=1.0):
+    """A field whose jump table has rows in each of its three blocks.
+
+    ``u = scale (|x0| + x1 / 2)`` in every component is continuous across
+    ``x0 = 0``, so on an axis-aligned mesh with a break there its edges
+    carry exactly zero jumps although the gradients differ.  About 40 % of
+    the cells take a gradient 1e-22 times smaller than their offset, which
+    rounds away at the corners: between two such cells the jump is
+    constant.  Every other edge with differing gradients is affine.  Half
+    the cells have a zero third component, so some jumps are planar."""
+    ncells, dim = mesh.ncells, mesh.dim
+    grads = np.zeros((ncells, 3, dim))
+    grads[:, :, 0] = scale * np.sign(mesh.cell_centers()[:, :1])
+    grads[:, :, 1] = 0.5 * scale
+    offsets = np.zeros((ncells, 3))
+    tiny = rng.random(ncells) < 0.4
+    grads[tiny] = rng.uniform(-5, 5, (int(tiny.sum()), 3, dim)) * (1e-22 * scale)
+    offsets[tiny] = rng.uniform(-5, 5, (int(tiny.sum()), 3)) * scale
+    flat = rng.random(ncells) < 0.5
+    grads[flat, 2] = offsets[flat, 2] = 0.0
+    return SbvField(mesh, grads, offsets)
 
 
 def interior_tables(mesh, rows=None):

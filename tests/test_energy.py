@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdrelax import energy
 from sdrelax.densities import DensityPair, interfacial_normal_pair, psi1_pair
 from sdrelax.energy import padded_normal, surface_energy
-from sdrelax.fields import AffineDatum, SbvField, boundary_pieces
+from sdrelax.fields import AffineDatum, SbvField, StepDatum, boundary_pieces, gauss_green_residual
 from sdrelax.meshes import Mesh, build_mesh
-from strategies import interior_tables, scaled_values, unit_vectors
+from strategies import blocked_field, interior_tables, scaled_values, unit_vectors
 
 E1 = np.array([1.0, 0.0])
 
@@ -180,3 +183,94 @@ def test_surface_energy_reads_the_datum_piece_table(dim, n, monkeypatch):
                     built.clear()
                     surface_energy(fld, pair, overestimate=over)
                     assert built == []
+
+
+def _classified(rows, values):
+    """``(rows, values)`` of the rows with a jump, split into constant ones
+    (one corner) and the rest."""
+    jump = np.any(values != 0.0, axis=(1, 2))
+    const = np.all(values == values[:, :1], axis=(1, 2))
+    kept, rest = jump & const, jump & ~const
+    return [(rows[kept], values[kept, :1]), (rows[rest], values[rest])]
+
+
+def _surface_energy_reference(field, density, datum, overestimate):
+    """``surface_energy`` with the interior jumps classified on each call:
+    the table's rows in edge order, split axis by axis into zero, constant
+    and affine jumps; each edge's measure read from the breakpoints."""
+    mesh, table = field.mesh, field.jump_table
+    form, func = energy._surface_form(density), energy._surface_callable(density)
+    by_edge = np.argsort(table.affine)
+    affine, values = table.affine[by_edge], table.values[by_edge]
+    measure, axis = interior_tables(mesh)["int_measure"], mesh.int_axis
+    constant = np.any(table.offset != 0.0, axis=1)
+    constant[affine] = False
+    interior = np.zeros(len(table.offset))
+    for a in range(mesh.dim):
+        on = np.flatnonzero(constant & (axis == a))
+        mine = axis[affine] == a
+        groups = [(on, table.offset[on][:, None, :])] + _classified(affine[mine], values[mine])
+        for edges, rows in groups:
+            normal3 = np.broadcast_to(padded_normal(mesh.frame.T)[a], (len(edges), 3))
+            h = measure[edges]
+            interior[edges] = energy._integrals(rows, normal3, h, form, func, overestimate)
+    terms = [np.zeros(1), interior]
+    if datum is not None:
+        pieces = boundary_pieces(mesh, datum)
+        normal3 = padded_normal(pieces.normal)
+        terms.append(np.zeros(len(pieces.edge)))
+        mismatch = pieces.field_values(field) - pieces.datum
+        for rows, values in _classified(np.arange(len(pieces.edge)), mismatch):
+            terms[-1][rows] = energy._integrals(
+                values, normal3[rows], pieces.measure[rows], form, func, overestimate
+            )
+    return float(np.cumsum(np.concatenate(terms))[-1])
+
+
+def _residual_reference(field):
+    """``gauss_green_residual`` with the table's rows in edge order."""
+    mesh, table = field.mesh, field.jump_table
+    w = np.ones(mesh.dim)
+    delta_mean = table.offset.copy()
+    by_edge = np.argsort(table.affine)
+    delta_mean[table.affine[by_edge]] = table.values[by_edge].mean(axis=1)
+    nchains = [mesh.ncells // m for m in mesh.shape]
+    weight = np.repeat(mesh.frame.T @ w, nchains) * mesh.bnd_measure[::2]
+    jump_term = np.repeat(weight, np.repeat(np.subtract(mesh.shape, 1), nchains)) @ delta_mean
+    bulk_term = np.einsum("t,tij,j->i", mesh.cell_measures, field.gradients, w)
+    pieces = boundary_pieces(mesh, AffineDatum(np.zeros((3, mesh.dim))))
+    bnd_term = ((pieces.normal @ w) * pieces.measure) @ pieces.field_values(field).mean(axis=1)
+    return jump_term + bulk_term - bnd_term
+
+
+def _custom_density(jump, nu):
+    return float(np.hypot(jump @ nu, 0.5 * jump[2]))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 4), (2, 5), (2, 6), (3, 2), (3, 4)])
+def test_energy_and_residual_equal_the_per_call_classification(dim, n):
+    rng = np.random.default_rng(10 * dim + n)
+    # a custom density runs its Gauss rule in Python, a row at a time: only
+    # on the smaller meshes, and without overestimate, which it ignores
+    forms = [(d, over) for d in (interfacial_normal_pair(), psi1_pair()) for over in (False, True)]
+    if dim == 2 or n <= 2:
+        forms.append((_custom_density, False))
+    counts = np.zeros(3, dtype=int)  # zero, constant and affine rows
+    for scale in (1e-9, 1.0, 1e12):
+        aligned = build_mesh(dim, n, np.eye(dim)[0])
+        rotated = build_mesh(dim, n, np.array([0.6, 0.8, 0.0][:dim]))
+        fields = [blocked_field(aligned, rng, scale), blocked_field(rotated, rng, scale)]
+        counts += np.diff(fields[0].jump_table.bounds).reshape(dim, 3).sum(axis=0)
+        for field in fields:
+            data = (
+                None,
+                AffineDatum(rng.uniform(-5, 5, (3, dim)) * scale),
+                StepDatum(rng.uniform(-5, 5, 3) * scale, field.mesh.orientation),
+            )
+            for (density, over), datum in itertools.product(forms, data):
+                got = surface_energy(field, density, datum=datum, overestimate=over)
+                want = _surface_energy_reference(field, density, datum, over)
+                assert got.hex() == want.hex(), (scale, density, datum, over)
+            assert gauss_green_residual(field).tobytes() == _residual_reference(field).tobytes()
+    # odd n puts no break at x0 = 0, so no zero rows
+    assert np.all(counts[n % 2 :] > 0), counts

@@ -11,7 +11,7 @@ from sdrelax import fields
 from sdrelax.constructions import SequenceParams, build
 from sdrelax.densities import interfacial_normal_pair, psi1_pair
 from sdrelax.energy import surface_energy
-from sdrelax.errors import DatumError, FieldError, InputError
+from sdrelax.errors import DatumError, FieldError, InputError, MeshError
 from sdrelax.fields import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
@@ -29,9 +29,10 @@ from sdrelax.fields import (
     gauss_green_residual,
     norm_affine_segment_exact,
 )
-from sdrelax.functionals import StructuredTriple, eval_left, eval_right
+from sdrelax.functionals import StructuredTriple, eval_left, eval_right, triple_from_json
 from sdrelax.meshes import Mesh, build_mesh
 from strategies import (
+    blocked_field,
     interior_tables,
     jump_corner_values,
     nonzero_jumps,
@@ -283,6 +284,26 @@ def test_jump_table_matches_sum_of_traces(mesh, data):
     assert np.all(np.abs(got - ref).max(axis=(1, 2), initial=0.0) <= 1e-15 * magnitude)
 
 
+def assert_blocks(field):
+    """The table's blocks partition its rows: block ``3 a + k`` holds, in
+    increasing edge order, axis ``a``'s rows of kind ``k``, where the kinds
+    are those of a per-call split: no jump, a jump equal at every corner,
+    the rest.  Returns the number of rows of each kind."""
+    table, mesh = field.jump_table, field.mesh
+    bounds = table.bounds
+    assert bounds.shape == (3 * mesh.dim + 1,) and bounds[0] == 0
+    assert bounds[-1] == len(table.affine) and np.all(np.diff(bounds) >= 0)
+    jump = np.any(table.values != 0.0, axis=(1, 2))
+    const = np.all(table.values == table.values[:, :1], axis=(1, 2))
+    kind = np.where(~jump, 0, np.where(const, 1, 2))
+    axis = mesh.int_axis[table.affine]
+    for b in range(3 * mesh.dim):
+        rows = slice(bounds[b], bounds[b + 1])
+        assert np.all(axis[rows] == b // 3) and np.all(kind[rows] == b % 3), b
+        assert np.all(np.diff(table.affine[rows]) > 0), b
+    return np.bincount(kind, minlength=3)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(mesh=rectilinear_meshes(max_cells=(6, 4)), data=st.data())
 def test_jump_table_by_differences_equals_the_gathered_form(mesh, data):
@@ -303,11 +324,29 @@ def test_jump_table_by_differences_equals_the_gathered_form(mesh, data):
     assert table.offset.tobytes() == offset.tobytes()
     slope = field.gradients[plus] - field.gradients[minus]
     affine = np.flatnonzero(np.any(field.gradients[plus] != field.gradients[minus], axis=(1, 2)))
-    assert np.array_equal(table.affine, affine)
-    assert [f.name for f in dataclasses.fields(table)] == ["offset", "affine", "values"]  # no geometry
+    # the table's rows come in blocks; matched by edge they are the gathered rows
+    by_edge = np.argsort(table.affine)
+    assert np.array_equal(table.affine[by_edge], affine)
+    names = [f.name for f in dataclasses.fields(table)]
+    assert names == ["offset", "affine", "values", "bounds"]  # no geometry
     points = tab["int_corners"][affine] @ mesh.frame.T
     values = points @ slope[affine].transpose(0, 2, 1) + offset[affine][:, None, :]
-    assert table.values.shape == values.shape and table.values.tobytes() == values.tobytes()
+    got = table.values[by_edge]
+    assert got.shape == values.shape and got.tobytes() == values.tobytes()
+    assert_blocks(field)
+
+
+def test_jump_table_blocks_hold_zero_constant_and_affine_jumps():
+    kinds = np.zeros(3, dtype=int)
+    for dim, n in ((2, 1), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4)):
+        mesh = build_mesh(dim, n, np.eye(dim)[0])
+        for seed, scale in enumerate((1e-9, 1.0, 1e12)):
+            kinds += assert_blocks(blocked_field(mesh, np.random.default_rng(seed), scale))
+        assert_blocks(random_field(build_mesh(dim, n, np.array([0.6, 0.8, 0.0][:dim])), RNG))
+    assert np.all(kinds > 0)
+    # one gradient: no affine rows, empty blocks
+    table = SbvField.affine(build_mesh(3, 3, np.array([0.0, 0.6, 0.8])), np.ones((3, 3))).jump_table
+    assert table.bounds.tobytes() == np.zeros(10, dtype=np.intp).tobytes()
 
 
 def test_jump_table_rows_with_equal_gradients_are_exactly_constant():
@@ -346,7 +385,7 @@ def test_field_arrays_are_read_only():
     with pytest.raises(ValueError):
         offs[0, 0] = 1.0
     table = field.jump_table
-    for a in (table.offset, table.affine, table.values):
+    for a in (table.offset, table.affine, table.values, table.bounds):
         with pytest.raises(ValueError):
             a[...] = 0
 
@@ -579,6 +618,26 @@ def test_zero_gradient_3d_trace_gap_runs_no_quadrature(monkeypatch):
         assert boundary_trace_gap(fld, datum) == float(np.cumsum(constant_faces)[-1])
 
 
+def _face_norm_means_per_node(mism):
+    """``fields._face_norm_means`` as one ``np.linalg.norm`` per ``t`` node
+    over ``(F, 16, 3)`` points."""
+    m0 = mism[:, 0]
+    ds, dt = mism[:, 1] - m0, mism[:, 3] - m0
+    line = m0[:, None, :] + GAUSS_NODES[None, :, None] * ds[:, None, :]
+    sums = np.empty((len(mism), len(GAUSS_NODES)))
+    for j, t in enumerate(GAUSS_NODES):
+        sums[:, j] = np.linalg.norm(line + t * dt[:, None, :], axis=2) @ GAUSS_WEIGHTS
+    return sums @ GAUSS_WEIGHTS
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(faces=st.integers(1, 600), data=st.data())
+def test_face_norm_means_equal_the_per_node_norm_bit_for_bit(faces, data):
+    mism = data.draw(scaled_values((faces, 4, 3)))
+    got, want = fields._face_norm_means(mism), _face_norm_means_per_node(mism)
+    assert got.shape == want.shape == (faces,) and got.tobytes() == want.tobytes()
+
+
 def test_step_datum_orientation_mismatch_raises():
     mesh = build_mesh(2, 2, E1)
     fld = SbvField.affine(mesh, np.zeros((3, 2)))
@@ -674,6 +733,31 @@ def test_field_json_reads_integral_float_header_numbers():
     back = field_from_json(json.dumps(payload))
     assert (back.mesh.dim, back.mesh.n, type(back.mesh.n)) == (2, 3, int)
     assert back.offsets.tobytes() == field_from_json(field_to_json(fld)).offsets.tobytes()
+
+
+@pytest.mark.parametrize(
+    "read, extra",
+    [(field_from_json, {}), (triple_from_json, {"G": [[0.0] * 2] * 3, "d": [0.0] * 3})],
+)
+def test_a_short_file_is_rejected_before_its_grid_is_built(read, extra):
+    # a file of 4 cells may claim n = 3000: its cells are counted first, so
+    # no 9e6-cell grid is built or kept
+    from sdrelax import meshes
+
+    cell = {"gradient": [[0.0] * 2] * 3, "offset": [0.0] * 3, **extra}
+    payload = {"dimension": 2, "n": 3000, "orientation": [1.0, 0.0], "cells": [cell] * 4}
+    build_mesh.cache_clear()
+    with pytest.raises(InputError, match="^field file lists 4 cells but the mesh has 9000000$"):
+        read(json.dumps(payload))
+    # a bad dimension or orientation keeps the error build_mesh gives it
+    for bad, message in (
+        ({"dimension": 4, "orientation": [1.0, 0.0, 0.0, 0.0]}, "dimension must be 2 or 3"),
+        ({"orientation": [1.0, 0.0, 0.0]}, "does not match dimension 2"),
+        ({"orientation": [1.0, 1.0]}, "orientation must be a unit vector"),
+    ):
+        with pytest.raises(MeshError, match=message):
+            read(json.dumps({**payload, **bad}))
+    assert meshes._uniform_grid.cache_info().currsize == 0
 
 
 def _dumps_field_reference(field):

@@ -403,6 +403,25 @@ def test_grids_of_every_size_are_kept():
     build_mesh.cache_clear()
 
 
+@pytest.mark.parametrize(
+    "breaks",
+    [
+        [np.linspace(-0.5, 0.5, 2)] * 2,
+        [np.linspace(-0.5, 0.5, 8)] * 2,
+        [np.linspace(-0.5, 0.5, 6)] * 3,
+        [np.linspace(0.0, 1.0, 2), np.linspace(0.0, 1.0, 7)],
+        [np.cumsum([0.0, 0.1, 0.7, 0.2]), np.cumsum([0.0, 0.3, 0.3]), np.linspace(0.0, 1.0, 5)],
+        [np.linspace(0.0, 1.0, 2), np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 2)],
+        [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 2), np.linspace(0.0, 1.0, 3)],
+    ],
+)
+def test_boundary_cells_are_the_chain_ends(breaks):
+    # bnd_cell comes from the strides; it is each chain's first and last cell
+    mesh = Mesh(breaks)
+    want = np.concatenate([mesh.chains(a)[:, [0, -1]].reshape(-1) for a in range(mesh.dim)])
+    assert mesh.bnd_cell.dtype == want.dtype and mesh.bnd_cell.tobytes() == want.tobytes()
+
+
 def test_every_built_mesh_is_initialised(monkeypatch):
     # a kept grid still passes through Mesh.__init__, so the frame is checked
     # and per-mesh work counters see every mesh
