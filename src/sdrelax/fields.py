@@ -1,8 +1,9 @@
 """Discrete SBV fields: affine per cell with free offsets.
 
 A field stores one read-only gradient matrix (3 x mesh-dim) and offset
-vector per cell; on cell ``T`` it equals ``G_T x + b_T`` in world
-coordinates.  Jumps live on mesh edges and are affine along each edge, so
+vector per cell (a chain solve's minimizer keeps its offsets as runs along
+the mesh's chains until they are read, :class:`ChainRuns`); on cell ``T``
+it equals ``G_T x + b_T`` in world coordinates.  Jumps live on mesh edges and are affine along each edge, so
 every integral used here has an edge-wise closed form; each field keeps one
 :class:`JumpTable` of them, built on first use by per-axis differences of
 the cell data on the mesh's ``shape`` grid.  Absolute values of affine
@@ -216,7 +217,7 @@ class BoundaryPieces:
         """Values of ``field`` at the piece corners, ``(P, corners, 3)``;
         where the pieces' gradients are all zero, the offsets themselves."""
         grads = field.gradients[self.cell]
-        offsets = field.offsets[self.cell][:, None, :]
+        offsets = field.cell_offsets(self.cell)[:, None, :]
         if not grads.any():
             return np.broadcast_to(offsets, self.points.shape[:2] + (3,))
         return self.points @ grads.transpose(0, 2, 1) + offsets
@@ -326,32 +327,104 @@ def _edge_differences(mesh: Mesh, cells: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class ChainRuns:
+    """Offsets of a mesh of ``n`` cells per axis as runs along its chains
+    (:meth:`Mesh.chains`): the chain solver's minimizer, a value per DP row.
+
+    Block ``b`` gives each cell a value ``v_b`` along the chains of grid axis
+    ``axis[b]``; a cell's offset is ``0.0 + v_0 direction[0] + v_1
+    direction[1] + ...`` (``direction`` ``(B, 3)``).  The chains of all
+    blocks are the rows of one ``(B ncells / n, n)`` layout, covered by the
+    runs in flat order: run ``r`` holds ``values[r]`` from its first cell
+    ``first[r]`` up to the next run's, and every chain starts one.
+    """
+
+    axis: tuple[int, ...]
+    direction: np.ndarray
+    first: np.ndarray
+    values: np.ndarray
+
+    def dense(self, shape) -> np.ndarray:
+        """The ``(ncells, 3)`` offsets, summed component by component in a
+        contiguous ``(3, ncells)`` buffer and interleaved once at the end.  A
+        zero direction component adds a signed zero, which leaves a sum begun
+        at +0.0 unchanged, so it is skipped."""
+        ncells = int(np.prod(shape))
+        out, term = np.zeros((3,) + shape), np.empty(shape)
+        x = np.repeat(self.values, np.diff(self.first, append=len(self.axis) * ncells))
+        for xb, a, d in zip(x.reshape((-1,) + shape), self.axis, self.direction):
+            xb = np.moveaxis(xb, -1, a)  # chain layout to grid order
+            if np.count_nonzero(d) > 1:  # one strided pass, not one per component
+                xb = np.ascontiguousarray(xb)
+            for c in np.flatnonzero(d):
+                out[c] += np.multiply(xb, d[c], out=term)
+        return np.ascontiguousarray(out.reshape(3, ncells).T)
+
+    def at(self, shape, cells) -> np.ndarray:
+        """``dense(shape)[cells]``, bit for bit, from the runs of ``cells`` alone."""
+        dim, n = len(shape), shape[0]
+        nchains = int(np.prod(shape)) // n
+        out = np.zeros((len(cells), 3))
+        for b, (a, d) in enumerate(zip(self.axis, self.direction)):
+            stride = n ** (dim - 1 - a)  # cell -> (chain, position) along axis a
+            chain = b * nchains + cells // (stride * n) * stride + cells % stride
+            flat = chain * n + cells // stride % n
+            out += self.values[self.first.searchsorted(flat, side="right") - 1][:, None] * d
+        return out
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, checked to be finite; a broadcast view is checked on its
+    distinct elements (each zero-stride axis indexed at 0)."""
+    if not np.all(np.isfinite(a[tuple(0 if s == 0 else slice(None) for s in a.strides)])):
+        raise FieldError("field data must be finite")
+    return a
+
+
 class SbvField:
     """Piecewise-affine field ``u(x) = G_T x + b_T`` with values in R^3.
 
     The field takes ownership of its ``gradients`` and ``offsets``: float
     arrays are kept without a copy and marked read-only, so its
-    :attr:`jump_table` is built once and never goes stale.
+    :attr:`jump_table` is built once and never goes stale.  A chain solve
+    hands over its minimizer's offsets as :class:`ChainRuns`: the dense
+    ``offsets`` are then built from them on first read, once, and until
+    then :meth:`cell_offsets` gathers the offsets of the cells asked for
+    (the boundary pieces' cells) by reading only those cells' runs.
     """
 
     def __init__(self, mesh: Mesh, gradients, offsets):
-        gradients, offsets = np.asarray(gradients, dtype=float), np.asarray(offsets, dtype=float)
+        gradients = np.asarray(gradients, dtype=float)
         if gradients.shape != (mesh.ncells, 3, mesh.dim):
             raise FieldError(
                 f"gradients must have shape {(mesh.ncells, 3, mesh.dim)}, got {gradients.shape}"
             )
-        if offsets.shape != (mesh.ncells, 3):
-            raise FieldError(
-                f"offsets must have shape {(mesh.ncells, 3)}, got {offsets.shape}"
-            )
-        if not (np.all(np.isfinite(gradients)) and np.all(np.isfinite(offsets))):
-            raise FieldError("field data must be finite")
-        gradients.flags.writeable = offsets.flags.writeable = False
-        self.mesh = mesh
-        self._gradients, self._offsets = gradients, offsets
+        runs = offsets if isinstance(offsets, ChainRuns) else None
+        offsets = np.asarray(offsets, dtype=float) if runs is None else runs.values
+        if runs is None and offsets.shape != (mesh.ncells, 3):
+            raise FieldError(f"offsets must have shape {(mesh.ncells, 3)}, got {offsets.shape}")
+        for a in (gradients, offsets):
+            _finite(a).flags.writeable = False
+        self.mesh, self._gradients, self._runs = mesh, gradients, runs
+        self._offsets = offsets if runs is None else None
 
     gradients = property(lambda self: self._gradients, doc="``(ncells, 3, dim)``, read-only")
-    offsets = property(lambda self: self._offsets, doc="``(ncells, 3)``, read-only")
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """``(ncells, 3)``, read-only; from a solver's runs, built on first read."""
+        if self._offsets is None:
+            self._offsets = _finite(self._runs.dense(self.mesh.shape))
+            self._offsets.flags.writeable = False
+        return self._offsets
+
+    def cell_offsets(self, cells) -> np.ndarray:
+        """``offsets[cells]``: before the dense offsets are built, gathered
+        from the runs with the same additions in the same order from 0.0."""
+        if self._offsets is None:
+            return _finite(self._runs.at(self.mesh.shape, cells))
+        return self._offsets[cells]
 
     @classmethod
     def affine(cls, mesh: Mesh, matrix, offset=None) -> "SbvField":
@@ -409,12 +482,13 @@ def gauss_green_residual(field: SbvField) -> np.ndarray:
     mesh = field.mesh
     w = np.ones(mesh.dim)
     table = field.jump_table
-    delta_mean = table.offset.copy()
-    delta_mean[table.affine] = table.values.mean(axis=1)
-    # one weight per chain (normal . w times face measure), repeated over its edges
+    # one weight per chain (normal . w times face measure), repeated over its
+    # edges; it weighs each edge's offset difference, or an affine row's corner mean
     nchains = [mesh.ncells // m for m in mesh.shape]
     weight = np.repeat(mesh.frame.T @ w, nchains) * mesh.bnd_measure[::2]
-    jump_term = np.repeat(weight, np.repeat(np.subtract(mesh.shape, 1), nchains)) @ delta_mean
+    weight = np.repeat(weight, np.repeat(np.subtract(mesh.shape, 1), nchains))
+    affine_weight, weight[table.affine] = weight[table.affine], 0.0
+    jump_term = weight @ table.offset + np.tensordot(affine_weight, table.values, 1).mean(axis=0)
     bulk_term = np.einsum("t,tij,j->i", mesh.cell_measures, field.gradients, w)
     pieces = boundary_pieces(mesh, zero_datum(mesh.dim))
     bnd_mean = pieces.field_values(field).mean(axis=1)

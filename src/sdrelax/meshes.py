@@ -102,9 +102,11 @@ def _face_corners(breaks, cells, axis, upper) -> np.ndarray:
     for a in range(dim):
         step[a][..., [b for b in range(dim) if b != a]] = bounds
         step[a, 1, :, a] = 1
-    index = np.stack(np.unravel_index(cells, tuple(b.size - 1 for b in breaks)), axis=-1)
-    index = index[:, None, :] + step[axis, upper]
-    return np.stack([values[index[..., b]] for b, values in enumerate(breaks)], axis=-1)
+    index = np.unravel_index(cells, tuple(b.size - 1 for b in breaks))
+    out = np.empty((len(cells), len(bounds), dim))
+    for b, values in enumerate(breaks):  # one axis' coordinates at a time
+        out[..., b] = values[step[axis, upper, :, b] + index[b][:, None]]
+    return out
 
 
 def _checked_frame(frame, dim: int) -> np.ndarray:

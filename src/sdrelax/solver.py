@@ -21,34 +21,30 @@ and each of those into independent 1-D chains of cells along the axis: a
 chain's interior jumps cost ``h |p_{i+1} - p_i|`` and its boundary
 mismatches ``w |p_i + c|``.  This is L1 total variation on a path, which has
 the threshold property: some minimizer takes all its values among the unary
-breakpoints ``-c``.  A min-plus dynamic program down each chain over those
-candidates is therefore exact; it runs once per solve, vectorized across
-the chains of all axes, longest first, so that each step works only on the
-chains still running.  Every interior face of a chain has the same measure
-``h``, so the DP visits only a chain's kept cells (the cells with a unary
-term, and both ends): a stretch of unary-free cells between two kept cells
-is a bare total-variation path, which costs ``h |v - u|`` from value ``u``
-to value ``v``.  Consecutive kept cells all of whose terms share one
-breakpoint ``p`` take one DP row between them: setting such a run to its
-value closest to ``p`` lowers every one of its terms and, by the triangle
-inequality, not the total variation, so some (lexicographic) minimizer is
-constant on it.  Step problems at even n thus take one DP step.  The
-returned minimizer jumps at most once between two rows, at the last edge
-before the second.  Affine problems charge only boundary faces, so their
-DP visits each chain's two ends.
-Pure jump problems carry a second, energy-free objective through the same
-program (datum mismatches on every boundary face, whose breakpoints join
-the candidates) and compare (primary, secondary) pairs lexicographically,
-so that among minimizers one matching the boundary datum is returned.
+breakpoints ``-c``.  A min-plus dynamic program over those candidates is
+therefore exact; it runs once per solve, vectorized across the chains of
+all axes, longest first, over the runs of each chain's kept cells (cells
+with a unary term, and both ends; see ``_solve_chains``), one DP row per
+run: step problems at even n take one DP step, and affine problems, which
+charge only boundary faces, visit each chain's two ends.  Pure jump
+problems carry a second, energy-free objective through the same program
+(datum mismatches on every boundary face, whose breakpoints join the
+candidates) and compare (primary, secondary) pairs lexicographically, so
+that among minimizers one matching the boundary datum is returned.
 
-One pass over the chain program's terms at the minimizer sums both the
-objective (``value``) and the exact energy of the minimizer
-(``value_exact``): they share every interior and constant boundary term,
-and an affine boundary piece's exact integral (split at the sign change on
-a segment, the closed-form rectangle kernel on a face) is spread over its
-trapezoid shares in proportion, clamped to them.  Both add their terms in
-the same order, so ``value_exact <= value`` holds term by term and,
-rounding being monotone, for the sums.
+The minimizer is its runs: a value per DP row, held from the row's first
+cell up to the next row's, so a chain jumps at most once between two rows,
+at the last edge before the second.  The solve's field keeps them
+(:class:`sdrelax.fields.ChainRuns`) and builds dense offsets only when they
+are read.  One pass over the chain program's terms at the runs, each
+interior jump read between consecutive rows of a chain and each unary term
+at its row's value, sums both the objective (``value``) and the exact
+energy of the minimizer (``value_exact``): they share every interior and
+constant boundary term, and an affine boundary piece's exact integral
+(split at the sign change on a segment, the closed-form rectangle kernel on
+a face) is spread over its trapezoid shares in proportion, clamped to them.
+Both add their terms in the same order, so ``value_exact <= value`` holds
+term by term and, rounding being monotone, for the sums.
 
 Problems whose surface integrand relaxes the out-of-plane normal component
 (the zero-boundary pinned-gradient problem and the step-datum problem with
@@ -76,6 +72,7 @@ from .errors import InputError, ProblemError, UnsupportedProblemError
 from .fields import (
     AffineDatum,
     BoundaryPieces,
+    ChainRuns,
     SbvField,
     StepDatum,
     abs_affine_integral,
@@ -119,9 +116,10 @@ class KindSpec:
     aligned with ``orientation``, and the tie-break.  ``closed`` is the
     continuum value for the normal-form surface density with zero bulk
     (``None``: none); ``zero_bulk`` the bulk term under zero bulk (``None``:
-    0); ``custom_bulk(problem, mesh)`` the uncertified ``(value, z)`` under a
-    custom bulk (``None``: the kind has no bulk term).  ``psi1`` kinds use the
-    out-of-plane-relaxed integrand and are solved in closed form.
+    0); ``custom_bulk(problem, mesh)`` the uncertified bulk term under a
+    custom bulk, or, as a string, why the kind cannot take one (``None``: the
+    kind has no bulk term).  ``psi1`` kinds use the out-of-plane-relaxed integrand and
+    are solved in closed form.
     """
 
     slots: tuple[str, ...]
@@ -132,7 +130,7 @@ class KindSpec:
     datum: Callable = lambda p: AffineDatum(p.A)
     closed: Callable | None = None
     zero_bulk: Callable | None = None
-    custom_bulk: Callable | None = None
+    custom_bulk: Callable | str | None = None
     psi1: bool = False
 
 
@@ -140,11 +138,9 @@ def _w_3d2dsd(p) -> float:
     return dens.w_3d2dsd(p.A, p.B)
 
 
-def _once_relaxed_bulk(p, mesh):
-    raise UnsupportedProblemError(
-        f"kind {p.kind.value} integrates a once-relaxed bulk density, which has "
-        "no closed form for custom initial densities"
-    )
+_ONCE_RELAXED = (
+    "integrates a once-relaxed bulk density, which has no closed form for custom initial densities"
+)
 
 
 _STEP_2D = KindSpec(("lam", "orientation"), closed=lambda p: dens.h_3d2d(p.lam, p.orientation))
@@ -158,13 +154,12 @@ KINDS: dict[Kind, KindSpec] = {
     Kind.H_3D2D: _STEP_2D,
     Kind.W_3D2D: KindSpec(
         ("A", "d"), shapes=_WITH_D, pin=lambda p: p.A, closed=lambda p: 0.0,
-        custom_bulk=lambda p, mesh: _minimize_mean_constrained_bulk(
-            p.density.bulk, p.A, p.d, mesh.ncells
-        ),
+        custom_bulk="minimizes a custom bulk density over fields z of mean d, for which "
+        "the solver has no certified method",
     ),
     Kind.W_3D2DSD: KindSpec(
         ("A", "B"), shapes=_MATRICES_3X2, pin=lambda p: p.B, closed=_w_3d2dsd,
-        custom_bulk=_once_relaxed_bulk,
+        custom_bulk=_ONCE_RELAXED,
     ),
     Kind.H_3D2DSD: _STEP_2D,
     Kind.W_3DSD: KindSpec(
@@ -175,9 +170,7 @@ KINDS: dict[Kind, KindSpec] = {
         ),
         pin=lambda p: np.column_stack([p.B, p.A[:, 2]]),
         closed=lambda p: dens.w_3dsd(p.A, p.B),
-        custom_bulk=lambda p, mesh: (
-            float(p.density.bulk(_pinned_gradient(p))) * mesh.total_measure, None
-        ),
+        custom_bulk=lambda p, mesh: float(p.density.bulk(_pinned_gradient(p))) * mesh.total_measure,
     ),
     Kind.H_3DSD: KindSpec(
         ("lam", "orientation"), dim=3, closed=lambda p: dens.h_pure(p.lam, p.orientation)
@@ -187,7 +180,7 @@ KINDS: dict[Kind, KindSpec] = {
         # inner bulk density at the pinned gradient; the per-cell mean field
         # cancels inside the trace, hence no z dependence at all
         zero_bulk=lambda p: float(dens.w_3d2dsd(p.A, p.B)),
-        custom_bulk=_once_relaxed_bulk,
+        custom_bulk=_ONCE_RELAXED,
     ),
     Kind.H_3DSD2D: _STEP_2D,
     Kind.W1: KindSpec(
@@ -467,11 +460,9 @@ def _lex_argmin(primary, secondary, tol):
 def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
     """Candidate index of every row minimizing, per chain ``c``, ``sum_j
     unary[r_j, x_j] + h[c] |cand[x_j] - cand[x_{j-1}]|`` over the chain's
-    rows ``r_j``; with ``secondary``, lexicographically in (``unary``,
-    ``secondary``), primaries within ``tol`` (one per chain) counting as
-    tied.  A row is one run of a chain's kept cells (``_solve_chains``): a
-    run whose terms share one breakpoint is one row however many cells it
-    spans, so the steps follow the runs, not the cells.
+    rows ``r_j`` (its runs, ``_solve_chains``); with ``secondary``,
+    lexicographically in (``unary``, ``secondary``), primaries within
+    ``tol`` (one per chain) counting as tied.
 
     Chains are laid out longest first and ragged: position ``j`` of the
     ``active[j]`` chains that reach it is rows ``start[j] ... start[j + 1]``
@@ -523,21 +514,24 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
 
 def _runs(keep, term_cell, breaks, n):
     """The runs of kept cells: ``keep`` (flat cell ids, sorted) reduced to
-    each run's first cell, and each term's run in place of its kept cell
-    ``term_cell``.  A kept cell all of whose terms have one breakpoint joins
-    the run of the kept cell before it in its chain if all of that one's
-    terms have the same breakpoint."""
+    each run's first cell, and the run of each kept cell, given each term's
+    kept cell ``term_cell``.  A kept cell all of whose terms have one
+    breakpoint joins the run of the kept cell before it in its chain if all
+    of that one's terms have the same breakpoint."""
     lo, hi = np.full(len(keep), np.inf), np.full(len(keep), -np.inf)
     np.minimum.at(lo, term_cell, breaks)
     np.maximum.at(hi, term_cell, breaks)
     single = np.where(lo == hi, lo, np.nan)  # nan: several breakpoints, or none
     head = np.ones(len(keep), dtype=bool)
     head[1:] = (keep[1:] // n != keep[:-1] // n) | (single[1:] != single[:-1])
-    return keep[head], (np.cumsum(head) - 1)[term_cell]
+    return keep[head], np.cumsum(head) - 1
 
 
-def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
-    """Exact minimizer ``x`` ``(nchains, n)`` of a chain program.
+def _solve_chains(table: ChainTable, tie_break: bool):
+    """Exact minimizer of a chain program as its runs, ``(values, first,
+    term_run)``: each run's value and first cell (flat, in the ``(nchains,
+    n)`` layout of ``x``), and each term's run.  A run's value holds up to
+    the next run's first cell, and every chain starts a run.
 
     By the threshold property of L1 total variation, some minimizer takes
     all its values in its chain's unary breakpoints ``-const``, so the DP
@@ -545,32 +539,33 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     include the side-term breakpoints, which keeps the lexicographic program
     exact too.  The DP runs once, over the runs of kept cells of all chains
     (cells with unary terms, and both ends), longest first (``_chain_dp``).
-    A run is one kept cell, or, where some chain keeps more than its two
-    ends, consecutive kept cells every term of which has one breakpoint
-    ``p``, with the cells between them.  Setting all of a point's values on
-    the run to the one closest to ``p`` lowers each of the run's terms,
-    energy or side, and by the triangle inequality not the total
-    variation, so some lexicographic minimizer is constant on the run.
-    Each run's value spans it and the cells after it up to the next run's
-    first cell.  The DP's unary (and secondary) table sums each run's terms
-    at every candidate with one ``np.bincount`` per candidate column, which
-    adds in term order from 0.
+    Between two kept cells lies a bare total-variation path, which costs ``h
+    |v - u|`` from value ``u`` to ``v``.  A run is one kept cell, or, where
+    some chain keeps more than its two ends, consecutive kept cells every
+    term of which has one breakpoint ``p``, with the cells between them.
+    Setting all of a point's values on the run to the one closest to ``p``
+    lowers each of the run's terms, energy or side, and by the triangle
+    inequality not the total variation, so some lexicographic minimizer is
+    constant on the run.  The DP's unary (and secondary) table sums each
+    run's terms at every candidate with one ``np.bincount`` per candidate
+    column, which adds in term order from 0.
     """
     h, n = table.h, table.n
     nchains = len(h)
     use = ~table.side | tie_break
-    tc, tp = table.chain[use], table.pos[use]
+    cell = table.chain * n + table.pos
+    tc = table.chain[use]
     weight, const, primary = table.weight[use], table.const[use], ~table.side[use]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
     breaks = 0.0 - const
-    kept = np.zeros((nchains, n), dtype=bool)
-    kept[:, 0] = kept[:, -1] = True
-    kept[tc, tp] = True
+    kept = np.zeros(nchains * n, dtype=bool)
+    kept[::n] = kept[n - 1 :: n] = True
+    kept[cell[use]] = True
     keep = np.flatnonzero(kept)
-    trow = keep.searchsorted(tc * n + tp)  # each term's kept cell, then its run, then its row
+    term_run = keep.searchsorted(cell, side="right") - 1  # each term's kept cell, then its run
     if len(keep) > 2 * nchains:
-        keep, trow = _runs(keep, trow, breaks, n)
-    span = np.diff(keep, append=kept.size)  # cells, in flat order, that take each run's value
+        keep, run = _runs(keep, term_run[use], breaks, n)
+        term_run = run[term_run]
     kc = keep // n
     # longest-first ragged layout: chain c is candidate row slot[c], and its
     # j-th run is row start[j] + slot[c]
@@ -580,7 +575,7 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
     active = nchains - np.cumsum(np.bincount(length))[:-1]
     start = np.concatenate(([0], np.cumsum(active)))
     row = start[np.arange(len(keep)) - keep.searchsorted(kc * n)] + slot[kc]
-    trow = row[trow]
+    trow = row[term_run[use]]
     ts = slot[tc]
     cand = _candidates(ts, breaks, nchains)
     del breaks  # before the cost tables, where a large affine solve peaks
@@ -597,31 +592,34 @@ def _solve_chains(table: ChainTable, tie_break: bool) -> np.ndarray:
         total_weight = h * (n - 1) + np.bincount(tc[primary], weight[primary], nchains)
         tol = TIE_RTOL * total_weight[order] * np.abs(cand).max(axis=1)
     idx = _chain_dp(active, cand, h[order], unary, secondary, tol)
-    return np.repeat(cand[slot[kc], idx[row]], span).reshape(nchains, n)
+    return cand[slot[kc], idx[row]], keep, term_run
 
 
-def _chain_objective(x: np.ndarray, table: ChainTable):
-    """Objective of each chain at the values ``x``, and the exact energy of
-    the same terms, ``(value, value_exact)``.
+def _chain_objective(values, first, term_run, table: ChainTable):
+    """Objective of each chain at the runs ``_solve_chains`` returns, and the
+    exact energy of the same terms, ``(value, value_exact)``.
 
-    The two share every term but the corner terms of the affine boundary
-    pieces: a piece's trapezoid shares ``s_i``, summing to ``T``, become
-    ``s_i min(E / T, 1)``, where ``E <= T`` (by convexity) is the piece's
-    exact integral of ``|x + const|``.  One
+    Interior terms are read between consecutive runs of a chain, ``h
+    |values[r + 1] - values[r]|``, and formed only where the two differ (a
+    zero leaves a sum of nonnegative terms unchanged); unary terms read
+    their run's value.  The two sums share every term but the corner terms
+    of the affine boundary pieces: a piece's trapezoid shares ``s_i``,
+    summing to ``T``, become ``s_i min(E / T, 1)``, where ``E <= T`` (by
+    convexity) is the piece's exact integral of ``|x + const|``.  One
     :func:`sdrelax.fields.abs_affine_integral` call gives ``E`` for the
     affine pieces of all axes (segments in 2D, rectangles in 3D); a table
     without them (every step problem) has every term exact, and its one sum
-    is both.  Both are summed in sequence, interior terms in
-    chain order, then unary terms in table order, so that neither depends
-    on the order of the solver's internal arithmetic and, rounding being
-    monotone, each exact sum is at most its objective.  A zero interior
-    term leaves such a sum of nonnegative terms unchanged, so only the
-    interior terms with a jump are formed.
+    is both.  Both are summed in sequence, interior terms in chain order,
+    then unary terms in table order, so that neither depends on the order of
+    the solver's internal arithmetic and, rounding being monotone, each
+    exact sum is at most its objective.
     """
-    nchains = len(x)
-    row, col = np.nonzero(x[:, 1:] != x[:, :-1])
-    interior = table.h[row] * np.abs(x[row, col + 1] - x[row, col])
-    at = x[table.chain, table.pos] + table.const
+    nchains = len(table.h)
+    run_chain = first // table.n
+    step = np.flatnonzero((run_chain[1:] == run_chain[:-1]) & (values[1:] != values[:-1]))
+    row = run_chain[step]
+    interior = table.h[row] * np.abs(values[step + 1] - values[step])
+    at = values[term_run] + table.const
     terms = table.weight * np.abs(at)
     unary = np.flatnonzero(~table.side)
     chain = np.concatenate((row, table.chain[unary]))
@@ -659,50 +657,9 @@ def _bulk_value(problem: CellProblem, mesh: Mesh):
     z = np.tile(problem.d, (mesh.ncells, 1)) if "d" in spec.slots else None
     if spec.custom_bulk is None or problem.density.bulk_form == dens.BULK_ZERO:
         return (0.0 if spec.zero_bulk is None else spec.zero_bulk(problem)), z, True
-    # custom bulk densities: exploratory, never certified
-    value, z = spec.custom_bulk(problem, mesh)
-    return value, z, False
-
-
-def _minimize_mean_constrained_bulk(bulk, A, d, ncells):
-    """Minimize the cell average of ``bulk((A|z_T))`` subject to the mean of
-    the per-cell values ``z_T`` being ``d``.
-
-    Searches the constant field plus two-value laminates with cell-count
-    weights (the natural discrete family; a laminate realizes the convex
-    envelope direction by direction).  Exploratory feature: the result is an
-    upper bound for the discrete class and is flagged uncertified.
-    """
-    from scipy.optimize import minimize
-
-    d = np.asarray(d, dtype=float)
-
-    def at(z):
-        return float(bulk(np.column_stack([A, z])))
-
-    best_val = at(d)
-    best_z = np.tile(d, (ncells, 1))
-    if ncells == 1:
-        return best_val, best_z
-
-    counts = sorted({max(1, round(f * ncells)) for f in (0.1, 0.25, 0.5)} | {1})
-    for m in counts:
-        if not 1 <= m < ncells:
-            continue
-        theta = m / ncells
-
-        def objective(z1, theta=theta):
-            z1 = np.asarray(z1)
-            z2 = (d - theta * z1) / (1.0 - theta)
-            return theta * at(z1) + (1.0 - theta) * at(z2)
-
-        res = minimize(lambda z: objective(z), x0=d, method="Powell")
-        if res.fun < best_val - 1e-12:
-            best_val = float(res.fun)
-            z1 = np.asarray(res.x)
-            z2 = (d - theta * z1) / (1.0 - theta)
-            best_z = np.vstack([np.tile(z1, (m, 1)), np.tile(z2, (ncells - m, 1))])
-    return best_val, best_z
+    if isinstance(spec.custom_bulk, str):
+        raise UnsupportedProblemError(f"kind {problem.kind.value} {spec.custom_bulk}")
+    return spec.custom_bulk(problem, mesh), z, False  # custom bulk densities: never certified
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +691,10 @@ def solve(problem: CellProblem) -> SolveResult:
         minimizer = SbvField(mesh, grads, _staggered_offsets(problem, mesh))
         surf_value = surf_exact = surface_energy(minimizer, problem.density, datum)
     else:
-        surf_value, surf_exact, offsets = _chain_offsets(
+        surf_value, surf_exact, runs = _chain_minimizer(
             problem, mesh, pin, boundary_pieces(mesh, datum)
         )
-        minimizer = SbvField(mesh, grads, offsets)
+        minimizer = SbvField(mesh, grads, runs)
     return SolveResult(
         kind=problem.kind,
         value=float(surf_value + bulk_value),
@@ -750,43 +707,38 @@ def solve(problem: CellProblem) -> SolveResult:
     )
 
 
-def _chain_offsets(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces):
-    """(surface objective, its exact energy, offsets) of the chain program
-    of all axes.  The piece and chain tables are released once the program
-    is solved and scored, so the offsets do not stack on them at a solve's
-    peak memory; each axis adds its share to the offsets one component at a
-    time, through one reused buffer of a third of their size."""
+def _chain_minimizer(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPieces):
+    """(surface objective, its exact energy, offset runs) of the chain
+    program of all axes.  The piece and chain tables are released once the
+    program is solved and scored; the minimizer stays its runs, axis ``a``'s
+    values taken along its padded world direction (:class:`ChainRuns`)."""
     tie_break = KINDS[problem.kind].pin is None
     dim, n = mesh.dim, mesh.shape[0]
     table = _chain_table(mesh, pin, pieces, tie_break)
     del pieces
-    x = _solve_chains(table, tie_break)
+    values, first, term_run = _solve_chains(table, tie_break)
     # summed axis by axis, chain by chain
     surf_value, surf_exact = (
-        np.cumsum(np.cumsum(v.reshape(dim, -1), axis=1)[:, -1])[-1] for v in _chain_objective(x, table)
+        np.cumsum(np.cumsum(v.reshape(dim, -1), axis=1)[:, -1])[-1]
+        for v in _chain_objective(values, first, term_run, table)
     )
     del table
-    offsets = np.zeros((mesh.ncells, 3))
-    grid = offsets.reshape((n,) * dim + (3,))
-    term = np.empty((n,) * dim)  # one buffer for every axis' share of one component
-    dirs3 = padded_normal(mesh.frame.T)
-    for a, xa in enumerate(np.split(x, dim)):
-        # axis a's chains run along grid axis a, rows in C order over the others
-        xa = np.moveaxis(xa.reshape((n,) * dim), -1, a)
-        for c in range(3):
-            grid[..., c] += np.multiply(xa, dirs3[a, c], out=term)
-
-    if tie_break and mesh.dim == 2:
+    axis, direction = tuple(range(dim)), padded_normal(mesh.frame.T)
+    if tie_break and dim == 2:
         # the out-of-plane offset component is costless under the normal
-        # form; match the datum region so the returned trace is exact
-        offsets[:, 2] += np.where(_right_cells(mesh), float(problem.lam[2]), 0.0)
-    return surf_value, surf_exact, offsets
+        # form; match the datum region so the returned trace is exact: one
+        # more block, a run per chain along axis 1 (one per axis 0 index)
+        first = np.concatenate((first, (2 * n + np.arange(n)) * n))
+        values = np.concatenate((values, np.where(_right_rows(mesh), float(problem.lam[2]), 0.0)))
+        axis, direction = axis + (1,), np.vstack((direction, [0.0, 0.0, 1.0]))
+    return surf_value, surf_exact, ChainRuns(axis, direction, first, values)
 
 
-def _right_cells(mesh: Mesh) -> np.ndarray:
-    """Whether each cell's center has ``x·η >= 0`` (axis 0, slowest in C order)."""
+def _right_rows(mesh: Mesh) -> np.ndarray:
+    """Whether the cells of each axis 0 index (slowest in C order) have
+    centers with ``x·η >= 0``."""
     b = mesh.axis_breaks[0]
-    return np.repeat(0.5 * (b[:-1] + b[1:]) >= 0, mesh.ncells // mesh.shape[0])
+    return 0.5 * (b[:-1] + b[1:]) >= 0
 
 
 def _staggered_offsets(problem: CellProblem, mesh: Mesh) -> np.ndarray:
@@ -798,7 +750,7 @@ def _staggered_offsets(problem: CellProblem, mesh: Mesh) -> np.ndarray:
     """
     offsets = np.zeros((mesh.ncells, 3))
     if KINDS[problem.kind].pin is None:
-        offsets[_right_cells(mesh)] = problem.lam
+        offsets[np.repeat(_right_rows(mesh), mesh.ncells // mesh.shape[0])] = problem.lam
         stagger = abs(problem.lam[2]) + 1.0
     else:
         stagger = 2.0 * float(np.linalg.norm(problem.A)) + 1.0

@@ -228,7 +228,9 @@ def _surface_energy_reference(field, density, datum, overestimate):
 
 
 def _residual_reference(field):
-    """``gauss_green_residual`` with the table's rows in edge order."""
+    """``gauss_green_residual`` summed in one pass over every edge, in edge
+    order: each edge's mean jump is its offset difference or, on an affine
+    row, its corner mean."""
     mesh, table = field.mesh, field.jump_table
     w = np.ones(mesh.dim)
     delta_mean = table.offset.copy()
@@ -271,6 +273,9 @@ def test_energy_and_residual_equal_the_per_call_classification(dim, n):
                 got = surface_energy(field, density, datum=datum, overestimate=over)
                 want = _surface_energy_reference(field, density, datum, over)
                 assert got.hex() == want.hex(), (scale, density, datum, over)
-            assert gauss_green_residual(field).tobytes() == _residual_reference(field).tobytes()
+            # the residual weighs offset differences and affine corner means in
+            # separate sums, so it matches the edge-order sum to rounding only
+            residual = gauss_green_residual(field) - _residual_reference(field)
+            assert np.max(np.abs(residual)) <= 1e-13 * field.scale()
     # odd n puts no break at x0 = 0, so no zero rows
     assert np.all(counts[n % 2 :] > 0), counts

@@ -14,8 +14,9 @@ from sdrelax.densities import (
     w_3d2dsd,
 )
 from sdrelax.energy import surface_energy
-from sdrelax.errors import ProblemError, UnsupportedProblemError
-from sdrelax.fields import StepDatum, average_gradient, boundary_trace_gap
+from sdrelax.errors import FieldError, ProblemError, UnsupportedProblemError
+from sdrelax.fields import ChainRuns, SbvField, StepDatum, average_gradient, boundary_trace_gap
+from sdrelax.meshes import build_mesh
 from sdrelax.solver import (
     KINDS,
     CellProblem,
@@ -58,7 +59,7 @@ def test_h_3d2d_axis_competitor_exactly_feasible():
     assert r.value == pytest.approx(1.0, abs=1e-9)
     assert r.lower_bound_certified
     assert boundary_trace_gap(r.minimizer, StepDatum(lam, E1)) <= 1e-9
-    assert r.reevaluate(p) == pytest.approx(r.value, abs=1e-9)
+    assert r.reevaluate(p) == pytest.approx(r.value, rel=1e-12, abs=0.0)
     assert r.value_exact <= r.value + 1e-9
 
 
@@ -132,7 +133,7 @@ def test_w_3d2dsd_random_sandwich_and_floor():
         assert r.value >= closed_form(p) - 1e-9
         assert r.value <= staircase_bound(A, B, 8) + 1e-9
         assert r.value_exact <= r.value + 1e-9
-        assert r.reevaluate(p) == pytest.approx(r.value, abs=1e-9)
+        assert r.reevaluate(p) == pytest.approx(r.value, rel=1e-12, abs=0.0)
 
 
 def test_w_3dsd_cube():
@@ -152,7 +153,7 @@ def test_w_3dsd_random_instances_respect_floor():
         r = solve(p)
         assert r.value >= closed_form(p) - 1e-9
         assert r.value_exact <= r.value + 1e-9
-        assert r.reevaluate(p) == pytest.approx(r.value, abs=1e-9)
+        assert r.reevaluate(p) == pytest.approx(r.value, rel=1e-12, abs=0.0)
 
 
 def test_w_3dsd2d_value_and_z_independence():
@@ -341,33 +342,6 @@ def quadratic_bulk_pair():
                        surface_form="normal")
 
 
-def double_well_bulk_pair():
-    def bulk(M):
-        z1 = M[0, 2]
-        return float(min((z1 - 1.0) ** 2, (z1 + 1.0) ** 2))
-
-    return DensityPair(bulk=bulk, surface=h_pure, p=2.0, bulk_form="custom",
-                       surface_form="normal")
-
-
-def test_w_3d2d_custom_convex_bulk_takes_constant_mean_field():
-    A = np.zeros((3, 2))
-    d = np.array([0.5, -0.25, 1.0])
-    r = solve(CellProblem(kind=Kind.W_3D2D, n=2, A=A, d=d, density=quadratic_bulk_pair()))
-    assert r.value == pytest.approx(float(d @ d), rel=1e-6)
-    assert not r.lower_bound_certified
-
-
-def test_w_3d2d_custom_nonconvex_bulk_benefits_from_laminate():
-    A = np.zeros((3, 2))
-    d = np.zeros(3)
-    r = solve(CellProblem(kind=Kind.W_3D2D, n=2, A=A, d=d, density=double_well_bulk_pair()))
-    # constant mean field would pay 1.0; a half/half laminate at +-1 pays 0
-    assert r.value <= 1e-6
-    assert not r.lower_bound_certified
-    assert np.max(np.abs(r.z.mean(axis=0) - d)) <= 1e-9
-
-
 def test_w_3dsd_custom_bulk_constant_term():
     pair = quadratic_bulk_pair()
     A3 = np.eye(3)
@@ -516,6 +490,12 @@ def _unsupported_cases():
             message = (
                 f"kind {k.value} integrates a once-relaxed bulk density, which has "
                 "no closed form for custom initial densities"
+            )
+            yield f"{k.value}-custom-bulk", k, quadratic_bulk_pair(), message
+        if k is Kind.W_3D2D:
+            message = (
+                "kind W_3D2D minimizes a custom bulk density over fields z of mean d, "
+                "for which the solver has no certified method"
             )
             yield f"{k.value}-custom-bulk", k, quadratic_bulk_pair(), message
 
@@ -866,6 +846,52 @@ def test_value_exact_never_exceeds_value_on_the_rounding_probe(n):
         B = rng.uniform(-5, 5, (3, 2))
         r = solve(CellProblem(kind=Kind.W_3D2DSD, n=n, A=A, B=B))
         assert r.value_exact <= r.value
+
+
+# ---------------------------------------------------------------------------
+# a chain solve's minimizer is its runs: dense offsets on first read
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(CHAIN_KINDS),
+    data=st.data(),
+    exponent=st.integers(-9, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runs_minimizer_gathers_what_its_dense_offsets_hold(kind, data, exponent, seed):
+    # even and odd n, rotated step meshes, data scales 1e-9 .. 1e12
+    n = data.draw(st.integers(1, 8 if KINDS[kind].dim == 3 else 24), label="n")
+    problem = _random_problem(kind, n, np.random.default_rng(seed), 10.0**exponent)
+    field = solve(problem).minimizer
+    mesh = field.mesh
+    datum = _datum_for(problem, mesh)
+    gathered = field.cell_offsets(mesh.bnd_cell)
+    gap = boundary_trace_gap(field, datum)
+    assert field._offsets is None  # both read the runs, not the dense offsets
+    offsets = field.offsets
+    assert field.offsets is offsets and not offsets.flags.writeable
+    with pytest.raises(ValueError):
+        offsets[0, 0] = 1.0
+    assert gathered.tobytes() == offsets[mesh.bnd_cell].tobytes()
+    assert field.cell_offsets(mesh.bnd_cell).tobytes() == gathered.tobytes()
+    assert boundary_trace_gap(field, datum).hex() == gap.hex()
+
+
+def test_runs_minimizer_rejects_non_finite_values():
+    mesh = build_mesh(2, 2, E1)
+    grads = np.zeros((mesh.ncells, 3, 2))
+    direction = np.array([[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0]])
+    first = np.arange(0, 8, 2)  # one run per chain, two chains per axis
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(FieldError):
+            SbvField(mesh, grads, ChainRuns((0, 1), direction, first, np.array([1.0, 2.0, bad, 4.0])))
+    # finite values whose weighted sums overflow fail on the first read
+    field = SbvField(mesh, grads, ChainRuns((0, 1), direction, first, np.full(4, 1.7e308)))
+    with np.errstate(over="ignore"), pytest.raises(FieldError):
+        field.cell_offsets(mesh.bnd_cell)
+    with np.errstate(over="ignore"), pytest.raises(FieldError):
+        field.offsets
 
 
 # ---------------------------------------------------------------------------

@@ -264,10 +264,25 @@ def chain_objective(table, x):
     )
 
 
+def dense_chains(table, tie_break):
+    """``_solve_chains``'s minimizer of a chain table expanded from its runs
+    to the values ``x`` ``(nchains, n)``, and the objective of each chain,
+    which ``_chain_objective`` reads from the runs."""
+    values, first, term_run = _solve_chains(table, tie_break)
+    x = np.repeat(values, np.diff(first, append=len(table.h) * table.n))
+    chain_value, _ = _chain_objective(values, first, term_run, table)
+    return x.reshape(len(table.h), table.n), chain_value
+
+
+def objective_at(x, table):
+    """``_chain_objective`` at the values ``x`` ``(nchains, n)``: every cell
+    is its own run."""
+    return _chain_objective(x.reshape(-1), np.arange(x.size), table.chain * table.n + table.pos, table)
+
+
 def solve_chain_table(table, tie_break):
     """Total objective and minimizer ``(nchains, n)`` of a chain table."""
-    x = _solve_chains(table, tie_break)
-    chain_value, _ = _chain_objective(x, table)
+    x, chain_value = dense_chains(table, tie_break)
     return float(np.cumsum(chain_value)[-1]), x
 
 
@@ -356,7 +371,7 @@ def every_cell_solve_chains(table, tie_break):
         tol = TIE_RTOL * total_weight * np.abs(cand).max(axis=1)
     h = np.repeat(table.h[:, None], n - 1, axis=1)
     x = np.take_along_axis(cand, padded_chain_dp(cand, h, unary, secondary, tol), axis=1)
-    chain_value, _ = _chain_objective(x, table)
+    chain_value, _ = objective_at(x, table)
     return float(np.cumsum(chain_value)[-1]), x
 
 
@@ -492,7 +507,7 @@ def test_chain_objective_skips_only_zero_interior_terms(n, nchains, exponent, se
     )
     # few distinct values, so that many interior terms are zero
     x = rng.choice(rng.uniform(-3, 3, 3) * 10.0**exponent, (nchains, n))
-    value, exact = _chain_objective(x, table)
+    value, exact = objective_at(x, table)
     assert value.tobytes() == table_chain_objective(table, x).tobytes()
     assert exact.tobytes() == value.tobytes()
 
@@ -748,8 +763,7 @@ def test_chain_solver_is_exactly_lexicographic_against_rational_brute_force(tie_
             const=0.0 - breaks,
             side=side,
         )
-        x = _solve_chains(table, tie_break)
-        chain_value, _ = _chain_objective(x, table)
+        x, chain_value = dense_chains(table, tie_break)
         for c in range(nchains):
             cand, cells, jump = exact_chain_costs(table, c, tie_break)
             costs = [
