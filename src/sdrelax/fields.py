@@ -3,15 +3,15 @@
 A field stores one read-only gradient matrix (3 x mesh-dim) and offset
 vector per cell (a chain solve's minimizer keeps its offsets as runs along
 the mesh's chains until they are read, :class:`ChainRuns`); on cell ``T``
-it equals ``G_T x + b_T`` in world coordinates.  Jumps live on mesh edges and are affine along each edge, so
-every integral used here has an edge-wise closed form; each field keeps one
-:class:`JumpTable` of them, built on first use by per-axis differences of
-the cell data on the mesh's ``shape`` grid.  Absolute values of affine
-integrands are integrated exactly: on segments by splitting at the sign
-change, on rectangular faces (every face a mesh has is an axis-aligned
-rectangle in its own plane) by a closed form in the face's corner values
-and area.  Euclidean norms of affine integrands have a closed form on
-segments.
+it equals ``G_T x + b_T`` in world coordinates.  Jumps live on mesh edges
+and are affine along each edge, so every integral used here has an
+edge-wise closed form; each field keeps one :class:`JumpTable` of them,
+built on first use by per-axis differences of the cell data on the mesh's
+``shape`` grid.  Absolute values of affine integrands are integrated
+exactly: on segments by splitting at the sign change, on rectangular faces
+(every face a mesh has is an axis-aligned rectangle in its own plane) by a
+closed form in the face's corner values and area.  Euclidean norms of
+affine integrands have a closed form on segments.
 
 Boundary terms are charged against a datum piece by piece.
 :func:`boundary_pieces` builds one array table of those pieces from the
@@ -363,14 +363,14 @@ class ChainRuns:
 
     def at(self, shape, cells) -> np.ndarray:
         """``dense(shape)[cells]``, bit for bit, from the runs of ``cells`` alone."""
-        dim, n = len(shape), shape[0]
-        nchains = int(np.prod(shape)) // n
+        n, blocks = shape[0], np.arange(len(self.axis))[:, None]
+        # each cell's chain and position along each block's axis, (B, cells)
+        stride = n ** (len(shape) - 1 - np.array(self.axis)[:, None])
+        chain = blocks * (int(np.prod(shape)) // n) + cells // (stride * n) * stride + cells % stride
+        run = self.first.searchsorted(chain * n + cells // stride % n, side="right") - 1
         out = np.zeros((len(cells), 3))
-        for b, (a, d) in enumerate(zip(self.axis, self.direction)):
-            stride = n ** (dim - 1 - a)  # cell -> (chain, position) along axis a
-            chain = b * nchains + cells // (stride * n) * stride + cells % stride
-            flat = chain * n + cells // stride % n
-            out += self.values[self.first.searchsorted(flat, side="right") - 1][:, None] * d
+        for v, d in zip(self.values[run], self.direction):
+            out += v[:, None] * d
         return out
 
 

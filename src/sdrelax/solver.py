@@ -118,8 +118,8 @@ class KindSpec:
     (``None``: none); ``zero_bulk`` the bulk term under zero bulk (``None``:
     0); ``custom_bulk(problem, mesh)`` the uncertified bulk term under a
     custom bulk, or, as a string, why the kind cannot take one (``None``: the
-    kind has no bulk term).  ``psi1`` kinds use the out-of-plane-relaxed integrand and
-    are solved in closed form.
+    kind has no bulk term).  ``psi1`` kinds use the out-of-plane-relaxed
+    integrand and are solved in closed form.
     """
 
     slots: tuple[str, ...]
@@ -154,8 +154,10 @@ KINDS: dict[Kind, KindSpec] = {
     Kind.H_3D2D: _STEP_2D,
     Kind.W_3D2D: KindSpec(
         ("A", "d"), shapes=_WITH_D, pin=lambda p: p.A, closed=lambda p: 0.0,
-        custom_bulk="minimizes a custom bulk density over fields z of mean d, for which "
-        "the solver has no certified method",
+        custom_bulk=(
+            "minimizes a custom bulk density over fields z of mean d, for which the solver has "
+            "no certified method"
+        ),
     ),
     Kind.W_3D2DSD: KindSpec(
         ("A", "B"), shapes=_MATRICES_3X2, pin=lambda p: p.B, closed=_w_3d2dsd,

@@ -885,7 +885,8 @@ def test_runs_minimizer_rejects_non_finite_values():
     first = np.arange(0, 8, 2)  # one run per chain, two chains per axis
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(FieldError):
-            SbvField(mesh, grads, ChainRuns((0, 1), direction, first, np.array([1.0, 2.0, bad, 4.0])))
+            runs = ChainRuns((0, 1), direction, first, np.array([1.0, 2.0, bad, 4.0]))
+            SbvField(mesh, grads, runs)
     # finite values whose weighted sums overflow fail on the first read
     field = SbvField(mesh, grads, ChainRuns((0, 1), direction, first, np.full(4, 1.7e308)))
     with np.errstate(over="ignore"), pytest.raises(FieldError):

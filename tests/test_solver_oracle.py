@@ -277,7 +277,8 @@ def dense_chains(table, tie_break):
 def objective_at(x, table):
     """``_chain_objective`` at the values ``x`` ``(nchains, n)``: every cell
     is its own run."""
-    return _chain_objective(x.reshape(-1), np.arange(x.size), table.chain * table.n + table.pos, table)
+    cell = table.chain * table.n + table.pos
+    return _chain_objective(x.reshape(-1), np.arange(x.size), cell, table)
 
 
 def solve_chain_table(table, tie_break):

@@ -36,9 +36,10 @@ reported as ``null``.  A row gives each time as the median and quartiles
 over the repeats: the stages and ``total_s`` of the solve unit and
 ``consumer_s``, the largest peak RSS (``ru_maxrss`` of the child) of each
 unit (``peak_rss_mb``, ``consumer_peak_rss_mb``), whether the field file
-was written (``field_file``), the trace gap (``trace_gap``), and the DP's size, read from the arguments
-of the ragged ``_chain_dp`` (``active, cand, h, unary, ...``): its rows
-(``dp_rows``) and its steps (``dp_steps``), ``null`` in a tree without it.
+was written (``field_file``), the trace gap (``trace_gap``), and the DP's
+size, read from the arguments of the ragged ``_chain_dp`` (``active, cand,
+h, unary, ...``): its rows (``dp_rows``) and its steps (``dp_steps``),
+``null`` in a tree without it.
 ``--out`` appends one run, with the environment and both trees' git
 revisions, to the file's ``runs`` list.
 """
@@ -129,7 +130,8 @@ def child(kind: str, n: int, seed: int, unit: str) -> dict:
         result = solver.solve(problem)
         if unit == "consumer":
             field = result.minimizer
-            times["trace_gap"] = solver.boundary_trace_gap(field, solver._datum_for(problem, field.mesh))
+            datum = solver._datum_for(problem, field.mesh)
+            times["trace_gap"] = solver.boundary_trace_gap(field, datum)
             path = os.path.join(tmp, "minimizer.json")
             times["field_file"] = field.mesh.ncells <= FIELD_FILE_MAX_CELLS
             if times["field_file"]:
@@ -150,7 +152,8 @@ def child(kind: str, n: int, seed: int, unit: str) -> dict:
 def run_child(tree: str, kind: str, n: int, seed: int, unit: str) -> dict:
     threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **threads)
-    cmd = [sys.executable, os.path.abspath(__file__), "--one", kind, str(n), "--seed", str(seed), "--unit", unit]
+    cmd = [sys.executable, os.path.abspath(__file__), "--one", kind, str(n), "--seed", str(seed)]
+    cmd += ["--unit", unit]
     out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
