@@ -25,6 +25,7 @@ of field and triple files (byte-identical to ``json.dumps(indent=2)``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -350,15 +351,18 @@ class ChainRuns:
         contiguous ``(3, ncells)`` buffer and interleaved once at the end.  A
         zero direction component adds a signed zero, which leaves a sum begun
         at +0.0 unchanged, so it is skipped."""
-        ncells = int(np.prod(shape))
+        ncells = math.prod(shape)
         out, term = np.zeros((3,) + shape), np.empty(shape)
-        x = np.repeat(self.values, np.diff(self.first, append=len(self.axis) * ncells))
-        for xb, a, d in zip(x.reshape((-1,) + shape), self.axis, self.direction):
-            xb = np.moveaxis(xb, -1, a)  # chain layout to grid order
+        span = np.diff(self.first, append=len(self.axis) * ncells)
+        bounds = self.first.searchsorted(np.arange(len(self.axis) + 1) * ncells)
+        for b, (a, d) in enumerate(zip(self.axis, self.direction)):
+            runs = slice(bounds[b], bounds[b + 1])  # one block's values at a time
+            x = np.moveaxis(np.repeat(self.values[runs], span[runs]).reshape(shape), -1, a)
             if np.count_nonzero(d) > 1:  # one strided pass, not one per component
-                xb = np.ascontiguousarray(xb)
+                x = np.ascontiguousarray(x)
             for c in np.flatnonzero(d):
-                out[c] += np.multiply(xb, d[c], out=term)
+                out[c] += np.multiply(x, d[c], out=term)
+        del x, term
         return np.ascontiguousarray(out.reshape(3, ncells).T)
 
     def at(self, shape, cells) -> np.ndarray:
@@ -366,7 +370,7 @@ class ChainRuns:
         n, blocks = shape[0], np.arange(len(self.axis))[:, None]
         # each cell's chain and position along each block's axis, (B, cells)
         stride = n ** (len(shape) - 1 - np.array(self.axis)[:, None])
-        chain = blocks * (int(np.prod(shape)) // n) + cells // (stride * n) * stride + cells % stride
+        chain = blocks * (math.prod(shape) // n) + cells // (stride * n) * stride + cells % stride
         run = self.first.searchsorted(chain * n + cells // stride % n, side="right") - 1
         out = np.zeros((len(cells), 3))
         for v, d in zip(self.values[run], self.direction):
