@@ -138,7 +138,7 @@ def child(kind: str, n: int, seed: int, unit: str) -> dict:
                 with open(path, "w") as fh:
                     fh.write(field_to_json(field))
             else:
-                field.offsets
+                field.offsets  # what the writer reads, without formatting it
             solver.result_to_json(result, minimizer_file=path)
         times["total_s"] = time.perf_counter() - t0
     times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
