@@ -142,7 +142,7 @@ def _build_frame_w1(params: SequenceParams) -> SbvField:
     cx, cy = mesh.cell_centers().T
     inner = (np.abs(cx) < a) & (np.abs(cy) < a)
     # anchors p: rectangle centers (c_k, 0) inside, lattice points on the frame sides
-    k = np.clip(np.floor((cx + a) / w), 0, n - 1)
+    k = np.clip(np.floor((cx + a) / w), 0, n - 1).astype(np.intp)
     side = (cx < -a) | (cx > a)
     px = np.where(side, np.sign(cx) / 2, _frame_lattice(cx, n))
     py = np.where(side, _frame_lattice(cy, n), np.where(cy < -a, -0.5, 0.5))
@@ -150,10 +150,8 @@ def _build_frame_w1(params: SequenceParams) -> SbvField:
     p = np.where(inner[:, None], ck, np.stack([px, py], axis=1))
     # -M @ p as one small matmul per cell (a flat GEMM rounds differently)
     offsets = (np.broadcast_to(-M, (mesh.ncells, 3, 2)) @ p[:, :, None])[..., 0]
-    shift = np.where(k % 2 == 0, 1.0, -1.0) / (n * n)
-    offsets[inner] += shift[inner, None] * np.array([0.0, 0.0, 1.0])
-    grads = np.broadcast_to(M, (mesh.ncells, 3, 2)).copy()
-    return SbvField(mesh, grads, offsets)
+    offsets[inner, 2] += (1 - 2 * (k[inner] % 2)) / (n * n)
+    return SbvField(mesh, np.broadcast_to(M.copy(), (mesh.ncells, 3, 2)), offsets)
 
 
 def _build_staircase_trace(params: SequenceParams) -> SbvField:
@@ -162,9 +160,8 @@ def _build_staircase_trace(params: SequenceParams) -> SbvField:
     breaks = np.linspace(-0.5, 0.5, n + 1)
     mesh = Mesh([breaks, breaks], n=n)
     centers = mesh.cell_centers() @ mesh.frame.T
-    grads = np.broadcast_to(B, (mesh.ncells, 3, 2)).copy()
     offsets = centers @ (A - B).T
-    return SbvField(mesh, grads, offsets)
+    return SbvField(mesh, np.broadcast_to(B.copy(), (mesh.ncells, 3, 2)), offsets)
 
 
 def datum_for(params: SequenceParams):

@@ -154,9 +154,10 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
             (table.affine[v:e], table.values[v:e]),
         ]
         for edges, values in groups:
-            normal3 = np.broadcast_to(dirs3[a], (len(edges), 3))
-            h = faces[first_chain[a] + (edges - starts[a]) // (mesh.shape[a] - 1)]
-            interior[edges] = _integrals(values, normal3, h, form, func, overestimate)
+            if len(edges):
+                normal3 = np.broadcast_to(dirs3[a], (len(edges), 3))
+                h = faces[first_chain[a] + (edges - starts[a]) // (mesh.shape[a] - 1)]
+                interior[edges] = _integrals(values, normal3, h, form, func, overestimate)
     terms = [np.zeros(1), interior]
     if pieces is not None:
         terms.append(np.zeros(len(pieces.edge)))

@@ -37,6 +37,7 @@ from .meshes import UNIT_TOL, Mesh, build_mesh, frame_from_orientation, json_pos
 # 16-point Gauss-Legendre rule on [0, 1]: nodes and weights (summing to 1).
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (GAUSS_NODES + 1.0), 0.5 * GAUSS_WEIGHTS
+JSON_BLOCK_CELLS = 4096  # cells the file writer formats at a time
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,12 @@ def norm_affine_segment_exact(v0, v1, length):
     return np.where(const, np.sqrt(np.vecdot(mid, mid)) * length, moving)
 
 
+def flat_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m`` for rows ``a`` ``(..., k)`` and one shared ``m`` ``(k, l)`` as
+    one 2-D product; numpy's stacked product pays about 100 ns per row."""
+    return (a.reshape(-1, a.shape[-1]) @ m).reshape(a.shape[:-1] + m.shape[1:])
+
+
 def gauss_face_mean(c00, c10, c11, values) -> float:
     """Gauss mean of ``values`` over the parallelogram ``c00 + s (c10 - c00)
     + t (c11 - c00)``, ``s, t`` in [0, 1]; ``values`` maps the (16, 16, k)
@@ -157,7 +164,7 @@ class AffineDatum:
     matrix: np.ndarray
 
     def values(self, points_world: np.ndarray) -> np.ndarray:
-        return points_world @ np.asarray(self.matrix, dtype=float).T
+        return flat_matmul(points_world, np.asarray(self.matrix, dtype=float).T)
 
 
 @dataclass(frozen=True)
@@ -217,10 +224,12 @@ class BoundaryPieces:
     def field_values(self, field: SbvField) -> np.ndarray:
         """Values of ``field`` at the piece corners, ``(P, corners, 3)``;
         where the pieces' gradients are all zero, the offsets themselves."""
-        grads = field.gradients[self.cell]
-        offsets = field.cell_offsets(self.cell)[:, None, :]
+        grads, offsets = field.gradients, field.cell_offsets(self.cell)[:, None, :]
+        grads = grads[:1] if grads.strides[0] == 0 else grads[self.cell]
         if not grads.any():
             return np.broadcast_to(offsets, self.points.shape[:2] + (3,))
+        if len(grads) == 1:  # one broadcast gradient (solve minimizers): one flat product
+            return flat_matmul(self.points, grads[0].T) + offsets
         return self.points @ grads.transpose(0, 2, 1) + offsets
 
 
@@ -265,7 +274,7 @@ def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
             spread[np.arange(len(spread)), mesh.bnd_axis[rows][halves]] = 1.0
             measure[halves] = np.prod(spread, axis=1)
     axis = mesh.bnd_axis[rows]
-    points = corners @ mesh.frame.T
+    points = flat_matmul(corners, mesh.frame.T)
     if step:
         values = datum.values(points.mean(axis=1))[:, None, :]
         values = np.broadcast_to(values, points.shape[:2] + (3,))
@@ -456,7 +465,7 @@ class SbvField:
             slope = _edge_differences(mesh, grads)
             affine = np.flatnonzero(np.any(slope != 0.0, axis=(1, 2)))
             slope, corners = slope[affine], mesh.int_corners(affine)
-        values = (corners @ mesh.frame.T) @ slope.transpose(0, 2, 1) + offset[affine][:, None, :]
+        values = flat_matmul(corners, mesh.frame.T) @ slope.transpose(0, 2, 1) + offset[affine][:, None, :]
         # block 3 a + k of a row: its axis a, and k = 0 for a zero jump, 1 for
         # a constant one, 2 otherwise (a zero jump is constant too)
         axis = np.searchsorted(np.cumsum(mesh.int_counts), affine, side="right")
@@ -504,25 +513,20 @@ def boundary_trace_gap(field: SbvField, datum) -> float:
     """Exact ``\\int ||u - datum||`` over the mesh boundary.
 
     Step data split each edge at the datum discontinuity, so the mismatch is
-    affine on every piece; segments use the closed-form norm integral.  On 3D
-    faces the affine-mismatch case falls back to the 16-point tensor Gauss
-    rule, evaluated for all such faces at once (constant mismatches, the only
-    case asserted exactly by the solver contracts, are integrated exactly).
-    A face is constant only if its corner mismatches are equal, so the rule
-    chosen does not depend on the data scale.  Where every face is constant
-    (a step problem's minimizer has zero gradient) the Gauss rule never runs.
+    affine on every piece.  Constant pieces (equal corner mismatches, a rule
+    free of the data scale; every piece of a step minimizer) give
+    ``|m| measure`` in 2D and 3D alike, affine segments the closed-form norm
+    integral, and affine 3D faces the 16-point tensor Gauss rule, all at once.
     """
-    mesh = field.mesh
-    pieces = boundary_pieces(mesh, datum)
+    pieces = boundary_pieces(field.mesh, datum)
     mism = pieces.field_values(field) - pieces.datum
-    if mesh.dim == 2:
-        terms = norm_affine_segment_exact(mism[:, 0], mism[:, 1], pieces.measure)
-    else:
-        first = mism[:, 0]
-        terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
-        affine = np.flatnonzero(np.any(mism != mism[:, :1], axis=(1, 2)))
-        if len(affine):
-            terms[affine] = pieces.measure[affine] * _face_norm_means(mism[affine])
+    first = mism[:, 0]
+    terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
+    affine = np.flatnonzero(np.any(mism != mism[:, :1], axis=(1, 2)))
+    if len(affine) and field.mesh.dim == 2:
+        terms[affine] = norm_affine_segment_exact(mism[affine, 0], mism[affine, 1], pieces.measure[affine])
+    elif len(affine):
+        terms[affine] = pieces.measure[affine] * _face_norm_means(mism[affine])
     return float(np.cumsum(terms)[-1])
 
 
@@ -563,20 +567,21 @@ def _json_template(shape, level: int) -> str:
 
 def _cells_to_json(mesh: Mesh, blocks: dict) -> str:
     """File text of a uniform mesh with per-cell arrays ``blocks`` (name ->
-    ``(ncells, ...)``): one template filled with every number at once, the
-    same bytes as ``json.dumps(payload, indent=2)`` of nested lists."""
+    ``(ncells, ...)``), the bytes of ``json.dumps(payload, indent=2)`` of nested
+    lists: templates filled with json's text of each number, a block of cells at a time."""
     slots = {k: _json_template(np.shape(v)[1:], 3) for k, v in blocks.items()}
-    cell = ",\n".join(f'      "{k}": {slot}' for k, slot in slots.items())
-    template = (
+    cell = "    {\n" + ",\n".join(f'      "{k}": {slot}' for k, slot in slots.items()) + "\n    }"
+    head = (
         f'{{\n  "dimension": {mesh.dim},\n  "n": {int(mesh.n)},\n'
         f'  "orientation": {_json_template(mesh.orientation.shape, 1)},\n  "cells": [\n'
-        + ",\n".join(["    {\n" + cell + "\n    }"] * mesh.ncells)
-        + "\n  ]\n}"
     )
     cells = np.concatenate([np.reshape(v, (mesh.ncells, -1)) for v in blocks.values()], axis=1)
-    # json's own text of each float (its repr, or NaN/Infinity), in slot order
-    numbers = json.dumps(np.concatenate([mesh.orientation, cells.ravel()]).tolist())
-    return template % tuple(numbers[1:-1].split(", "))
+    parts = [head % tuple(json.dumps(mesh.orientation.tolist())[1:-1].split(", "))]
+    for start in range(0, mesh.ncells, JSON_BLOCK_CELLS):
+        block = cells[start : start + JSON_BLOCK_CELLS]
+        numbers = json.dumps(block.ravel().tolist())[1:-1].split(", ")
+        parts.append((",\n" if start else "") + ",\n".join([cell] * len(block)) % tuple(numbers))
+    return "".join(parts + ["\n  ]\n}"])
 
 
 def field_to_json(field: SbvField) -> str:

@@ -22,11 +22,13 @@ measure, ``bnd_measure[::2]``.
 
 Every stored array of a mesh is read-only.  The breakpoints and boundary
 tables live in the mesh frame, so they form a frame-free grid; a
-:class:`Mesh` is such a grid plus its own ``frame``.  :func:`build_mesh`
-keeps the last ``GRID_CACHE_SIZE`` uniform grids, one per ``(dimension,
-n)``, and each mesh it returns shares the kept grid's tables: 64 bytes per
+:class:`Mesh` is such a grid plus its own ``frame``.  The last
+``GRID_CACHE_SIZE`` grids are kept, found by :class:`Mesh` by content (the
+checked breakpoints' bytes and ``n``) and by :func:`build_mesh` by
+``(dimension, n)``, and every mesh shares its grid's tables: 64 bytes per
 boundary edge in 2D and 128 per face in 3D (0.28 MB at 2D n = 1024, 3.2 MB
-at 3D n = 64); ``build_mesh.cache_clear()`` frees them.
+at 3D n = 64), at most ``GRID_CACHE_SIZE`` times the largest grid in use
+(64 MB of 3D n = 64 grids); ``build_mesh.cache_clear()`` frees them all.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .errors import InputError, MeshError
 
 UNIT_TOL = 1e-12
 
-# Uniform grids kept by build_mesh, keyed by (dimension, n): at most
-# GRID_CACHE_SIZE of them (the CLI gauss-green suite cycles through 5 sizes).
-GRID_CACHE_SIZE = 5
+# Grids kept for Mesh and build_mesh: a benchmark evaluate round cycles through 17
+# keys, which a smaller least-recently-used cache evicts before reuse; 3 are spare.
+GRID_CACHE_SIZE = 20
 
 
 def positive_int(n, error, what: str) -> int:
@@ -138,19 +140,12 @@ class _Grid:
     """The frame-free part of a mesh: breakpoints and boundary tables, all
     read-only; a :class:`Mesh` copies them and adds its frame."""
 
-    def __init__(self, axis_breaks, n=None):
-        breaks = tuple(np.array(b, dtype=float) for b in axis_breaks)
-        dim = len(breaks)
-        if dim not in (2, 3):
-            raise MeshError(f"dimension must be 2 or 3, got {dim}")
-        for b in breaks:
-            if b.ndim != 1 or b.size < 2 or np.any(np.diff(b) <= 0):
-                raise MeshError("axis breakpoints must be strictly increasing with >= 2 entries")
-        self.dim = dim
-        self.axis_breaks = breaks
+    def __init__(self, breaks, n):
+        self.axis_breaks = breaks = tuple(breaks)
+        self.dim = dim = len(breaks)
         self.shape = tuple(b.size - 1 for b in breaks)
         self.ncells = int(np.prod(self.shape))
-        self.n = n if n is not None else max(self.shape)
+        self.n = n
         self.int_counts = tuple(self.ncells // m * (m - 1) for m in self.shape)
         # boundary edges: a chain's low and then its high edge, each with the
         # chain's face measure, the product of the other axes' break differences
@@ -173,14 +168,25 @@ class Mesh:
     Cells are indexed in C order over the per-axis indices, i.e. the last
     axis varies fastest; this is also the order used in field files.
     Immutable after construction (every stored array is read-only) and safe
-    to share across threads.  ``axis_breaks`` may also be a kept uniform grid
-    (from :func:`build_mesh`), whose tables the mesh then shares.
+    to share across threads; it shares its kept grid's tables.  ``axis_breaks``
+    may be the dimension alone: :func:`build_mesh`'s grid, ``n`` cells per axis.
     """
 
     def __init__(self, axis_breaks, frame=None, n=None):
-        grid = axis_breaks if isinstance(axis_breaks, _Grid) else _Grid(axis_breaks, n)
-        vars(self).update(vars(grid))
-        self.frame = _checked_frame(frame, self.dim)
+        uniform = isinstance(axis_breaks, int)  # keyed by (n, dimension): nothing to hash
+        breaks = () if uniform else tuple(np.array(b, dtype=float) for b in axis_breaks)
+        dim = axis_breaks if uniform else len(breaks)
+        if dim not in (2, 3):
+            raise MeshError(f"dimension must be 2 or 3, got {dim}")
+        for b in breaks:  # NaN would pass the order test alone: its comparisons are false
+            if b.ndim != 1 or b.size < 2 or not np.all(np.isfinite(b)) or np.any(np.diff(b) <= 0):
+                raise MeshError("axis breakpoints must be finite, strictly increasing, >= 2 entries")
+        if uniform:
+            key = (positive_int(n, MeshError, "refinement"), dim)
+        else:  # checked, then keyed: an argument per axis' bytes, so sizes are in the key
+            key = (max(b.size for b in breaks) - 1 if n is None else n, *(b.tobytes() for b in breaks))
+        vars(self).update(vars(_kept_grid(*key)))
+        self.frame = _checked_frame(frame, dim)
 
     def chains(self, axis: int) -> np.ndarray:
         """Cell ids of the chains along ``axis``: one row per chain, cells in
@@ -228,8 +234,10 @@ class Mesh:
 
     def cell_centers(self) -> np.ndarray:
         """Mesh-frame center of every cell, ``(ncells, dim)``."""
-        mids = (0.5 * (b[:-1] + b[1:]) for b in self.axis_breaks)
-        return np.stack([g.reshape(-1) for g in np.meshgrid(*mids, indexing="ij")], axis=1)
+        out = np.empty(self.shape + (self.dim,))
+        for a, b in enumerate(self.axis_breaks):  # axis a's midpoints, broadcast over the rest
+            out[..., a] = (0.5 * (b[:-1] + b[1:])).reshape((-1,) + (1,) * (self.dim - 1 - a))
+        return out.reshape(-1, self.dim)
 
     @property
     def total_measure(self) -> float:
@@ -237,9 +245,12 @@ class Mesh:
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _uniform_grid(dimension: int, n: int) -> _Grid:
-    """The uniform grid of the unit square/cube centered at the origin."""
-    return _Grid([np.linspace(-0.5, 0.5, n + 1)] * dimension, n=n)
+def _kept_grid(n, *axes) -> _Grid:
+    """The grid of ``n`` and ``axes``: each axis' breakpoint bytes, or the dimension
+    alone for the uniform grid of the unit square/cube centered at the origin."""
+    if len(axes) == 1:
+        return _Grid([np.linspace(-0.5, 0.5, n + 1)] * axes[0], n)
+    return _Grid([np.frombuffer(b) for b in axes], n)
 
 
 def build_mesh(dimension: int, n: int, orientation) -> Mesh:
@@ -258,7 +269,7 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
         raise MeshError(
             f"orientation shape {orientation.shape} does not match dimension {dimension}"
         )
-    return Mesh(_uniform_grid(dimension, n), frame_from_orientation(orientation))
+    return Mesh(dimension, frame_from_orientation(orientation), n)
 
 
-build_mesh.cache_clear = _uniform_grid.cache_clear
+build_mesh.cache_clear = _kept_grid.cache_clear

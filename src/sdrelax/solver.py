@@ -79,6 +79,7 @@ from .fields import (
     boundary_pieces,
     boundary_trace_gap,
     embed_planar,
+    flat_matmul,
     zero_datum,
 )
 from .meshes import UNIT_TOL, Mesh, build_mesh, json_positive_int, positive_int
@@ -400,7 +401,7 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
     dim, n = mesh.dim, mesh.shape[0]
     nchains = mesh.ncells // n
     dirs3 = padded_normal(mesh.frame.T)  # row b = padded world direction of axis b
-    gall = pieces.points @ pin.T - pieces.datum
+    gall = flat_matmul(pieces.points, pin.T) - pieces.datum
     on = [slice(None) if side_terms else pieces.axis == b for b in range(dim)]  # emitting pieces
     vals = np.concatenate([gall[rows] @ dirs3[b] for b, rows in enumerate(on)])
     src = [np.arange(len(pieces.cell))[rows] for rows in on]  # each row's piece

@@ -757,7 +757,7 @@ def test_a_short_file_is_rejected_before_its_grid_is_built(read, extra):
     ):
         with pytest.raises(MeshError, match=message):
             read(json.dumps({**payload, **bad}))
-    assert meshes._uniform_grid.cache_info().currsize == 0
+    assert meshes._kept_grid.cache_info().currsize == 0
 
 
 def _dumps_field_reference(field):
@@ -789,6 +789,22 @@ def test_field_json_is_byte_identical_to_json_dumps(dim, n, data):
     back = field_from_json(text)
     assert back.gradients.tobytes() == field.gradients.tobytes()
     assert back.offsets.tobytes() == field.offsets.tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 63), (2, 64), (2, 65), (2, 91), (3, 16), (3, 17)])
+def test_field_json_blocks_join_byte_identically(dim, n):
+    # the writer formats JSON_BLOCK_CELLS cells at a time: fewer, exactly as
+    # many, one more and two blocks and a part of cells are joined seamlessly
+    from sdrelax.fields import JSON_BLOCK_CELLS
+
+    assert (63**2, 16**3, 65**2) == (3969, JSON_BLOCK_CELLS, 4225) and 91**2 > 2 * JSON_BLOCK_CELLS
+    rng = np.random.default_rng(n)
+    orientation = rng.normal(size=dim)
+    mesh = build_mesh(dim, n, orientation / np.linalg.norm(orientation))
+    offsets = rng.uniform(-5, 5, (mesh.ncells, 3)) * 10.0 ** rng.integers(-9, 13, (mesh.ncells, 1))
+    offsets[::7, 1] = -0.0
+    field = SbvField(mesh, rng.uniform(-5, 5, (mesh.ncells, 3, dim)), offsets)
+    assert field_to_json(field) == _dumps_field_reference(field)
 
 
 def test_field_shape_validation():

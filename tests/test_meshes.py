@@ -397,9 +397,10 @@ def test_grids_of_every_size_are_kept():
             assert got[key].tobytes() == value.tobytes(), key
         for key, value in mesh_arrays(large[0]).items():
             assert not value.flags.writeable, key
+        # fresh's grid is kept too, under its breakpoints' key
         for m in range(1, meshes.GRID_CACHE_SIZE + 3):
             build_mesh(dim, m, orientation)
-            assert meshes._uniform_grid.cache_info().currsize == min(m + 1, meshes.GRID_CACHE_SIZE)
+            assert meshes._kept_grid.cache_info().currsize == min(m + 2, meshes.GRID_CACHE_SIZE)
     build_mesh.cache_clear()
 
 
@@ -420,6 +421,71 @@ def test_boundary_cells_are_the_chain_ends(breaks):
     mesh = Mesh(breaks)
     want = np.concatenate([mesh.chains(a)[:, [0, -1]].reshape(-1) for a in range(mesh.dim)])
     assert mesh.bnd_cell.dtype == want.dtype and mesh.bnd_cell.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([np.array([0.0, np.nan, 1.0])] * 2,), "finite"),
+        (([np.array([-np.inf, 0.0, np.inf])] * 2,), "finite"),
+        (([np.array([0.0, 1.0, np.inf]), np.array([0.0, 1.0])],), "finite"),
+        (([np.array([np.nan, np.nan])] * 3,), "finite"),
+        (([np.zeros((2, 2)) + [0.0, 1.0]] * 2,), "strictly increasing"),
+        (([np.array([0.0, 1.0])] * 4,), "dimension must be 2 or 3"),
+        ((4, None, 2), "dimension must be 2 or 3"),
+        ((2, None, 0), "refinement must be a positive integer"),
+        ((3,), "refinement must be a positive integer"),
+    ],
+)
+def test_mesh_rejects_bad_breakpoints_before_keeping_a_grid(args, message):
+    import sdrelax.meshes as meshes
+
+    build_mesh.cache_clear()
+    with pytest.raises(MeshError, match=message):
+        Mesh(*args)
+    assert meshes._kept_grid.cache_info().currsize == 0
+
+
+def test_meshes_on_equal_breakpoints_share_one_kept_grid():
+    import sdrelax.meshes as meshes
+
+    build_mesh.cache_clear()
+    b0, b1 = np.array([-0.5, -0.2, 0.1, 0.5]), np.array([0.0, 0.25, 1.0])
+    first = Mesh([b0, b1], n=3)
+    again = Mesh([b0.copy(), list(b1)], frame_from_orientation(DIAG), n=3)
+    for key in ("bnd_cell", "bnd_side", "bnd_axis", "bnd_measure", "bnd_corners"):
+        assert getattr(first, key) is getattr(again, key), key
+    assert all(x is y for x, y in zip(first.axis_breaks, again.axis_breaks))
+    assert not np.shares_memory(first.frame, again.frame)
+    # n is part of the key, and so is each axis' size: [b1, b0] is another grid
+    for other in (Mesh([b0, b1], n=4), Mesh([b1, b0], n=3), Mesh([b0, b1, b1])):
+        assert not np.shares_memory(other.bnd_corners, first.bnd_corners)
+    assert meshes._kept_grid.cache_info().currsize == 4
+    # the caller's arrays are copied before they are keyed: writing to them
+    # reaches neither the kept grid nor the next mesh on their old values
+    b0[1] = -0.3
+    assert first.axis_breaks[0][1] == -0.2
+    assert Mesh([np.array([-0.5, -0.2, 0.1, 0.5]), b1], n=3).bnd_corners is first.bnd_corners
+    assert not np.shares_memory(Mesh([b0, b1], n=3).bnd_corners, first.bnd_corners)
+    build_mesh.cache_clear()
+
+
+def test_the_cache_holds_grids_of_both_keys_up_to_its_bound():
+    import sdrelax.meshes as meshes
+
+    build_mesh.cache_clear()
+    size = meshes.GRID_CACHE_SIZE
+    for m in range(1, size + 4):
+        build_mesh(2, m, E1)
+        Mesh([np.linspace(0.0, 1.0, m + 1)] * 2)
+        assert meshes._kept_grid.cache_info().currsize == min(2 * m, size)
+    kept = Mesh([np.linspace(0.0, 1.0, size + 4)] * 2)
+    build_mesh.cache_clear()
+    assert meshes._kept_grid.cache_info().currsize == 0
+    fresh = Mesh([np.linspace(0.0, 1.0, size + 4)] * 2)
+    assert not np.shares_memory(fresh.bnd_corners, kept.bnd_corners)
+    assert fresh.bnd_corners.tobytes() == kept.bnd_corners.tobytes()
+    build_mesh.cache_clear()
 
 
 def test_every_built_mesh_is_initialised(monkeypatch):
