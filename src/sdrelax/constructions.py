@@ -157,8 +157,7 @@ def _build_frame_w1(params: SequenceParams) -> SbvField:
 def _build_staircase_trace(params: SequenceParams) -> SbvField:
     n = params.n
     A, B = params.A, params.B
-    breaks = np.linspace(-0.5, 0.5, n + 1)
-    mesh = Mesh([breaks, breaks], n=n)
+    mesh = Mesh(2, n=n)  # the uniform grid, kept under build_mesh's key
     centers = mesh.cell_centers() @ mesh.frame.T
     offsets = centers @ (A - B).T
     return SbvField(mesh, np.broadcast_to(B.copy(), (mesh.ncells, 3, 2)), offsets)

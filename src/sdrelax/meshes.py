@@ -41,8 +41,8 @@ from .errors import InputError, MeshError
 
 UNIT_TOL = 1e-12
 
-# Grids kept for Mesh and build_mesh: a benchmark evaluate round cycles through 17
-# keys, which a smaller least-recently-used cache evicts before reuse; 3 are spare.
+# Grids kept for Mesh and build_mesh: a benchmark evaluate round cycles through 16
+# grids, which a smaller least-recently-used cache evicts before reuse; 4 are spare.
 GRID_CACHE_SIZE = 20
 
 

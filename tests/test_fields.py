@@ -856,3 +856,19 @@ def test_batched_face_gauss_matches_per_face_loop(n, orientation, seed, exponent
     ):
         ref = _trace_gap_3d_reference(field, datum)
         assert abs(boundary_trace_gap(field, datum) - ref) <= 1e-15 * ref
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from((2, 3)), n=st.integers(1, 9), data=st.data())
+def test_shared_operand_products_equal_the_stacked_products_bit_for_bit(dim, n, data):
+    # one flat GEMM in place of numpy's per-row product keeps every bit: the
+    # world corners, an affine datum's values and one broadcast gradient's
+    # piece values, each against the stacked form it replaced
+    mesh = build_mesh(dim, n, data.draw(unit_vectors(dim)))
+    G, A = data.draw(scaled_values((3, dim))), data.draw(scaled_values((3, dim)))
+    pieces = boundary_pieces(mesh, AffineDatum(A))
+    assert pieces.points.tobytes() == (mesh.bnd_corners @ mesh.frame.T).tobytes()
+    assert pieces.datum.tobytes() == (pieces.points @ A.T).tobytes()
+    field = SbvField.affine(mesh, G, data.draw(scaled_values(3)))
+    stacked = pieces.points @ np.broadcast_to(G.T, (len(pieces.cell), dim, 3)) + field.offsets[pieces.cell][:, None]
+    assert pieces.field_values(field).tobytes() == stacked.tobytes()
