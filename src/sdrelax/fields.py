@@ -387,10 +387,14 @@ class ChainRuns:
         return out
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct elements of a broadcast view: each zero-stride axis cut to its first entry."""
+    return a[tuple(slice(None if s else 1) for s in a.strides)]
+
+
 def _finite(a: np.ndarray) -> np.ndarray:
-    """``a``, checked to be finite; a broadcast view is checked on its
-    distinct elements (each zero-stride axis indexed at 0)."""
-    if not np.all(np.isfinite(a[tuple(0 if s == 0 else slice(None) for s in a.strides)])):
+    """``a``, checked to be finite on its distinct elements."""
+    if not np.all(np.isfinite(_distinct(a))):
         raise FieldError("field data must be finite")
     return a
 
@@ -458,7 +462,7 @@ class SbvField:
         are then sorted into their blocks, once per field."""
         mesh, grads = self.mesh, self.gradients
         offset = _edge_differences(mesh, self.offsets)
-        if np.all(grads == grads[0]):  # one gradient: every jump is constant
+        if np.all(_distinct(grads) == grads[0]):  # one gradient: every jump is constant
             slope, affine = np.zeros((0, 3, mesh.dim)), np.zeros(0, dtype=np.intp)
             corners = np.zeros((0, 2 ** (mesh.dim - 1), mesh.dim))
         else:

@@ -160,6 +160,7 @@ class _Grid:
         for value in (*breaks, *vars(self).values()):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        self.layouts = {}  # the chain solver's layout record per tie-break flag
 
 
 class Mesh:

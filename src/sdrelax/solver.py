@@ -62,6 +62,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -375,9 +376,20 @@ class ChainTable:
     side: np.ndarray
     affine: np.ndarray
     measure: np.ndarray
+    # the solve's index tables (_chain_table); a table without them builds them on the spot
+    layout: SimpleNamespace | None = dc_field(default=None, init=False, repr=False, compare=False)
 
 
-def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> ChainTable:
+def _layout(base: dict, **parts) -> SimpleNamespace:
+    """A record of ``base`` updated by ``parts``, its arrays read-only: it is never changed, only replaced."""
+    record = SimpleNamespace(**{**base, **parts})
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return record
+
+
+def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layout=None) -> ChainTable:
     """The chain program of every axis of a uniform mesh.
 
     Axis ``b``'s program is in the offset component along the axis' (padded)
@@ -396,7 +408,9 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
     Only the mismatch along each axis' direction is formed per axis (one
     matrix-vector product of the pieces that emit for it); the terms of all
     axes are then derived in one pass over the stacked ``(axis, piece)``
-    rows.
+    rows.  The rest depends only on the grid, the flag and which rows'
+    mismatch is constant: it is read from ``layout``, an earlier table's
+    record, if its mask ``constant`` is this one, and built otherwise.
     """
     dim, n = mesh.dim, mesh.shape[0]
     nchains = mesh.ncells // n
@@ -404,27 +418,31 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool) -> C
     gall = flat_matmul(pieces.points, pin.T) - pieces.datum
     on = [slice(None) if side_terms else pieces.axis == b for b in range(dim)]  # emitting pieces
     vals = np.concatenate([gall[rows] @ dirs3[b] for b, rows in enumerate(on)])
-    src = [np.arange(len(pieces.cell))[rows] for rows in on]  # each row's piece
-    axis = np.repeat(np.arange(dim), [len(s) for s in src])  # and the axis it emits for
-    src = np.concatenate(src)
-    ncorners = vals.shape[1]
     const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
-    own = pieces.axis[src] == axis
-    share = own & ~const  # affine: a trapezoid share per corner, else one term at corner 0
-    emit = share[:, None] | (np.arange(ncorners) == 0) & (own | const)[:, None]
-    weight = np.where(share, pieces.measure[src] / ncorners, pieces.measure[src])
-    count = emit.sum(axis=1)  # terms of each row, in row-major order
-    cell, b = np.repeat(pieces.cell[src], count), np.repeat(axis, count)
-    # cell -> (row, position) in the chains along axis b (meshes._chains)
-    stride = n ** (dim - 1 - b)
-    chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
-    first = np.cumsum(count) - count  # each row's first term
-    return ChainTable(
-        mesh.bnd_measure[::2], n, chain, pos, np.repeat(weight, count), vals[emit],
-        np.repeat(~own, count),
-        affine=first[share][:, None] + np.arange(ncorners),
-        measure=pieces.measure[src[share]],
-    )
+    if not np.array_equal(const, getattr(layout, "constant", None)):
+        src = [np.arange(len(pieces.cell))[rows] for rows in on]  # each row's piece
+        axis = np.repeat(np.arange(dim), [len(s) for s in src])  # and the axis it emits for
+        src = np.concatenate(src)
+        ncorners = vals.shape[1]
+        own = pieces.axis[src] == axis
+        share = own & ~const  # affine: a trapezoid share per corner, else one term at corner 0
+        emit = share[:, None] | (np.arange(ncorners) == 0) & (own | const)[:, None]
+        weight = np.where(share, pieces.measure[src] / ncorners, pieces.measure[src])
+        count = emit.sum(axis=1)  # terms of each row, in row-major order
+        cell, b = np.repeat(pieces.cell[src], count), np.repeat(axis, count)
+        # cell -> (row, position) in the chains along axis b (meshes._chains)
+        stride = n ** (dim - 1 - b)
+        chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
+        first = np.cumsum(count) - count  # each row's first term
+        layout = _layout(
+            {}, h=mesh.bnd_measure[::2], n=n, chain=chain, pos=pos, weight=np.repeat(weight, count),
+            side=np.repeat(~own, count), affine=first[share][:, None] + np.arange(ncorners),
+            measure=pieces.measure[src[share]], constant=const, emit=emit, tie_break=side_terms,
+        )
+    t = layout
+    table = ChainTable(t.h, n, t.chain, t.pos, t.weight, vals[t.emit], t.side, t.affine, t.measure)
+    table.layout = layout
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +533,29 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
     return idx
 
 
-def _runs(keep, term_cell, breaks, n):
-    """The runs of kept cells: ``keep`` (flat cell ids, sorted) reduced to
-    each run's first cell, and the run of each kept cell, given each term's
-    kept cell ``term_cell``.  A kept cell all of whose terms have one
-    breakpoint joins the run of the kept cell before it in its chain if all
-    of that one's terms have the same breakpoint."""
-    lo, hi = np.full(len(keep), np.inf), np.full(len(keep), -np.inf)
-    np.minimum.at(lo, term_cell, breaks)
-    np.maximum.at(hi, term_cell, breaks)
-    single = np.where(lo == hi, lo, np.nan)  # nan: several breakpoints, or none
-    head = np.ones(len(keep), dtype=bool)
-    head[1:] = (keep[1:] // n != keep[:-1] // n) | (single[1:] != single[:-1])
-    return keep[head], np.cumsum(head) - 1
+def _run_layout(table, lay, head) -> dict:
+    """Index tables of the runs that start at the kept cells ``head`` selects: the
+    longest-first ragged DP layout (``_chain_dp``) and the objective pass's tables."""
+    h, n = table.h, table.n
+    nchains = len(h)
+    tc, primary, weight = table.chain[lay.use], ~table.side[lay.use], table.weight[lay.use]
+    first = lay.keep[head]
+    term_run = (np.cumsum(head) - 1)[lay.term_kept]
+    kc = first // n
+    length = np.bincount(kc, minlength=nchains)
+    order = np.argsort(-length, kind="stable")
+    slot = np.argsort(order, kind="stable")
+    active = nchains - np.cumsum(np.bincount(length))[:-1]
+    start = np.concatenate(([0], np.cumsum(active)))
+    row = start[np.arange(len(first)) - first.searchsorted(kc * n)] + slot[kc]
+    trow = row[term_run[lay.use]]
+    total_weight = h * (n - 1) + np.bincount(tc[primary], weight[primary], nchains)
+    return dict(
+        _objective_layout(first, table), head=head, term_run=term_run, row=row,
+        run_slot=slot[kc], active=active.tolist(), h_order=h[order], ts=slot[tc], trow=trow,
+        primary=primary, primary_row=trow[primary], used_weight=weight,
+        tie_weight=TIE_RTOL * total_weight[order],
+    )
 
 
 def _solve_chains(table: ChainTable, tie_break: bool):
@@ -551,90 +579,102 @@ def _solve_chains(table: ChainTable, tie_break: bool):
     inequality not the total variation, so some lexicographic minimizer is
     constant on the run.  The DP's unary (and secondary) table sums each
     run's terms at every candidate with one ``np.bincount`` per candidate
-    column, which adds in term order from 0.
+    column, which adds in term order from 0.  The index tables depend only on
+    the terms, the flag and which kept cells start a run: ``table.layout``
+    gives them if built for the same flag and heads, else a new record does.
     """
     h, n = table.h, table.n
     nchains = len(h)
-    use = ~table.side | tie_break
-    cell = table.chain * n + table.pos
-    tc = table.chain[use]
-    weight, const, primary = table.weight[use], table.const[use], ~table.side[use]
+    lay = table.layout if getattr(table.layout, "tie_break", None) == tie_break else None
+    if not hasattr(lay, "keep"):  # kept cells: those with a used term, and both ends of a chain
+        use = ~table.side | tie_break
+        cell = table.chain * n + table.pos
+        kept = np.zeros(nchains * n, dtype=bool)
+        kept[::n] = kept[n - 1 :: n] = True
+        kept[cell[use]] = True
+        keep = np.flatnonzero(kept)
+        term_kept = keep.searchsorted(cell, side="right") - 1  # each term's kept cell
+        lay = _layout(vars(lay) if lay else {}, tie_break=tie_break, use=use, keep=keep, term_kept=term_kept)
+    const = table.const[lay.use]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
     breaks = 0.0 - const
-    kept = np.zeros(nchains * n, dtype=bool)
-    kept[::n] = kept[n - 1 :: n] = True
-    kept[cell[use]] = True
-    keep = np.flatnonzero(kept)
-    term_run = keep.searchsorted(cell, side="right") - 1  # each term's kept cell, then its run
+    head, keep = np.ones(len(lay.keep), dtype=bool), lay.keep  # which kept cells start a run
     if len(keep) > 2 * nchains:
-        keep, run = _runs(keep, term_run[use], breaks, n)
-        term_run = run[term_run]
-    kc = keep // n
-    # longest-first ragged layout: chain c is candidate row slot[c], and its
-    # j-th run is row start[j] + slot[c]
-    length = np.bincount(kc, minlength=nchains)
-    order = np.argsort(-length, kind="stable")
-    slot = np.argsort(order, kind="stable")
-    active = nchains - np.cumsum(np.bincount(length))[:-1]
-    start = np.concatenate(([0], np.cumsum(active)))
-    row = start[np.arange(len(keep)) - keep.searchsorted(kc * n)] + slot[kc]
-    trow = row[term_run[use]]
-    ts = slot[tc]
-    cand = _candidates(ts, breaks, nchains)
+        lo, hi = np.full(len(keep), np.inf), np.full(len(keep), -np.inf)
+        np.minimum.at(lo, lay.term_kept[lay.use], breaks)
+        np.maximum.at(hi, lay.term_kept[lay.use], breaks)
+        single = np.where(lo == hi, lo, np.nan)  # nan: several breakpoints, or none
+        head[1:] = (keep[1:] // n != keep[:-1] // n) | (single[1:] != single[:-1])
+    if not np.array_equal(head, getattr(lay, "head", None)):
+        lay = _layout(vars(lay), **_run_layout(table, lay, head))
+    table.layout = lay
+    cand = _candidates(lay.ts, breaks, nchains)
     del breaks  # before the cost tables, where a large affine solve peaks
-    cost = np.abs(cand[ts].T + const) * weight  # [candidate, term]
+    cost = np.abs(cand[lay.ts].T + const) * lay.used_weight  # [candidate, term]
 
     def summed(rows, cost):
         """Per-row sums of ``cost``'s terms, added in term order from 0."""
-        return np.column_stack([np.bincount(rows, c, len(keep)) for c in cost])
+        return np.column_stack([np.bincount(rows, c, len(lay.first)) for c in cost])
 
-    unary = summed(trow[primary], cost[:, primary])
+    unary = summed(lay.primary_row, cost[:, lay.primary])
     secondary, tol = None, np.zeros(nchains)
     if tie_break:
-        secondary = summed(trow, cost)
-        total_weight = h * (n - 1) + np.bincount(tc[primary], weight[primary], nchains)
-        tol = TIE_RTOL * total_weight[order] * np.abs(cand).max(axis=1)
-    idx = _chain_dp(active, cand, h[order], unary, secondary, tol)
-    return cand[slot[kc], idx[row]], keep, term_run
+        secondary = summed(lay.trow, cost)
+        tol = lay.tie_weight * np.abs(cand).max(axis=1)
+    idx = _chain_dp(lay.active, cand, lay.h_order, unary, secondary, tol)
+    return cand[lay.run_slot, idx[lay.row]], lay.first, lay.term_run
+
+
+def _objective_layout(first, table) -> dict:
+    """Index tables of the objective pass at the runs that start at ``first``: each
+    term's place in a ``(depth, nchains)`` table, chain by chain in summation order."""
+    nchains = len(table.h)
+    run_chain = first // table.n
+    step = np.flatnonzero(run_chain[1:] == run_chain[:-1])
+    unary = np.flatnonzero(~table.side)
+    chain = np.concatenate((run_chain[step], table.chain[unary]))
+    order = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
+    into = np.empty_like(order)
+    into[order] = _rank_in_group(chain[order], nchains) * nchains + chain[order]
+    return dict(
+        first=first, step=step, h_step=table.h[run_chain[step]], unary=unary, into=into,
+        depth=int(into.max()) // nchains + 1,
+    )
 
 
 def _chain_objective(values, first, term_run, table: ChainTable):
     """Objective of each chain at the runs ``_solve_chains`` returns, and the
     exact energy of the same terms, ``(value, value_exact)``.
 
-    Interior terms are read between consecutive runs of a chain, ``h
-    |values[r + 1] - values[r]|``, and formed only where the two differ (a
-    zero leaves a sum of nonnegative terms unchanged); unary terms read
-    their run's value.  The two sums share every term but the corner terms
-    of the affine boundary pieces: a piece's trapezoid shares ``s_i``,
-    summing to ``T``, become ``s_i min(E / T, 1)``, where ``E <= T`` (by
-    convexity) is the piece's exact integral of ``|x + const|``.  One
+    Interior terms are read between every two consecutive runs of a chain,
+    ``h |values[r + 1] - values[r]|`` (a zero, where they agree, leaves a sum
+    of nonnegative terms unchanged); unary terms read their run's value.
+    The two sums share every term but the corner terms of the affine
+    boundary pieces: a piece's trapezoid shares ``s_i``, summing to ``T``,
+    become ``s_i min(E / T, 1)``, where ``E <= T`` (by convexity) is the
+    piece's exact integral of ``|x + const|``.  One
     :func:`sdrelax.fields.abs_affine_integral` call gives ``E`` for the
     affine pieces of all axes (segments in 2D, rectangles in 3D); a table
     without them (every step problem) has every term exact, and its one sum
     is both.  Both are summed in sequence, interior terms in chain order,
     then unary terms in table order, so that neither depends on the order of
     the solver's internal arithmetic and, rounding being monotone, each
-    exact sum is at most its objective.
+    exact sum is at most its objective.  The index tables are the layout's
+    if it was built for these runs, else built here.
     """
     nchains = len(table.h)
-    run_chain = first // table.n
-    step = np.flatnonzero((run_chain[1:] == run_chain[:-1]) & (values[1:] != values[:-1]))
-    row = run_chain[step]
-    interior = table.h[row] * np.abs(values[step + 1] - values[step])
+    lay = table.layout
+    if getattr(lay, "first", None) is not first:
+        lay = SimpleNamespace(**_objective_layout(first, table))
+    interior = lay.h_step * np.abs(values[lay.step + 1] - values[lay.step])
     at = values[term_run] + table.const
     terms = table.weight * np.abs(at)
-    unary = np.flatnonzero(~table.side)
-    chain = np.concatenate((row, table.chain[unary]))
-    order = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
-    chain = chain[order]
-    rank = _rank_in_group(chain, nchains)
 
     def in_sequence(unary_terms):
-        columns = np.zeros((rank.max() + 1, nchains))
-        columns[rank, chain] = np.concatenate((interior, unary_terms[unary]))[order]
+        columns = np.zeros(lay.depth * nchains)
+        columns[lay.into] = np.concatenate((interior, unary_terms[lay.unary]))
         total = np.zeros(nchains)
-        for column in columns:
+        for column in columns.reshape(lay.depth, nchains):
             total += column
         return total
 
@@ -717,7 +757,7 @@ def _chain_minimizer(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPiec
     values taken along its padded world direction (:class:`ChainRuns`)."""
     tie_break = KINDS[problem.kind].pin is None
     dim, n = mesh.dim, mesh.shape[0]
-    table = _chain_table(mesh, pin, pieces, tie_break)
+    table = _chain_table(mesh, pin, pieces, tie_break, mesh.layouts.get(tie_break))
     del pieces
     values, first, term_run = _solve_chains(table, tie_break)
     # summed axis by axis, chain by chain
@@ -725,6 +765,7 @@ def _chain_minimizer(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPiec
         np.cumsum(np.cumsum(v.reshape(dim, -1), axis=1)[:, -1])[-1]
         for v in _chain_objective(values, first, term_run, table)
     )
+    mesh.layouts[tie_break] = table.layout  # the grid's record, replaced by one assignment
     del table
     axis, direction = tuple(range(dim)), padded_normal(mesh.frame.T)
     if tie_break and dim == 2:
