@@ -27,8 +27,13 @@ tables live in the mesh frame, so they form a frame-free grid; a
 checked breakpoints' bytes and ``n``) and by :func:`build_mesh` by
 ``(dimension, n)``, and every mesh shares its grid's tables: 64 bytes per
 boundary edge in 2D and 128 per face in 3D (0.28 MB at 2D n = 1024, 3.2 MB
-at 3D n = 64), at most ``GRID_CACHE_SIZE`` times the largest grid in use
-(64 MB of 3D n = 64 grids); ``build_mesh.cache_clear()`` frees them all.
+at 3D n = 64).  A grid also keeps ``layouts``, the chain solver's index
+tables on it, one record per tie-break flag: about 190 bytes per boundary
+edge at 2D n = 1024 and 270 to 320 per face at 3D n = 64 for each.  A
+record is read-only and replaced by one assignment, so sharing it across
+threads is safe.  The cache holds at most ``GRID_CACHE_SIZE`` times the
+largest grid in use (350 MB of 3D n = 64 grids with both records);
+``build_mesh.cache_clear()`` frees them all.
 """
 
 from __future__ import annotations

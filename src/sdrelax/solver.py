@@ -30,7 +30,12 @@ charge only boundary faces, visit each chain's two ends.  Pure jump
 problems carry a second, energy-free objective through the same program
 (datum mismatches on every boundary face, whose breakpoints join the
 candidates) and compare (primary, secondary) pairs lexicographically, so
-that among minimizers one matching the boundary datum is returned.
+that among minimizers one matching the boundary datum is returned.  The
+index tables of a solve (the terms, kept cells and runs, the DP's order,
+the objective's summation order) depend only on the grid, that flag, which
+mismatches are constant and which kept cells start a run: the grid keeps
+them, one record per flag (``Mesh.layouts``), for the next solve to reuse
+if both masks agree, and replace otherwise.
 
 The minimizer is its runs: a value per DP row, held from the row's first
 cell up to the next row's, so a chain jumps at most once between two rows,
@@ -539,8 +544,10 @@ def _run_layout(table, lay, head) -> dict:
     h, n = table.h, table.n
     nchains = len(h)
     tc, primary, weight = table.chain[lay.use], ~table.side[lay.use], table.weight[lay.use]
-    first = lay.keep[head]
-    term_run = (np.cumsum(head) - 1)[lay.term_kept]
+    primary = slice(None) if primary.all() else primary
+    every = head.all()  # then each kept cell is a run, and the kept cell tables serve
+    first = lay.keep if every else lay.keep[head]
+    term_run = lay.term_kept if every else (np.cumsum(head) - 1)[lay.term_kept]
     kc = first // n
     length = np.bincount(kc, minlength=nchains)
     order = np.argsort(-length, kind="stable")
@@ -587,7 +594,7 @@ def _solve_chains(table: ChainTable, tie_break: bool):
     nchains = len(h)
     lay = table.layout if getattr(table.layout, "tie_break", None) == tie_break else None
     if not hasattr(lay, "keep"):  # kept cells: those with a used term, and both ends of a chain
-        use = ~table.side | tie_break
+        use = slice(None) if tie_break or not table.side.any() else ~table.side  # all: a view
         cell = table.chain * n + table.pos
         kept = np.zeros(nchains * n, dtype=bool)
         kept[::n] = kept[n - 1 :: n] = True
@@ -610,7 +617,8 @@ def _solve_chains(table: ChainTable, tie_break: bool):
     table.layout = lay
     cand = _candidates(lay.ts, breaks, nchains)
     del breaks  # before the cost tables, where a large affine solve peaks
-    cost = np.abs(cand[lay.ts].T + const) * lay.used_weight  # [candidate, term]
+    cost = np.add(cand[lay.ts].T, const)  # [candidate, term]: |cand + const| * weight, in place
+    cost = np.multiply(np.abs(cost, out=cost), lay.used_weight, out=cost)
 
     def summed(rows, cost):
         """Per-row sums of ``cost``'s terms, added in term order from 0."""
@@ -631,7 +639,7 @@ def _objective_layout(first, table) -> dict:
     nchains = len(table.h)
     run_chain = first // table.n
     step = np.flatnonzero(run_chain[1:] == run_chain[:-1])
-    unary = np.flatnonzero(~table.side)
+    unary = np.flatnonzero(~table.side) if table.side.any() else slice(None)
     chain = np.concatenate((run_chain[step], table.chain[unary]))
     order = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
     into = np.empty_like(order)

@@ -754,6 +754,57 @@ def test_grid_cache_miss_and_hit_solve_alike(n):
         assert _result_bytes(hit) == _result_bytes(miss), problem.kind
 
 
+def _layout_cases(dim, n, rng):
+    """Problems on one grid whose chain-program layouts differ, degenerate
+    ones first: affine data whose mismatch is constant along every boundary
+    piece (``B - A`` diagonal), zero, or constant along axis 0's pieces
+    only, then generic; step data whose breakpoints coincide everywhere
+    (``lam = 0``) or along axis 0 (``lam`` normal to the orientation), which
+    give other run heads, then generic."""
+    e1 = np.eye(dim)[0]
+    A = rng.uniform(-5, 5, (3, 3 if dim == 3 else 2))
+    B = A[:, :2]  # the mismatch is (B - A) x on the first two columns, zero on the third
+    diagonal, axis0 = np.diag([1.5, -2.0, 0.0])[:, :2], np.array([[1.5, 0.0], [0.7, -2.0], [0.0, 0.0]])
+    affine = [B + diagonal, B.copy(), B + axis0, rng.uniform(-5, 5, (3, 2))]
+    eta = rng.normal(size=dim)
+    steps = [dict(lam=np.zeros(3), orientation=e1),
+             dict(lam=np.array([0.0, 1.5, -2.0]), orientation=e1),
+             dict(lam=rng.uniform(-5, 5, 3), orientation=eta / np.linalg.norm(eta))]
+    affine_kind, step_kind = (Kind.W_3D2DSD, Kind.H_3D2D) if dim == 2 else (Kind.W_3DSD, Kind.H_3DSD)
+    return [CellProblem(kind=affine_kind, n=n, A=A, B=b) for b in affine] + [
+        CellProblem(kind=step_kind, n=n, **data) for data in steps
+    ]
+
+
+def _solve_bytes(problem):
+    result = solve(problem)
+    gap = boundary_trace_gap(result.minimizer, _datum_for(problem, result.minimizer.mesh))
+    return _result_bytes(result) + (float(gap).hex(),), result.minimizer.mesh
+
+
+@pytest.mark.parametrize("dim, n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_solves_reusing_a_grid_layout_equal_cold_solves(dim, n):
+    # interleaved solves on one kept grid rebuild its layout record where
+    # their masks differ and reuse it where they agree; each must equal,
+    # bit for bit, the same solve after the grid cache is cleared
+    rng = np.random.default_rng(90 + 10 * dim + n)
+    cases = _layout_cases(dim, n, rng)
+    cold = {}
+    for i, problem in enumerate(cases):
+        build_mesh.cache_clear()
+        cold[i] = _solve_bytes(problem)[0]
+    build_mesh.cache_clear()
+    # every ordered pair of cases in a row, each case after itself too
+    k = len(cases)
+    records, order = [], [x for i in range(k) for j in range(k) for x in (i, j)]
+    for i in order:
+        got, mesh = _solve_bytes(cases[i])
+        assert got == cold[i], (cases[i].kind, i)
+        records.append(mesh.layouts[KINDS[cases[i].kind].pin is None])
+    assert all(records[j] is records[j - 1] for j in range(1, len(order)) if order[j] == order[j - 1])
+    assert len({id(r) for r in records}) > 2
+
+
 def test_one_solve_builds_one_piece_table(monkeypatch):
     import sys
 

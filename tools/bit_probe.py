@@ -12,6 +12,14 @@ its type and message), labelled, and hashed section by section:
   n = 1..8), data scaled by 1e-9, 1e-3, 1, 1e3 and 1e12: ``value``,
   ``value_exact``, the minimizer's offsets and gradients, the trace gap
   against the problem's datum and ``reevaluate``;
+* ``degenerate``: the same of chain problems whose layouts (the index
+  tables a solve keeps on its grid) differ from generic data's: affine data
+  with a zero or constant mismatch, step data with coinciding breakpoints;
+* ``solve-warm``, ``degenerate-warm``: both again, in one shuffled pass in
+  the same process, so that solves with other layouts come between;
+  ``solve-cold``, ``degenerate-cold``: both again, the grid cache cleared
+  before every solve.  Each must equal its section; the probe exits with
+  status 1 if one does not;
 * ``dense``: dense random, blocked (gradients and offsets shared by cell
   blocks) and one-gradient fields in 2D and 3D at the same scales:
   ``surface_energy`` under the normal and the psi1 pair, exact and
@@ -80,11 +88,10 @@ def _bytes(value) -> bytes:
     return repr(value).encode()
 
 
-def probe_solve(sd, np, digest: Digest) -> None:
-    from sdrelax.solver import KINDS
-
+def _solve_cases(sd, np):
+    """The ``solve`` section's ``(label, problem)`` pairs, in order."""
     for kind in sd.Kind:
-        dim = KINDS[kind].dim
+        dim = 3 if kind in (sd.Kind.W_3DSD, sd.Kind.H_3DSD) else 2
         for n in range(1, 9) if dim == 3 else [*range(1, 17), 31, 32]:
             rng = np.random.default_rng([7, list(sd.Kind).index(kind), n])
             eta = rng.normal(size=dim)
@@ -95,22 +102,78 @@ def probe_solve(sd, np, digest: Digest) -> None:
                 lam=rng.uniform(-5, 5, 3),
             )
             for s in SCALES:
-                label = f"{kind.value}/n={n}/s={s:g}"
                 data = {k: v * s for k, v in base.items()}
                 problem = sd.CellProblem(kind=kind, n=n, orientation=eta / np.linalg.norm(eta), **data)
-                try:
-                    r = sd.solve(problem)
-                except Exception as exc:
-                    digest.add("solve", label, f"{type(exc).__name__}: {exc}")
-                    continue
-                field = r.minimizer
-                digest.add("solve", label + "/value", (r.value, r.value_exact))
-                datum = KINDS[kind].datum(problem) if KINDS[kind].pin else sd.StepDatum(
-                    problem.lam, field.mesh.orientation
-                )
-                digest.guarded("solve", label + "/gap", lambda: sd.boundary_trace_gap(field, datum))
-                digest.add("solve", label + "/field", (field.offsets, field.gradients, field.mesh.frame))
-                digest.guarded("solve", label + "/reevaluate", lambda: r.reevaluate(problem))
+                yield f"{kind.value}/n={n}/s={s:g}", problem
+
+
+def _degenerate_cases(sd, np):
+    """The ``degenerate`` section's pairs: chain problems on the solve
+    section's grids whose layouts differ from generic data's.  Affine data
+    whose mismatch ``(B - A) x`` is zero, constant on every boundary piece
+    (``B - A`` diagonal) or on axis 0's pieces only; step data on the
+    axis-aligned mesh with every breakpoint 0 (``lam = 0``) or those of
+    axis 0 only (``lam`` normal to the orientation)."""
+    offsets = {"zero": np.zeros((3, 2)), "constant": np.diag([1.5, -2.0, 0.0])[:, :2],
+               "axis0": np.array([[1.5, 0.0], [0.7, -2.0], [0.0, 0.0]])}
+    for dim, sizes in ((2, (3, 4, 31, 32)), (3, (3, 4, 7, 8))):
+        affine, step = (sd.Kind.W_3D2DSD, sd.Kind.H_3D2D) if dim == 2 else (sd.Kind.W_3DSD, sd.Kind.H_3DSD)
+        e1 = np.eye(dim)[0]
+        for n in sizes:
+            A = np.random.default_rng([17, dim, n]).uniform(-5, 5, (3, dim))
+            for s in SCALES:
+                for name, offset in offsets.items():
+                    B = (A[:, :2] + offset) * s
+                    yield f"{affine.value}/n={n}/s={s:g}/{name}", sd.CellProblem(kind=affine, n=n, A=A * s, B=B)
+                for name, lam in (("lam=0", [0.0, 0.0, 0.0]), ("lam.e1=0", [0.0, 1.5, -2.0])):
+                    lam = np.array(lam) * s
+                    yield f"{step.value}/n={n}/s={s:g}/{name}", sd.CellProblem(kind=step, n=n, lam=lam, orientation=e1)
+
+
+def _record_solve(sd, digest: Digest, section: str, label: str, problem) -> None:
+    from sdrelax.solver import KINDS
+
+    try:
+        r = sd.solve(problem)
+    except Exception as exc:
+        digest.add(section, label, f"{type(exc).__name__}: {exc}")
+        return
+    field, spec = r.minimizer, KINDS[problem.kind]
+    digest.add(section, label + "/value", (r.value, r.value_exact))
+    datum = spec.datum(problem) if spec.pin else sd.StepDatum(problem.lam, field.mesh.orientation)
+    digest.guarded(section, label + "/gap", lambda: sd.boundary_trace_gap(field, datum))
+    digest.add(section, label + "/field", (field.offsets, field.gradients, field.mesh.frame))
+    digest.guarded(section, label + "/reevaluate", lambda: r.reevaluate(problem))
+
+
+def probe_solve(sd, np, digest: Digest) -> None:
+    """The solve and degenerate sections in order, then both again in one
+    shuffled pass (``-warm``: grids and their layouts kept) and in one pass
+    that clears the grid cache before every solve (``-cold``), recorded in
+    the first pass's label order."""
+    cases = {"solve": list(_solve_cases(sd, np)), "degenerate": list(_degenerate_cases(sd, np))}
+    every = [(section, *case) for section, pairs in cases.items() for case in pairs]
+    for case in every:
+        _record_solve(sd, digest, *case)
+    shuffled = [every[i] for i in np.random.default_rng(19).permutation(len(every))]
+    for suffix, order in (("warm", shuffled), ("cold", every)):
+        repeat = Digest()
+        for case in order:
+            if suffix == "cold":
+                sd.build_mesh.cache_clear()
+            _record_solve(sd, repeat, *case)
+        for section in cases:
+            items, kept = repeat.sections[section], digest.sections.setdefault(f"{section}-{suffix}", {})
+            for label in digest.sections[section]:
+                kept[label] = items.get(label, "missing")
+
+
+def disagreeing_passes(summary: dict) -> list[str]:
+    """The warm and cold passes whose digest differs from their section's."""
+    return [
+        f"{section}-{suffix}" for section in ("solve", "degenerate") for suffix in ("warm", "cold")
+        if summary[f"{section}-{suffix}"]["sha256"] != summary[section]["sha256"]
+    ]
 
 
 def _dense_fields(sd, np, dim, n, rng):
@@ -241,6 +304,10 @@ def compare(a: Path, b: Path) -> int:
         print(f"{section}: {len(differ)} of {max(da['count'], db['count'])} values differ")
         for label in differ[:10]:
             print(f"  {label}")
+    for tree, digest in zip((a, b), digests):
+        for section in disagreeing_passes(digest):
+            same = False
+            print(f"{tree}: {section} differs from {section.rsplit('-', 1)[0]}")
     print("IDENTICAL" if same else "DIFFERENT")
     return 0 if same else 1
 
@@ -259,7 +326,9 @@ def main(argv=None) -> int:
     else:
         for section, d in summary.items():
             print(f"{section}: {d['count']} values, sha256 {d['sha256']}")
-    return 0
+    for section in disagreeing_passes(summary):
+        print(f"{section} differs from {section.rsplit('-', 1)[0]}", file=sys.stderr)
+    return 1 if disagreeing_passes(summary) else 0
 
 
 if __name__ == "__main__":
