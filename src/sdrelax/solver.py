@@ -386,12 +386,12 @@ class ChainTable:
 
 
 def _layout(base: dict, **parts) -> SimpleNamespace:
-    """A record of ``base`` updated by ``parts``, its arrays read-only: it is never changed, only replaced."""
-    record = SimpleNamespace(**{**base, **parts})
-    for value in vars(record).values():
+    """A record of ``base`` (a record's, read-only) updated by ``parts``, whose arrays become
+    read-only too: a record is never changed, only replaced."""
+    for value in parts.values():
         if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return record
+            value.setflags(write=False)
+    return SimpleNamespace(**{**base, **parts})
 
 
 def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layout=None) -> ChainTable:
@@ -424,7 +424,7 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layo
     on = [slice(None) if side_terms else pieces.axis == b for b in range(dim)]  # emitting pieces
     vals = np.concatenate([gall[rows] @ dirs3[b] for b, rows in enumerate(on)])
     const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
-    if not np.array_equal(const, getattr(layout, "constant", None)):
+    if layout is None or not np.array_equal(const, layout.constant):
         src = [np.arange(len(pieces.cell))[rows] for rows in on]  # each row's piece
         axis = np.repeat(np.arange(dim), [len(s) for s in src])  # and the axis it emits for
         src = np.concatenate(src)
@@ -612,7 +612,7 @@ def _solve_chains(table: ChainTable, tie_break: bool):
         np.maximum.at(hi, lay.term_kept[lay.use], breaks)
         single = np.where(lo == hi, lo, np.nan)  # nan: several breakpoints, or none
         head[1:] = (keep[1:] // n != keep[:-1] // n) | (single[1:] != single[:-1])
-    if not np.array_equal(head, getattr(lay, "head", None)):
+    if not hasattr(lay, "head") or not np.array_equal(head, lay.head):
         lay = _layout(vars(lay), **_run_layout(table, lay, head))
     table.layout = lay
     cand = _candidates(lay.ts, breaks, nchains)
@@ -642,8 +642,8 @@ def _objective_layout(first, table) -> dict:
     unary = np.flatnonzero(~table.side) if table.side.any() else slice(None)
     chain = np.concatenate((run_chain[step], table.chain[unary]))
     order = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
-    into = np.empty_like(order)
-    into[order] = _rank_in_group(chain[order], nchains) * nchains + chain[order]
+    into, chain = np.empty_like(order), chain[order]
+    into[order] = _rank_in_group(chain, nchains) * nchains + chain
     return dict(
         first=first, step=step, h_step=table.h[run_chain[step]], unary=unary, into=into,
         depth=int(into.max()) // nchains + 1,
