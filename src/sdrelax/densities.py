@@ -225,8 +225,8 @@ def check_hypotheses(density: DensityPair, samples: int = 1000, seed: int = 0) -
     both (zero bulk, zero cost on tangential jumps), so they are reported
     but excluded from ``required_ok``.
 
-    Margins are signed violations (positive = violated); each failing entry
-    carries the worst sampled witness, which re-evaluates to a violation.
+    Margins are signed violations (positive = violated), H2-H4's less ``1e-9 (1 + |bound|)``
+    (scale-free); each failing entry carries the worst sampled witness, a violation.
     Samples are drawn from [-10, 10] entries; deterministic given the seed.
     """
     if samples < 1:
@@ -288,7 +288,8 @@ def check_hypotheses(density: DensityPair, samples: int = 1000, seed: int = 0) -
         return lhs - rhs
 
     def v_h2(lam, nu):
-        return density.surface(lam, nu) - density.c_surf * np.linalg.norm(lam)
+        bound = density.c_surf * np.linalg.norm(lam)
+        return density.surface(lam, nu) - bound - tol * (1.0 + abs(bound))
 
     def v_h2_lower(lam, nu):
         return np.linalg.norm(lam) / density.c_surf - density.surface(lam, nu)
@@ -299,9 +300,8 @@ def check_hypotheses(density: DensityPair, samples: int = 1000, seed: int = 0) -
         return abs(lhs - rhs) - tol * (1.0 + abs(rhs))
 
     def v_h4(lam1, lam2, nu):
-        return density.surface(lam1 + lam2, nu) - density.surface(lam1, nu) - density.surface(
-            lam2, nu
-        )
+        rhs = density.surface(lam1, nu) + density.surface(lam2, nu)
+        return density.surface(lam1 + lam2, nu) - rhs - tol * (1.0 + abs(rhs))
 
     entries = [
         run("H1a", draw_matrix, v_h1a),

@@ -50,6 +50,7 @@ from .fields import (
     abs_affine_integral,
     boundary_pieces,
     gauss_face_mean,
+    rows_reduce,
 )
 
 
@@ -88,7 +89,7 @@ def _integrals(values, normal3, h, form, func, overestimate) -> np.ndarray:
         # pieces whose third component vanishes identically pay the normal
         # form; all others are free (the integrand vanishes a.e.)
         out = np.zeros(len(values))
-        paid = np.all(values[:, :, 2] == 0.0, axis=1)
+        paid = rows_reduce(np.logical_and, values[:, :, 2] == 0.0)
         out[paid] = _integrals(values[paid], normal3[paid], h[paid], SURFACE_NORMAL, None, overestimate)
         return out
     if form == SURFACE_NORMAL:
@@ -104,9 +105,9 @@ def _integrals(values, normal3, h, form, func, overestimate) -> np.ndarray:
 def _jump_rows(rows, values):
     """Rows with a jump, split into constant ones (collapsed to a single
     corner) and the rest."""
-    jump = np.any(values != 0.0, axis=(1, 2))
+    jump = rows_reduce(np.logical_or, values != 0.0)
     rows, values = rows[jump], values[jump]
-    const = np.all(values == values[:, :1], axis=(1, 2))
+    const = rows_reduce(np.logical_and, values == values[:, :1])
     return (rows[const], values[const, :1]), (rows[~const], values[~const])
 
 
@@ -138,7 +139,7 @@ def surface_energy(field: SbvField, density, datum=None, overestimate: bool = Fa
     interior = np.zeros(len(table.offset))
     # one pass per axis: edges and the table's blocks come axis by axis, so an
     # axis' rows of each kind are one slice and share one normal, a broadcast view
-    constant = np.any(table.offset != 0.0, axis=1)
+    constant = rows_reduce(np.logical_or, table.offset != 0.0)
     constant[table.affine] = False
     starts = np.cumsum((0,) + mesh.int_counts)  # first edge of each axis
     # an edge's measure is its chain's face measure, which the chain's

@@ -13,13 +13,14 @@ exactly: on segments by splitting at the sign change, on rectangular faces
 closed form in the face's corner values and area.  Euclidean norms of
 affine integrands have a closed form on segments.
 
-Boundary terms are charged against a datum piece by piece.
-:func:`boundary_pieces` builds one array table of those pieces from the
-mesh's boundary edges (a step datum splits the edges it jumps across), and
-the solver's term assembly, :func:`sdrelax.energy.surface_energy` and
-:func:`boundary_trace_gap` all read it.  This module also owns the single
-16-point Gauss rule used where no closed form applies, and the one writer
-of field and triple files (byte-identical to ``json.dumps(indent=2)``).
+Boundary terms are charged against a datum piece by piece: one array table
+of the mesh's boundary edges (a step datum splits those it jumps across),
+kept with the grid for its last frame, and the datum's values at them
+(:func:`boundary_pieces`), which the solver's term assembly and both
+:func:`sdrelax.energy.surface_energy` and :func:`boundary_trace_gap` read.
+This module also owns the single 16-point Gauss rule used where no closed
+form applies, and the one writer of field and triple files
+(byte-identical to ``json.dumps(indent=2)``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -227,38 +229,31 @@ class BoundaryPieces:
         grads, offsets = field.gradients, field.cell_offsets(self.cell)[:, None, :]
         grads = grads[:1] if grads.strides[0] == 0 else grads[self.cell]
         if not grads.any():
-            return np.broadcast_to(offsets, self.points.shape[:2] + (3,))
+            return offsets.repeat(self.points.shape[1], axis=1)
         if len(grads) == 1:  # one broadcast gradient (solve minimizers): one flat product
             return flat_matmul(self.points, grads[0].T) + offsets
         return self.points @ grads.transpose(0, 2, 1) + offsets
 
 
-def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
-    """Boundary piece table of ``mesh`` against ``datum``; every array of it
-    is read-only.
-
-    Where no edge is split (every affine datum, and a step datum on a mesh
-    whose breakpoints include its discontinuity), the pieces are the mesh's
-    boundary edges: ``cell``, ``axis``, ``measure`` and ``corners`` are the
-    mesh's own ``bnd_*`` arrays, and only the world points, normals and
-    datum values are computed.  Edges are split only if a cell interval of
-    ``axis_breaks[0]`` holds 0 strictly inside; every cell interval carries
-    boundary edges across axis 0.  The halves of a split edge take its corners
-    clipped at ``xi[0] == 0`` and, as measure, the product of their extents
-    along the free axes (an unsplit edge's ``bnd_measure`` is that product
-    too, bit for bit).
-
-    Step data are constant on each piece, but their pointwise rule
-    misassigns the measure-zero corners lying on the discontinuity, so they
-    are evaluated at the piece centroid.
-    """
-    rows = slice(None)  # the piece's boundary edge, as an index of the bnd_* arrays
-    corners, measure = mesh.bnd_corners, mesh.bnd_measure
-    step = isinstance(datum, StepDatum)
-    if step:
-        datum.check_mesh(mesh)
-        breaks = mesh.axis_breaks[0]
-        if np.any((breaks[:-1] < 0.0) & (0.0 < breaks[1:])):  # some cell straddles xi[0] == 0
+def _piece_geometry(mesh: Mesh, step: bool) -> SimpleNamespace:
+    """The grid's kept record (``Mesh.geometry``, one per flag), read-only, of
+    the pieces against an affine (``step`` false) or a step datum: the
+    frame-free tables (``rows``, each piece's edge as an index of the
+    ``bnd_*`` arrays, and ``edge`` ... ``corners``), and each piece's world
+    ``points``, ``normal`` and (step) ``centroid`` in ``mesh``'s frame.  A mesh of
+    another frame replaces it, keeping the tables.  A step datum splits each
+    edge of a cell interval of ``axis_breaks[0]`` that holds 0 strictly
+    inside, into halves with its corners clipped at ``xi[0] == 0`` and, as
+    measure, the product of their extents along the free axes (an unsplit
+    edge's ``bnd_measure`` is that product too, bit for bit)."""
+    frame = mesh.frame
+    key = (frame.strides, frame.tobytes())  # the points are products with the frame as laid out
+    kept = mesh.geometry.get(step)
+    if kept is not None and kept.frame == key:
+        return kept
+    if kept is None:
+        rows, corners, measure, breaks = slice(None), mesh.bnd_corners, mesh.bnd_measure, mesh.axis_breaks[0]
+        if step and np.any((breaks[:-1] < 0.0) & (0.0 < breaks[1:])):  # a cell straddles xi[0] == 0
             xi0 = corners[:, :, 0]
             split = (mesh.bnd_axis != 0) & (xi0.min(axis=1) < 0.0) & (0.0 < xi0.max(axis=1))
             rows = np.repeat(np.arange(len(split)), np.where(split, 2, 1))
@@ -273,26 +268,36 @@ def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
             spread = corners[halves].max(axis=1) - corners[halves].min(axis=1)
             spread[np.arange(len(spread)), mesh.bnd_axis[rows][halves]] = 1.0
             measure[halves] = np.prod(spread, axis=1)
-    axis = mesh.bnd_axis[rows]
-    points = flat_matmul(corners, mesh.frame.T)
+        edge, cell, axis = (a[rows] for a in (np.arange(len(mesh.bnd_axis)), mesh.bnd_cell, mesh.bnd_axis))
+        kept = SimpleNamespace(rows=rows, edge=edge, cell=cell, axis=axis, measure=measure, corners=corners)
+    record = SimpleNamespace(**vars(kept))
+    record.frame, record.points = key, flat_matmul(kept.corners, frame.T)
+    record.normal = mesh.bnd_normals()[kept.rows]
+    record.centroid = record.points.mean(axis=1) if step else None  # a mean costs 2 ms at 3D n = 64
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    mesh.geometry[step] = record
+    return record
+
+
+def boundary_pieces(mesh: Mesh, datum) -> BoundaryPieces:
+    """Boundary piece table of ``mesh`` against ``datum``, read-only: the
+    grid's kept record of the pieces (:func:`_piece_geometry`) and the
+    datum's values.  Step data are constant on each piece, but their
+    pointwise rule misassigns the measure-zero corners lying on the
+    discontinuity, so they are evaluated at the piece centroid."""
+    step = isinstance(datum, StepDatum)
+    g = _piece_geometry(mesh, step)
     if step:
-        values = datum.values(points.mean(axis=1))[:, None, :]
-        values = np.broadcast_to(values, points.shape[:2] + (3,))
+        orientation = np.asarray(datum.orientation, dtype=float)
+        if orientation.shape != (mesh.dim,) or orientation.tobytes() != mesh.frame[:, 0].tobytes():
+            datum.check_mesh(mesh)  # else equal to the mesh's
+        values = datum.values(g.centroid)[:, None, :].repeat(g.points.shape[1], axis=1)
     else:
-        values = datum.values(points)
-    pieces = BoundaryPieces(
-        edge=np.arange(len(mesh.bnd_axis))[rows],
-        cell=mesh.bnd_cell[rows],
-        axis=axis,
-        normal=mesh.bnd_normals()[rows],
-        measure=measure,
-        corners=corners,
-        points=points,
-        datum=values,
-    )
-    for value in vars(pieces).values():
-        value.flags.writeable = False
-    return pieces
+        values = datum.values(g.points)
+    values.flags.writeable = False
+    return BoundaryPieces(g.edge, g.cell, g.axis, g.normal, g.measure, g.corners, g.points, values)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +359,7 @@ class ChainRuns:
     direction: np.ndarray
     first: np.ndarray
     values: np.ndarray
+    known: tuple = ()  # some cells and their cell_runs, kept by the solver with the grid
 
     def dense(self, shape) -> np.ndarray:
         """The ``(ncells, 3)`` offsets, summed component by component in a
@@ -375,28 +381,43 @@ class ChainRuns:
         return np.ascontiguousarray(out.reshape(3, ncells).T)
 
     def at(self, shape, cells) -> np.ndarray:
-        """``dense(shape)[cells]``, bit for bit, from the runs of ``cells`` alone."""
-        n, blocks = shape[0], np.arange(len(self.axis))[:, None]
-        # each cell's chain and position along each block's axis, (B, cells)
-        stride = n ** (len(shape) - 1 - np.array(self.axis)[:, None])
-        chain = blocks * (math.prod(shape) // n) + cells // (stride * n) * stride + cells % stride
-        run = self.first.searchsorted(chain * n + cells // stride % n, side="right") - 1
+        """``dense(shape)[cells]``, bit for bit, from the runs of ``cells`` alone (``known``'s)."""
+        known = self.known and self.known[0] is cells
+        run = self.known[1] if known else cell_runs(self.axis, self.first, shape, cells)
         out = np.zeros((len(cells), 3))
         for v, d in zip(self.values[run], self.direction):
             out += v[:, None] * d
         return out
 
 
+def cell_runs(axis, first, shape, cells) -> np.ndarray:
+    """The run ``(B, cells)`` of each of ``cells`` in each block of :class:`ChainRuns`."""
+    n, blocks = shape[0], np.arange(len(axis))[:, None]
+    # each cell's chain and position along each block's axis, (B, cells)
+    stride = n ** (len(shape) - 1 - np.array(axis)[:, None])
+    chain = blocks * (math.prod(shape) // n) + cells // (stride * n) * stride + cells % stride
+    return first.searchsorted(chain * n + cells // stride % n, side="right") - 1
+
+
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct elements of a broadcast view: each zero-stride axis cut to its first entry."""
-    return a[tuple(slice(None if s else 1) for s in a.strides)]
+    return a[tuple(slice(None if s else 1) for s in a.strides)] if 0 in a.strides else a
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
     """``a``, checked to be finite on its distinct elements."""
-    if not np.all(np.isfinite(_distinct(a))):
+    if not np.isfinite(_distinct(a)).all():
         raise FieldError("field data must be finite")
     return a
+
+
+def rows_reduce(op, mask: np.ndarray) -> np.ndarray:
+    """``op.reduce`` of a boolean ``mask`` over all axes but the first, one pass per column (faster)."""
+    columns = mask.reshape(len(mask), math.prod(mask.shape[1:]))
+    out = columns[:, 0].copy()
+    for c in range(1, columns.shape[1]):
+        op(out, columns[:, c], out=out)
+    return out
 
 
 class SbvField:
@@ -467,14 +488,14 @@ class SbvField:
             corners = np.zeros((0, 2 ** (mesh.dim - 1), mesh.dim))
         else:
             slope = _edge_differences(mesh, grads)
-            affine = np.flatnonzero(np.any(slope != 0.0, axis=(1, 2)))
+            affine = rows_reduce(np.logical_or, slope != 0.0).nonzero()[0]
             slope, corners = slope[affine], mesh.int_corners(affine)
         values = flat_matmul(corners, mesh.frame.T) @ slope.transpose(0, 2, 1) + offset[affine][:, None, :]
         # block 3 a + k of a row: its axis a, and k = 0 for a zero jump, 1 for
         # a constant one, 2 otherwise (a zero jump is constant too)
         axis = np.searchsorted(np.cumsum(mesh.int_counts), affine, side="right")
-        const = np.all(values == values[:, :1], axis=(1, 2))
-        zero = ~np.any(values != 0.0, axis=(1, 2))
+        const = rows_reduce(np.logical_and, values == values[:, :1])
+        zero = ~rows_reduce(np.logical_or, values != 0.0)
         block = (3 * axis + 2 - const - zero).astype(np.int8)
         if np.any(block[1:] < block[:-1]):  # a stable sort keeps edge order in a block
             order = np.argsort(block, kind="stable")
@@ -526,12 +547,12 @@ def boundary_trace_gap(field: SbvField, datum) -> float:
     mism = pieces.field_values(field) - pieces.datum
     first = mism[:, 0]
     terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
-    affine = np.flatnonzero(np.any(mism != mism[:, :1], axis=(1, 2)))
+    affine = rows_reduce(np.logical_or, mism != mism[:, :1]).nonzero()[0]
     if len(affine) and field.mesh.dim == 2:
         terms[affine] = norm_affine_segment_exact(mism[affine, 0], mism[affine, 1], pieces.measure[affine])
     elif len(affine):
         terms[affine] = pieces.measure[affine] * _face_norm_means(mism[affine])
-    return float(np.cumsum(terms)[-1])
+    return float(terms.cumsum()[-1])
 
 
 def _face_norm_means(mism) -> np.ndarray:

@@ -28,11 +28,14 @@ checked breakpoints' bytes and ``n``) and by :func:`build_mesh` by
 ``(dimension, n)``, and every mesh shares its grid's tables: 64 bytes per
 boundary edge in 2D and 128 per face in 3D (0.28 MB at 2D n = 1024, 3.2 MB
 at 3D n = 64).  A grid also keeps ``layouts``, the chain solver's index
-tables on it, one record per tie-break flag: about 190 bytes per boundary
-edge at 2D n = 1024 and 270 to 320 per face at 3D n = 64 for each.  A
-record is read-only and replaced by one assignment, so sharing it across
-threads is safe.  The cache holds at most ``GRID_CACHE_SIZE`` times the
-largest grid in use (350 MB of 3D n = 64 grids with both records);
+tables on it, one record per tie-break flag: about 210 to 230 bytes per
+boundary edge at 2D n = 1024 and 300 to 350 per face at 3D n = 64 for each.
+A record is read-only and replaced by one assignment, so sharing it across
+threads is safe.  So is ``geometry``, one record per datum kind (affine or
+step) of the boundary pieces' tables and world geometry in the frame last
+asked for, replaced for another (:func:`sdrelax.fields.boundary_pieces`;
+3.7 MB at 3D n = 64).  The cache holds at most ``GRID_CACHE_SIZE`` times the
+largest grid in use (530 MB of 3D n = 64 grids with all records);
 ``build_mesh.cache_clear()`` frees them all.
 """
 
@@ -166,6 +169,7 @@ class _Grid:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         self.layouts = {}  # the chain solver's layout record per tie-break flag
+        self.geometry = {}  # boundary_pieces' framed geometry record per step flag
 
 
 class Mesh:
@@ -265,11 +269,10 @@ def build_mesh(dimension: int, n: int, orientation) -> Mesh:
 
     Each call returns a new mesh; its breakpoints and boundary arrays are
     shared with every other mesh of the same ``(dimension, n)`` while the
-    grid is kept (see the module docstring)."""
+    grid is kept (see the module docstring).  :class:`Mesh` checks ``n``."""
     dimension = positive_int(dimension, MeshError, "dimension")
     if dimension not in (2, 3):
         raise MeshError(f"dimension must be 2 or 3, got {dimension}")
-    n = positive_int(n, MeshError, "refinement")
     orientation = np.asarray(orientation, dtype=float)
     if orientation.shape != (dimension,):
         raise MeshError(

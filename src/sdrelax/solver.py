@@ -84,8 +84,10 @@ from .fields import (
     abs_affine_integral,
     boundary_pieces,
     boundary_trace_gap,
+    cell_runs,
     embed_planar,
     flat_matmul,
+    rows_reduce,
     zero_datum,
 )
 from .meshes import UNIT_TOL, Mesh, build_mesh, json_positive_int, positive_int
@@ -229,7 +231,7 @@ class CellProblem:
     d: np.ndarray | None = None
     lam: np.ndarray | None = None
     orientation: np.ndarray | None = None
-    density: dens.DensityPair = dc_field(default_factory=dens.interfacial_normal_pair)
+    density: dens.DensityPair = dens.interfacial_normal_pair()  # immutable, so shared
 
     def __post_init__(self):
         self.kind = Kind(self.kind)
@@ -246,7 +248,7 @@ class CellProblem:
         k, spec = self.kind, KINDS[self.kind]
         for name in ("A", "B", "d", "lam", "orientation"):
             v = getattr(self, name)
-            if v is not None and not np.all(np.isfinite(v)):
+            if v is not None and not np.isfinite(v).all():
                 raise ProblemError(f"data slot '{name}' must be finite")
         for name in spec.slots:
             if getattr(self, name) is None:
@@ -423,8 +425,8 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layo
     gall = flat_matmul(pieces.points, pin.T) - pieces.datum
     on = [slice(None) if side_terms else pieces.axis == b for b in range(dim)]  # emitting pieces
     vals = np.concatenate([gall[rows] @ dirs3[b] for b, rows in enumerate(on)])
-    const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
-    if layout is None or not np.array_equal(const, layout.constant):
+    const = rows_reduce(np.logical_and, (vals - vals[:, :1]) == 0.0)
+    if layout is None or const.tobytes() != layout.constant:
         src = [np.arange(len(pieces.cell))[rows] for rows in on]  # each row's piece
         axis = np.repeat(np.arange(dim), [len(s) for s in src])  # and the axis it emits for
         src = np.concatenate(src)
@@ -442,7 +444,7 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layo
         layout = _layout(
             {}, h=mesh.bnd_measure[::2], n=n, chain=chain, pos=pos, weight=np.repeat(weight, count),
             side=np.repeat(~own, count), affine=first[share][:, None] + np.arange(ncorners),
-            measure=pieces.measure[src[share]], constant=const, emit=emit, tie_break=side_terms,
+            measure=pieces.measure[src[share]], constant=const.tobytes(), emit=emit, tie_break=side_terms,
         )
     t = layout
     table = ChainTable(t.h, n, t.chain, t.pos, t.weight, vals[t.emit], t.side, t.affine, t.measure)
@@ -483,7 +485,7 @@ def _lex_argmin(primary, secondary, tol):
     return np.where(tied, secondary, np.inf).argmin(axis=1)
 
 
-def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
+def _chain_dp(active, cand, h, unary, secondary, tol, start=None, chains=None) -> np.ndarray:
     """Candidate index of every row minimizing, per chain ``c``, ``sum_j
     unary[r_j, x_j] + h[c] |cand[x_j] - cand[x_{j-1}]|`` over the chain's
     rows ``r_j`` (its runs, ``_solve_chains``); with ``secondary``,
@@ -492,10 +494,10 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
 
     Chains are laid out longest first and ragged: position ``j`` of the
     ``active[j]`` chains that reach it is rows ``start[j] ... start[j + 1]``
-    (``start`` the running sum of ``active``), in the order of the rows of
-    ``cand``, ``h`` and ``tol``.  Min-plus recursion ``f_j(v) = unary_j(v) +
-    min_u f_{j-1}(u) + h |v - u|`` with backtracking, each step on a prefix
-    of the chains: a chain that has ended keeps its last ``f``.
+    (``start`` the running sum of ``active``, ``chains`` ``arange(nchains)``
+    as a column), rows in the order of ``cand``, ``h`` and ``tol``.  Min-plus
+    recursion ``f_j(v) = unary_j(v) + min_u f_{j-1}(u) + h |v - u|`` with
+    backtracking, each step on a prefix of the chains: an ended chain keeps its last ``f``.
 
     Each step adds ``f`` to the step cost ``h |cand v - cand u|`` in one
     ``(nchains, k, k)`` buffer.  The step cost is built once, in that buffer
@@ -503,12 +505,11 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
     are kept aside for steps 2 onward, so a solve holds one full table.
     """
     nchains, k = cand.shape
-    active = np.asarray(active).tolist()  # step bounds as Python ints
-    start = np.cumsum([0] + active).tolist()
+    start = np.cumsum([0, *active]).tolist() if start is None else start
     f = unary[:nchains].copy()
     g = None if secondary is None else secondary[:nchains].copy()
     back = np.empty(unary.shape, dtype=np.min_scalar_type(k))  # rows of step 0 unused
-    chains, cols = np.arange(nchains)[:, None], np.arange(k)
+    chains, cols = np.arange(nchains)[:, None] if chains is None else chains, np.arange(k)
     # step j reads the first active[j] rows of each of these views
     f3, g3, tol3 = f[:, :, None], None if g is None else g[:, :, None], tol[:, None, None]
     buffer = np.subtract(cand[:, None, :], cand[:, :, None])  # [c, u, v]: cand v - cand u
@@ -539,13 +540,13 @@ def _chain_dp(active, cand, h, unary, secondary, tol) -> np.ndarray:
 
 
 def _run_layout(table, lay, head) -> dict:
-    """Index tables of the runs that start at the kept cells ``head`` selects: the
-    longest-first ragged DP layout (``_chain_dp``) and the objective pass's tables."""
+    """Index tables of the runs that start at the kept cells ``head`` selects (``None``: all):
+    the longest-first ragged DP layout (``_chain_dp``) and the objective pass's tables."""
     h, n = table.h, table.n
     nchains = len(h)
     tc, primary, weight = table.chain[lay.use], ~table.side[lay.use], table.weight[lay.use]
     primary = slice(None) if primary.all() else primary
-    every = head.all()  # then each kept cell is a run, and the kept cell tables serve
+    every = head is None or head.all()  # then each kept cell is a run, and the kept cell tables serve
     first = lay.keep if every else lay.keep[head]
     term_run = lay.term_kept if every else (np.cumsum(head) - 1)[lay.term_kept]
     kc = first // n
@@ -558,10 +559,10 @@ def _run_layout(table, lay, head) -> dict:
     trow = row[term_run[lay.use]]
     total_weight = h * (n - 1) + np.bincount(tc[primary], weight[primary], nchains)
     return dict(
-        _objective_layout(first, table), head=head, term_run=term_run, row=row,
-        run_slot=slot[kc], active=active.tolist(), h_order=h[order], ts=slot[tc], trow=trow,
-        primary=primary, primary_row=trow[primary], used_weight=weight,
-        tie_weight=TIE_RTOL * total_weight[order],
+        _objective_layout(first, table), head=None if head is None else head.tobytes(), term_run=term_run,
+        row=row, run_slot=slot[kc], active=active.tolist(), start=start.tolist(), h_order=h[order],
+        ts=slot[tc], trow=trow, primary=primary, primary_row=trow[primary], used_weight=weight,
+        tie_weight=TIE_RTOL * total_weight[order], chains=np.arange(nchains)[:, None],
     )
 
 
@@ -605,14 +606,14 @@ def _solve_chains(table: ChainTable, tie_break: bool):
     const = table.const[lay.use]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
     breaks = 0.0 - const
-    head, keep = np.ones(len(lay.keep), dtype=bool), lay.keep  # which kept cells start a run
-    if len(keep) > 2 * nchains:
+    keep, head = lay.keep, None  # which kept cells start a run; None: each
+    if len(keep) > 2 * nchains:  # else no chain keeps more than its ends
         lo, hi = np.full(len(keep), np.inf), np.full(len(keep), -np.inf)
         np.minimum.at(lo, lay.term_kept[lay.use], breaks)
         np.maximum.at(hi, lay.term_kept[lay.use], breaks)
         single = np.where(lo == hi, lo, np.nan)  # nan: several breakpoints, or none
-        head[1:] = (keep[1:] // n != keep[:-1] // n) | (single[1:] != single[:-1])
-    if not hasattr(lay, "head") or not np.array_equal(head, lay.head):
+        head = np.concatenate(([True], (keep[1:] // n != keep[:-1] // n) | (single[1:] != single[:-1])))
+    if not hasattr(lay, "head") or head is not None and head.tobytes() != lay.head:
         lay = _layout(vars(lay), **_run_layout(table, lay, head))
     table.layout = lay
     cand = _candidates(lay.ts, breaks, nchains)
@@ -620,16 +621,13 @@ def _solve_chains(table: ChainTable, tie_break: bool):
     cost = np.add(cand[lay.ts].T, const)  # [candidate, term]: |cand + const| * weight, in place
     cost = np.multiply(np.abs(cost, out=cost), lay.used_weight, out=cost)
 
-    def summed(rows, cost):
-        """Per-row sums of ``cost``'s terms, added in term order from 0."""
-        return np.column_stack([np.bincount(rows, c, len(lay.first)) for c in cost])
-
-    unary = summed(lay.primary_row, cost[:, lay.primary])
+    # per-row sums of the terms at each candidate, added in term order from 0
+    unary = np.array([np.bincount(lay.primary_row, c, len(lay.first)) for c in cost[:, lay.primary]]).T
     secondary, tol = None, np.zeros(nchains)
     if tie_break:
-        secondary = summed(lay.trow, cost)
+        secondary = np.array([np.bincount(lay.trow, c, len(lay.first)) for c in cost]).T
         tol = lay.tie_weight * np.abs(cand).max(axis=1)
-    idx = _chain_dp(lay.active, cand, lay.h_order, unary, secondary, tol)
+    idx = _chain_dp(lay.active, cand, lay.h_order, unary, secondary, tol, lay.start, lay.chains)
     return cand[lay.run_slot, idx[lay.row]], lay.first, lay.term_run
 
 
@@ -764,26 +762,33 @@ def _chain_minimizer(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPiec
     program is solved and scored; the minimizer stays its runs, axis ``a``'s
     values taken along its padded world direction (:class:`ChainRuns`)."""
     tie_break = KINDS[problem.kind].pin is None
-    dim, n = mesh.dim, mesh.shape[0]
+    dim, n, extra = mesh.dim, mesh.shape[0], tie_break and mesh.dim == 2
     table = _chain_table(mesh, pin, pieces, tie_break, mesh.layouts.get(tie_break))
+    cells = pieces.cell  # the grid's, kept with its piece tables
     del pieces
     values, first, term_run = _solve_chains(table, tie_break)
     # summed axis by axis, chain by chain
     surf_value, surf_exact = (
-        np.cumsum(np.cumsum(v.reshape(dim, -1), axis=1)[:, -1])[-1]
+        v.reshape(dim, -1).cumsum(axis=1)[:, -1].cumsum()[-1]
         for v in _chain_objective(values, first, term_run, table)
     )
-    mesh.layouts[tie_break] = table.layout  # the grid's record, replaced by one assignment
+    lay = table.layout
     del table
-    axis, direction = tuple(range(dim)), padded_normal(mesh.frame.T)
-    if tie_break and dim == 2:
+    if getattr(lay, "runs_of", None) is not first:  # the minimizer's blocks, run starts and cells' runs
+        # a 2D step's extra block: a run per chain along axis 1 (one per axis 0 index)
+        axis = tuple(range(dim)) + ((1,) if extra else ())
+        runs = np.concatenate((first, (2 * n + np.arange(n)) * n)) if extra else first
+        lay = _layout(vars(lay), runs_of=first, runs_axis=axis, runs_first=runs,
+                      runs_at=cell_runs(axis, runs, mesh.shape, cells))
+    mesh.layouts[tie_break] = lay  # the grid's record, replaced by one assignment
+    direction = padded_normal(mesh.frame.T)
+    if extra:
         # the out-of-plane offset component is costless under the normal
-        # form; match the datum region so the returned trace is exact: one
-        # more block, a run per chain along axis 1 (one per axis 0 index)
-        first = np.concatenate((first, (2 * n + np.arange(n)) * n))
+        # form; match the datum region so the returned trace is exact
         values = np.concatenate((values, np.where(_right_rows(mesh), float(problem.lam[2]), 0.0)))
-        axis, direction = axis + (1,), np.vstack((direction, [0.0, 0.0, 1.0]))
-    return surf_value, surf_exact, ChainRuns(axis, direction, first, values)
+        direction = np.concatenate((direction, [[0.0, 0.0, 1.0]]))
+    runs = ChainRuns(lay.runs_axis, direction, lay.runs_first, values, (cells, lay.runs_at))
+    return surf_value, surf_exact, runs
 
 
 def _right_rows(mesh: Mesh) -> np.ndarray:

@@ -155,6 +155,20 @@ def test_hypothesis_checker_broken_upper_bound():
     assert pair.surface(lam, nu) > pair.c_surf * np.linalg.norm(lam) + 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e6, 1e12])
+def test_hypothesis_verdicts_do_not_depend_on_the_density_scale(scale):
+    # H2 and H4, like H3, allow rounding relative to the side they bound: the
+    # exactly subadditive s |lam . nu| (c_surf = s) passes at every scale, and
+    # both broken pairs, scaled alike, still fail
+    def scaled(surface):
+        return DensityPair(bulk=lambda A: 0.0, surface=lambda lam, nu: scale * surface(lam, nu), c_surf=scale)
+
+    good = check_hypotheses(scaled(lambda lam, nu: abs(np.dot(lam, nu))), samples=400, seed=0)
+    assert good.required_ok, [(e.name, e.worst_margin) for e in good.entries]
+    for broken in (broken_shifted_pair(), broken_quadratic_pair()):
+        assert not check_hypotheses(scaled(broken.surface), samples=400, seed=0).required_ok
+
+
 def test_checker_determinism():
     a = check_hypotheses(interfacial_normal_pair(), samples=200, seed=11)
     b = check_hypotheses(interfacial_normal_pair(), samples=200, seed=11)

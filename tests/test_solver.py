@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -803,6 +805,101 @@ def test_solves_reusing_a_grid_layout_equal_cold_solves(dim, n):
         records.append(mesh.layouts[KINDS[cases[i].kind].pin is None])
     assert all(records[j] is records[j - 1] for j in range(1, len(order)) if order[j] == order[j - 1])
     assert len({id(r) for r in records}) > 2
+
+
+def _frame_cases(dim, n, rng):
+    """``(label, call)`` pairs on one grid in two rotated frames and the
+    identity, each call building its own mesh: per frame, a dense field's
+    boundary pieces, energies, residual and trace gaps against affine, step
+    and zero data, and the step solves of that orientation, generic and with
+    ``lam = 0``; on the identity frame, affine solves of generic and zero
+    data, each solve with the trace gaps of both datum kinds.  Labels
+    interleave the frames."""
+    from sdrelax.fields import AffineDatum, boundary_pieces, gauss_green_residual
+
+    pair = interfacial_normal_pair()
+    step_kind, affine_kind = (Kind.H_3D2D, Kind.W_3D2DSD) if dim == 2 else (Kind.H_3DSD, Kind.W_3DSD)
+    orientations = [v / np.linalg.norm(v) for v in rng.normal(size=(2, dim))] + [np.eye(dim)[0]]
+    grads, offsets = rng.uniform(-3, 3, (3, n**dim, 3, dim)), rng.uniform(-3, 3, (3, n**dim, 3))
+    A, lam = rng.uniform(-3, 3, (3, dim)), rng.uniform(-3, 3, 3)
+
+    def fields_call(f):
+        def call():
+            mesh = build_mesh(dim, n, orientations[f])
+            field = SbvField(mesh, grads[f], offsets[f])
+            out = [gauss_green_residual(field).tobytes()]
+            for datum in (AffineDatum(A), StepDatum(lam, mesh.orientation),
+                          AffineDatum(np.zeros((3, dim))), StepDatum(np.zeros(3), mesh.orientation)):
+                pieces = boundary_pieces(mesh, datum)
+                out += [np.ascontiguousarray(v).tobytes() for v in vars(pieces).values()]
+                out += [surface_energy(field, pair, datum, over).hex() for over in (False, True)]
+                out.append(boundary_trace_gap(field, datum).hex())
+            return tuple(out)
+        return call
+
+    def solve_call(**data):
+        def call():  # the trace gap against the problem's datum and one of the other kind
+            problem = CellProblem(n=n, **data)
+            result = solve(problem)
+            mesh, step = result.minimizer.mesh, KINDS[problem.kind].pin is None
+            other = AffineDatum(A) if step else StepDatum(lam, mesh.orientation)
+            # before the dense offsets are read, so that the gaps gather the runs
+            both = (_datum_for(problem, mesh), other)
+            gaps = tuple(boundary_trace_gap(result.minimizer, d).hex() for d in both)
+            return _result_bytes(result) + gaps
+        return call
+
+    per_frame = [
+        [(f"fields/{f}", fields_call(f)),
+         (f"step/{f}", solve_call(kind=step_kind, lam=lam, orientation=orientations[f])),
+         (f"step-zero/{f}", solve_call(kind=step_kind, lam=np.zeros(3), orientation=orientations[f]))]
+        for f in range(3)
+    ]
+    a_shape = (3, 3 if dim == 3 else 2)
+    per_frame[2] += [
+        ("affine", solve_call(kind=affine_kind, A=rng.uniform(-3, 3, a_shape), B=rng.uniform(-3, 3, (3, 2)))),
+        ("affine-zero", solve_call(kind=affine_kind, A=np.zeros(a_shape), B=np.zeros((3, 2)))),
+    ]
+    return [case for i in range(5) for cases in per_frame for case in cases[i : i + 1]]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_calls_reusing_a_grid_geometry_equal_cold_calls(dim, n):
+    # pieces, energies, residuals, trace gaps and solves on one kept grid,
+    # frames alternating and each call repeated, equal bit for bit the same
+    # calls after the grid cache is cleared
+    from sdrelax.fields import AffineDatum, boundary_pieces
+
+    cases = _frame_cases(dim, n, np.random.default_rng(120 + 10 * dim + n))
+    cold = {}
+    for label, call in cases:
+        build_mesh.cache_clear()
+        cold[label] = call()
+    build_mesh.cache_clear()
+    for label, call in [case for case in cases for _ in range(2)]:
+        assert call() == cold[label], label
+    # a mesh of another frame replaces the grid's record by a new one with the
+    # same frame-free tables; a mesh of the same frame reuses it
+    build_mesh.cache_clear()
+    rng = np.random.default_rng(dim + n)
+    a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)))
+    for step, datum in ((False, AffineDatum(np.ones((3, dim)))), (True, StepDatum(np.ones(3), a))):
+        first = boundary_pieces(build_mesh(dim, n, a), datum)
+        record = build_mesh(dim, n, a).geometry[step]
+        again = boundary_pieces(build_mesh(dim, n, a), datum)
+        assert build_mesh(dim, n, a).geometry[step] is record and again.points is first.points
+        other = build_mesh(dim, n, b)
+        moved = boundary_pieces(other, StepDatum(np.ones(3), b) if step else datum)
+        assert other.geometry[step] is not record
+        assert build_mesh(dim, n, a).geometry[step] is other.geometry[step]  # one record per grid
+        assert moved.cell is first.cell and moved.corners is first.corners
+        assert not np.shares_memory(moved.points, first.points)
+    # clearing the cache frees the records with their grid
+    points = weakref.ref(other.geometry[True].points)
+    del first, record, again, other, moved
+    build_mesh.cache_clear()
+    gc.collect()
+    assert points() is None
 
 
 def test_one_solve_builds_one_piece_table(monkeypatch):

@@ -486,10 +486,11 @@ def table_chain_objective(table, x):
     exponent=st.integers(-9, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chain_objective_skips_only_zero_interior_terms(n, nchains, exponent, seed):
-    # the objective pass forms only the interior terms with a jump; adding a
-    # zero to a sum of nonnegative terms is exact, so it matches the full
-    # row sum bit for bit, and without affine pieces the exact energy is it
+def test_chain_objective_forms_every_run_pair(n, nchains, exponent, seed):
+    # the objective pass forms an interior term for every two consecutive runs
+    # of a chain, a zero where they agree; adding a zero to a sum of
+    # nonnegative terms is exact, so it matches the full row sum bit for bit,
+    # and without affine pieces the exact energy is it
     rng = np.random.default_rng(seed)
     cell = np.concatenate([
         rng.integers(0, n, nchains) * nchains + np.arange(nchains),

@@ -20,6 +20,16 @@ its type and message), labelled, and hashed section by section:
   ``solve-cold``, ``degenerate-cold``: both again, the grid cache cleared
   before every solve.  Each must equal its section; the probe exits with
   status 1 if one does not;
+* ``frames``: on grids of 2D n = 1, 2, 3, 8, 9, 31 and 3D n = 1..5, at
+  scales 1e-9, 1 and 1e12, the calls of two frames in turn, each twice in a
+  row and on a new mesh, so that each grid's kept piece geometry is replaced
+  by the other frame's and reused by the repeat: a dense field's boundary
+  pieces, energies (normal and psi1 pair, exact and overestimated), trace
+  gaps (affine, step and zero data) and residual, and the step solve of the
+  frame's orientation with its trace gaps against both data (gathered from
+  the runs before the offsets are read); ``frames-cold``: the same calls,
+  the grid cache cleared before each.  It must equal ``frames``; the probe
+  exits with status 1 if it does not;
 * ``dense``: dense random, blocked (gradients and offsets shared by cell
   blocks) and one-gradient fields in 2D and 3D at the same scales:
   ``surface_energy`` under the normal and the psi1 pair, exact and
@@ -168,11 +178,60 @@ def probe_solve(sd, np, digest: Digest) -> None:
                 kept[label] = items.get(label, "missing")
 
 
+def _frame_grid_calls(sd, np, dim: int, n: int):
+    """The ``frames`` section's ``(label, call)`` pairs of one grid."""
+    from sdrelax.energy import surface_energy
+    from sdrelax.fields import boundary_pieces
+
+    pairs = (sd.interfacial_normal_pair(), sd.psi1_pair())
+    step = sd.Kind.H_3D2D if dim == 2 else sd.Kind.H_3DSD
+    rng = np.random.default_rng([23, dim, n])
+    etas = [v / np.linalg.norm(v) for v in rng.normal(size=(2, dim))]
+    grads, offsets = rng.uniform(-5, 5, (2, n**dim, 3, dim)), rng.uniform(-5, 5, (2, n**dim, 3))
+    A, lam = rng.uniform(-5, 5, (3, dim)), rng.uniform(-5, 5, 3)
+
+    def fields(f, s):
+        mesh = sd.build_mesh(dim, n, etas[f])
+        field = sd.SbvField(mesh, grads[f] * s, offsets[f] * s)
+        out = [sd.gauss_green_residual(field)]
+        for datum in (sd.AffineDatum(A * s), sd.StepDatum(lam * s, mesh.orientation),
+                      sd.AffineDatum(np.zeros((3, dim)))):
+            out += list(vars(boundary_pieces(mesh, datum)).values())
+            out += [surface_energy(field, pair, datum, over) for pair in pairs for over in (False, True)]
+            out.append(sd.boundary_trace_gap(field, datum))
+        return out
+
+    def solved(f, s):
+        r = sd.solve(sd.CellProblem(kind=step, n=n, lam=lam * s, orientation=etas[f]))
+        data = (sd.StepDatum(lam * s, r.minimizer.mesh.orientation), sd.AffineDatum(A * s))
+        gaps = [sd.boundary_trace_gap(r.minimizer, datum) for datum in data]  # before the offsets
+        return [r.value, r.value_exact, *gaps, r.minimizer.offsets, r.minimizer.gradients]
+
+    return [
+        (f"{dim}D/n={n}/s={s:g}/{name}/frame={f}/{rep}", lambda call=call, f=f, s=s: call(f, s))
+        for s in (1e-9, 1.0, 1e12) for name, call in (("fields", fields), ("solve", solved))
+        for f in (0, 1) for rep in (0, 1)
+    ]
+
+
+def probe_frames(sd, np, digest: Digest) -> None:
+    """The ``frames`` section with the grids kept, then ``frames-cold``."""
+    calls = [call for dim, sizes in ((2, (1, 2, 3, 8, 9, 31)), (3, (1, 2, 3, 4, 5)))
+             for n in sizes for call in _frame_grid_calls(sd, np, dim, n)]
+    sd.build_mesh.cache_clear()
+    for label, call in calls:
+        digest.guarded("frames", label, call)
+    for label, call in calls:
+        sd.build_mesh.cache_clear()
+        digest.guarded("frames-cold", label, call)
+
+
 def disagreeing_passes(summary: dict) -> list[str]:
     """The warm and cold passes whose digest differs from their section's."""
+    passes = [f"{section}-{suffix}" for section in ("solve", "degenerate") for suffix in ("warm", "cold")]
     return [
-        f"{section}-{suffix}" for section in ("solve", "degenerate") for suffix in ("warm", "cold")
-        if summary[f"{section}-{suffix}"]["sha256"] != summary[section]["sha256"]
+        name for name in passes + ["frames-cold"]
+        if summary[name]["sha256"] != summary[name.rsplit("-", 1)[0]]["sha256"]
     ]
 
 
@@ -280,7 +339,7 @@ def tree_digest(tree: Path) -> dict:
     if not Path(sd.__file__).resolve().is_relative_to(tree.resolve()):
         raise SystemExit(f"sdrelax was imported from {sd.__file__}, not from {tree}")
     digest = Digest()
-    for probe in (probe_solve, probe_dense, probe_competitors, probe_decay):
+    for probe in (probe_solve, probe_frames, probe_dense, probe_competitors, probe_decay):
         probe(sd, np, digest)
     return digest.summary()
 
