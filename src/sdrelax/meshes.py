@@ -34,8 +34,8 @@ A record is read-only and replaced by one assignment, so sharing it across
 threads is safe.  So is ``geometry``, one record per datum kind (affine or
 step) of the boundary pieces' tables and world geometry in the frame last
 asked for, replaced for another (:func:`sdrelax.fields.boundary_pieces`;
-3.7 MB at 3D n = 64).  The cache holds at most ``GRID_CACHE_SIZE`` times the
-largest grid in use (530 MB of 3D n = 64 grids with all records);
+3.1 to 3.7 MB at 3D n = 64).  The cache holds at most ``GRID_CACHE_SIZE`` times
+the largest grid in use (520 MB of 3D n = 64 grids with all records);
 ``build_mesh.cache_clear()`` frees them all.
 """
 
