@@ -36,7 +36,7 @@ import numpy as np
 from .energy import surface_energy
 from .errors import ProblemError
 from .fields import AffineDatum, SbvField, StepDatum, embed_planar, zero_datum
-from .meshes import Mesh, frame_from_orientation, positive_int
+from .meshes import UNIT_TOL, Mesh, frame_from_orientation, positive_int
 
 
 class SequenceKind(str, Enum):
@@ -75,7 +75,8 @@ class SequenceParams:
         elif self.kind is SequenceKind.GAMMA1_SPLIT:
             if self.lam is None or self.lam.shape != (3,):
                 raise ProblemError("GAMMA1_SPLIT needs a jump vector lam in R^3")
-            if self.eta is None or self.eta.shape != (2,):
+            eta = self.eta
+            if eta is None or eta.shape != (2,) or not abs(np.linalg.norm(eta) - 1.0) <= UNIT_TOL:
                 raise ProblemError("GAMMA1_SPLIT needs a unit 2-vector eta")
         else:
             if self.A is None or self.B is None:

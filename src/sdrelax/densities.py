@@ -31,7 +31,7 @@ from .meshes import UNIT_TOL
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:  # NaN fails it too
         raise InputError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)!r}")
     return v
 

@@ -28,10 +28,11 @@ checked breakpoints' bytes and ``n``) and by :func:`build_mesh` by
 ``(dimension, n)``, and every mesh shares its grid's tables: 64 bytes per
 boundary edge in 2D and 128 per face in 3D (0.28 MB at 2D n = 1024, 3.2 MB
 at 3D n = 64).  A grid also keeps ``layouts``, the chain solver's index
-tables on it, one record per tie-break flag: about 210 to 230 bytes per
-boundary edge at 2D n = 1024 and 300 to 350 per face at 3D n = 64 for each.
-A record is read-only and replaced by one assignment, so sharing it across
-threads is safe.  So is ``geometry``, one record per datum kind (affine or
+tables on it, one record per tie-break flag, replaced only where the data
+change which boundary mismatches are constant (a step datum never does):
+about 180 to 190 bytes per boundary edge at 2D n = 1024 and 230 to 330 per
+face at 3D n = 64 for each.  A record is read-only and replaced by one
+assignment, so sharing it across threads is safe.  So is ``geometry``, one record per datum kind (affine or
 step) of the boundary pieces' tables and world geometry in the frame last
 asked for, replaced for another (:func:`sdrelax.fields.boundary_pieces`;
 3.1 to 3.7 MB at 3D n = 64).  The cache holds at most ``GRID_CACHE_SIZE`` times
@@ -76,7 +77,7 @@ def frame_from_orientation(orientation: np.ndarray) -> np.ndarray:
     sides of the meshed square/cube are perpendicular to the orientation.
     """
     v = np.asarray(orientation, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:  # NaN fails it too
         raise MeshError(f"orientation must be a unit vector, got |v|={np.linalg.norm(v)!r}")
     if v.shape == (2,):
         return np.column_stack([v, [-v[1], v[0]]])
@@ -123,7 +124,7 @@ def _checked_frame(frame, dim: int) -> np.ndarray:
     """A read-only copy of ``frame`` (the identity if ``None``), checked to
     be an orthogonal ``dim x dim`` matrix."""
     frame = np.eye(dim) if frame is None else np.array(frame, dtype=float)
-    if frame.shape != (dim, dim) or np.max(np.abs(frame.T @ frame - np.eye(dim))) > 1e-10:
+    if frame.shape != (dim, dim) or not np.max(np.abs(frame.T @ frame - np.eye(dim))) <= 1e-10:
         raise MeshError("frame must be an orthogonal matrix of the mesh dimension")
     frame.flags.writeable = False
     return frame

@@ -32,10 +32,12 @@ problems carry a second, energy-free objective through the same program
 candidates) and compare (primary, secondary) pairs lexicographically, so
 that among minimizers one matching the boundary datum is returned.  The
 index tables of a solve (the terms, kept cells and runs, the DP's order,
-the objective's summation order) depend only on the grid, that flag, which
-mismatches are constant and which kept cells start a run: the grid keeps
-them, one record per flag (``Mesh.layouts``), for the next solve to reuse
-if both masks agree, and replace otherwise.
+the objective's summation order) depend only on the grid, that flag and
+which mismatches are constant: a step datum is ``lam`` on one side of
+``x·η = 0`` and 0 on the other, so where a chain's runs split is fixed by
+the grid.  The grid keeps the tables, one record per flag
+(``Mesh.layouts``), for the next solve to reuse if the mask agrees, and
+replace otherwise.
 
 The minimizer is its runs: a value per DP row, held from the row's first
 cell up to the next row's, so a chain jumps at most once between two rows,
@@ -383,17 +385,8 @@ class ChainTable:
     side: np.ndarray
     affine: np.ndarray
     measure: np.ndarray
-    # the solve's index tables (_chain_table); a table without them builds them on the spot
+    # the solve's index tables: _chain_table's record, or a bare table's _run_tables
     layout: SimpleNamespace | None = dc_field(default=None, init=False, repr=False, compare=False)
-
-
-def _layout(base: dict, **parts) -> SimpleNamespace:
-    """A record of ``base`` (a record's, read-only) updated by ``parts``, whose arrays become
-    read-only too: a record is never changed, only replaced."""
-    for value in parts.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return SimpleNamespace(**{**base, **parts})
 
 
 def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layout=None) -> ChainTable:
@@ -417,7 +410,12 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layo
     axes are then derived in one pass over the stacked ``(axis, piece)``
     rows.  The rest depends only on the grid, the flag and which rows'
     mismatch is constant: it is read from ``layout``, an earlier table's
-    record, if its mask ``constant`` is this one, and built otherwise.
+    record, if its mask ``constant`` is this one, and built otherwise, in one
+    pass with the runs (``_run_tables``) and the minimizer's blocks
+    (:class:`ChainRuns`).  A term's run label is the side of ``x·η = 0``
+    (``xi[0] = 0``) its piece lies on, ``StepDatum``'s centroid test: a step
+    datum is ``lam`` on one side and 0 on the other, so along a chain the
+    terms of one side share a breakpoint whatever ``lam`` is.
     """
     dim, n = mesh.dim, mesh.shape[0]
     nchains = mesh.ncells // n
@@ -441,11 +439,23 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layo
         stride = n ** (dim - 1 - b)
         chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
         first = np.cumsum(count) - count  # each row's first term
-        layout = _layout(
-            {}, h=mesh.bnd_measure[::2], n=n, chain=chain, pos=pos, weight=np.repeat(weight, count),
+        layout = SimpleNamespace(
+            h=mesh.bnd_measure[::2], n=n, chain=chain, pos=pos, weight=np.repeat(weight, count),
             side=np.repeat(~own, count), affine=first[share][:, None] + np.arange(ncorners),
-            measure=pieces.measure[src[share]], constant=const.tobytes(), emit=emit, tie_break=side_terms,
+            measure=pieces.measure[src[share]], constant=const.tobytes(), emit=emit,
         )
+        side = pieces.corners[:, :, 0].max(axis=1) > 0.0  # each piece's side of x·η = 0
+        label = np.repeat(side[src] * 1.0, count)  # as floats, which np.minimum.at takes fast
+        vars(layout).update(_run_tables(layout, side_terms, label))
+        # the minimizer's blocks; a 2D step's extra one: a run per chain along axis 1 (one per axis 0 index)
+        extra = side_terms and dim == 2
+        blocks = tuple(range(dim)) + ((1,) if extra else ())
+        runs = np.concatenate((layout.first, (2 * n + np.arange(n)) * n)) if extra else layout.first
+        layout.runs_axis, layout.runs_first = blocks, runs
+        layout.runs_at = cell_runs(blocks, runs, mesh.shape, pieces.cell)
+        for value in vars(layout).values():  # a record is never changed, only replaced
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
     t = layout
     table = ChainTable(t.h, n, t.chain, t.pos, t.weight, vals[t.emit], t.side, t.affine, t.measure)
     table.layout = layout
@@ -485,7 +495,7 @@ def _lex_argmin(primary, secondary, tol):
     return np.where(tied, secondary, np.inf).argmin(axis=1)
 
 
-def _chain_dp(active, cand, h, unary, secondary, tol, start=None, chains=None) -> np.ndarray:
+def _chain_dp(active, cand, h, unary, secondary, tol, start, chains) -> np.ndarray:
     """Candidate index of every row minimizing, per chain ``c``, ``sum_j
     unary[r_j, x_j] + h[c] |cand[x_j] - cand[x_{j-1}]|`` over the chain's
     rows ``r_j`` (its runs, ``_solve_chains``); with ``secondary``,
@@ -505,11 +515,10 @@ def _chain_dp(active, cand, h, unary, secondary, tol, start=None, chains=None) -
     are kept aside for steps 2 onward, so a solve holds one full table.
     """
     nchains, k = cand.shape
-    start = np.cumsum([0, *active]).tolist() if start is None else start
     f = unary[:nchains].copy()
     g = None if secondary is None else secondary[:nchains].copy()
     back = np.empty(unary.shape, dtype=np.min_scalar_type(k))  # rows of step 0 unused
-    chains, cols = np.arange(nchains)[:, None] if chains is None else chains, np.arange(k)
+    cols = np.arange(k)
     # step j reads the first active[j] rows of each of these views
     f3, g3, tol3 = f[:, :, None], None if g is None else g[:, :, None], tol[:, None, None]
     buffer = np.subtract(cand[:, None, :], cand[:, :, None])  # [c, u, v]: cand v - cand u
@@ -539,16 +548,37 @@ def _chain_dp(active, cand, h, unary, secondary, tol, start=None, chains=None) -
     return idx
 
 
-def _run_layout(table, lay, head) -> dict:
-    """Index tables of the runs that start at the kept cells ``head`` selects (``None``: all):
-    the longest-first ragged DP layout (``_chain_dp``) and the objective pass's tables."""
+def _run_tables(table, tie_break: bool, label) -> dict:
+    """Index tables of a chain program's runs (``_solve_chains``), given each
+    term's ``label``: the kept cells, the runs (``first``, each term's run
+    ``term_run``), the longest-first ragged DP order (``_chain_dp``) and the
+    objective pass's summation order (``_chain_objective``).
+
+    The kept cells are those with a used term (every term with
+    ``tie_break``, else the energy terms) and both ends of every chain.  A
+    run is one kept cell, or, where some chain keeps more than its two ends,
+    consecutive kept cells every used term of which has one label, with the
+    cells between them.  Terms of one label must share a breakpoint in every
+    solve of the tables: a bare table's breakpoints are its labels.
+    """
     h, n = table.h, table.n
     nchains = len(h)
-    tc, primary, weight = table.chain[lay.use], ~table.side[lay.use], table.weight[lay.use]
+    use = slice(None) if tie_break or not table.side.any() else ~table.side  # all: a view
+    cell = table.chain * n + table.pos
+    kept = np.zeros(nchains * n, dtype=bool)
+    kept[::n] = kept[n - 1 :: n] = True
+    kept[cell[use]] = True
+    first = np.flatnonzero(kept)
+    term_run = first.searchsorted(cell, side="right") - 1  # each term's kept cell
+    if len(first) > 2 * nchains:  # else no chain keeps more than its ends
+        lo, hi = np.full(len(first), np.inf), np.full(len(first), -np.inf)
+        np.minimum.at(lo, term_run[use], label[use])
+        np.maximum.at(hi, term_run[use], label[use])
+        single = np.where(lo == hi, lo, np.nan)  # nan: several labels, or none
+        head = np.concatenate(([True], (first[1:] // n != first[:-1] // n) | (single[1:] != single[:-1])))
+        first, term_run = first[head], (np.cumsum(head) - 1)[term_run]
+    tc, primary, weight = table.chain[use], ~table.side[use], table.weight[use]
     primary = slice(None) if primary.all() else primary
-    every = head is None or head.all()  # then each kept cell is a run, and the kept cell tables serve
-    first = lay.keep if every else lay.keep[head]
-    term_run = lay.term_kept if every else (np.cumsum(head) - 1)[lay.term_kept]
     kc = first // n
     length = np.bincount(kc, minlength=nchains)
     order = np.argsort(-length, kind="stable")
@@ -556,66 +586,49 @@ def _run_layout(table, lay, head) -> dict:
     active = nchains - np.cumsum(np.bincount(length))[:-1]
     start = np.concatenate(([0], np.cumsum(active)))
     row = start[np.arange(len(first)) - first.searchsorted(kc * n)] + slot[kc]
-    trow = row[term_run[lay.use]]
+    trow = row[term_run[use]]
     total_weight = h * (n - 1) + np.bincount(tc[primary], weight[primary], nchains)
+    # the objective pass: each term's place in a (depth, nchains) table, chain by chain in summation order
+    step = np.flatnonzero(kc[1:] == kc[:-1])
+    unary = np.flatnonzero(~table.side) if table.side.any() else slice(None)
+    chain = np.concatenate((kc[step], table.chain[unary]))
+    sort = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
+    into, chain = np.empty_like(sort), chain[sort]
+    into[sort] = _rank_in_group(chain, nchains) * nchains + chain
     return dict(
-        _objective_layout(first, table), head=None if head is None else head.tobytes(), term_run=term_run,
-        row=row, run_slot=slot[kc], active=active.tolist(), start=start.tolist(), h_order=h[order],
-        ts=slot[tc], trow=trow, primary=primary, primary_row=trow[primary], used_weight=weight,
-        tie_weight=TIE_RTOL * total_weight[order], chains=np.arange(nchains)[:, None],
+        tie_break=tie_break, use=use, first=first, term_run=term_run, row=row, run_slot=slot[kc],
+        active=active.tolist(), start=start.tolist(), h_order=h[order], ts=slot[tc], trow=trow,
+        primary=primary, primary_row=trow[primary], used_weight=weight, chains=np.arange(nchains)[:, None],
+        tie_weight=TIE_RTOL * total_weight[order], step=step, h_step=h[kc[step]], unary=unary, into=into,
+        depth=int(into.max()) // nchains + 1,
     )
 
 
-def _solve_chains(table: ChainTable, tie_break: bool):
-    """Exact minimizer of a chain program as its runs, ``(values, first,
-    term_run)``: each run's value and first cell (flat, in the ``(nchains,
-    n)`` layout of ``x``), and each term's run.  A run's value holds up to
-    the next run's first cell, and every chain starts a run.
+def _solve_chains(table: ChainTable) -> np.ndarray:
+    """Exact minimizer of a chain program as the value of each run of its
+    record (``table.layout``, ``_run_tables``): a run's value holds from its
+    first cell up to the next run's, and every chain starts a run.
 
     By the threshold property of L1 total variation, some minimizer takes
     all its values in its chain's unary breakpoints ``-const``, so the DP
-    over those candidates is exact; with ``tie_break`` the candidates
-    include the side-term breakpoints, which keeps the lexicographic program
-    exact too.  The DP runs once, over the runs of kept cells of all chains
-    (cells with unary terms, and both ends), longest first (``_chain_dp``).
-    Between two kept cells lies a bare total-variation path, which costs ``h
-    |v - u|`` from value ``u`` to ``v``.  A run is one kept cell, or, where
-    some chain keeps more than its two ends, consecutive kept cells every
-    term of which has one breakpoint ``p``, with the cells between them.
-    Setting all of a point's values on the run to the one closest to ``p``
-    lowers each of the run's terms, energy or side, and by the triangle
-    inequality not the total variation, so some lexicographic minimizer is
-    constant on the run.  The DP's unary (and secondary) table sums each
-    run's terms at every candidate with one ``np.bincount`` per candidate
-    column, which adds in term order from 0.  The index tables depend only on
-    the terms, the flag and which kept cells start a run: ``table.layout``
-    gives them if built for the same flag and heads, else a new record does.
+    over those candidates is exact; with the record's tie-break the
+    candidates include the side-term breakpoints, which keeps the
+    lexicographic program exact too.  The DP runs once, over the runs of
+    kept cells of all chains (cells with used terms, and both ends), longest
+    first (``_chain_dp``).  Between two kept cells lies a bare total-variation
+    path, which costs ``h |v - u|`` from value ``u`` to ``v``.  Every term of
+    a run of several kept cells has one breakpoint ``p``; setting all of a
+    point's values on the run to the one closest to ``p`` lowers each of the
+    run's terms, energy or side, and by the triangle inequality not the total
+    variation, so some lexicographic minimizer is constant on the run.  The
+    DP's unary (and secondary) table sums each run's terms at every candidate
+    with one ``np.bincount`` per candidate column, which adds in term order
+    from 0.
     """
-    h, n = table.h, table.n
-    nchains = len(h)
-    lay = table.layout if getattr(table.layout, "tie_break", None) == tie_break else None
-    if not hasattr(lay, "keep"):  # kept cells: those with a used term, and both ends of a chain
-        use = slice(None) if tie_break or not table.side.any() else ~table.side  # all: a view
-        cell = table.chain * n + table.pos
-        kept = np.zeros(nchains * n, dtype=bool)
-        kept[::n] = kept[n - 1 :: n] = True
-        kept[cell[use]] = True
-        keep = np.flatnonzero(kept)
-        term_kept = keep.searchsorted(cell, side="right") - 1  # each term's kept cell
-        lay = _layout(vars(lay) if lay else {}, tie_break=tie_break, use=use, keep=keep, term_kept=term_kept)
+    lay, nchains = table.layout, len(table.h)
     const = table.const[lay.use]
     # 0.0 - const rather than -const, so that a zero breakpoint is +0.0
     breaks = 0.0 - const
-    keep, head = lay.keep, None  # which kept cells start a run; None: each
-    if len(keep) > 2 * nchains:  # else no chain keeps more than its ends
-        lo, hi = np.full(len(keep), np.inf), np.full(len(keep), -np.inf)
-        np.minimum.at(lo, lay.term_kept[lay.use], breaks)
-        np.maximum.at(hi, lay.term_kept[lay.use], breaks)
-        single = np.where(lo == hi, lo, np.nan)  # nan: several breakpoints, or none
-        head = np.concatenate(([True], (keep[1:] // n != keep[:-1] // n) | (single[1:] != single[:-1])))
-    if not hasattr(lay, "head") or head is not None and head.tobytes() != lay.head:
-        lay = _layout(vars(lay), **_run_layout(table, lay, head))
-    table.layout = lay
     cand = _candidates(lay.ts, breaks, nchains)
     del breaks  # before the cost tables, where a large affine solve peaks
     cost = np.add(cand[lay.ts].T, const)  # [candidate, term]: |cand + const| * weight, in place
@@ -624,31 +637,14 @@ def _solve_chains(table: ChainTable, tie_break: bool):
     # per-row sums of the terms at each candidate, added in term order from 0
     unary = np.array([np.bincount(lay.primary_row, c, len(lay.first)) for c in cost[:, lay.primary]]).T
     secondary, tol = None, np.zeros(nchains)
-    if tie_break:
+    if lay.tie_break:
         secondary = np.array([np.bincount(lay.trow, c, len(lay.first)) for c in cost]).T
         tol = lay.tie_weight * np.abs(cand).max(axis=1)
     idx = _chain_dp(lay.active, cand, lay.h_order, unary, secondary, tol, lay.start, lay.chains)
-    return cand[lay.run_slot, idx[lay.row]], lay.first, lay.term_run
+    return cand[lay.run_slot, idx[lay.row]]
 
 
-def _objective_layout(first, table) -> dict:
-    """Index tables of the objective pass at the runs that start at ``first``: each
-    term's place in a ``(depth, nchains)`` table, chain by chain in summation order."""
-    nchains = len(table.h)
-    run_chain = first // table.n
-    step = np.flatnonzero(run_chain[1:] == run_chain[:-1])
-    unary = np.flatnonzero(~table.side) if table.side.any() else slice(None)
-    chain = np.concatenate((run_chain[step], table.chain[unary]))
-    order = np.argsort(chain, kind="stable")  # per chain: interior terms, then unary
-    into, chain = np.empty_like(order), chain[order]
-    into[order] = _rank_in_group(chain, nchains) * nchains + chain
-    return dict(
-        first=first, step=step, h_step=table.h[run_chain[step]], unary=unary, into=into,
-        depth=int(into.max()) // nchains + 1,
-    )
-
-
-def _chain_objective(values, first, term_run, table: ChainTable):
+def _chain_objective(values, table: ChainTable):
     """Objective of each chain at the runs ``_solve_chains`` returns, and the
     exact energy of the same terms, ``(value, value_exact)``.
 
@@ -665,15 +661,12 @@ def _chain_objective(values, first, term_run, table: ChainTable):
     is both.  Both are summed in sequence, interior terms in chain order,
     then unary terms in table order, so that neither depends on the order of
     the solver's internal arithmetic and, rounding being monotone, each
-    exact sum is at most its objective.  The index tables are the layout's
-    if it was built for these runs, else built here.
+    exact sum is at most its objective.  The runs and the summation order
+    are the table's record's (``_run_tables``).
     """
-    nchains = len(table.h)
-    lay = table.layout
-    if getattr(lay, "first", None) is not first:
-        lay = SimpleNamespace(**_objective_layout(first, table))
+    lay, nchains = table.layout, len(table.h)
     interior = lay.h_step * np.abs(values[lay.step + 1] - values[lay.step])
-    at = values[term_run] + table.const
+    at = values[lay.term_run] + table.const
     terms = table.weight * np.abs(at)
 
     def in_sequence(unary_terms):
@@ -762,27 +755,18 @@ def _chain_minimizer(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPiec
     program is solved and scored; the minimizer stays its runs, axis ``a``'s
     values taken along its padded world direction (:class:`ChainRuns`)."""
     tie_break = KINDS[problem.kind].pin is None
-    dim, n, extra = mesh.dim, mesh.shape[0], tie_break and mesh.dim == 2
     table = _chain_table(mesh, pin, pieces, tie_break, mesh.layouts.get(tie_break))
+    mesh.layouts[tie_break] = lay = table.layout  # the grid's record, replaced by one assignment
     cells = pieces.cell  # the grid's, kept with its piece tables
     del pieces
-    values, first, term_run = _solve_chains(table, tie_break)
+    values = _solve_chains(table)
     # summed axis by axis, chain by chain
     surf_value, surf_exact = (
-        v.reshape(dim, -1).cumsum(axis=1)[:, -1].cumsum()[-1]
-        for v in _chain_objective(values, first, term_run, table)
+        v.reshape(mesh.dim, -1).cumsum(axis=1)[:, -1].cumsum()[-1] for v in _chain_objective(values, table)
     )
-    lay = table.layout
     del table
-    if getattr(lay, "runs_of", None) is not first:  # the minimizer's blocks, run starts and cells' runs
-        # a 2D step's extra block: a run per chain along axis 1 (one per axis 0 index)
-        axis = tuple(range(dim)) + ((1,) if extra else ())
-        runs = np.concatenate((first, (2 * n + np.arange(n)) * n)) if extra else first
-        lay = _layout(vars(lay), runs_of=first, runs_axis=axis, runs_first=runs,
-                      runs_at=cell_runs(axis, runs, mesh.shape, cells))
-    mesh.layouts[tie_break] = lay  # the grid's record, replaced by one assignment
     direction = padded_normal(mesh.frame.T)
-    if extra:
+    if tie_break and mesh.dim == 2:
         # the out-of-plane offset component is costless under the normal
         # form; match the datum region so the returned trace is exact
         values = np.concatenate((values, np.where(_right_rows(mesh), float(problem.lam[2]), 0.0)))

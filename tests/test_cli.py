@@ -190,6 +190,20 @@ def test_functional_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_functional_rejects_a_nan_orientation(tmp_path, capsys):
+    mesh = build_mesh(2, 2, np.array([1.0, 0.0]))
+    triple = StructuredTriple(
+        g=SbvField.affine(mesh, np.zeros((3, 2))), G=np.zeros((mesh.ncells, 3, 2)), d=np.zeros((mesh.ncells, 3))
+    )
+    payload = json.loads(triple_to_json(triple))
+    payload["orientation"] = [float("nan"), 0.0]  # written as NaN, which json reads back
+    f = tmp_path / "nan.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "functional", "--file", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: orientation must be a unit vector, got |v|=np.float64(nan)\n"
+
+
 def _malformed_cells(payload):
     del payload["cells"][2]["offset"]
 

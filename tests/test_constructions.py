@@ -232,6 +232,9 @@ def test_sequence_params_validation():
         SequenceParams(kind="GAMMA1_SPLIT", n=2, lam=np.zeros(2), eta=np.array([1.0, 0]))
     with pytest.raises(ProblemError):
         SequenceParams(kind="STAIRCASE_TRACE", n=2, A=np.zeros((3, 2)), B=None)
+    # a non-unit eta is rejected when the parameters are made, not when the field is built
+    with pytest.raises(ProblemError, match="^GAMMA1_SPLIT needs a unit 2-vector eta$"):
+        SequenceParams(kind="GAMMA1_SPLIT", n=2, lam=np.ones(3), eta=np.array([0.6, 0.6]))
     with pytest.raises(ProblemError):
         decay_table(gamma_params([1, 0, 0], [1, 0], 2), PSI1, [4, 2])
     assert SequenceKind("GAMMA1_SPLIT") is SequenceKind.GAMMA1_SPLIT

@@ -36,6 +36,14 @@ def test_h_3d2d_values():
         h_3d2d((1, 0, 0), (2, 0))
 
 
+def test_closed_forms_reject_a_nan_normal():
+    with pytest.raises(InputError, match="nu must be a unit vector"):
+        h_pure([1.0, 0.0, 0.0], [np.nan, 0.0, 0.0])
+    for closed in (h_3d2d, psi1_bar):
+        with pytest.raises(InputError, match="eta must be a unit vector"):
+            closed([1.0, 0.0, 0.0], [np.nan, 0.0])
+
+
 def test_w_3d2dsd_values():
     A = np.zeros((3, 2))
     A[0, 0] = A[1, 1] = 1.0

@@ -754,10 +754,19 @@ def test_a_short_file_is_rejected_before_its_grid_is_built(read, extra):
         ({"dimension": 4, "orientation": [1.0, 0.0, 0.0, 0.0]}, "dimension must be 2 or 3"),
         ({"orientation": [1.0, 0.0, 0.0]}, "does not match dimension 2"),
         ({"orientation": [1.0, 1.0]}, "orientation must be a unit vector"),
+        ({"orientation": [float("nan"), 0.0]}, "orientation must be a unit vector"),
     ):
         with pytest.raises(MeshError, match=message):
             read(json.dumps({**payload, **bad}))
     assert meshes._kept_grid.cache_info().currsize == 0
+
+
+def test_a_field_file_with_a_nan_orientation_raises():
+    mesh = build_mesh(2, 2, np.array([1.0, 0.0]))
+    payload = json.loads(field_to_json(SbvField.affine(mesh, np.zeros((3, 2)))))
+    payload["orientation"] = [float("nan"), 0.0]
+    with pytest.raises(MeshError, match="orientation must be a unit vector"):
+        field_from_json(json.dumps(payload))
 
 
 def _dumps_field_reference(field):

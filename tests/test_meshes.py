@@ -118,6 +118,15 @@ def test_cell_views_equal_each_cells_bounds_bit_for_bit(dim, exponent, seed):
     assert mesh.total_measure == float(np.prod(hi - lo, axis=1).sum())
 
 
+def test_nan_orientations_and_frames_raise():
+    # NaN fails every comparison, so the unit and orthogonality tests must fail on it
+    for orientation in ([np.nan, 0.0], [np.nan, 0.0, 0.0], [np.nan, np.nan]):
+        with pytest.raises(MeshError, match="orientation must be a unit vector"):
+            build_mesh(len(orientation), 3, orientation)
+    with pytest.raises(MeshError, match="frame must be an orthogonal matrix"):
+        Mesh(2, np.array([[np.nan, 0.0], [0.0, 1.0]]), 3)
+
+
 def test_rejects_bad_input():
     with pytest.raises(MeshError):
         build_mesh(2, 0, E1)

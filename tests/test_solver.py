@@ -761,8 +761,8 @@ def _layout_cases(dim, n, rng):
     ones first: affine data whose mismatch is constant along every boundary
     piece (``B - A`` diagonal), zero, or constant along axis 0's pieces
     only, then generic; step data whose breakpoints coincide everywhere
-    (``lam = 0``) or along axis 0 (``lam`` normal to the orientation), which
-    give other run heads, then generic."""
+    (``lam = 0``) or along axis 0 (``lam`` normal to the orientation), then
+    generic, which all read one record: a step's runs come from the grid."""
     e1 = np.eye(dim)[0]
     A = rng.uniform(-5, 5, (3, 3 if dim == 3 else 2))
     B = A[:, :2]  # the mismatch is (B - A) x on the first two columns, zero on the third
@@ -787,8 +787,8 @@ def _solve_bytes(problem):
 @pytest.mark.parametrize("dim, n", [(2, 3), (2, 4), (3, 3), (3, 4)])
 def test_solves_reusing_a_grid_layout_equal_cold_solves(dim, n):
     # interleaved solves on one kept grid rebuild its layout record where
-    # their masks differ and reuse it where they agree; each must equal,
-    # bit for bit, the same solve after the grid cache is cleared
+    # their constant masks differ and reuse it where they agree; each must
+    # equal, bit for bit, the same solve after the grid cache is cleared
     rng = np.random.default_rng(90 + 10 * dim + n)
     cases = _layout_cases(dim, n, rng)
     cold = {}
@@ -805,6 +805,12 @@ def test_solves_reusing_a_grid_layout_equal_cold_solves(dim, n):
         records.append(mesh.layouts[KINDS[cases[i].kind].pin is None])
     assert all(records[j] is records[j - 1] for j in range(1, len(order)) if order[j] == order[j - 1])
     assert len({id(r) for r in records}) > 2
+    step = [r for i, r in zip(order, records) if KINDS[cases[i].kind].pin is None]
+    affine = [r for i, r in zip(order, records) if KINDS[cases[i].kind].pin is not None]
+    assert all(r is step[0] for r in step)  # no lam rebuilds a step record
+    # an affine solve rebuilds the record exactly where the constant mask changes
+    assert all((b is a) == (b.constant == a.constant) for a, b in zip(affine, affine[1:]))
+    assert len({id(r) for r in affine}) > 2
 
 
 def _frame_cases(dim, n, rng):

@@ -17,6 +17,7 @@ assembly it replaced (``per_axis_chain_table``).
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from sdrelax.solver import (
     _datum_for,
     _mesh_for,
     _pinned_gradient,
+    _run_tables,
     _solve_chains,
     closed_form,
     solve,
@@ -267,18 +269,27 @@ def chain_objective(table, x):
 def dense_chains(table, tie_break):
     """``_solve_chains``'s minimizer of a chain table expanded from its runs
     to the values ``x`` ``(nchains, n)``, and the objective of each chain,
-    which ``_chain_objective`` reads from the runs."""
-    values, first, term_run = _solve_chains(table, tie_break)
-    x = np.repeat(values, np.diff(first, append=len(table.h) * table.n))
-    chain_value, _ = _chain_objective(values, first, term_run, table)
+    which ``_chain_objective`` reads from the runs.  A table with no grid
+    labels its terms' runs by their breakpoints."""
+    table.layout = SimpleNamespace(**_run_tables(table, tie_break, 0.0 - table.const))
+    values = _solve_chains(table)
+    x = np.repeat(values, np.diff(table.layout.first, append=len(table.h) * table.n))
+    chain_value, _ = _chain_objective(values, table)
     return x.reshape(len(table.h), table.n), chain_value
 
 
 def objective_at(x, table):
     """``_chain_objective`` at the values ``x`` ``(nchains, n)``: every cell
-    is its own run."""
-    cell = table.chain * table.n + table.pos
-    return _chain_objective(x.reshape(-1), np.arange(x.size), cell, table)
+    is its own run, kept by an energy-free term of weight 0 and labelled by
+    its cell."""
+    every, zero = np.arange(x.size), np.zeros(x.size)
+    table = replace(
+        table, chain=np.concatenate((table.chain, every // table.n)),
+        pos=np.concatenate((table.pos, every % table.n)), weight=np.concatenate((table.weight, zero)),
+        const=np.concatenate((table.const, zero)), side=np.concatenate((table.side, zero == 0.0)),
+    )
+    table.layout = SimpleNamespace(**_run_tables(table, True, table.chain * table.n + table.pos))
+    return _chain_objective(x.reshape(-1), table)
 
 
 def solve_chain_table(table, tie_break):
@@ -688,7 +699,7 @@ def test_ragged_dp_matches_the_padded_dp(lengths, tie_break, exponent, seed):
     if tie_break:
         sflat, rtol = np.empty_like(flat), tol[order]
         sflat[row] = secondary[c, j]
-    idx = _chain_dp(active, cand[order], hc[order], flat, sflat, rtol)
+    idx = _chain_dp(active, cand[order], hc[order], flat, sflat, rtol, start, np.arange(nchains)[:, None])
 
     assert np.array_equal(idx[row], ref[c, j])
     for ch in range(nchains):

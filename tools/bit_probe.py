@@ -14,7 +14,8 @@ its type and message), labelled, and hashed section by section:
   against the problem's datum and ``reevaluate``;
 * ``degenerate``: the same of chain problems whose layouts (the index
   tables a solve keeps on its grid) differ from generic data's: affine data
-  with a zero or constant mismatch, step data with coinciding breakpoints;
+  with a zero or constant mismatch, step data with coinciding breakpoints,
+  on the axis-aligned mesh and, for every step kind, on rotated meshes;
 * ``solve-warm``, ``degenerate-warm``: both again, in one shuffled pass in
   the same process, so that solves with other layouts come between;
   ``solve-cold``, ``degenerate-cold``: both again, the grid cache cleared
@@ -123,9 +124,23 @@ def _degenerate_cases(sd, np):
     whose mismatch ``(B - A) x`` is zero, constant on every boundary piece
     (``B - A`` diagonal) or on axis 0's pieces only; step data on the
     axis-aligned mesh with every breakpoint 0 (``lam = 0``) or those of
-    axis 0 only (``lam`` normal to the orientation)."""
+    axis 0 only (``lam`` normal to the orientation); and step data of every
+    step kind on rotated meshes with ``lam`` orthogonal to one or two mesh
+    axes' world directions, so that the breakpoints of those axes are 0 on
+    both sides of the datum's discontinuity.  Products are formed with
+    fused multiply-adds, so the zero is exact only where each product is:
+    ``lam``'s entries there are powers of two times a power-of-two scale, or
+    meet a zero direction component."""
     offsets = {"zero": np.zeros((3, 2)), "constant": np.diag([1.5, -2.0, 0.0])[:, :2],
                "axis0": np.array([[1.5, 0.0], [0.7, -2.0], [0.0, 0.0]])}
+    c, t = np.sqrt(0.5), 0.3
+    # (orientation, {name: lam}); the mesh axes are (c, c), (-c, c) or (cos t, sin t), (-sin t, cos t)
+    # in 2D, and (c, c, 0), e3, (c, -c, 0) or (cos t, sin t, 0), e3, (sin t, -cos t, 0) in 3D
+    rotated = {2: [((c, c), {"e0": (1.0, -1.0, -2.0), "e1": (1.0, 1.0, -2.0)}),
+                   ((np.cos(t), np.sin(t)), {"e0,e1": (0.0, 0.0, -2.0)})],
+               3: [((c, c, 0.0), {"e0": (1.0, -1.0, -2.0), "e1": (1.5, 0.7, 0.0), "e2": (1.0, 1.0, -2.0)}),
+                   ((np.cos(t), np.sin(t), 0.0), {"e0,e2": (0.0, 0.0, -2.0), "e1": (1.5, 0.7, 0.0)})]}
+    step_kinds = {2: (sd.Kind.H_3D2D, sd.Kind.H_3D2DSD, sd.Kind.H_3DSD2D), 3: (sd.Kind.H_3DSD,)}
     for dim, sizes in ((2, (3, 4, 31, 32)), (3, (3, 4, 7, 8))):
         affine, step = (sd.Kind.W_3D2DSD, sd.Kind.H_3D2D) if dim == 2 else (sd.Kind.W_3DSD, sd.Kind.H_3DSD)
         e1 = np.eye(dim)[0]
@@ -138,6 +153,12 @@ def _degenerate_cases(sd, np):
                 for name, lam in (("lam=0", [0.0, 0.0, 0.0]), ("lam.e1=0", [0.0, 1.5, -2.0])):
                     lam = np.array(lam) * s
                     yield f"{step.value}/n={n}/s={s:g}/{name}", sd.CellProblem(kind=step, n=n, lam=lam, orientation=e1)
+            for s in (2.0**-30, 2.0**-10, 1.0, 2.0**10, 2.0**40):
+                for kind in step_kinds[dim]:
+                    for f, (eta, lams) in enumerate(rotated[dim]):
+                        for axes, lam in lams.items():
+                            label = f"{kind.value}/n={n}/s={s:g}/frame={f}/lam.{axes}=0"
+                            yield label, sd.CellProblem(kind=kind, n=n, lam=np.array(lam) * s, orientation=eta)
 
 
 def _record_solve(sd, digest: Digest, section: str, label: str, problem) -> None:

@@ -19,7 +19,7 @@ repeats.  The solve child times the stages by wrapping the functions that
 ``solve`` looks up in ``sdrelax.solver`` (``STAGES``): mesh (``_mesh_for``),
 boundary piece table (``boundary_pieces``), term assembly (the chain table
 of all axes, ``_chain_table``), the chain program outside the DP
-(``_solve_chains``: kept cells and candidates), the min-plus DP itself
+(``_solve_chains``: candidates and per-row costs), the min-plus DP itself
 (``_chain_dp``), the objective pass at the minimizer
 (``_chain_objective``: ``value`` and, in trees that score ``value_exact``
 there, the exact energy) and the generic re-evaluation (``surface_energy``,
