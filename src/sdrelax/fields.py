@@ -590,6 +590,15 @@ def _json_template(shape, level: int) -> str:
     return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
+def _json_numbers(a: np.ndarray) -> tuple:
+    """``a``'s numbers for ``%s`` slots: json writes a finite float as its
+    ``str``, NaN and the infinities (a triple's ``G`` and ``d``) otherwise."""
+    numbers = a.ravel().tolist()
+    if not np.isfinite(a).all():
+        numbers = [v if math.isfinite(v) else json.dumps(v) for v in numbers]
+    return tuple(numbers)
+
+
 def _cells_to_json(mesh: Mesh, blocks: dict) -> str:
     """File text of a uniform mesh with per-cell arrays ``blocks`` (name ->
     ``(ncells, ...)``), the bytes of ``json.dumps(payload, indent=2)`` of nested
@@ -601,11 +610,10 @@ def _cells_to_json(mesh: Mesh, blocks: dict) -> str:
         f'  "orientation": {_json_template(mesh.orientation.shape, 1)},\n  "cells": [\n'
     )
     cells = np.concatenate([np.reshape(v, (mesh.ncells, -1)) for v in blocks.values()], axis=1)
-    parts = [head % tuple(json.dumps(mesh.orientation.tolist())[1:-1].split(", "))]
+    parts = [head % _json_numbers(mesh.orientation)]
     for start in range(0, mesh.ncells, JSON_BLOCK_CELLS):
         block = cells[start : start + JSON_BLOCK_CELLS]
-        numbers = json.dumps(block.ravel().tolist())[1:-1].split(", ")
-        parts.append((",\n" if start else "") + ",\n".join([cell] * len(block)) % tuple(numbers))
+        parts.append((",\n" if start else "") + ",\n".join([cell] * len(block)) % _json_numbers(block))
     return "".join(parts + ["\n  ]\n}"])
 
 

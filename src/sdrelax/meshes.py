@@ -28,16 +28,16 @@ checked breakpoints' bytes and ``n``) and by :func:`build_mesh` by
 ``(dimension, n)``, and every mesh shares its grid's tables: 64 bytes per
 boundary edge in 2D and 128 per face in 3D (0.28 MB at 2D n = 1024, 3.2 MB
 at 3D n = 64).  A grid also keeps ``layouts``, the chain solver's index
-tables on it, one record per tie-break flag, replaced only where the data
-change which boundary mismatches are constant (a step datum never does):
-about 180 to 190 bytes per boundary edge at 2D n = 1024 and 230 to 330 per
-face at 3D n = 64 for each.  A record is read-only and replaced by one
-assignment, so sharing it across threads is safe.  So is ``geometry``, one record per datum kind (affine or
-step) of the boundary pieces' tables and world geometry in the frame last
-asked for, replaced for another (:func:`sdrelax.fields.boundary_pieces`;
-3.1 to 3.7 MB at 3D n = 64).  The cache holds at most ``GRID_CACHE_SIZE`` times
-the largest grid in use (520 MB of 3D n = 64 grids with all records);
-``build_mesh.cache_clear()`` frees them all.
+tables on it, one record per tie-break flag, built by the flag's first
+solve and never replaced (210 to 250 bytes per boundary edge at 2D n = 1024,
+260 to 420 per face at 3D n = 64).  A record is read-only, so sharing it
+across threads is safe.  So is ``geometry``, one record per datum kind
+(affine or step) of the boundary pieces' tables and world geometry in the
+frame last asked for, replaced for another
+(:func:`sdrelax.fields.boundary_pieces`; 3.1 to 3.7 MB at 3D n = 64).  The
+cache holds at most ``GRID_CACHE_SIZE`` times the largest grid in use (520
+MB of 3D n = 64 grids with all records); ``build_mesh.cache_clear()`` frees
+them all.
 """
 
 from __future__ import annotations

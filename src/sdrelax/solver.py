@@ -32,12 +32,12 @@ problems carry a second, energy-free objective through the same program
 candidates) and compare (primary, secondary) pairs lexicographically, so
 that among minimizers one matching the boundary datum is returned.  The
 index tables of a solve (the terms, kept cells and runs, the DP's order,
-the objective's summation order) depend only on the grid, that flag and
-which mismatches are constant: a step datum is ``lam`` on one side of
+the objective's summation order) depend only on the grid and that flag: an
+affine piece always emits its trapezoid shares, a step piece, whose
+mismatch is constant, one term, and a step datum is ``lam`` on one side of
 ``x·η = 0`` and 0 on the other, so where a chain's runs split is fixed by
 the grid.  The grid keeps the tables, one record per flag
-(``Mesh.layouts``), for the next solve to reuse if the mask agrees, and
-replace otherwise.
+(``Mesh.layouts``), built by its first solve and read by every later one.
 
 The minimizer is its runs: a value per DP row, held from the row's first
 cell up to the next row's, so a chain jumps at most once between two rows,
@@ -89,7 +89,6 @@ from .fields import (
     cell_runs,
     embed_planar,
     flat_matmul,
-    rows_reduce,
     zero_datum,
 )
 from .meshes import UNIT_TOL, Mesh, build_mesh, json_positive_int, positive_int
@@ -395,57 +394,48 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layo
     Axis ``b``'s program is in the offset component along the axis' (padded)
     world normal, over its chains ``mesh.chains(b)``, numbered ``b *
     nchains + row``, the order of the boundary edges, so ``h`` is the face
-    measure that each chain's boundary edges carry.  Each boundary piece of
-    axis ``a`` emits one unary term for axis ``a``: its measure times the
-    constant mismatch, or, for affine mismatches, one trapezoid share per
-    corner.  With ``side_terms`` (pure jump problems), a piece whose mismatch
-    is constant along another axis direction ``b`` also emits an energy-free
-    term for axis ``b``; these enter only the tie-break, steering the
-    returned minimizer to attain the boundary datum wherever the optimal face
-    allows it.  Terms come axis by axis, in boundary-piece order, corner by
-    corner.
+    measure that each chain's boundary edges carry.  Without ``side_terms``
+    (affine data), each boundary piece of axis ``a`` emits one trapezoid
+    share of its mismatch per corner for axis ``a``, whatever the data.
+    With ``side_terms`` (pure jump problems: a zero pin and a step datum read
+    at each piece's centroid, so a constant mismatch), every piece emits one
+    term, its measure times the mismatch, for every axis: an energy term
+    for its own and energy-free ones for the others, which enter only the
+    tie-break, steering the returned minimizer to attain the boundary datum
+    wherever the optimal face allows it.  Terms come axis by axis, in
+    boundary-piece order, corner by corner.
 
-    Only the mismatch along each axis' direction is formed per axis (one
-    matrix-vector product of the pieces that emit for it); the terms of all
-    axes are then derived in one pass over the stacked ``(axis, piece)``
-    rows.  The rest depends only on the grid, the flag and which rows'
-    mismatch is constant: it is read from ``layout``, an earlier table's
-    record, if its mask ``constant`` is this one, and built otherwise, in one
-    pass with the runs (``_run_tables``) and the minimizer's blocks
+    Only the mismatch along each axis' direction is formed per axis; the
+    rest is the grid's record (module docs), read from ``layout`` or built
+    with the runs (``_run_tables``) and the minimizer's blocks
     (:class:`ChainRuns`).  A term's run label is the side of ``x·η = 0``
-    (``xi[0] = 0``) its piece lies on, ``StepDatum``'s centroid test: a step
-    datum is ``lam`` on one side and 0 on the other, so along a chain the
-    terms of one side share a breakpoint whatever ``lam`` is.
+    (``xi[0] = 0``) its piece lies on, ``StepDatum``'s centroid test.
     """
     dim, n = mesh.dim, mesh.shape[0]
     nchains = mesh.ncells // n
     dirs3 = padded_normal(mesh.frame.T)  # row b = padded world direction of axis b
     gall = flat_matmul(pieces.points, pin.T) - pieces.datum
     on = [slice(None) if side_terms else pieces.axis == b for b in range(dim)]  # emitting pieces
-    vals = np.concatenate([gall[rows] @ dirs3[b] for b, rows in enumerate(on)])
-    const = rows_reduce(np.logical_and, (vals - vals[:, :1]) == 0.0)
-    if layout is None or const.tobytes() != layout.constant:
+    k = 1 if side_terms else gall.shape[1]  # terms per row: a step's constant mismatch, or trapezoid shares
+    vals = np.concatenate([(gall[rows] @ dirs3[b])[:, :k] for b, rows in enumerate(on)])
+    del gall
+    if layout is None:
         src = [np.arange(len(pieces.cell))[rows] for rows in on]  # each row's piece
         axis = np.repeat(np.arange(dim), [len(s) for s in src])  # and the axis it emits for
         src = np.concatenate(src)
-        ncorners = vals.shape[1]
-        own = pieces.axis[src] == axis
-        share = own & ~const  # affine: a trapezoid share per corner, else one term at corner 0
-        emit = share[:, None] | (np.arange(ncorners) == 0) & (own | const)[:, None]
-        weight = np.where(share, pieces.measure[src] / ncorners, pieces.measure[src])
-        count = emit.sum(axis=1)  # terms of each row, in row-major order
-        cell, b = np.repeat(pieces.cell[src], count), np.repeat(axis, count)
+        cell, b = np.repeat(pieces.cell[src], k), np.repeat(axis, k)
         # cell -> (row, position) in the chains along axis b (meshes._chains)
         stride = n ** (dim - 1 - b)
         chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
-        first = np.cumsum(count) - count  # each row's first term
+        del cell, b, stride
+        shared = 0 if side_terms else len(src)  # rows of trapezoid shares
         layout = SimpleNamespace(
-            h=mesh.bnd_measure[::2], n=n, chain=chain, pos=pos, weight=np.repeat(weight, count),
-            side=np.repeat(~own, count), affine=first[share][:, None] + np.arange(ncorners),
-            measure=pieces.measure[src[share]], constant=const.tobytes(), emit=emit,
+            h=mesh.bnd_measure[::2], n=n, chain=chain, pos=pos, weight=np.repeat(pieces.measure[src] / k, k),
+            side=np.repeat(pieces.axis[src] != axis, k), affine=np.arange(shared * k).reshape(shared, k),
+            measure=pieces.measure[src[:shared]],
         )
         side = pieces.corners[:, :, 0].max(axis=1) > 0.0  # each piece's side of x·η = 0
-        label = np.repeat(side[src] * 1.0, count)  # as floats, which np.minimum.at takes fast
+        label = np.repeat(side[src] * 1.0, k)  # as floats, which np.minimum.at takes fast
         vars(layout).update(_run_tables(layout, side_terms, label))
         # the minimizer's blocks; a 2D step's extra one: a run per chain along axis 1 (one per axis 0 index)
         extra = side_terms and dim == 2
@@ -453,11 +443,11 @@ def _chain_table(mesh: Mesh, pin, pieces: BoundaryPieces, side_terms: bool, layo
         runs = np.concatenate((layout.first, (2 * n + np.arange(n)) * n)) if extra else layout.first
         layout.runs_axis, layout.runs_first = blocks, runs
         layout.runs_at = cell_runs(blocks, runs, mesh.shape, pieces.cell)
-        for value in vars(layout).values():  # a record is never changed, only replaced
+        for value in vars(layout).values():  # a record is never changed
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
     t = layout
-    table = ChainTable(t.h, n, t.chain, t.pos, t.weight, vals[t.emit], t.side, t.affine, t.measure)
+    table = ChainTable(t.h, n, t.chain, t.pos, t.weight, vals.reshape(-1), t.side, t.affine, t.measure)
     table.layout = layout
     return table
 
@@ -570,6 +560,7 @@ def _run_tables(table, tie_break: bool, label) -> dict:
     kept[cell[use]] = True
     first = np.flatnonzero(kept)
     term_run = first.searchsorted(cell, side="right") - 1  # each term's kept cell
+    del cell, kept
     if len(first) > 2 * nchains:  # else no chain keeps more than its ends
         lo, hi = np.full(len(first), np.inf), np.full(len(first), -np.inf)
         np.minimum.at(lo, term_run[use], label[use])
@@ -756,7 +747,7 @@ def _chain_minimizer(problem: CellProblem, mesh: Mesh, pin, pieces: BoundaryPiec
     values taken along its padded world direction (:class:`ChainRuns`)."""
     tie_break = KINDS[problem.kind].pin is None
     table = _chain_table(mesh, pin, pieces, tie_break, mesh.layouts.get(tie_break))
-    mesh.layouts[tie_break] = lay = table.layout  # the grid's record, replaced by one assignment
+    mesh.layouts[tie_break] = lay = table.layout  # the grid's record, built by its first solve
     cells = pieces.cell  # the grid's, kept with its piece tables
     del pieces
     values = _solve_chains(table)

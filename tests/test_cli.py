@@ -84,11 +84,32 @@ def test_verify_json_format_and_outfile(tmp_path, capsys):
     assert out == out_file.read_text()
 
 
-def test_report_determinism(tmp_path, capsys):
-    args = ["verify", "--suite", "cell", "--n", "4", "--samples", "4", "--seed", "7"]
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
+_VERIFY = {
+    "closed-forms": ["--samples", "50"],
+    "cell": ["--n", "4", "--samples", "4"],
+    "gauss-green": ["--samples", "4"],
+}
+_SEQUENCE = {
+    "gamma1": ["--lambda", "1,2,0.5", "--eta", "0.6,0.8"],
+    "frame-w1": ["--M", "1,0,0.5,2,0,1"],
+    "staircase": ["--A", "1,0,0,1,0,0", "--B", "0,0.5,0,0,0,0"],
+}
+_REPORTS = {
+    **{f"verify-{suite}-{fmt}": ["verify", "--suite", suite, *args, "--seed", "7", "--format", fmt]
+       for suite, args in _VERIFY.items() for fmt in ("csv", "json")},
+    **{f"sequence-{kind}": ["sequence", "--kind", kind, *args, "--n-list", "2,4,8"]
+       for kind, args in _SEQUENCE.items()},
+}
+
+
+@pytest.mark.parametrize("argv", list(_REPORTS.values()), ids=list(_REPORTS))
+def test_report_determinism(capsys, argv):
+    # the first run builds its grids and their kept records, the second reads
+    # them: a cold and a warm report must be byte-identical
+    build_mesh.cache_clear()
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
 
 
 def test_sequence_gamma1(capsys):

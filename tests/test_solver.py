@@ -58,7 +58,7 @@ def test_h_3d2d_axis_competitor_exactly_feasible():
     lam = np.array([1.0, 0.0, 0.0])
     p = CellProblem(kind=Kind.H_3D2D, n=4, lam=lam, orientation=E1)
     r = solve(p)
-    assert r.value == pytest.approx(1.0, abs=1e-9)
+    assert r.value == pytest.approx(1.0, rel=1e-12, abs=0)
     assert r.lower_bound_certified
     assert boundary_trace_gap(r.minimizer, StepDatum(lam, E1)) <= 1e-9
     assert r.reevaluate(p) == pytest.approx(r.value, rel=1e-12, abs=0.0)
@@ -72,7 +72,7 @@ def test_h_3d2d_matches_closed_form_even_n(eta):
         lam = rng.uniform(-4, 4, 3)
         p = CellProblem(kind=Kind.H_3D2D, n=8, lam=lam, orientation=eta)
         r = solve(p)
-        assert r.value == pytest.approx(closed_form(p), abs=1e-9)
+        assert r.value == pytest.approx(closed_form(p), rel=1e-12, abs=0)
         assert boundary_trace_gap(r.minimizer, StepDatum(lam, eta)) <= 1e-9
 
 
@@ -95,7 +95,7 @@ def test_h_3dsd_cube_values():
         for nu in np.eye(3):
             p = CellProblem(kind=Kind.H_3DSD, n=2, lam=lam, orientation=nu)
             r = solve(p)
-            assert r.value == pytest.approx(h_pure(lam, nu), abs=1e-9)
+            assert r.value == pytest.approx(h_pure(lam, nu), rel=1e-12, abs=0)
             assert boundary_trace_gap(r.minimizer, StepDatum(lam, nu)) <= 1e-9
 
 
@@ -538,7 +538,7 @@ def test_problem_json_round_trip():
     """
     p = problem_from_json(text)
     r = solve(p)
-    assert r.value == pytest.approx(1.0, abs=1e-9)
+    assert r.value == pytest.approx(1.0, rel=1e-12, abs=0)
     out = result_to_json(r, minimizer_file="min.json")
     assert '"kind": "H_3D2D"' in out and '"minimizer_file": "min.json"' in out
 
@@ -757,12 +757,13 @@ def test_grid_cache_miss_and_hit_solve_alike(n):
 
 
 def _layout_cases(dim, n, rng):
-    """Problems on one grid whose chain-program layouts differ, degenerate
-    ones first: affine data whose mismatch is constant along every boundary
-    piece (``B - A`` diagonal), zero, or constant along axis 0's pieces
-    only, then generic; step data whose breakpoints coincide everywhere
-    (``lam = 0``) or along axis 0 (``lam`` normal to the orientation), then
-    generic, which all read one record: a step's runs come from the grid."""
+    """Problems on one grid, degenerate ones first: affine data whose
+    mismatch is constant along every boundary piece (``B - A`` diagonal),
+    zero, or constant along axis 0's pieces only, then generic; step data
+    whose breakpoints coincide everywhere (``lam = 0``) or along axis 0
+    (``lam`` normal to the orientation), then generic.  Each datum kind reads
+    one record: an affine piece always emits its trapezoid shares, and a
+    step's runs come from the grid."""
     e1 = np.eye(dim)[0]
     A = rng.uniform(-5, 5, (3, 3 if dim == 3 else 2))
     B = A[:, :2]  # the mismatch is (B - A) x on the first two columns, zero on the third
@@ -786,9 +787,9 @@ def _solve_bytes(problem):
 
 @pytest.mark.parametrize("dim, n", [(2, 3), (2, 4), (3, 3), (3, 4)])
 def test_solves_reusing_a_grid_layout_equal_cold_solves(dim, n):
-    # interleaved solves on one kept grid rebuild its layout record where
-    # their constant masks differ and reuse it where they agree; each must
-    # equal, bit for bit, the same solve after the grid cache is cleared
+    # interleaved solves on one kept grid read its one layout record per
+    # tie-break flag, built by the first; each must equal, bit for bit, the
+    # same solve after the grid cache is cleared
     rng = np.random.default_rng(90 + 10 * dim + n)
     cases = _layout_cases(dim, n, rng)
     cold = {}
@@ -803,14 +804,11 @@ def test_solves_reusing_a_grid_layout_equal_cold_solves(dim, n):
         got, mesh = _solve_bytes(cases[i])
         assert got == cold[i], (cases[i].kind, i)
         records.append(mesh.layouts[KINDS[cases[i].kind].pin is None])
-    assert all(records[j] is records[j - 1] for j in range(1, len(order)) if order[j] == order[j - 1])
-    assert len({id(r) for r in records}) > 2
     step = [r for i, r in zip(order, records) if KINDS[cases[i].kind].pin is None]
     affine = [r for i, r in zip(order, records) if KINDS[cases[i].kind].pin is not None]
     assert all(r is step[0] for r in step)  # no lam rebuilds a step record
-    # an affine solve rebuilds the record exactly where the constant mask changes
-    assert all((b is a) == (b.constant == a.constant) for a, b in zip(affine, affine[1:]))
-    assert len({id(r) for r in affine}) > 2
+    assert all(r is affine[0] for r in affine)  # no affine data rebuild theirs
+    assert step[0] is not affine[0]
 
 
 def _frame_cases(dim, n, rng):
@@ -1000,6 +998,18 @@ def test_value_exact_never_exceeds_value_on_the_rounding_probe(n):
         B = rng.uniform(-5, 5, (3, 2))
         r = solve(CellProblem(kind=Kind.W_3D2DSD, n=n, A=A, B=B))
         assert r.value_exact <= r.value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(CHAIN_KINDS), exponent=st.integers(-9, 12), seed=st.integers(0, 2**32 - 1))
+def test_values_do_not_increase_along_nested_refinements(kind, exponent, seed):
+    # a coarse minimizer is a competitor on each refinement of its mesh, where
+    # the finer trapezoid rule charges its boundary mismatch no more
+    ladder = [2**i for i in range(4 if KINDS[kind].dim == 3 else 6)]  # up to 8 in 3D, 32 in 2D
+    problem = _random_problem(kind, 1, np.random.default_rng(seed), 10.0**exponent)
+    rows = refine_study(problem, ladder)
+    for coarse, fine in zip(rows, rows[1:]):
+        assert fine.value <= coarse.value * (1 + 1e-12), (coarse.n, fine.n)
 
 
 # ---------------------------------------------------------------------------

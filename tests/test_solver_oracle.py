@@ -171,27 +171,23 @@ def per_axis_chain_table(mesh, pin, pieces, side_terms):
     nchains = mesh.ncells // n
     dirs3 = padded_normal(mesh.frame.T)
     gall = pieces.points @ pin.T - pieces.datum
+    k = 1 if side_terms else pieces.corners.shape[1]  # a step's constant mismatch, or trapezoid shares
     columns, affine, before = [], [], 0
     for b in range(dim):
         on = slice(None) if side_terms else pieces.axis == b
-        vals = gall[on] @ dirs3[b]
-        const = np.max(np.abs(vals - vals[:, :1]), axis=1) == 0.0
+        vals = (gall[on] @ dirs3[b])[:, :k]
         own = pieces.axis[on] == b
-        share = own & ~const
-        emit = share[:, None] | (np.arange(vals.shape[1]) == 0) & (own | const)[:, None]
-        weight = np.where(share, pieces.measure[on] / vals.shape[1], pieces.measure[on])
-        count = emit.sum(axis=1)
-        cell = np.repeat(pieces.cell[on], count)
+        cell = np.repeat(pieces.cell[on], k)
         stride = n ** (dim - 1 - b)
         chain, pos = b * nchains + cell // (stride * n) * stride + cell % stride, cell // stride % n
-        columns.append((chain, pos, np.repeat(weight, count), vals[emit], np.repeat(~own, count)))
-        first = before + np.cumsum(count) - count
-        affine.append((np.arange(len(pieces.cell))[on][share], first[share]))
+        columns.append((chain, pos, np.repeat(pieces.measure[on] / k, k), vals.reshape(-1), np.repeat(~own, k)))
+        if not side_terms:
+            affine.append((np.arange(len(pieces.cell))[on], before + k * np.arange(len(vals))))
         before += len(cell)
-    rows, first = (np.concatenate(c) for c in zip(*affine))
+    rows, first = (np.concatenate(c) for c in zip(*affine)) if affine else (np.zeros(0, int),) * 2
     return ChainTable(
         mesh.bnd_measure[::2], n, *(np.concatenate(c) for c in zip(*columns)),
-        affine=first[:, None] + np.arange(pieces.corners.shape[1]),
+        affine=first[:, None] + np.arange(k),
         measure=pieces.measure[rows],
     )
 

@@ -12,12 +12,14 @@ its type and message), labelled, and hashed section by section:
   n = 1..8), data scaled by 1e-9, 1e-3, 1, 1e3 and 1e12: ``value``,
   ``value_exact``, the minimizer's offsets and gradients, the trace gap
   against the problem's datum and ``reevaluate``;
-* ``degenerate``: the same of chain problems whose layouts (the index
-  tables a solve keeps on its grid) differ from generic data's: affine data
-  with a zero or constant mismatch, step data with coinciding breakpoints,
-  on the axis-aligned mesh and, for every step kind, on rotated meshes;
+* ``degenerate``: the same of chain problems with degenerate data: affine
+  data with a zero or constant mismatch, step data with coinciding
+  breakpoints, on the axis-aligned mesh and, for every step kind, on
+  rotated meshes;
 * ``solve-warm``, ``degenerate-warm``: both again, in one shuffled pass in
-  the same process, so that solves with other layouts come between;
+  the same process, so that solves of other data on a grid come between,
+  each reading the layout record (the index tables a solve keeps on its
+  grid) the first built;
   ``solve-cold``, ``degenerate-cold``: both again, the grid cache cleared
   before every solve.  Each must equal its section; the probe exits with
   status 1 if one does not;
@@ -120,7 +122,7 @@ def _solve_cases(sd, np):
 
 def _degenerate_cases(sd, np):
     """The ``degenerate`` section's pairs: chain problems on the solve
-    section's grids whose layouts differ from generic data's.  Affine data
+    section's grids with degenerate data.  Affine data
     whose mismatch ``(B - A) x`` is zero, constant on every boundary piece
     (``B - A`` diagonal) or on axis 0's pieces only; step data on the
     axis-aligned mesh with every breakpoint 0 (``lam = 0``) or those of
