@@ -14,7 +14,7 @@ densities integrate in closed form:
 
 General callable densities are exact on constant jumps (the common case for
 pinned-gradient fields) and fall back to the 16-point Gauss rule on affine
-ones.
+ones, along segments (a face's by :func:`sdrelax.fields.piece_segments`).
 
 Interior jumps come from the field's jump table (built once per field by
 per-axis differences and shared with the divergence-theorem residual):
@@ -49,7 +49,7 @@ from .fields import (
     SbvField,
     abs_affine_integral,
     boundary_pieces,
-    gauss_face_mean,
+    piece_segments,
     rows_reduce,
 )
 
@@ -112,16 +112,13 @@ def _jump_rows(rows, values):
 
 
 def _piece_integral(values, nu, measure, func):
+    """``func`` over one piece: exact on a constant jump, else the 16-point
+    Gauss rule along each segment of the one face rule (:func:`piece_segments`)."""
     if len(values) == 1:
         return func(values[0], nu) * measure
-    if len(values) == 2:
-        line = values[0] + GAUSS_NODES[:, None] * (values[1] - values[0])
-        return float(measure * np.dot(GAUSS_WEIGHTS, [func(v, nu) for v in line]))
-
-    def integrand(grid):
-        return np.asarray([[func(v, nu) for v in row] for row in grid])
-
-    return float(measure * gauss_face_mean(values[0], values[1], values[3], integrand))
+    weights, starts, ends = piece_segments(values)
+    lines = (a + GAUSS_NODES[:, None] * (b - a) for a, b in zip(starts, ends))
+    return float(measure * (weights @ [GAUSS_WEIGHTS @ [func(v, nu) for v in line] for line in lines]))
 
 
 def surface_energy(field: SbvField, density, datum=None, overestimate: bool = False) -> float:

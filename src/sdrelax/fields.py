@@ -11,15 +11,15 @@ built on first use by per-axis differences of the cell data on the mesh's
 exactly: on segments by splitting at the sign change, on rectangular faces
 (every face a mesh has is an axis-aligned rectangle in its own plane) by a
 closed form in the face's corner values and area.  Euclidean norms of
-affine integrands have a closed form on segments.
+affine integrands have a closed form on segments; a face takes it along
+the segments of the one face rule (:func:`piece_segments`).
 
 Boundary terms are charged against a datum piece by piece: one array table
 of the mesh's boundary edges (a step datum splits those it jumps across),
 kept with the grid for its last frame, and the datum's values at them
 (:func:`boundary_pieces`), which the solver's term assembly and both
 :func:`sdrelax.energy.surface_energy` and :func:`boundary_trace_gap` read.
-This module also owns the single 16-point Gauss rule used where no closed
-form applies, and the one writer of field and triple files
+This module also owns the one writer of field and triple files
 (byte-identical to ``json.dumps(indent=2)``).
 """
 
@@ -40,6 +40,7 @@ from .meshes import UNIT_TOL, Mesh, build_mesh, frame_from_orientation, json_pos
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (GAUSS_NODES + 1.0), 0.5 * GAUSS_WEIGHTS
 JSON_BLOCK_CELLS = 4096  # cells the file writer formats at a time
+FACE_BLOCK = 2048  # faces the trace gap integrates at a time, which bounds its temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +147,19 @@ def flat_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, a.shape[-1]) @ m).reshape(a.shape[:-1] + m.shape[1:])
 
 
-def gauss_face_mean(c00, c10, c11, values) -> float:
-    """Gauss mean of ``values`` over the parallelogram ``c00 + s (c10 - c00)
-    + t (c11 - c00)``, ``s, t`` in [0, 1]; ``values`` maps the (16, 16, k)
-    grid of points to a (16, 16) array of integrand values."""
-    s = GAUSS_NODES
-    grid = c00 + s[:, None, None] * (c10 - c00) + s[None, :, None] * (c11 - c00)
-    return float(GAUSS_WEIGHTS @ values(grid) @ GAUSS_WEIGHTS)
+def piece_segments(values):
+    """The one face rule: pieces with corner values ``values`` ``(..., corners,
+    k)`` as weighted segments ``(weights (K,), starts (K, ..., k), ends (K,
+    ..., k))``, so that a piece's mean of an integrand is the ``weights``-sum of
+    its means along the segments.  A segment (2 corners) is itself, weight 1;
+    a face (4 corners, cyclic order) is the 16-point Gauss rule in ``t`` over
+    its segments from ``c0 + t (c3 - c0)`` to ``c1 + t (c2 - c1)``."""
+    corners = np.moveaxis(np.asarray(values, dtype=float), -2, 0)
+    if len(corners) == 2:
+        return np.ones(1), corners[:1], corners[1:]
+    c0, c1, c2, c3 = corners
+    t = GAUSS_NODES.reshape((-1,) + (1,) * c0.ndim)
+    return GAUSS_WEIGHTS, c0 + t * (c3 - c0), c1 + t * (c2 - c1)
 
 
 # ---------------------------------------------------------------------------
@@ -535,45 +542,26 @@ def gauss_green_residual(field: SbvField) -> np.ndarray:
 
 
 def boundary_trace_gap(field: SbvField, datum) -> float:
-    """Exact ``\\int ||u - datum||`` over the mesh boundary.
+    """``\\int ||u - datum||`` over the mesh boundary.
 
     Step data split each edge at the datum discontinuity, so the mismatch is
     affine on every piece.  Constant pieces (equal corner mismatches, a rule
     free of the data scale; every piece of a step minimizer) give
-    ``|m| measure`` in 2D and 3D alike, affine segments the closed-form norm
-    integral, and affine 3D faces the 16-point tensor Gauss rule, all at once.
+    ``|m| measure`` exactly; affine pieces take the closed-form norm integral
+    along the segments of the one face rule (:func:`piece_segments`): exact
+    on segments, the 16-point Gauss rule in ``t`` on faces.  The affine rows
+    go ``FACE_BLOCK`` at a time.
     """
     pieces = boundary_pieces(field.mesh, datum)
     mism = pieces.field_values(field) - pieces.datum
     first = mism[:, 0]
     terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
     affine = rows_reduce(np.logical_or, mism != mism[:, :1]).nonzero()[0]
-    if len(affine) and field.mesh.dim == 2:
-        terms[affine] = norm_affine_segment_exact(mism[affine, 0], mism[affine, 1], pieces.measure[affine])
-    elif len(affine):
-        terms[affine] = pieces.measure[affine] * _face_norm_means(mism[affine])
+    for start in range(0, len(affine), FACE_BLOCK):
+        rows = affine[start : start + FACE_BLOCK]
+        weights, starts, ends = piece_segments(mism[rows])
+        terms[rows] = weights @ norm_affine_segment_exact(starts, ends, pieces.measure[rows])
     return float(terms.cumsum()[-1])
-
-
-def _face_norm_means(mism) -> np.ndarray:
-    """Gauss means of ``||m||``, ``m = m0 + s (m1 - m0) + t (m3 - m0)``, from the
-    corners (F, 4, 3), F > 0.  The points of one ``t`` node are formed
-    component by component, ``(3, F, 16)``, into one reused buffer, and
-    their norms summed in ``np.linalg.norm``'s order, ``(x0^2 + x1^2) + x2^2``,
-    which gives its values bit for bit; no temporary is larger than the
-    buffer."""
-    m0 = mism[:, 0].T
-    ds, dt = mism[:, 1].T - m0, mism[:, 3].T - m0
-    line = m0[:, :, None] + GAUSS_NODES * ds[:, :, None]  # (3, F, 16)
-    points, norms = np.empty_like(line), np.empty(line.shape[1:])
-    sums = np.empty((len(mism), len(GAUSS_NODES)))
-    for j, t in enumerate(GAUSS_NODES):
-        np.add(line, t * dt[:, :, None], out=points)
-        np.multiply(points, points, out=points)
-        np.add(points[0], points[1], out=norms)
-        norms += points[2]
-        sums[:, j] = np.sqrt(norms, out=norms) @ GAUSS_WEIGHTS
-    return sums @ GAUSS_WEIGHTS
 
 
 # ---------------------------------------------------------------------------
@@ -590,19 +578,11 @@ def _json_template(shape, level: int) -> str:
     return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
-def _json_numbers(a: np.ndarray) -> tuple:
-    """``a``'s numbers for ``%s`` slots: json writes a finite float as its
-    ``str``, NaN and the infinities (a triple's ``G`` and ``d``) otherwise."""
-    numbers = a.ravel().tolist()
-    if not np.isfinite(a).all():
-        numbers = [v if math.isfinite(v) else json.dumps(v) for v in numbers]
-    return tuple(numbers)
-
-
 def _cells_to_json(mesh: Mesh, blocks: dict) -> str:
     """File text of a uniform mesh with per-cell arrays ``blocks`` (name ->
     ``(ncells, ...)``), the bytes of ``json.dumps(payload, indent=2)`` of nested
-    lists: templates filled with json's text of each number, a block of cells at a time."""
+    lists: templates filled with each number's ``str`` (json's text of a finite float;
+    every array a file holds is checked finite), a block of cells at a time."""
     slots = {k: _json_template(np.shape(v)[1:], 3) for k, v in blocks.items()}
     cell = "    {\n" + ",\n".join(f'      "{k}": {slot}' for k, slot in slots.items()) + "\n    }"
     head = (
@@ -610,10 +590,13 @@ def _cells_to_json(mesh: Mesh, blocks: dict) -> str:
         f'  "orientation": {_json_template(mesh.orientation.shape, 1)},\n  "cells": [\n'
     )
     cells = np.concatenate([np.reshape(v, (mesh.ncells, -1)) for v in blocks.values()], axis=1)
-    parts = [head % _json_numbers(mesh.orientation)]
+    parts = [head % tuple(mesh.orientation.tolist())]
     for start in range(0, mesh.ncells, JSON_BLOCK_CELLS):
         block = cells[start : start + JSON_BLOCK_CELLS]
-        parts.append((",\n" if start else "") + ",\n".join([cell] * len(block)) % _json_numbers(block))
+        # no name holds a block's text, which would then outlive it into the final join
+        parts.append(
+            (",\n" if start else "") + ",\n".join([cell] * len(block)) % tuple(block.ravel().tolist())
+        )
     return "".join(parts + ["\n  ]\n}"])
 
 

@@ -48,6 +48,8 @@ class StructuredTriple:
             )
         if self.d.shape != (mesh.ncells, 3):
             raise FieldError(f"d must have shape {(mesh.ncells, 3)}, got {self.d.shape}")
+        if not (np.isfinite(self.G).all() and np.isfinite(self.d).all()):
+            raise FieldError("G and d must be finite")
 
     @property
     def mesh(self) -> Mesh:
@@ -81,6 +83,8 @@ def eval_F3dSD(g: SbvField, G3: np.ndarray) -> float:
     G3 = np.asarray(G3, dtype=float)
     if G3.shape != (mesh.ncells, 3, 2):
         raise FieldError(f"G3 must have shape {(mesh.ncells, 3, 2)}, got {G3.shape}")
+    if not np.isfinite(G3).all():
+        raise FieldError("G3 must be finite")
     grads = g.gradients
     trace_gap = grads[:, 0, 0] + grads[:, 1, 1] - G3[:, 0, 0] - G3[:, 1, 1]
     bulk = float(np.abs(trace_gap) @ mesh.cell_measures)

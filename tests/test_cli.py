@@ -225,6 +225,28 @@ def test_functional_rejects_a_nan_orientation(tmp_path, capsys):
     assert err == "error: orientation must be a unit vector, got |v|=np.float64(nan)\n"
 
 
+def test_functional_rejects_non_finite_triple_and_3d_files(tmp_path, capsys):
+    # json writes and reads NaN and Infinity; a used entry of G or d that is
+    # one is an input error, in the 2D triple and the 3D file alike
+    mesh = build_mesh(2, 2, np.array([1.0, 0.0]))
+    triple = StructuredTriple(
+        g=SbvField.affine(mesh, np.zeros((3, 2))), G=np.zeros((mesh.ncells, 3, 2)), d=np.zeros((mesh.ncells, 3))
+    )
+    for key, value in (("G", [[0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]]), ("d", [float("inf"), 0.0, 0.0])):
+        payload = json.loads(triple_to_json(triple))
+        payload["cells"][1][key] = value
+        f = tmp_path / "triple.json"
+        f.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "functional", "--file", str(f))
+        assert (code, out, err) == (2, "", "error: G and d must be finite\n")
+    cell = {"gradient": np.eye(3).tolist(), "offset": [0.0] * 3, "G": [[0.0, float("-inf")], [0.0] * 2, [0.0] * 2]}
+    payload = {"dimension": 3, "n": 1, "orientation": [1.0, 0.0, 0.0], "cells": [cell]}
+    f = tmp_path / "field3d.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "functional", "--file", str(f))
+    assert (code, out, err) == (2, "", "error: G3 must be finite\n")
+
+
 def _malformed_cells(payload):
     del payload["cells"][2]["offset"]
 

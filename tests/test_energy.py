@@ -100,6 +100,28 @@ def test_custom_density_constant_jumps_exact():
     assert surface_energy(fld, pair) == pytest.approx(surf(lam, nu3) * 1.0, abs=1e-13)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 3),
+    orientation=unit_vectors(3),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-9, 12),
+)
+def test_custom_density_on_faces_matches_the_exact_normal_form(n, orientation, seed, exponent):
+    # a plain callable takes the face rule of energy._piece_integral; offsets
+    # rising by 100 scale across every face outweigh the jumps of the
+    # gradients (at most 6 scale |x|), so jump . nu keeps one sign on each
+    # face, where |jump . nu| is affine and the rule is exact up to rounding
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    mesh = build_mesh(3, n, orientation)
+    offsets = (100.0 * scale * n) * (mesh.cell_centers() @ mesh.frame.T)
+    field = SbvField(mesh, rng.uniform(-scale, scale, (mesh.ncells, 3, 3)), offsets)
+    exact = surface_energy(field, interfacial_normal_pair())
+    assert len(field.jump_table.affine) == len(field.jump_table.offset) and exact > 0.0
+    assert abs(surface_energy(field, lambda v, nu: abs(v @ nu)) - exact) <= 1e-13 * exact
+
+
 def test_energy_module_is_not_shadowed_by_a_package_attribute():
     import sdrelax.energy as module
 

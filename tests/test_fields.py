@@ -25,9 +25,9 @@ from sdrelax.fields import (
     boundary_trace_gap,
     field_from_json,
     field_to_json,
-    gauss_face_mean,
     gauss_green_residual,
     norm_affine_segment_exact,
+    piece_segments,
 )
 from sdrelax.functionals import StructuredTriple, eval_left, eval_right, triple_from_json
 from sdrelax.meshes import Mesh, build_mesh
@@ -600,10 +600,10 @@ def test_split_measure_rule_gives_unsplit_edges_their_mesh_measure():
 
 def test_zero_gradient_3d_trace_gap_runs_no_quadrature(monkeypatch):
     # a step minimizer has zero gradient, so each face's mismatch is constant
-    def never(mism):
-        raise AssertionError("the Gauss rule ran")
+    def never(*args):
+        raise AssertionError("the face rule ran")
 
-    monkeypatch.setattr(fields, "_face_norm_means", never)
+    monkeypatch.setattr(fields, "norm_affine_segment_exact", never)
     rng = np.random.default_rng(23)
     for n in (2, 3, 6):
         nu = rng.normal(size=3)
@@ -616,26 +616,6 @@ def test_zero_gradient_3d_trace_gap_runs_no_quadrature(monkeypatch):
         first = (pieces.field_values(fld) - pieces.datum)[:, 0]
         constant_faces = np.sqrt(np.vecdot(first, first)) * pieces.measure
         assert boundary_trace_gap(fld, datum) == float(np.cumsum(constant_faces)[-1])
-
-
-def _face_norm_means_per_node(mism):
-    """``fields._face_norm_means`` as one ``np.linalg.norm`` per ``t`` node
-    over ``(F, 16, 3)`` points."""
-    m0 = mism[:, 0]
-    ds, dt = mism[:, 1] - m0, mism[:, 3] - m0
-    line = m0[:, None, :] + GAUSS_NODES[None, :, None] * ds[:, None, :]
-    sums = np.empty((len(mism), len(GAUSS_NODES)))
-    for j, t in enumerate(GAUSS_NODES):
-        sums[:, j] = np.linalg.norm(line + t * dt[:, None, :], axis=2) @ GAUSS_WEIGHTS
-    return sums @ GAUSS_WEIGHTS
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(faces=st.integers(1, 600), data=st.data())
-def test_face_norm_means_equal_the_per_node_norm_bit_for_bit(faces, data):
-    mism = data.draw(scaled_values((faces, 4, 3)))
-    got, want = fields._face_norm_means(mism), _face_norm_means_per_node(mism)
-    assert got.shape == want.shape == (faces,) and got.tobytes() == want.tobytes()
 
 
 def test_step_datum_orientation_mismatch_raises():
@@ -825,36 +805,63 @@ def test_field_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# batched 3D trace-gap Gauss rule against the per-face loop it replaced
+# the one face rule of 3D trace gaps against independent references
 # ---------------------------------------------------------------------------
 
-def _trace_gap_3d_reference(field, datum):
-    """Per-face Gauss loop over the world points of each affine-mismatch face."""
-    mesh = field.mesh
-    pieces = boundary_pieces(mesh, datum)
-    mism = pieces.field_values(field) - pieces.datum
-    first = mism[:, 0]
-    terms = np.sqrt(np.vecdot(first, first)) * pieces.measure
-    for i in np.flatnonzero(np.any(mism != mism[:, :1], axis=(1, 2))):
-        cell, c = pieces.cell[i], pieces.corners[i]
-
-        def mismatch_norm(grid):
-            pts = grid.reshape(-1, 3) @ mesh.frame.T
-            m = pts @ field.gradients[cell].T + field.offsets[cell] - datum.values(pts)
-            return np.linalg.norm(m, axis=1).reshape(grid.shape[:2])
-
-        terms[i] = pieces.measure[i] * gauss_face_mean(c[0], c[1], c[3], mismatch_norm)
-    return float(np.cumsum(terms)[-1])
-
-
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 4),
     orientation=unit_vectors(3),
     seed=st.integers(0, 2**32 - 1),
     exponent=st.integers(-9, 12),
+    one_sign=st.booleans(),
 )
-def test_batched_face_gauss_matches_per_face_loop(n, orientation, seed, exponent):
+def test_rank_one_face_gaps_match_the_exact_rectangle_integral(n, orientation, seed, exponent, one_sign):
+    # a mismatch v f(x), f = w . x + beta, has norm |v| |f| on every face, whose
+    # integral abs_affine_rectangle_exact gives exactly.  Where f keeps one sign
+    # on the cube the rule errs by rounding alone; where it changes sign on a
+    # face, the Gauss rule in t meets a kink: 4.5e-3 was the worst of 5200
+    # such faces (median 5e-6), so each face, and the gap, is held to 1e-2
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    mesh = build_mesh(3, n, orientation)
+    v, w, A = rng.uniform(-scale, scale, 3), rng.uniform(-1, 1, 3), rng.uniform(-scale, scale, (3, 3))
+    beta = (2.0 if one_sign else rng.uniform(-0.4, 0.4)) * np.linalg.norm(w)  # |w . x| <= 0.87 |w|
+    field, datum = SbvField.affine(mesh, A + np.outer(v, w), v * beta), AffineDatum(A)
+    pieces = boundary_pieces(mesh, datum)
+    exact = np.linalg.norm(v) * abs_affine_rectangle_exact(pieces.points @ w + beta, pieces.measure)
+    weights, starts, ends = piece_segments(pieces.field_values(field) - pieces.datum)
+    faces = weights @ norm_affine_segment_exact(starts, ends, pieces.measure)
+    tol = 1e-11 if one_sign else 1e-2
+    assert np.all(np.abs(faces - exact) <= tol * exact)
+    gap = float(np.cumsum(exact)[-1])
+    assert abs(boundary_trace_gap(field, datum) - gap) <= tol * gap
+
+
+def _subdivided_face_mean(c, parts=8):
+    """Mean of ``||m||`` over a face, ``m`` bilinear in its corner values ``c``
+    (4, 3) in cyclic order: the 16-point Gauss rule on each of ``parts`` x
+    ``parts`` subsquares."""
+    s = ((np.arange(parts)[:, None] + GAUSS_NODES) / parts).ravel()
+    w = np.tile(GAUSS_WEIGHTS, parts) / parts
+    s, t = s[:, None, None], s[None, :, None]
+    m = (1 - s) * (1 - t) * c[0] + s * (1 - t) * c[1] + s * t * c[2] + (1 - s) * t * c[3]
+    return w @ np.linalg.norm(m, axis=2) @ w
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3),
+    orientation=unit_vectors(3),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-9, 12),
+)
+def test_face_gaps_match_a_subdivided_gauss_reference(n, orientation, seed, exponent):
+    # generic faces against 128 x 128 Gauss points each (within 1e-10 of
+    # 256 x 256): the mismatch of a random field may nearly vanish at a point
+    # of a face, where its norm is a cone; the gap's worst relative error over
+    # 240 such random gaps was 1.2e-5 (the 16 x 16 tensor rule before it:
+    # 1.0e-5), held to 1e-4
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     mesh = build_mesh(3, n, orientation)
@@ -863,8 +870,11 @@ def test_batched_face_gauss_matches_per_face_loop(n, orientation, seed, exponent
         AffineDatum(rng.uniform(-scale, scale, (3, 3))),
         StepDatum(rng.uniform(-scale, scale, 3), mesh.orientation),
     ):
-        ref = _trace_gap_3d_reference(field, datum)
-        assert abs(boundary_trace_gap(field, datum) - ref) <= 1e-15 * ref
+        pieces = boundary_pieces(mesh, datum)
+        mism = pieces.field_values(field) - pieces.datum
+        terms = np.array([_subdivided_face_mean(c) for c in mism]) * pieces.measure
+        ref = float(np.cumsum(terms)[-1])
+        assert abs(boundary_trace_gap(field, datum) - ref) <= 1e-4 * ref
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -18,7 +18,7 @@ from sdrelax.functionals import (
     triple_to_json,
 )
 from sdrelax.meshes import build_mesh
-from strategies import SPECIAL_FLOATS, scaled_values, unit_vectors
+from strategies import scaled_values, unit_vectors
 
 E1 = np.array([1.0, 0.0])
 
@@ -159,10 +159,6 @@ def _dumps_triple_reference(triple):
     return json.dumps(payload, indent=2)
 
 
-# G and d are not checked for finiteness, so their files may hold NaN/Infinity
-_TRIPLE_SPECIALS = SPECIAL_FLOATS + (float("nan"), float("inf"), float("-inf"))
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 8), data=st.data())
 def test_triple_json_is_byte_identical_to_json_dumps(n, data):
@@ -174,8 +170,8 @@ def test_triple_json_is_byte_identical_to_json_dumps(n, data):
     )
     triple = StructuredTriple(
         g=g,
-        G=data.draw(scaled_values((mesh.ncells, 3, 2), _TRIPLE_SPECIALS)),
-        d=data.draw(scaled_values((mesh.ncells, 3), _TRIPLE_SPECIALS)),
+        G=data.draw(scaled_values((mesh.ncells, 3, 2))),
+        d=data.draw(scaled_values((mesh.ncells, 3))),
     )
     assert triple_to_json(triple) == _dumps_triple_reference(triple)
 
@@ -189,3 +185,20 @@ def test_triple_shape_validation():
         StructuredTriple(g=g, G=np.zeros((4, 3, 2)), d=np.zeros((3, 3)))
     with pytest.raises(InputError):
         path_equality_report([])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_triple_and_3d_functional_data_raise(bad):
+    mesh = build_mesh(2, 2, E1)
+    g = SbvField.affine(mesh, np.zeros((3, 2)))
+    G, d = np.zeros((mesh.ncells, 3, 2)), np.zeros((mesh.ncells, 3))
+    G[3, 2, 0] = d[1, 0] = bad
+    with pytest.raises(FieldError, match="finite"):
+        StructuredTriple(g=g, G=G, d=np.zeros((mesh.ncells, 3)))
+    with pytest.raises(FieldError, match="finite"):
+        StructuredTriple(g=g, G=np.zeros((mesh.ncells, 3, 2)), d=d)
+    cube = SbvField.affine(build_mesh(3, 2, np.array([1.0, 0.0, 0.0])), np.eye(3))
+    G3 = np.zeros((cube.mesh.ncells, 3, 2))
+    G3[5, 1, 1] = bad
+    with pytest.raises(FieldError, match="finite"):
+        eval_F3dSD(cube, G3)
