@@ -819,9 +819,9 @@ def test_field_shape_validation():
 def test_rank_one_face_gaps_match_the_exact_rectangle_integral(n, orientation, seed, exponent, one_sign):
     # a mismatch v f(x), f = w . x + beta, has norm |v| |f| on every face, whose
     # integral abs_affine_rectangle_exact gives exactly.  Where f keeps one sign
-    # on the cube the rule errs by rounding alone; where it changes sign on a
-    # face, the Gauss rule in t meets a kink: 4.5e-3 was the worst of 5200
-    # such faces (median 5e-6), so each face, and the gap, is held to 1e-2
+    # on the cube the rule errs by rounding alone (at most 1.1e-12 seen); where
+    # it changes sign on a face, the Gauss rule in t meets a kink: 4.5e-3 was
+    # the worst of 3746 such faces (median 5e-6), so each face is held to 1e-2
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     mesh = build_mesh(3, n, orientation)
